@@ -88,10 +88,18 @@ def read_features(path) -> FrameFeatureSequence:
             raise FileFormatError("reserved header bytes must be zero")
         if min(t, h, w, d) < 1:
             raise FileFormatError(f"degenerate dimensions t={t} h={h} w={w} d={d}")
-        raw = _read_exact(fh, t * h * w * d * 4, "feature payload")
-        if fh.read(1):
+        # Check the header's claim against the file before allocating for it.
+        expected = t * h * w * d * 4
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < expected:
+            raise FileFormatError(
+                f"truncated file: expected {expected} bytes of feature payload, got {available}"
+            )
+        if available > expected:
             raise FileFormatError("trailing bytes after feature payload")
-    frames = np.frombuffer(raw, dtype="<f4").reshape(t, h, w, d).astype(np.float32)
+        frames = np.empty((t, h, w, d), dtype="<f4")
+        if fh.readinto(frames) != expected:
+            raise FileFormatError("feature file shrank while being read")
     if not np.isfinite(frames).all():
         raise FileFormatError("feature payload contains non-finite values")
     return FrameFeatureSequence(frames, np.arange(t, dtype=np.float64))

@@ -1,7 +1,11 @@
 """Dense-array kernels shared by every compression stage.
 
 All kernels accept float32 data and accumulate in float64; results are cast
-back to float32 so repeated runs produce identical bytes.
+back to float32 so repeated runs produce identical bytes. Pooling sums each
+bin separably (rows, then columns) in float64 straight off the float32
+input, a fixed-size chunk of frames at a time; float32 values of similar
+magnitude add exactly in float64, so the bin sums do not depend on the order
+of addition.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ __all__ = [
     "frame_summary",
     "apply_adapter",
 ]
+
+# Frames pooled per float64 working block; bounds pooling's working memory.
+POOL_CHUNK_FRAMES = 16
 
 
 @dataclass
@@ -138,8 +145,15 @@ def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:
 def pool_batch(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Adaptive average pooling over a (frames, h, w, dim) float32 stack.
 
-    Shares the bin rule and arithmetic with ``adaptive_avg_pool``, so pooling
-    a batch is bitwise-identical to pooling each frame on its own.
+    Each bin is summed separably: first the rows of its row bin, then the
+    columns of its column bin, accumulating in float64 straight off the
+    float32 input, and divided by its integer cell count. A float64 sum of
+    float32 values is exact whenever the bin's nonzero values lie within a
+    factor of about 2**20 of each other, so the sum does not depend on the
+    order of addition and every mean stays inside the [min, max] of the
+    cells it covers. Frames are pooled independently, in chunks of
+    ``POOL_CHUNK_FRAMES``, so the stack is never copied whole to float64,
+    and pooling a batch is bitwise-identical to pooling each frame alone.
     """
     n, h, w, dim = stack.shape
     if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
@@ -147,22 +161,20 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if out_h == h and out_w == w:
         return stack.copy()
 
-    # Integral image in float64: float32 inputs sum exactly, so every bin
-    # mean stays inside the [min, max] of the cells it covers.
-    data = stack.astype(np.float64)
-    integral = np.zeros((n, h + 1, w + 1, dim), dtype=np.float64)
-    integral[:, 1:, 1:] = data.cumsum(axis=1).cumsum(axis=2)
-
     r0, r1 = _pool_edges(h, out_h)
     c0, c1 = _pool_edges(w, out_w)
-    sums = (
-        integral[:, r1[:, None], c1[None, :]]
-        - integral[:, r0[:, None], c1[None, :]]
-        - integral[:, r1[:, None], c0[None, :]]
-        + integral[:, r0[:, None], c0[None, :]]
-    )
-    counts = (r1 - r0)[:, None] * (c1 - c0)[None, :]
-    return (sums / counts[None, :, :, None]).astype(np.float32)
+    counts = ((r1 - r0)[:, None] * (c1 - c0)[None, :])[:, :, None]
+    out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
+    for lo in range(0, n, POOL_CHUNK_FRAMES):
+        chunk = stack[lo : lo + POOL_CHUNK_FRAMES]
+        rows = np.empty((chunk.shape[0], out_h, w, dim), dtype=np.float64)
+        for p in range(out_h):
+            chunk[:, r0[p] : r1[p]].sum(axis=1, dtype=np.float64, out=rows[:, p])
+        sums = np.empty((chunk.shape[0], out_h, out_w, dim), dtype=np.float64)
+        for q in range(out_w):
+            rows[:, :, c0[q] : c1[q]].sum(axis=2, out=sums[:, :, q])
+        out[lo : lo + POOL_CHUNK_FRAMES] = sums / counts
+    return out
 
 
 def adaptive_avg_pool(grid: TokenGrid, out_h: int, out_w: int) -> TokenGrid:

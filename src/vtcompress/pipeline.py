@@ -214,14 +214,16 @@ def enforce_budget(
 ) -> tuple[SpatialCompressionResult, float, bool]:
     """Force a pruning result under the budget; returns (result, theta, fallback).
 
-    While the result is over budget and the threshold can still drop in 0.05
-    steps toward 0.5, pruning is re-applied from ``plan`` (when provided);
-    similarities are threshold-independent, so re-applying the plan matches a
-    full re-run. Anything still over budget afterwards has its non-anchor
-    tokens uniformly subsampled by (timestep, position) rank until the budget
-    is met exactly. Raises BudgetInfeasibleError when the anchors alone
-    exceed the budget; anchors keep every token at any threshold, so that
-    verdict is reached before the ladder runs.
+    The threshold drops in 0.05 steps toward 0.5 while ``plan`` (when given)
+    can still prune more. Similarities do not depend on the threshold, so
+    the survivors at each step are counted straight from ``plan.sims``; the
+    first step whose count fits is taken, or the last step when none fits,
+    and the plan is applied once at that threshold, which matches a full
+    re-run there. Anything still over budget then has its non-anchor tokens
+    uniformly subsampled by (timestep, position) rank until the budget is
+    met exactly. Raises BudgetInfeasibleError when the anchors alone exceed
+    the budget; anchors keep every token at any threshold, so that verdict
+    is reached before the ladder runs.
     """
     budget = cfg.l_max - query_len
     if result.tokens_after <= budget:
@@ -230,17 +232,19 @@ def enforce_budget(
     if anchor_tokens > budget:
         raise BudgetInfeasibleError(anchor_tokens, budget)
     theta_eff = cfg.theta
-    if plan is not None:
-        for step in _theta_ladder(cfg.theta):
-            theta_eff = step
-            result = plan.apply(
-                theta_eff,
-                original_indices=plan_indices,
-                timesteps=plan_timesteps,
-                level=LEVEL_POOLED,
-            )
-            if result.tokens_after <= budget:
-                return result, theta_eff, True
+    steps = _theta_ladder(cfg.theta) if plan is not None else []
+    if steps:
+        for theta_eff in steps:
+            if int((plan.sims <= theta_eff).sum()) <= budget:
+                break
+        result = plan.apply(
+            theta_eff,
+            original_indices=plan_indices,
+            timesteps=plan_timesteps,
+            level=LEVEL_POOLED,
+        )
+        if result.tokens_after <= budget:
+            return result, theta_eff, True
     return _subsample_to_budget(result, budget), theta_eff, True
 
 

@@ -174,8 +174,8 @@ def select_and_pool(
     if min_full_res_frames > 0:
         n_full = min(t, max(n_full, min_full_res_frames))
 
-    pooled = pool_batch(frames, h_l, w_l)
     if n_full == 0:
+        pooled = pool_batch(frames, h_l, w_l)
         mixed = MixedResolutionSequence(
             frames=[TokenGrid(pooled[i]) for i in range(t)],
             levels=[LEVEL_POOLED] * t,
@@ -186,15 +186,19 @@ def select_and_pool(
 
     scores = frame_query_scores(frames, query, adapter)
     order = np.argsort(-scores, kind="stable")  # ties keep the earlier frame first
-    chosen = set(int(i) for i in order[:n_full])
+    chosen = np.zeros(t, dtype=bool)
+    chosen[order[:n_full]] = True
+    # Only the frames emitted at pooled level are pooled, in frame order.
+    pooled = iter(pool_batch(frames[~chosen], h_l, w_l))
     grids, levels = [], []
     for i in range(t):
-        if i in chosen:
+        if chosen[i]:
             grids.append(TokenGrid(frames[i]))
             levels.append(LEVEL_FULL)
         else:
-            grids.append(TokenGrid(pooled[i]))
+            grids.append(TokenGrid(next(pooled)))
             levels.append(LEVEL_POOLED)
     mixed = MixedResolutionSequence(grids, levels, original_indices, timesteps)
-    plan = BudgetPlan(l_max, l_q, n_full, sorted(chosen), [float(s) for s in scores])
+    full_res = np.flatnonzero(chosen).tolist()
+    plan = BudgetPlan(l_max, l_q, n_full, full_res, [float(s) for s in scores])
     return mixed, plan

@@ -326,6 +326,41 @@ def _report_query(dim: int, seed: int) -> QueryEmbedding:
     return QueryEmbedding(rows.astype(np.float32))
 
 
+def _study(corpus: list[SynthSpec], cfgs: list[CompressionConfig]) -> list[list[CompressionStats]]:
+    """Stats of every corpus video under each config, generating each video
+    once. A budget-infeasible run gives the stats its error carries."""
+    if not corpus:
+        raise InvalidConfigError("corpus must contain at least one video spec")
+    per_cfg = [[] for _ in cfgs]
+    for spec in corpus:
+        video = gen_video(spec)
+        query = _report_query(spec.dim, spec.seed)
+        for per_video, cfg in zip(per_cfg, cfgs):
+            try:
+                per_video.append(compress(video, query, cfg)[1])
+            except BudgetInfeasibleError as exc:
+                per_video.append(exc.stats)
+    return per_cfg
+
+
+def _aggregate(per_video: list[CompressionStats]) -> dict:
+    keep_rates = [s.temporal_keep_rate for s in per_video]
+    stc_rates = [s.spatial_reduction_rate for s in per_video]
+    total_rates = [s.total_reduction_rate for s in per_video if s.tokens_final is not None]
+    keep_hist, edges = np.histogram(keep_rates, bins=10, range=(0.0, 1.0))
+    stc_hist, _ = np.histogram(stc_rates, bins=10, range=(0.0, 1.0))
+    return {
+        "n_videos": len(per_video),
+        "n_infeasible": len(per_video) - len(total_rates),
+        "mean_frames_kept": statistics.fmean(keep_rates),
+        "mean_tokens_reduced": statistics.fmean(stc_rates),
+        "mean_total_reduction": statistics.fmean(total_rates) if total_rates else None,
+        "frames_kept_histogram": keep_hist.tolist(),
+        "tokens_reduced_histogram": stc_hist.tolist(),
+        "histogram_bin_edges": edges.tolist(),
+    }
+
+
 def reduction_report(
     corpus: list[SynthSpec], cfg: CompressionConfig
 ) -> tuple[list[CompressionStats], dict]:
@@ -337,42 +372,20 @@ def reduction_report(
     counted in ``n_infeasible``. ``mean_total_reduction`` averages only the
     videos that produced an output and is None when none did.
     """
-    if not corpus:
-        raise InvalidConfigError("corpus must contain at least one video spec")
-    per_video = []
-    for spec in corpus:
-        video = gen_video(spec)
-        query = _report_query(spec.dim, spec.seed)
-        try:
-            _, stats = compress(video, query, cfg)
-        except BudgetInfeasibleError as exc:
-            stats = exc.stats
-        per_video.append(stats)
-    keep_rates = [s.temporal_keep_rate for s in per_video]
-    stc_rates = [s.spatial_reduction_rate for s in per_video]
-    total_rates = [s.total_reduction_rate for s in per_video if s.tokens_final is not None]
-    keep_hist, edges = np.histogram(keep_rates, bins=10, range=(0.0, 1.0))
-    stc_hist, _ = np.histogram(stc_rates, bins=10, range=(0.0, 1.0))
-    aggregate = {
-        "n_videos": len(per_video),
-        "n_infeasible": len(per_video) - len(total_rates),
-        "mean_frames_kept": statistics.fmean(keep_rates),
-        "mean_tokens_reduced": statistics.fmean(stc_rates),
-        "mean_total_reduction": statistics.fmean(total_rates) if total_rates else None,
-        "frames_kept_histogram": keep_hist.tolist(),
-        "tokens_reduced_histogram": stc_hist.tolist(),
-        "histogram_bin_edges": edges.tolist(),
-    }
-    return per_video, aggregate
+    (per_video,) = _study(corpus, [cfg])
+    return per_video, _aggregate(per_video)
 
 
 def anchor_ablation(corpus: list[SynthSpec], cfg: CompressionConfig) -> dict[str, float]:
-    """Mean spatial reduction rate of each anchor strategy on one corpus."""
+    """Mean spatial reduction rate of each anchor strategy on one corpus.
+
+    Each video is generated once and compressed under every strategy; the
+    rates equal those of ``reduction_report`` run once per strategy.
+    """
     from .spatial import AnchorStrategy
 
-    out = {}
-    for strategy in AnchorStrategy:
-        trial_cfg = replace(cfg, anchor=strategy)
-        _, aggregate = reduction_report(corpus, trial_cfg)
-        out[strategy.value] = aggregate["mean_tokens_reduced"]
-    return out
+    strategies = list(AnchorStrategy)
+    per_cfg = _study(corpus, [replace(cfg, anchor=s) for s in strategies])
+    return {
+        s.value: _aggregate(stats)["mean_tokens_reduced"] for s, stats in zip(strategies, per_cfg)
+    }

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestCompressCommand:
     def test_malformed_input_exit_code(self, tmp_path, query_file, capsys):
         bad = tmp_path / "bad.lvuf"
         bad.write_bytes(b"garbage")
+        code = main([
+            "compress", "--input", str(bad), "--query", str(query_file),
+            "--output", str(tmp_path / "o.lvuc"),
+        ])
+        assert code == 2
+
+    def test_oversized_header_exit_code(self, tmp_path, query_file):
+        bad = tmp_path / "huge.lvuf"
+        header = struct.pack("<4sIIIIIB3s", b"LVUF", 1, 65535, 65535, 65535, 65535, 0, b"\0\0\0")
+        bad.write_bytes(header + b"\0" * 72)
         code = main([
             "compress", "--input", str(bad), "--query", str(query_file),
             "--output", str(tmp_path / "o.lvuc"),

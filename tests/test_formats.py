@@ -111,6 +111,16 @@ class TestFeatureFiles:
         with pytest.raises(FileFormatError):
             read_features(path)
 
+    @pytest.mark.parametrize("dims", [(4096, 12, 12, 4096), (65535, 65535, 65535, 65535)])
+    def test_oversized_header_rejected_before_allocating(self, tmp_path, dims):
+        # a 100-byte file whose header claims gigabytes (or more than fits
+        # in a size_t) must fail as a format error, not MemoryError/OverflowError
+        path = tmp_path / "huge.lvuf"
+        header = struct.pack("<4sIIIIIB3s", b"LVUF", 1, *dims, 0, b"\0\0\0")
+        path.write_bytes(header + b"\0" * (100 - len(header)))
+        with pytest.raises(FileFormatError, match="truncated"):
+            read_features(path)
+
 
 class TestQueryFiles:
     def test_round_trip_bitwise(self, rng, tmp_path):

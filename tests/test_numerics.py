@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from vtcompress import (
     cosine_similarity,
     frame_summary,
 )
-from vtcompress.numerics import pool_batch
+from vtcompress.numerics import POOL_CHUNK_FRAMES, pool_batch
 
 from .conftest import constant_grid
 
@@ -148,6 +149,36 @@ class TestAdaptiveAvgPool:
         for i in range(6):
             single = adaptive_avg_pool(TokenGrid(stack[i]), 8, 8)
             assert np.array_equal(batch[i], single.data)
+
+
+class TestPoolBatch:
+    @pytest.mark.parametrize(
+        "grid,out",
+        [((12, 12), (5, 5)), ((7, 7), (3, 3)), ((12, 12), (8, 8)), ((5, 9), (2, 4)), ((5, 9), (5, 9))],
+    )
+    def test_matches_float64_bin_means(self, rng, grid, out):
+        stack = rng.standard_normal((3, *grid, 6)).astype(np.float32)
+        expected = np.stack([pool_oracle(frame, *out) for frame in stack])
+        assert np.array_equal(pool_batch(stack, *out), expected)
+
+    def test_longer_than_a_chunk_matches_single_frames(self, rng):
+        stack = rng.standard_normal((2 * POOL_CHUNK_FRAMES + 3, 12, 12, 4)).astype(np.float32)
+        batch = pool_batch(stack, 8, 8)
+        for i in range(stack.shape[0]):
+            assert np.array_equal(batch[i], pool_batch(stack[i : i + 1], 8, 8)[0])
+
+    def test_empty_stack(self):
+        assert pool_batch(np.zeros((0, 12, 12, 4), dtype=np.float32), 8, 8).shape == (0, 8, 8, 4)
+
+    def test_peak_memory_below_twice_the_stack(self, rng):
+        stack = rng.standard_normal((2000, 12, 12, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            pool_batch(stack, 8, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stack.nbytes
 
 
 class TestFrameSummary:

@@ -19,6 +19,7 @@ from vtcompress import (
     spatial_compress,
 )
 from vtcompress.pipeline import _keep_all_result
+from vtcompress.spatial import build_plan
 
 from .conftest import random_query, random_sequence, sequence_from_vectors
 
@@ -236,6 +237,84 @@ class TestEnforceBudget:
         assert stats.fallback_used
         assert 0.5 < stats.theta_effective < 0.8
         assert stats.tokens_final < stats.tokens_after_spatial
+
+
+def stepwise_budget_oracle(plan, theta: float, budget: int):
+    """Reference budget enforcement: apply each theta step in turn, then keep
+    the anchors plus a uniform-by-rank subset of the remaining survivors.
+    Returns (theta, fallback, keep mask of shape (frames, h*w))."""
+    n = plan.sims.shape[0]
+    keep = (plan.sims <= theta).reshape(n, -1)
+    if keep.sum() <= budget:
+        return theta, False, keep
+    while theta > 0.5 + 1e-12:
+        theta = max(0.5, round(theta - 0.05, 10))
+        keep = (plan.sims <= theta).reshape(n, -1)
+        if keep.sum() <= budget:
+            return theta, True, keep
+    anchors = np.zeros(n, dtype=bool)
+    for (start, _), a in zip(plan.windows, plan.anchors):
+        anchors[start + a] = True
+    quota = budget - int(keep[anchors].sum())
+    rest = np.flatnonzero((keep & ~anchors[:, None]).ravel())
+    out = np.zeros_like(keep)
+    out[anchors] = keep[anchors]
+    out.ravel()[rest[(np.arange(quota) * rest.size) // quota]] = True
+    return theta, True, out
+
+
+class TestBudgetLadder:
+    """``enforce_budget`` counts survivors per theta step instead of applying
+    the plan at each one; its output must equal the stepwise reference."""
+
+    def run_case(self, frames, theta, budget, k=4):
+        plan = build_plan(frames, k)
+        cfg = small_config(l_max=budget + 3, theta=theta)
+        result = plan.apply(theta, level="pooled")
+        out, theta_eff, fallback = enforce_budget(result, cfg, 3, plan=plan)
+        ref_theta, ref_fallback, keep = stepwise_budget_oracle(plan, theta, budget)
+        assert (theta_eff, fallback) == (ref_theta, ref_fallback)
+        assert out.tokens_after == int(keep.sum()) <= budget
+        n, h, w, _ = plan.stack.shape
+        frame_idx, pos = np.nonzero(keep)
+        got = flatten(out, cfg)
+        assert np.array_equal(got.frame_indices, frame_idx)
+        assert np.array_equal(got.grid_rows, pos // w)
+        assert np.array_equal(got.grid_cols, pos % w)
+        assert got.vectors.tobytes() == plan.stack.reshape(n, h * w, -1)[frame_idx, pos].tobytes()
+        return theta_eff, fallback
+
+    def correlated(self, rng, n, noise):
+        base = rng.standard_normal((3, 3, 5)).astype(np.float32)
+        return (base[None] + noise * rng.standard_normal((n, 3, 3, 5))).astype(np.float32)
+
+    def test_random_plans_at_default_theta(self, rng):
+        fallback_thetas = set()
+        for _ in range(40):
+            frames = self.correlated(rng, int(rng.integers(5, 40)), float(rng.uniform(0.3, 1.2)))
+            anchors = 9 * ((frames.shape[0] + 3) // 4)
+            budget = int(rng.integers(anchors, frames.shape[0] * 9 + 1))
+            theta_eff, fallback = self.run_case(frames, 0.8, budget)
+            if fallback:
+                fallback_thetas.add(theta_eff)
+        # the cases cover a ladder that stops part-way and one that runs out
+        assert 0.5 in fallback_thetas and fallback_thetas - {0.5}
+
+    def test_theta_at_or_below_floor_has_no_ladder(self, rng):
+        for theta in (0.5, 0.3):
+            frames = self.correlated(rng, 24, 1.0)
+            theta_eff, fallback = self.run_case(frames, theta, 6 * 9 + 10)
+            assert theta_eff == theta and fallback
+
+    def test_no_step_fits_subsamples_at_the_floor(self, rng):
+        frames = rng.standard_normal((24, 3, 3, 5)).astype(np.float32)
+        theta_eff, fallback = self.run_case(frames, 0.8, 6 * 9 + 1)
+        assert theta_eff == 0.5 and fallback
+
+    def test_already_under_budget(self, rng):
+        frames = self.correlated(rng, 24, 0.5)
+        theta_eff, fallback = self.run_case(frames, 0.8, 24 * 9)
+        assert theta_eff == 0.8 and not fallback
 
 
 class TestFlatten:

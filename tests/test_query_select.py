@@ -12,6 +12,8 @@ from vtcompress import (
     num_full_res_frames,
     select_and_pool,
 )
+from vtcompress import query_select
+from vtcompress.numerics import pool_batch
 
 from .conftest import random_query
 
@@ -192,6 +194,18 @@ class TestSelectAndPool:
                 assert np.array_equal(mixed.frames[i].data, expected.data)
             else:
                 assert np.array_equal(mixed.frames[i].data, frames[i])
+
+    def test_only_pooled_frames_are_pooled(self, rng, monkeypatch):
+        pooled_counts = []
+
+        def counting_pool(stack, out_h, out_w):
+            pooled_counts.append(stack.shape[0])
+            return pool_batch(stack, out_h, out_w)
+
+        monkeypatch.setattr(query_select, "pool_batch", counting_pool)
+        _, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
+        assert 0 < plan.n_full_res < 25
+        assert pooled_counts == [mixed.levels.count("pooled")] == [25 - plan.n_full_res]
 
     def test_min_full_res_floor(self, rng):
         _, _, mixed, plan = run_select(rng, t=30, l_max=140, l_q=10, min_full_res_frames=3)

@@ -239,6 +239,24 @@ class TestReductionReport:
         assert agg["n_videos"] == 6
         assert sum(agg["frames_kept_histogram"]) == 6
 
+    def test_anchor_ablation_generates_each_video_once(self, monkeypatch):
+        from vtcompress import AnchorStrategy, synthbench
+
+        corpus = make_mixed_corpus(3, seed=5, n_frames_range=(256, 320))
+        expected = {
+            s.value: reduction_report(corpus, small_cfg(anchor=s))[1]["mean_tokens_reduced"]
+            for s in AnchorStrategy
+        }
+        calls = []
+
+        def counting_gen(spec):
+            calls.append(spec.seed)
+            return gen_video(spec)
+
+        monkeypatch.setattr(synthbench, "gen_video", counting_gen)
+        assert anchor_ablation(corpus, small_cfg()) == expected
+        assert calls == [spec.seed for spec in corpus]
+
     def test_infeasible_video_is_reported_not_fatal(self):
         corpus = [
             SynthSpec(n_frames=n, n_scenes=2, dim=8, grid=(4, 4), seed=s)
