@@ -37,14 +37,7 @@ from .query_select import (
     num_full_res_frames,
     select_and_pool,
 )
-from .spatial import (
-    AnchorStrategy,
-    PrunedFrame,
-    SpatialCompressionResult,
-    prune_window,
-    select_anchor,
-    spatial_compress,
-)
+from .spatial import AnchorStrategy, SpatialCompressionResult, prune_window
 from .synthbench import (
     NeedleSpec,
     SynthSpec,

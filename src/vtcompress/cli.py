@@ -1,7 +1,8 @@
 """Command-line surface: compress, synth, needle, and report subcommands.
 
-Exit codes: 0 success, 2 malformed input file, 3 invalid configuration,
-4 budget infeasible (anchors alone exceed the context length).
+Exit codes: 0 success, 2 malformed input file or unusable input (such as a
+frame with an all-zero mean token), 3 invalid configuration, 4 budget
+infeasible (anchors alone exceed the context length).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     EmptyVideoError,
     FileFormatError,
     InvalidConfigError,
+    ZeroVectorError,
 )
 from .formats import read_features, read_query, write_compressed, write_features
 from .framepos import FramePositionConfig
@@ -27,7 +29,7 @@ from .spatial import AnchorStrategy
 from .synthbench import (
     NeedleSpec,
     SynthSpec,
-    anchor_ablation,
+    ablation_report,
     gen_video,
     make_mixed_corpus,
     reduction_report,
@@ -213,10 +215,12 @@ def cmd_report(args) -> int:
         raise InvalidConfigError(f"--corpus-size must be positive, got {args.corpus_size}")
     corpus = make_mixed_corpus(args.corpus_size, args.seed)
     cfg = _build_config(args, fpe_dim=corpus[0].dim)
-    per_video, aggregate = reduction_report(corpus, cfg)
-    payload = dict(aggregate)
     if args.anchor_ablation:
-        payload["anchor_ablation"] = anchor_ablation(corpus, cfg)
+        per_video, aggregate, ablation = ablation_report(corpus, cfg)
+        payload = dict(aggregate, anchor_ablation=ablation)
+    else:
+        per_video, aggregate = reduction_report(corpus, cfg)
+        payload = dict(aggregate)
     Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if args.csv:
         header = ["video", "frames_in", "frames_after_temporal", "temporal_keep_rate",
@@ -284,7 +288,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, EmptyVideoError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FileFormatError, EmptyVideoError, ZeroVectorError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetInfeasibleError as exc:

@@ -100,9 +100,10 @@ def read_features(path) -> FrameFeatureSequence:
         frames = np.empty((t, h, w, d), dtype="<f4")
         if fh.readinto(frames) != expected:
             raise FileFormatError("feature file shrank while being read")
-    if not np.isfinite(frames).all():
-        raise FileFormatError("feature payload contains non-finite values")
-    return FrameFeatureSequence(frames, np.arange(t, dtype=np.float64))
+    try:  # the header fixes the shape and timesteps, so only the finiteness check can fail
+        return FrameFeatureSequence(frames, np.arange(t, dtype=np.float64))
+    except ValueError as exc:
+        raise FileFormatError(f"feature payload: {exc}") from None
 
 
 def write_query(path, query: QueryEmbedding):

@@ -6,34 +6,37 @@ the budget, the threshold is tightened stepwise and finally the surviving
 non-anchor tokens are subsampled uniformly so the budget is met exactly.
 The budget guarantee applies whenever at least one stage is enabled; with
 every stage disabled the input is flattened as-is.
+
+From stage 2 on there is one representation: stage 2's token table (every
+token of every surviving frame, frame-major, with per-frame offsets) and a
+``keep`` and an ``anchor`` mask over it. Pruning, the threshold ladder and
+subsampling only rewrite ``keep``; flatten gathers the kept rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetInfeasibleError, InvalidConfigError
 from .framepos import FramePositionConfig, apply_position_encoding
-from .numerics import AdapterSpec, TokenGrid
+from .numerics import AdapterSpec
 from .query_select import (
-    LEVEL_FULL,
-    LEVEL_POOLED,
     MixedResolutionSequence,
     QueryEmbedding,
     select_and_pool,
+    token_table,
 )
 from .spatial import (
     AnchorStrategy,
-    PrunedFrame,
     PruningPlan,
     SpatialCompressionResult,
+    anchor_mask,
     build_plan,
-    select_anchor,
 )
-from .temporal import FrameFeatureSequence, partition_windows, reduce_frames
-from .tokens import LEVEL_CODE, CompressedTokenSequence, CompressionStats
+from .temporal import FrameFeatureSequence, reduce_frames
+from .tokens import CompressedTokenSequence, CompressionStats
 
 __all__ = [
     "StageToggles",
@@ -107,61 +110,6 @@ class CompressionConfig:
         self.fpe.validate()
 
 
-def _pool_all(
-    frames: np.ndarray,
-    timesteps: np.ndarray,
-    original_indices: np.ndarray,
-    tokens_low: tuple[int, int],
-) -> MixedResolutionSequence:
-    from .numerics import pool_batch
-
-    pooled = pool_batch(frames, *tokens_low)
-    return MixedResolutionSequence(
-        frames=[TokenGrid(pooled[i]) for i in range(pooled.shape[0])],
-        levels=[LEVEL_POOLED] * pooled.shape[0],
-        original_indices=original_indices,
-        timesteps=timesteps,
-    )
-
-
-def _all_full(
-    frames: np.ndarray, timesteps: np.ndarray, original_indices: np.ndarray
-) -> MixedResolutionSequence:
-    return MixedResolutionSequence(
-        frames=[TokenGrid(frames[i]) for i in range(frames.shape[0])],
-        levels=[LEVEL_FULL] * frames.shape[0],
-        original_indices=original_indices,
-        timesteps=timesteps,
-    )
-
-
-def _keep_all_result(mixed: MixedResolutionSequence, k: int, strategy: AnchorStrategy) -> SpatialCompressionResult:
-    """Wrap a mixed sequence as a no-op pruning result so the budget fallback
-    can subsample it; windows and anchors are assigned but nothing is pruned."""
-    windows = partition_windows(mixed.n_frames, k)
-    frames: list[PrunedFrame] = []
-    for start, end in windows:
-        chunk = mixed.frames[start:end]
-        anchor = select_anchor(chunk, strategy)
-        for i, grid in enumerate(chunk):
-            h, w = grid.height, grid.width
-            positions = np.argwhere(np.ones((h, w), dtype=bool)).astype(np.int32)
-            frames.append(
-                PrunedFrame(
-                    original_index=int(mixed.original_indices[start + i]),
-                    timestep=float(mixed.timesteps[start + i]),
-                    grid_h=h,
-                    grid_w=w,
-                    level=mixed.levels[start + i],
-                    kept_positions=positions,
-                    kept_vectors=grid.data.reshape(h * w, -1),
-                    is_anchor=(i == anchor),
-                )
-            )
-    total = mixed.token_count
-    return SpatialCompressionResult(frames, windows, total, total)
-
-
 def _theta_ladder(theta: float) -> list[float]:
     steps = []
     current = theta
@@ -172,36 +120,15 @@ def _theta_ladder(theta: float) -> list[float]:
 
 
 def _subsample_to_budget(result: SpatialCompressionResult, budget: int) -> SpatialCompressionResult:
-    """Keep all anchor tokens and a uniform-by-rank subset of the rest so the
-    total token count equals the budget exactly. The caller has checked that
-    the anchor tokens fit."""
-    quota = budget - sum(f.token_count for f in result.frames if f.is_anchor)
-    spans = []  # (frame position, rank of its first non-anchor token)
-    total = 0
-    for pos, f in enumerate(result.frames):
-        if not f.is_anchor:
-            spans.append((pos, total))
-            total += f.token_count
-    if quota >= total:
-        return result  # already within budget; nothing to drop
-    chosen = (np.arange(quota, dtype=np.int64) * total) // quota if quota else np.empty(0, dtype=np.int64)
-    new_frames = list(result.frames)
-    cursor = 0
-    for pos, start in spans:
-        f = result.frames[pos]
-        end = start + f.token_count
-        lo = cursor
-        while cursor < len(chosen) and chosen[cursor] < end:
-            cursor += 1
-        local = chosen[lo:cursor] - start
-        new_frames[pos] = replace(
-            f,
-            kept_positions=f.kept_positions[local],
-            kept_vectors=f.kept_vectors[local],
-        )
-    return SpatialCompressionResult(
-        new_frames, result.windows, result.tokens_before, budget
-    )
+    """Keep all anchor tokens and a uniform-by-rank subset of the other
+    survivors so the total token count equals the budget exactly. The
+    caller has checked that the anchor tokens fit and that the survivors
+    do not."""
+    keep = result.keep & result.anchor
+    rest = np.flatnonzero(result.keep & ~result.anchor)
+    quota = budget - int(np.count_nonzero(keep))
+    keep[rest[(np.arange(quota, dtype=np.int64) * rest.shape[0]) // quota]] = True
+    return SpatialCompressionResult(keep, result.anchor)
 
 
 def enforce_budget(
@@ -209,8 +136,6 @@ def enforce_budget(
     cfg: CompressionConfig,
     query_len: int,
     plan: PruningPlan | None = None,
-    plan_indices=None,
-    plan_timesteps=None,
 ) -> tuple[SpatialCompressionResult, float, bool]:
     """Force a pruning result under the budget; returns (result, theta, fallback).
 
@@ -218,80 +143,45 @@ def enforce_budget(
     can still prune more. Similarities do not depend on the threshold, so
     the survivors at each step are counted straight from ``plan.sims``; the
     first step whose count fits is taken, or the last step when none fits,
-    and the plan is applied once at that threshold, which matches a full
-    re-run there. Anything still over budget then has its non-anchor tokens
-    uniformly subsampled by (timestep, position) rank until the budget is
-    met exactly. Raises BudgetInfeasibleError when the anchors alone exceed
-    the budget; anchors keep every token at any threshold, so that verdict
-    is reached before the ladder runs.
+    and the plan is applied once at that threshold. Anything still over
+    budget then has its non-anchor tokens uniformly subsampled by table
+    rank, which is (timestep, position) rank, until the budget is met
+    exactly. Raises BudgetInfeasibleError when the anchors alone exceed the
+    budget; anchors keep every token at any threshold, so that verdict is
+    reached before the ladder runs.
     """
     budget = cfg.l_max - query_len
     if result.tokens_after <= budget:
         return result, cfg.theta, False
-    anchor_tokens = sum(f.token_count for f in result.frames if f.is_anchor)
+    anchor_tokens = int(np.count_nonzero(result.keep & result.anchor))
     if anchor_tokens > budget:
         raise BudgetInfeasibleError(anchor_tokens, budget)
     theta_eff = cfg.theta
     steps = _theta_ladder(cfg.theta) if plan is not None else []
     if steps:
         for theta_eff in steps:
-            if int((plan.sims <= theta_eff).sum()) <= budget:
+            if int(np.count_nonzero(plan.sims <= theta_eff)) <= budget:
                 break
-        result = plan.apply(
-            theta_eff,
-            original_indices=plan_indices,
-            timesteps=plan_timesteps,
-            level=LEVEL_POOLED,
-        )
+        result = plan.apply(theta_eff)
         if result.tokens_after <= budget:
             return result, theta_eff, True
     return _subsample_to_budget(result, budget), theta_eff, True
 
 
-def _flatten_parts(parts) -> CompressedTokenSequence:
-    frame_indices, timesteps, rows, cols, levels, vectors = [], [], [], [], [], []
-    for original_index, timestep, level, positions, vecs in parts:
-        n = positions.shape[0]
-        frame_indices.append(np.full(n, original_index, dtype=np.int64))
-        timesteps.append(np.full(n, np.float32(timestep), dtype=np.float32))
-        rows.append(positions[:, 0].astype(np.int32))
-        cols.append(positions[:, 1].astype(np.int32))
-        levels.append(np.full(n, LEVEL_CODE[level], dtype=np.uint8))
-        vectors.append(vecs)
-    if not frame_indices:
-        raise ValueError("nothing to flatten")
+def flatten(table: MixedResolutionSequence, keep: np.ndarray) -> CompressedTokenSequence:
+    """Emit the kept tokens of a token table in (timestep, row-major grid)
+    order with provenance fields. The gather always copies, so the output
+    shares no memory with the input frames."""
+    rows = np.flatnonzero(keep)
+    tokens = table.tokens
     return CompressedTokenSequence(
-        frame_indices=np.concatenate(frame_indices),
-        timesteps=np.concatenate(timesteps),
-        grid_rows=np.concatenate(rows),
-        grid_cols=np.concatenate(cols),
-        levels=np.concatenate(levels),
-        vectors=np.concatenate(vectors),
+        frame_indices=tokens.frame_indices[rows],
+        timesteps=tokens.timesteps[rows],
+        grid_rows=tokens.grid_rows[rows],
+        grid_cols=tokens.grid_cols[rows],
+        levels=tokens.levels[rows],
+        vectors=tokens.vectors[rows],
     )
-
-
-def flatten(stage_output, cfg: CompressionConfig) -> CompressedTokenSequence:
-    """Emit tokens in (timestep, row-major grid) order with provenance fields."""
-    parts = []
-    if isinstance(stage_output, MixedResolutionSequence):
-        for i, grid in enumerate(stage_output.frames):
-            h, w = grid.height, grid.width
-            positions = np.argwhere(np.ones((h, w), dtype=bool)).astype(np.int32)
-            parts.append(
-                (
-                    int(stage_output.original_indices[i]),
-                    float(stage_output.timesteps[i]),
-                    stage_output.levels[i],
-                    positions,
-                    grid.data.reshape(h * w, -1),
-                )
-            )
-    elif isinstance(stage_output, SpatialCompressionResult):
-        for f in stage_output.frames:
-            parts.append((f.original_index, f.timestep, f.level, f.kept_positions, f.kept_vectors))
-    else:
-        raise TypeError(f"cannot flatten {type(stage_output).__name__}")
-    return _flatten_parts(parts)
 
 
 def compress(
@@ -346,16 +236,17 @@ def compress(
             ),
         )
 
-    def finish(output, **stage):
-        compressed = flatten(output, cfg)
+    def finish(table, keep, **stage):
+        compressed = flatten(table, keep)
         compressed = apply_position_encoding(compressed, cfg.fpe)
         return compressed, stage_stats(**stage, tokens_final=compressed.total_count)
 
     # Under budget at full resolution (or nothing enabled): emit as-is.
     if tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled:
-        mixed = _all_full(working.frames, working.timesteps, original_indices)
+        full = np.ones(t_after, dtype=bool)
         return finish(
-            mixed,
+            token_table(working.frames, full, working.timesteps, original_indices, cfg.tokens_low),
+            np.ones(tokens_full, dtype=bool),
             n_full=t_after,
             tokens_query=tokens_full,
             tokens_spatial=tokens_full,
@@ -366,7 +257,7 @@ def compress(
     # Stage 2: with the query stage disabled, selection is skipped but the
     # sequence is still pooled uniformly; that is the only route under budget.
     if cfg.stages.query:
-        mixed, plan = select_and_pool(
+        table, split = select_and_pool(
             working.frames,
             working.timesteps,
             original_indices,
@@ -376,15 +267,18 @@ def compress(
             cfg.tokens_low,
             cfg.min_full_res_frames,
         )
-        n_full = plan.n_full_res
+        n_full = split.n_full_res
     else:
-        mixed = _pool_all(working.frames, working.timesteps, original_indices, cfg.tokens_low)
+        full = np.zeros(t_after, dtype=bool)
+        table = token_table(working.frames, full, working.timesteps, original_indices, cfg.tokens_low)
         n_full = 0
-    tokens_query = mixed.token_count
+    tokens_query = table.token_count
+    keep_all = np.ones(tokens_query, dtype=bool)
 
     if tokens_query + l_q <= cfg.l_max:
         return finish(
-            mixed,
+            table,
+            keep_all,
             n_full=n_full,
             tokens_query=tokens_query,
             tokens_spatial=tokens_query,
@@ -394,30 +288,18 @@ def compress(
 
     # Stage 3 applies only to the uniformly pooled regime; frames kept at
     # full resolution by the query stage are never pruned.
-    uniform_low = n_full == 0
-    if cfg.stages.stc and uniform_low:
-        stack = np.stack([g.data for g in mixed.frames])
-        plan = build_plan(stack, cfg.k, cfg.anchor)
-        result = plan.apply(
-            cfg.theta,
-            original_indices=mixed.original_indices,
-            timesteps=mixed.timesteps,
-            level=LEVEL_POOLED,
-        )
+    vectors = table.tokens.vectors
+    if cfg.stages.stc and n_full == 0:
+        plan = build_plan(vectors.reshape(t_after, *cfg.tokens_low, -1), cfg.k, cfg.anchor)
+        result = plan.apply(cfg.theta)
         tokens_spatial = result.tokens_after
     else:
         plan = None
-        result = _keep_all_result(mixed, cfg.k, cfg.anchor)
+        anchor = anchor_mask(vectors, table.offsets, cfg.k, cfg.anchor)
+        result = SpatialCompressionResult(keep_all, anchor)
         tokens_spatial = tokens_query
     try:
-        result, theta_eff, fallback = enforce_budget(
-            result,
-            cfg,
-            l_q,
-            plan=plan,
-            plan_indices=mixed.original_indices,
-            plan_timesteps=mixed.timesteps,
-        )
+        result, theta_eff, fallback = enforce_budget(result, cfg, l_q, plan=plan)
     except BudgetInfeasibleError as exc:
         exc.stats = stage_stats(
             n_full=n_full,
@@ -430,7 +312,8 @@ def compress(
         raise
 
     return finish(
-        result,
+        table,
+        result.keep,
         n_full=n_full,
         tokens_query=tokens_query,
         tokens_spatial=tokens_spatial,

@@ -4,6 +4,12 @@ Frames are ranked by the mean dot product between their adapted tokens and
 the text-query embedding rows (raw scores, no softmax). The budget formula
 decides how many frames can stay at full resolution; everything else is
 average-pooled down to the low-resolution grid.
+
+The stage emits the token table that every later step works on: one
+frame-major ``CompressedTokenSequence`` holding each frame's tokens in
+(timestep, row, col) order, plus per-frame offsets into it. Tokens are never
+changed after this point; spatial pruning, the budget and flatten only
+choose which rows of the table survive, through boolean masks over it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdapterShapeError, InvalidConfigError
-from .numerics import AdapterSpec, TokenGrid, pool_batch
+from .numerics import AdapterSpec, pool_batch
+from .tokens import LEVEL_CODE, CompressedTokenSequence
 
 __all__ = [
     "QueryEmbedding",
@@ -23,9 +30,6 @@ __all__ = [
     "frame_query_scores",
     "select_and_pool",
 ]
-
-LEVEL_FULL = "full"
-LEVEL_POOLED = "pooled"
 
 
 @dataclass
@@ -71,26 +75,64 @@ class BudgetPlan:
 
 @dataclass
 class MixedResolutionSequence:
-    """Frames after selection: each grid is either full or pooled resolution."""
+    """Stage 2's token table: every token of every frame, frame-major.
 
-    frames: list[TokenGrid]
-    levels: list[str]
-    original_indices: np.ndarray
-    timesteps: np.ndarray
+    Frame i holds rows ``offsets[i]:offsets[i + 1]`` of ``tokens``, in
+    row-major grid order at its level (full or pooled), so the table is
+    already in (timestep, row, col) order. Later steps only choose rows.
+    """
 
-    def __post_init__(self):
-        self.original_indices = np.asarray(self.original_indices, dtype=np.int64)
-        self.timesteps = np.asarray(self.timesteps, dtype=np.float64)
-        if not (len(self.frames) == len(self.levels) == len(self.original_indices) == len(self.timesteps)):
-            raise ValueError("mixed-resolution sequence fields have mismatched lengths")
+    tokens: CompressedTokenSequence
+    offsets: np.ndarray  # (n_frames + 1,) int64
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.offsets.shape[0] - 1
 
     @property
     def token_count(self) -> int:
-        return sum(g.token_count for g in self.frames)
+        return self.tokens.total_count
+
+
+def token_table(
+    frames: np.ndarray,
+    full: np.ndarray,
+    timesteps: np.ndarray,
+    original_indices: np.ndarray,
+    tokens_low: tuple[int, int],
+) -> MixedResolutionSequence:
+    """Lay out frames as a token table: frame i at full resolution where
+    ``full[i]``, otherwise average-pooled to ``tokens_low``.
+
+    Only the pooled frames are pooled, in frame order. With every frame full
+    the table's vectors are a view of ``frames``.
+    """
+    t, h_h, w_h, dim = frames.shape
+    h_l, w_l = tokens_low
+    sizes = np.where(full, h_h * w_h, h_l * w_l)
+    offsets = np.zeros(t + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    if full.all():
+        vectors = frames.reshape(-1, dim)
+    elif not full.any():  # indexing the stack would copy all of it
+        vectors = pool_batch(frames, h_l, w_l).reshape(-1, dim)
+    else:
+        vectors = np.empty((offsets[-1], dim), dtype=np.float32)
+        token_full = np.repeat(full, sizes)
+        vectors[token_full] = frames[full].reshape(-1, dim)
+        vectors[~token_full] = pool_batch(frames[~full], h_l, w_l).reshape(-1, dim)
+    local = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
+    width = np.repeat(np.where(full, w_h, w_l), sizes)
+    level = np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"])
+    tokens = CompressedTokenSequence(
+        frame_indices=np.repeat(np.asarray(original_indices, dtype=np.int64), sizes),
+        timesteps=np.repeat(np.asarray(timesteps, dtype=np.float64).astype(np.float32), sizes),
+        grid_rows=local // width,
+        grid_cols=local % width,
+        levels=np.repeat(level, sizes),
+        vectors=vectors,
+    )
+    return MixedResolutionSequence(tokens, offsets)
 
 
 def num_full_res_frames(t: int, l_max: int, l_q: int, hw_high: int, hw_low: int) -> int:
@@ -116,10 +158,7 @@ def frame_query_scores(frames, query: QueryEmbedding, adapter: AdapterSpec) -> n
     The mean over (token, query row) pairs equals the dot product of the
     token mean with the query-row mean, which is how it is computed here.
     """
-    if isinstance(frames, np.ndarray):
-        stack = frames.astype(np.float64)
-    else:
-        stack = np.stack([g.data for g in frames]).astype(np.float64)
+    stack = np.asarray(frames).astype(np.float64)
     t, h, w, dim = stack.shape
     out_dim = adapter.output_dim(dim)
     if out_dim != query.dim:
@@ -145,7 +184,8 @@ def select_and_pool(
     tokens_low: tuple[int, int],
     min_full_res_frames: int = 0,
 ) -> tuple[MixedResolutionSequence, BudgetPlan]:
-    """Choose which frames keep full resolution and pool the remainder.
+    """Choose which frames keep full resolution, pool the remainder, and
+    return the token table with the budget split.
 
     If everything fits at full resolution the frames pass through untouched
     and no scores are computed. Otherwise the budget formula fixes the
@@ -158,47 +198,20 @@ def select_and_pool(
     h_l, w_l = tokens_low
     l_q = query.n_tokens
 
-    def all_full() -> MixedResolutionSequence:
-        return MixedResolutionSequence(
-            frames=[TokenGrid(frames[i]) for i in range(t)],
-            levels=[LEVEL_FULL] * t,
-            original_indices=original_indices,
-            timesteps=timesteps,
-        )
-
     if t * h_h * w_h + l_q <= l_max:
+        full = np.ones(t, dtype=bool)
         plan = BudgetPlan(l_max, l_q, t, list(range(t)), [])
-        return all_full(), plan
-
-    n_full = num_full_res_frames(t, l_max, l_q, h_h * w_h, h_l * w_l)
-    if min_full_res_frames > 0:
-        n_full = min(t, max(n_full, min_full_res_frames))
-
-    if n_full == 0:
-        pooled = pool_batch(frames, h_l, w_l)
-        mixed = MixedResolutionSequence(
-            frames=[TokenGrid(pooled[i]) for i in range(t)],
-            levels=[LEVEL_POOLED] * t,
-            original_indices=original_indices,
-            timesteps=timesteps,
-        )
-        return mixed, BudgetPlan(l_max, l_q, 0, [], [])
-
-    scores = frame_query_scores(frames, query, adapter)
-    order = np.argsort(-scores, kind="stable")  # ties keep the earlier frame first
-    chosen = np.zeros(t, dtype=bool)
-    chosen[order[:n_full]] = True
-    # Only the frames emitted at pooled level are pooled, in frame order.
-    pooled = iter(pool_batch(frames[~chosen], h_l, w_l))
-    grids, levels = [], []
-    for i in range(t):
-        if chosen[i]:
-            grids.append(TokenGrid(frames[i]))
-            levels.append(LEVEL_FULL)
+    else:
+        n_full = num_full_res_frames(t, l_max, l_q, h_h * w_h, h_l * w_l)
+        if min_full_res_frames > 0:
+            n_full = min(t, max(n_full, min_full_res_frames))
+        full = np.zeros(t, dtype=bool)
+        if n_full == 0:
+            plan = BudgetPlan(l_max, l_q, 0, [], [])
         else:
-            grids.append(TokenGrid(next(pooled)))
-            levels.append(LEVEL_POOLED)
-    mixed = MixedResolutionSequence(grids, levels, original_indices, timesteps)
-    full_res = np.flatnonzero(chosen).tolist()
-    plan = BudgetPlan(l_max, l_q, n_full, full_res, [float(s) for s in scores])
-    return mixed, plan
+            scores = frame_query_scores(frames, query, adapter)
+            order = np.argsort(-scores, kind="stable")  # ties keep the earlier frame first
+            full[order[:n_full]] = True
+            full_res = np.flatnonzero(full).tolist()
+            plan = BudgetPlan(l_max, l_q, n_full, full_res, [float(s) for s in scores])
+    return token_table(frames, full, timesteps, original_indices, tokens_low), plan

@@ -5,9 +5,12 @@ window keeps every token; every other frame keeps a token only where its
 cosine similarity to the anchor token at the same grid position stays at or
 below the threshold. Token values are never modified, only dropped.
 
+The stage works on stage 2's token table and never copies it: a pruning
+result is a ``keep`` mask and an ``anchor`` mask over the table's tokens.
 Similarities depend on the frames and the anchor choice but not on the
-threshold, so they are computed once into a ``PruningPlan`` that can be
-re-thresholded cheaply when the budget enforcement tightens theta.
+threshold, so they are computed once into a ``PruningPlan``; applying it at
+a threshold is one comparison, and the budget enforcement can count the
+survivors at each threshold without applying it.
 """
 
 from __future__ import annotations
@@ -18,18 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidWindowError, ZeroVectorError
-from .numerics import TokenGrid
 from .temporal import partition_windows
 
 __all__ = [
     "AnchorStrategy",
-    "PrunedFrame",
     "SpatialCompressionResult",
     "PruningPlan",
-    "select_anchor",
+    "anchor_mask",
     "prune_window",
     "build_plan",
-    "spatial_compress",
 ]
 
 
@@ -42,96 +42,74 @@ class AnchorStrategy(str, enum.Enum):
 
 
 @dataclass
-class PrunedFrame:
-    """A frame reduced to the token positions that survived pruning."""
+class SpatialCompressionResult:
+    """Which tokens of a token table survive.
 
-    original_index: int
-    timestep: float
-    grid_h: int
-    grid_w: int
-    level: str
-    kept_positions: np.ndarray  # (n, 2) int32 row-major (h, w) pairs
-    kept_vectors: np.ndarray  # (n, dim) float32, aligned with kept_positions
-    is_anchor: bool
+    ``keep`` and ``anchor`` are boolean masks over the table's tokens;
+    ``anchor`` marks every token of each window's anchor frame.
+    """
+
+    keep: np.ndarray
+    anchor: np.ndarray
 
     @property
-    def token_count(self) -> int:
-        return self.kept_positions.shape[0]
+    def tokens_after(self) -> int:
+        return int(np.count_nonzero(self.keep))
 
 
-@dataclass
-class SpatialCompressionResult:
-    frames: list[PrunedFrame]
-    windows: list[tuple[int, int]]
-    tokens_before: int
-    tokens_after: int
+def _check_stack(frames) -> np.ndarray:
+    stack = np.asarray(frames, dtype=np.float32)
+    if stack.ndim != 4:
+        raise InvalidWindowError(f"expected (frames, h, w, dim) array, got shape {stack.shape}")
+    return stack
 
 
-def _stack_frames(frames) -> np.ndarray:
-    if isinstance(frames, np.ndarray):
-        stack = np.asarray(frames, dtype=np.float32)
-        if stack.ndim != 4:
-            raise InvalidWindowError(f"expected (frames, h, w, dim) array, got shape {stack.shape}")
-        return stack
-    arrays = [g.data if isinstance(g, TokenGrid) else np.asarray(g, dtype=np.float32) for g in frames]
-    try:
-        return np.stack(arrays).astype(np.float32)
-    except ValueError as exc:
-        raise InvalidWindowError("frames inside a window must share one grid shape") from exc
-
-
-def _window_summaries(window: np.ndarray) -> np.ndarray:
-    means = window.mean(axis=(1, 2), dtype=np.float64)
+def _unit_means(vectors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Unit-norm mean token of each frame, float64; frame i is rows
+    ``offsets[i]:offsets[i + 1]`` of ``vectors``."""
+    sizes = np.diff(offsets)
+    if (sizes == sizes[0]).all():
+        rows = vectors[offsets[0] : offsets[-1]].reshape(sizes.shape[0], sizes[0], -1)
+        means = rows.mean(axis=1, dtype=np.float64)
+    else:
+        means = np.stack(
+            [vectors[a:b].mean(axis=0, dtype=np.float64) for a, b in zip(offsets[:-1], offsets[1:])]
+        )
     norms = np.linalg.norm(means, axis=1)
     if (norms == 0.0).any():
         raise ZeroVectorError("window contains a frame with an all-zero mean token")
     return means / norms[:, None]
 
 
-def _anchor_index(window: np.ndarray, strategy: AnchorStrategy) -> int:
-    n = window.shape[0]
+def _anchor_index(vectors: np.ndarray, offsets: np.ndarray, strategy: AnchorStrategy) -> int:
+    n = offsets.shape[0] - 1
     if strategy is AnchorStrategy.FIRST or n == 1:
         return 0
     if strategy is AnchorStrategy.MIDDLE:
         return n // 2
-    unit = _window_summaries(window)
+    unit = _unit_means(vectors, offsets)
     # Change score of frame i is its similarity to frame i-1; the window's
     # first frame has no in-window predecessor and is not a candidate.
     changes = np.clip(np.einsum("id,id->i", unit[1:], unit[:-1]), -1.0, 1.0)
     return 1 + int(np.argmin(changes))
 
 
-def select_anchor(window_frames, strategy: AnchorStrategy) -> int:
-    """Pick the anchor index within one window.
+def anchor_mask(
+    vectors: np.ndarray, offsets: np.ndarray, k: int, strategy: AnchorStrategy
+) -> np.ndarray:
+    """Mark every token of each window's anchor frame in a token table.
 
-    ``first`` and ``middle`` are positional; ``middle`` is floor(length / 2).
-    ``high_change`` picks the frame whose summary similarity to its
-    predecessor is minimal, ties toward the earliest frame. Frames may have
-    differing grid shapes; summaries are per frame.
+    Frame i is rows ``offsets[i]:offsets[i + 1]`` of ``vectors``; windows are
+    k consecutive frames, the last possibly shorter. ``first`` and
+    ``middle`` are positional; ``middle`` is floor(length / 2). ``high_change``
+    picks the frame whose mean-token similarity to its predecessor is
+    minimal, ties toward the earliest frame. Frames may differ in size.
     """
     strategy = AnchorStrategy(strategy)
-    if isinstance(window_frames, np.ndarray):
-        if window_frames.shape[0] == 0:
-            raise InvalidWindowError("cannot select an anchor in an empty window")
-        return _anchor_index(window_frames.astype(np.float32, copy=False), strategy)
-    arrays = [
-        g.data if isinstance(g, TokenGrid) else np.asarray(g, dtype=np.float32)
-        for g in window_frames
-    ]
-    n = len(arrays)
-    if n == 0:
-        raise InvalidWindowError("cannot select an anchor in an empty window")
-    if strategy is AnchorStrategy.FIRST or n == 1:
-        return 0
-    if strategy is AnchorStrategy.MIDDLE:
-        return n // 2
-    means = np.stack([a.mean(axis=(0, 1), dtype=np.float64) for a in arrays])
-    norms = np.linalg.norm(means, axis=1)
-    if (norms == 0.0).any():
-        raise ZeroVectorError("window contains a frame with an all-zero mean token")
-    unit = means / norms[:, None]
-    changes = np.clip(np.einsum("id,id->i", unit[1:], unit[:-1]), -1.0, 1.0)
-    return 1 + int(np.argmin(changes))
+    is_anchor = np.zeros(offsets.shape[0] - 1, dtype=bool)
+    for start, end in partition_windows(is_anchor.shape[0], k):
+        is_anchor[start + _anchor_index(vectors, offsets[start : end + 1], strategy)] = True
+    return np.repeat(is_anchor, np.diff(offsets))
 
 
 def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
@@ -153,114 +131,51 @@ def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
     return sims
 
 
+def _check_theta(theta: float):
+    if not (0.0 < theta < 1.0):
+        raise InvalidConfigError(f"theta must be in (0, 1), got {theta}")
+
+
 @dataclass
 class PruningPlan:
-    """Window layout, anchor choices, and anchor similarities for one pass."""
+    """Anchor similarity and anchor flag of every token of a frame stack,
+    flat in frame-major, row-major order. Anchor tokens have similarity
+    -inf, so every threshold keeps them."""
 
-    stack: np.ndarray
-    windows: list[tuple[int, int]]
-    anchors: list[int]  # anchor index within each window
-    sims: np.ndarray  # (frames, h, w) similarity to the window anchor
+    sims: np.ndarray  # (tokens,) float64
+    anchor: np.ndarray  # (tokens,) bool
 
-    def apply(
-        self,
-        theta: float,
-        *,
-        original_indices=None,
-        timesteps=None,
-        level: str = "pooled",
-    ) -> SpatialCompressionResult:
-        if not (0.0 < theta < 1.0):
-            raise InvalidConfigError(f"theta must be in (0, 1), got {theta}")
-        n, h, w, _ = self.stack.shape
-        if original_indices is None:
-            original_indices = np.arange(n)
-        if timesteps is None:
-            timesteps = np.arange(n, dtype=np.float64)
-        positions = np.argwhere(np.ones((h, w), dtype=bool)).astype(np.int32)
-        flat = self.stack.reshape(n, h * w, -1)
-        keep = (self.sims <= theta).reshape(n, h * w)
-        anchor_flags = np.zeros(n, dtype=bool)
-        for (start, _), anchor in zip(self.windows, self.anchors):
-            anchor_flags[start + anchor] = True
-        frames = []
-        for i in range(n):
-            mask = keep[i]
-            frames.append(
-                PrunedFrame(
-                    original_index=int(original_indices[i]),
-                    timestep=float(timesteps[i]),
-                    grid_h=h,
-                    grid_w=w,
-                    level=level,
-                    kept_positions=positions[mask],
-                    kept_vectors=flat[i][mask],
-                    is_anchor=bool(anchor_flags[i]),
-                )
-            )
-        after = int(keep.sum())
-        return SpatialCompressionResult(frames, list(self.windows), n * h * w, after)
+    def apply(self, theta: float) -> SpatialCompressionResult:
+        _check_theta(theta)
+        return SpatialCompressionResult(self.sims <= theta, self.anchor)
 
 
 def build_plan(frames, k: int, strategy: AnchorStrategy = AnchorStrategy.FIRST) -> PruningPlan:
-    """Partition frames into windows of length k and compute anchor similarities."""
-    stack = _stack_frames(frames)
-    strategy = AnchorStrategy(strategy)
-    windows = partition_windows(stack.shape[0], k)
-    anchors = []
-    sims = np.empty(stack.shape[:3])
-    for start, end in windows:
-        window = stack[start:end]
-        anchor = _anchor_index(window, strategy)
-        anchors.append(anchor)
-        sims[start:end] = _anchor_sims(window, anchor)
-    return PruningPlan(stack, windows, anchors, sims)
+    """Partition a (frames, h, w, dim) stack into windows of length k, pick
+    each window's anchor and compute every token's similarity to it."""
+    stack = _check_stack(frames)
+    n, h, w, dim = stack.shape
+    anchor = anchor_mask(stack.reshape(-1, dim), np.arange(n + 1) * (h * w), k, strategy)
+    anchors = np.flatnonzero(anchor[:: h * w])
+    sims = np.empty((n, h, w))
+    for (start, end), a in zip(partition_windows(n, k), anchors):
+        sims[start:end] = _anchor_sims(stack[start:end], a - start)
+    return PruningPlan(sims.reshape(-1), anchor)
 
 
-def prune_window(
-    window_frames,
-    anchor_idx: int,
-    theta: float,
-    *,
-    original_indices=None,
-    timesteps=None,
-    level: str = "pooled",
-) -> list[PrunedFrame]:
-    """Prune one window of same-shape frames against a given anchor.
+def prune_window(window_frames, anchor_idx: int, theta: float) -> np.ndarray:
+    """Keep mask, shape (frames, h, w), of one window pruned against a given anchor.
 
     A non-anchor token survives iff its cosine similarity to the anchor token
     at the same (h, w) is <= theta. Zero-norm tokens on either side have
     undefined similarity and are conservatively kept; the anchor frame keeps
     every token.
     """
-    stack = _stack_frames(window_frames)
+    _check_theta(theta)
+    stack = _check_stack(window_frames)
     n = stack.shape[0]
     if n == 0:
         raise InvalidWindowError("cannot prune an empty window")
     if not (0 <= anchor_idx < n):
         raise InvalidWindowError(f"anchor index {anchor_idx} outside window of {n} frames")
-    plan = PruningPlan(stack, [(0, n)], [anchor_idx], _anchor_sims(stack, anchor_idx))
-    return plan.apply(
-        theta, original_indices=original_indices, timesteps=timesteps, level=level
-    ).frames
-
-
-def spatial_compress(
-    frames,
-    k: int,
-    theta: float,
-    strategy: AnchorStrategy = AnchorStrategy.FIRST,
-    *,
-    original_indices=None,
-    timesteps=None,
-    level: str = "pooled",
-) -> SpatialCompressionResult:
-    """Run windowed spatial pruning over a whole frame sequence.
-
-    Windows of length k are pruned independently; the last window may be
-    shorter and is pruned as-is with its own anchor.
-    """
-    plan = build_plan(frames, k, strategy)
-    return plan.apply(
-        theta, original_indices=original_indices, timesteps=timesteps, level=level
-    )
+    return _anchor_sims(stack, anchor_idx) <= theta

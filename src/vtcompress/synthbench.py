@@ -18,6 +18,7 @@ from .errors import BudgetInfeasibleError, InvalidConfigError, InvalidNeedleErro
 from .numerics import TokenGrid
 from .pipeline import CompressionConfig, compress
 from .query_select import QueryEmbedding
+from .spatial import AnchorStrategy
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressionStats
 
@@ -31,6 +32,7 @@ __all__ = [
     "run_needle_grid",
     "reduction_report",
     "anchor_ablation",
+    "ablation_report",
     "make_mixed_corpus",
 ]
 
@@ -376,16 +378,27 @@ def reduction_report(
     return per_video, _aggregate(per_video)
 
 
+def ablation_report(
+    corpus: list[SynthSpec], cfg: CompressionConfig
+) -> tuple[list[CompressionStats], dict, dict[str, float]]:
+    """``reduction_report`` at ``cfg`` and ``anchor_ablation`` from one study.
+
+    Each video is generated once and compressed once under every anchor
+    strategy; the run under the configured strategy gives the report.
+    """
+    strategies = list(AnchorStrategy)
+    per_cfg = _study(corpus, [replace(cfg, anchor=s) for s in strategies])
+    per_video = per_cfg[strategies.index(AnchorStrategy(cfg.anchor))]
+    ablation = {
+        s.value: _aggregate(stats)["mean_tokens_reduced"] for s, stats in zip(strategies, per_cfg)
+    }
+    return per_video, _aggregate(per_video), ablation
+
+
 def anchor_ablation(corpus: list[SynthSpec], cfg: CompressionConfig) -> dict[str, float]:
     """Mean spatial reduction rate of each anchor strategy on one corpus.
 
     Each video is generated once and compressed under every strategy; the
     rates equal those of ``reduction_report`` run once per strategy.
     """
-    from .spatial import AnchorStrategy
-
-    strategies = list(AnchorStrategy)
-    per_cfg = _study(corpus, [replace(cfg, anchor=s) for s in strategies])
-    return {
-        s.value: _aggregate(stats)["mean_tokens_reduced"] for s, stats in zip(strategies, per_cfg)
-    }
+    return ablation_report(corpus, cfg)[2]

@@ -8,6 +8,7 @@ survivor set can never be empty.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,7 +31,9 @@ class FrameFeatureSequence:
     """A video as a (frames, height, width, dim) float32 token array.
 
     ``timesteps`` holds the absolute second of each frame and must be strictly
-    increasing. Per-frame summary vectors are computed lazily and cached.
+    increasing. Every token must be finite; this is the one place the input
+    is scanned for that. Per-frame summary vectors are computed lazily and
+    cached.
     """
 
     frames: np.ndarray
@@ -39,6 +42,11 @@ class FrameFeatureSequence:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float32)
+        self._check_layout()
+        if not np.isfinite(self.frames).all():
+            raise ValueError("frames contain non-finite values")
+
+    def _check_layout(self):
         if self.frames.ndim != 4:
             raise ValueError(
                 f"frames must be 4-d (frames, height, width, dim), got shape {self.frames.shape}"
@@ -92,7 +100,10 @@ class FrameFeatureSequence:
 
     def subset(self, indices) -> "FrameFeatureSequence":
         idx = np.asarray(indices, dtype=np.int64)
-        sub = FrameFeatureSequence(self.frames[idx], self.timesteps[idx])
+        # Frames taken from a checked sequence are finite: skip that scan.
+        sub = copy.copy(self)
+        sub.frames, sub.timesteps = self.frames[idx], self.timesteps[idx]
+        sub._check_layout()
         if self._summaries is not None:
             sub._summaries = self._summaries[idx]
         return sub

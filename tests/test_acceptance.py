@@ -207,10 +207,10 @@ def test_criterion_3_pruning_oracle_equivalence():
             )
         anchor = int(rng.integers(0, n))
         theta = float(rng.uniform(0.05, 0.95))
-        frames = prune_window(window, anchor, theta)
+        keep = prune_window(window, anchor, theta)
         expected = prune_oracle(window, anchor, theta)
-        for f, exp in zip(frames, expected):
-            if [tuple(p) for p in f.kept_positions] != exp:
+        for f, exp in zip(keep, expected):
+            if [tuple(p) for p in np.argwhere(f)] != exp:
                 mismatches += 1
     elapsed = time.time() - start
     report(

@@ -6,6 +6,7 @@ import pytest
 
 from vtcompress.cli import main
 from vtcompress.formats import read_compressed, read_features, write_features
+from vtcompress.synthbench import reduction_report
 
 from .conftest import random_sequence
 
@@ -122,6 +123,18 @@ class TestCompressCommand:
             "--output", str(tmp_path / "o.lvuc"),
         ])
         assert code == 2
+
+    def test_all_zero_frame_is_bad_input(self, tmp_path, query_file, capsys):
+        seq = random_sequence(np.random.default_rng(1), 12, 12, 12, 8)
+        seq.frames[5] = 0.0
+        path = tmp_path / "black.lvuf"
+        write_features(path, seq)
+        code = main([
+            "compress", "--input", str(path), "--query", str(query_file),
+            "--output", str(tmp_path / "o.lvuc"),
+        ])
+        assert code == 2
+        assert "frame 5 has an all-zero mean token" in capsys.readouterr().err
 
     def test_oversized_header_exit_code(self, tmp_path, query_file):
         bad = tmp_path / "huge.lvuf"
@@ -256,6 +269,30 @@ class TestReportCommand:
         header, first, second = csv_path.read_text().strip().splitlines()
         assert header.endswith(",tokens_final")
         assert first.endswith(",") and second.endswith(",4088")
+
+    def test_anchor_ablation_is_one_study(self, tmp_path, monkeypatch):
+        from vtcompress import CompressionConfig, anchor_ablation, make_mixed_corpus, synthbench
+
+        calls = []
+        inner = synthbench.compress
+
+        def counting_compress(video, query, cfg):
+            calls.append(cfg.anchor)
+            return inner(video, query, cfg)
+
+        monkeypatch.setattr(synthbench, "compress", counting_compress)
+        out = tmp_path / "report.json"
+        code = main([
+            "report", "--corpus-size", "2", "--seed", "2", "--anchor-ablation",
+            "--anchor", "middle", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(calls) == 3 * 2  # one compress per video and strategy
+        corpus = make_mixed_corpus(2, 2)
+        cfg = CompressionConfig(anchor="middle")
+        payload = json.loads(out.read_text())
+        assert payload.pop("anchor_ablation") == anchor_ablation(corpus, cfg)
+        assert payload == json.loads(json.dumps(reduction_report(corpus, cfg)[1]))
 
     def test_invalid_corpus_size(self, tmp_path):
         assert main(["report", "--corpus-size", "0", "--out", str(tmp_path / "r.json")]) == 3

@@ -8,7 +8,6 @@ from vtcompress import (
     FramePositionConfig,
     FrameFeatureSequence,
     InvalidConfigError,
-    MixedResolutionSequence,
     QueryEmbedding,
     StageToggles,
     TokenGrid,
@@ -16,10 +15,9 @@ from vtcompress import (
     compress,
     enforce_budget,
     flatten,
-    spatial_compress,
 )
-from vtcompress.pipeline import _keep_all_result
-from vtcompress.spatial import build_plan
+from vtcompress.query_select import token_table
+from vtcompress.spatial import anchor_mask, build_plan
 
 from .conftest import random_query, random_sequence, sequence_from_vectors
 
@@ -149,7 +147,7 @@ class TestStageToggles:
 class TestEnforceBudget:
     def test_under_budget_is_identity(self, rng):
         frames = rng.standard_normal((8, 2, 2, 3)).astype(np.float32)
-        result = spatial_compress(frames, 4, 0.8)
+        result = build_plan(frames, 4).apply(0.8)
         cfg = small_config(l_max=1000)
         out, theta, fallback = enforce_budget(result, cfg, 0)
         assert out is result
@@ -242,24 +240,20 @@ class TestEnforceBudget:
 def stepwise_budget_oracle(plan, theta: float, budget: int):
     """Reference budget enforcement: apply each theta step in turn, then keep
     the anchors plus a uniform-by-rank subset of the remaining survivors.
-    Returns (theta, fallback, keep mask of shape (frames, h*w))."""
-    n = plan.sims.shape[0]
-    keep = (plan.sims <= theta).reshape(n, -1)
+    Returns (theta, fallback, keep mask over the plan's tokens)."""
+    keep = plan.sims <= theta
     if keep.sum() <= budget:
         return theta, False, keep
     while theta > 0.5 + 1e-12:
         theta = max(0.5, round(theta - 0.05, 10))
-        keep = (plan.sims <= theta).reshape(n, -1)
+        keep = plan.sims <= theta
         if keep.sum() <= budget:
             return theta, True, keep
-    anchors = np.zeros(n, dtype=bool)
-    for (start, _), a in zip(plan.windows, plan.anchors):
-        anchors[start + a] = True
+    anchors = plan.anchor
     quota = budget - int(keep[anchors].sum())
-    rest = np.flatnonzero((keep & ~anchors[:, None]).ravel())
-    out = np.zeros_like(keep)
-    out[anchors] = keep[anchors]
-    out.ravel()[rest[(np.arange(quota) * rest.size) // quota]] = True
+    rest = np.flatnonzero(keep & ~anchors)
+    out = keep & anchors
+    out[rest[(np.arange(quota) * rest.size) // quota]] = True
     return theta, True, out
 
 
@@ -270,18 +264,19 @@ class TestBudgetLadder:
     def run_case(self, frames, theta, budget, k=4):
         plan = build_plan(frames, k)
         cfg = small_config(l_max=budget + 3, theta=theta)
-        result = plan.apply(theta, level="pooled")
+        result = plan.apply(theta)
         out, theta_eff, fallback = enforce_budget(result, cfg, 3, plan=plan)
         ref_theta, ref_fallback, keep = stepwise_budget_oracle(plan, theta, budget)
         assert (theta_eff, fallback) == (ref_theta, ref_fallback)
         assert out.tokens_after == int(keep.sum()) <= budget
-        n, h, w, _ = plan.stack.shape
-        frame_idx, pos = np.nonzero(keep)
-        got = flatten(out, cfg)
+        n, h, w, _ = frames.shape
+        frame_idx, pos = np.divmod(np.flatnonzero(keep), h * w)
+        table = token_table(frames, np.zeros(n, dtype=bool), np.arange(n, dtype=np.float64), np.arange(n), (h, w))
+        got = flatten(table, out.keep)
         assert np.array_equal(got.frame_indices, frame_idx)
         assert np.array_equal(got.grid_rows, pos // w)
         assert np.array_equal(got.grid_cols, pos % w)
-        assert got.vectors.tobytes() == plan.stack.reshape(n, h * w, -1)[frame_idx, pos].tobytes()
+        assert got.vectors.tobytes() == frames.reshape(n, h * w, -1)[frame_idx, pos].tobytes()
         return theta_eff, fallback
 
     def correlated(self, rng, n, noise):
@@ -320,43 +315,62 @@ class TestBudgetLadder:
 class TestFlatten:
     def test_single_full_frame_enumeration(self, rng):
         data = rng.standard_normal((12, 12, 3)).astype(np.float32)
-        mixed = MixedResolutionSequence(
-            frames=[TokenGrid(data)], levels=["full"],
-            original_indices=np.array([0]), timesteps=np.array([0.0]),
-        )
-        out = flatten(mixed, CompressionConfig())
+        table = token_table(data[None], np.array([True]), [0.0], [0], (8, 8))
+        out = flatten(table, np.ones(144, dtype=bool))
         assert out.total_count == 144
         assert out.grid_rows[0] == 0 and out.grid_cols[0] == 0
         assert out.grid_rows[143] == 11 and out.grid_cols[143] == 11
         assert np.array_equal(out.vectors.reshape(12, 12, 3), data)
 
     def test_two_pooled_frames_in_order(self, rng):
-        grids = [TokenGrid(rng.standard_normal((8, 8, 2)).astype(np.float32)) for _ in range(2)]
-        mixed = MixedResolutionSequence(
-            frames=grids, levels=["pooled", "pooled"],
-            original_indices=np.array([3, 9]), timesteps=np.array([3.0, 9.0]),
-        )
-        out = flatten(mixed, CompressionConfig())
+        frames = rng.standard_normal((2, 12, 12, 2)).astype(np.float32)
+        table = token_table(frames, np.array([False, False]), [3.0, 9.0], [3, 9], (8, 8))
+        out = flatten(table, np.ones(128, dtype=bool))
         assert out.total_count == 128
         assert (out.frame_indices[:64] == 3).all() and (out.frame_indices[64:] == 9).all()
         assert (out.levels == 1).all()
 
     def test_pruned_positions_pass_through(self, rng):
-        from vtcompress import PrunedFrame
-        from vtcompress.spatial import SpatialCompressionResult
-
-        vecs = rng.standard_normal((2, 4)).astype(np.float32)
-        frame = PrunedFrame(
-            original_index=7, timestep=7.0, grid_h=8, grid_w=8, level="pooled",
-            kept_positions=np.array([[0, 0], [3, 5]], dtype=np.int32),
-            kept_vectors=vecs, is_anchor=False,
-        )
-        result = SpatialCompressionResult([frame], [(0, 1)], 64, 2)
-        out = flatten(result, CompressionConfig())
+        frames = rng.standard_normal((1, 8, 8, 4)).astype(np.float32)
+        table = token_table(frames, np.array([False]), [7.0], [7], (8, 8))
+        keep = np.zeros(64, dtype=bool)
+        keep[[0, 3 * 8 + 5]] = True
+        out = flatten(table, keep)
         assert out.total_count == 2
         assert out.grid_rows.tolist() == [0, 3]
         assert out.grid_cols.tolist() == [0, 5]
-        assert np.array_equal(out.vectors, vecs)
+        assert np.array_equal(out.vectors, frames[0, [0, 3], [0, 5]])
+
+    def test_interleaved_levels_under_a_keep_mask(self, rng):
+        frames = rng.standard_normal((5, 4, 4, 3)).astype(np.float32)
+        full = np.array([True, False, True, False, False])
+        indices, times = [2, 5, 7, 11, 13], [0.5, 1.0, 1.5, 2.0, 2.5]
+        table = token_table(frames, full, times, indices, (2, 2))
+        keep = rng.random(table.token_count) < 0.5
+        out = flatten(table, keep)
+        expected, row = [], 0  # (frame, timestep, row, col, level, vector) in table order
+        for i in range(5):
+            grid = frames[i] if full[i] else adaptive_avg_pool(TokenGrid(frames[i]), 2, 2).data
+            for r in range(grid.shape[0]):
+                for c in range(grid.shape[1]):
+                    if keep[row]:
+                        expected.append((indices[i], times[i], r, c, 0 if full[i] else 1, grid[r, c]))
+                    row += 1
+        assert row == table.token_count == 2 * 16 + 3 * 4
+        assert out.frame_indices.tolist() == [e[0] for e in expected]
+        assert out.timesteps.tolist() == [e[1] for e in expected]
+        assert out.grid_rows.tolist() == [e[2] for e in expected]
+        assert out.grid_cols.tolist() == [e[3] for e in expected]
+        assert out.levels.tolist() == [e[4] for e in expected]
+        assert np.array_equal(out.vectors, np.array([e[5] for e in expected]).reshape(-1, 3))
+
+    def test_output_shares_no_memory_with_the_input(self, rng):
+        seq = random_sequence(rng, 6, 4, 4, 3)
+        cfg = small_config(l_max=5000, stages=StageToggles(temporal=False))
+        out, stats = compress(seq, random_query(rng, 2, 3), cfg)
+        assert stats.n_full_res == 6 and not cfg.fpe.enabled
+        assert np.array_equal(out.vectors, seq.frames.reshape(-1, 3))
+        assert not np.shares_memory(out.vectors, seq.frames)
 
 
 class TestPipelineInvariants:
@@ -446,13 +460,40 @@ class TestPipelineInvariants:
         assert stats.fallback_used
 
     def test_keep_all_wrapper_counts(self, rng):
+        # the anchors that subsampling keeps when stage 3 does not prune
         frames = rng.standard_normal((7, 2, 2, 3)).astype(np.float32)
-        mixed = MixedResolutionSequence(
-            frames=[TokenGrid(frames[i]) for i in range(7)],
-            levels=["pooled"] * 7,
-            original_indices=np.arange(7),
-            timesteps=np.arange(7, dtype=np.float64),
+        table = token_table(frames, np.zeros(7, dtype=bool), np.arange(7.0), np.arange(7), (2, 2))
+        assert table.token_count == 28
+        mask = anchor_mask(table.tokens.vectors, table.offsets, 3, AnchorStrategy.FIRST)
+        assert np.flatnonzero(mask[::4]).tolist() == [0, 3, 6]
+        assert mask.sum() == 3 * 4
+
+    def test_mixed_overflow_keeps_high_change_anchors_whole(self, rng):
+        seq = random_sequence(rng, 30, 4, 4, 4)
+        seq.frames[10:14] = seq.frames[10]  # a run of repeats moves the anchor
+        query = random_query(rng, 4, 4)
+        cfg = small_config(
+            l_max=104, min_full_res_frames=6, anchor=AnchorStrategy.HIGH_CHANGE,
+            stages=StageToggles(temporal=False),
         )
-        result = _keep_all_result(mixed, 3, AnchorStrategy.FIRST)
-        assert result.tokens_after == result.tokens_before == 28
-        assert sum(f.is_anchor for f in result.frames) == 3
+        out, stats = compress(seq, query, cfg)
+        assert stats.n_full_res == 6 and stats.fallback_used
+        assert stats.tokens_final == out.total_count == 100  # the budget, exactly
+        # oracle: each frame's mean token at its emitted level, then per window
+        # the frame least similar to its predecessor
+        scores = seq.frames.mean(axis=(1, 2), dtype=np.float64) @ query.rows.mean(axis=0, dtype=np.float64)
+        full = set(np.argsort(-scores, kind="stable")[:6])
+        grids = [
+            seq.frames[i] if i in full else adaptive_avg_pool(TokenGrid(seq.frames[i]), 2, 2).data
+            for i in range(30)
+        ]
+        anchors = []
+        for start in range(0, 30, cfg.k):
+            means = [grids[i].mean(axis=(0, 1), dtype=np.float64) for i in range(start, min(start + cfg.k, 30))]
+            unit = [m / np.linalg.norm(m) for m in means]
+            changes = [float(np.dot(unit[i], unit[i - 1])) for i in range(1, len(unit))]
+            anchor = start + 1 + int(np.argmin(changes))
+            anchors.append(anchor)
+            kept = int((out.frame_indices == anchor).sum())
+            assert kept == grids[anchor].shape[0] * grids[anchor].shape[1]
+        assert full & set(anchors)  # a full-resolution frame is among the anchors

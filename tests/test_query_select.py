@@ -109,6 +109,17 @@ class TestFrameQueryScores:
             frame_query_scores(frames, random_query(rng, 2, 5), AdapterSpec.identity())
 
 
+def frame_levels(mixed) -> list[str]:
+    return ["full" if code == 0 else "pooled" for code in mixed.tokens.levels[mixed.offsets[:-1]]]
+
+
+def frame_tokens(mixed, i) -> np.ndarray:
+    """Frame i's tokens in the table as an (h, w, dim) grid."""
+    vectors = mixed.tokens.vectors[mixed.offsets[i] : mixed.offsets[i + 1]]
+    h = mixed.tokens.grid_rows[mixed.offsets[i + 1] - 1] + 1
+    return vectors.reshape(h, -1, vectors.shape[1])
+
+
 def run_select(rng, t=30, l_max=900, l_q=10, h=4, w=4, low=(2, 2), dim=3, **kw):
     frames = rng.standard_normal((t, h, w, dim)).astype(np.float32)
     query = random_query(rng, l_q, dim)
@@ -130,16 +141,16 @@ class TestSelectAndPool:
         frames, _, mixed, plan = run_select(rng, t=10, l_max=8192, l_q=50)
         assert plan.n_full_res == 10
         assert plan.scores == []
-        assert all(level == "full" for level in mixed.levels)
+        assert frame_levels(mixed) == ["full"] * 10
         for i in range(10):
-            assert np.array_equal(mixed.frames[i].data, frames[i])
+            assert np.array_equal(frame_tokens(mixed, i), frames[i])
 
     def test_all_pooled_when_no_room(self, rng):
         # 30 frames * 4 low tokens + 10 query tokens leaves no room for full frames
         _, _, mixed, plan = run_select(rng, t=30, l_max=140, l_q=10)
         assert plan.n_full_res == 0
         assert plan.scores == []
-        assert all(level == "pooled" for level in mixed.levels)
+        assert frame_levels(mixed) == ["pooled"] * 30
         assert mixed.token_count == 30 * 4
 
     def test_top_scoring_frame_selected(self, rng):
@@ -188,12 +199,12 @@ class TestSelectAndPool:
 
     def test_pooled_frames_bitwise_match_pooling(self, rng):
         frames, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
-        for i, level in enumerate(mixed.levels):
+        for i, level in enumerate(frame_levels(mixed)):
             if level == "pooled":
                 expected = adaptive_avg_pool(TokenGrid(frames[i]), 2, 2)
-                assert np.array_equal(mixed.frames[i].data, expected.data)
+                assert np.array_equal(frame_tokens(mixed, i), expected.data)
             else:
-                assert np.array_equal(mixed.frames[i].data, frames[i])
+                assert np.array_equal(frame_tokens(mixed, i), frames[i])
 
     def test_only_pooled_frames_are_pooled(self, rng, monkeypatch):
         pooled_counts = []
@@ -205,12 +216,28 @@ class TestSelectAndPool:
         monkeypatch.setattr(query_select, "pool_batch", counting_pool)
         _, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
         assert 0 < plan.n_full_res < 25
-        assert pooled_counts == [mixed.levels.count("pooled")] == [25 - plan.n_full_res]
+        assert pooled_counts == [frame_levels(mixed).count("pooled")] == [25 - plan.n_full_res]
+
+    def test_no_full_frame_pools_the_stack_uncopied(self, rng, monkeypatch):
+        stacks = []
+
+        def recording_pool(stack, out_h, out_w):
+            stacks.append(stack)
+            return pool_batch(stack, out_h, out_w)
+
+        monkeypatch.setattr(query_select, "pool_batch", recording_pool)
+        frames = rng.standard_normal((30, 4, 4, 3)).astype(np.float32)
+        mixed, plan = select_and_pool(
+            frames, np.arange(30.0), np.arange(30), random_query(rng, 10, 3),
+            AdapterSpec.identity(), 140, (2, 2),
+        )
+        assert plan.n_full_res == 0 and len(stacks) == 1
+        assert stacks[0] is frames
 
     def test_min_full_res_floor(self, rng):
         _, _, mixed, plan = run_select(rng, t=30, l_max=140, l_q=10, min_full_res_frames=3)
         assert plan.n_full_res == 3
-        assert sum(1 for level in mixed.levels if level == "full") == 3
+        assert frame_levels(mixed).count("full") == 3
 
     def test_tie_break_earlier_frame(self):
         frames = np.broadcast_to(

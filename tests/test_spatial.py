@@ -5,11 +5,13 @@ from vtcompress import (
     AnchorStrategy,
     InvalidConfigError,
     InvalidWindowError,
+    ZeroVectorError,
     cosine_similarity,
     prune_window,
-    select_anchor,
-    spatial_compress,
 )
+from vtcompress.pipeline import flatten
+from vtcompress.query_select import token_table
+from vtcompress.spatial import anchor_mask, build_plan
 
 from .conftest import constant_grid
 
@@ -33,6 +35,24 @@ def prune_oracle(window, anchor_idx, theta):
                     positions.append((r, c))
         kept.append(positions)
     return kept
+
+
+def select_anchor(window, strategy) -> int:
+    """Anchor index of one window of same-shape frames, through the
+    table-wide anchor routine."""
+    window = np.stack([g.data for g in window]) if isinstance(window, list) else window
+    n, h, w, d = window.shape
+    mask = anchor_mask(window.reshape(-1, d), np.arange(n + 1) * (h * w), n, strategy)
+    assert mask.sum() == h * w
+    return int(np.flatnonzero(mask)[0]) // (h * w)
+
+
+def spatial_compress(frames, k, theta, strategy=AnchorStrategy.FIRST):
+    return build_plan(frames, k, strategy).apply(theta)
+
+
+def anchor_frames(result, tokens_per_frame):
+    return np.flatnonzero(result.anchor[::tokens_per_frame]).tolist()
 
 
 class TestSelectAnchor:
@@ -67,43 +87,55 @@ class TestSelectAnchor:
         window = rng.standard_normal((4, 2, 2, 3)).astype(np.float32)
         assert select_anchor(window, "middle") == 2
 
+    def test_frames_of_different_sizes(self):
+        # a 2x2 frame, a 1x1 frame and a 2x2 frame; the cut is at frame 1
+        vectors = np.array(
+            [[1.0, 0.0]] * 4 + [[0.0, 1.0]] + [[0.0, 1.0]] * 4, dtype=np.float32
+        )
+        offsets = np.array([0, 4, 5, 9])
+        mask = anchor_mask(vectors, offsets, 3, AnchorStrategy.HIGH_CHANGE)
+        assert mask.tolist() == [False] * 4 + [True] + [False] * 4
+        vectors[5:] = 0.0
+        with pytest.raises(ZeroVectorError):
+            anchor_mask(vectors, offsets, 3, AnchorStrategy.HIGH_CHANGE)
+
 
 class TestPruneWindow:
     def test_identical_frames_fully_pruned(self):
         window = np.broadcast_to(
             np.array([1.0, 1.0], dtype=np.float32), (4, 2, 2, 2)
         ).copy()
-        frames = prune_window(window, 0, 0.8)
-        assert frames[0].token_count == 4 and frames[0].is_anchor
-        assert all(f.token_count == 0 for f in frames[1:])
+        keep = prune_window(window, 0, 0.8)
+        assert keep.shape == (4, 2, 2)
+        assert keep[0].all() and not keep[1:].any()
 
     def test_orthogonal_tokens_untouched(self):
         window = np.zeros((2, 1, 2, 2), dtype=np.float32)
         window[0, 0, :, 0] = 1.0
         window[1, 0, :, 1] = 1.0
-        frames = prune_window(window, 0, 0.8)
-        assert all(f.token_count == 2 for f in frames)
+        keep = prune_window(window, 0, 0.8)
+        assert keep.all()
 
     def test_hand_similarity_case(self):
         # cos((3,4),(4,3)) = 0.96 > 0.8 so the non-anchor token is pruned
         window = np.array(
             [[[[3.0, 4.0]]], [[[4.0, 3.0]]]], dtype=np.float32
         )
-        frames = prune_window(window, 0, 0.8)
-        assert frames[1].token_count == 0
+        keep = prune_window(window, 0, 0.8)
+        assert keep[1].sum() == 0
 
     def test_zero_norm_tokens_kept(self):
         window = np.ones((2, 1, 2, 2), dtype=np.float32)
         window[1, 0, 0] = 0.0  # zero token in the non-anchor frame
         window[0, 0, 1] = 0.0  # zero token in the anchor
-        frames = prune_window(window, 0, 0.8)
-        assert frames[1].token_count == 2
+        keep = prune_window(window, 0, 0.8)
+        assert keep[1].sum() == 2
 
     def test_anchor_choice_respected(self, rng):
         window = rng.standard_normal((5, 3, 3, 4)).astype(np.float32)
-        frames = prune_window(window, 3, 0.8)
-        assert frames[3].is_anchor and frames[3].token_count == 9
-        assert sum(f.is_anchor for f in frames) == 1
+        window[4] = window[3]  # a duplicate of the anchor is pruned, the anchor is not
+        keep = prune_window(window, 3, 0.8)
+        assert keep[3].all() and not keep[4].any()
 
     def test_matches_oracle(self, rng):
         for _ in range(60):
@@ -115,16 +147,18 @@ class TestPruneWindow:
                 window[tuple(rng.integers(0, s) for s in (n, h, w))] = 0.0
             anchor = int(rng.integers(0, n))
             theta = float(rng.uniform(0.05, 0.95))
-            frames = prune_window(window, anchor, theta)
+            keep = prune_window(window, anchor, theta)
             expected = prune_oracle(window, anchor, theta)
-            for f, exp in zip(frames, expected):
-                assert [tuple(p) for p in f.kept_positions] == exp
+            for f, exp in zip(keep, expected):
+                assert [tuple(p) for p in np.argwhere(f)] == exp
 
     def test_position_fidelity(self, rng):
         window = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
-        for f_idx, frame in enumerate(prune_window(window, 0, 0.5)):
-            for (r, c), vec in zip(frame.kept_positions, frame.kept_vectors):
-                assert np.array_equal(vec, window[f_idx, r, c])
+        table = token_table(window, np.ones(4, dtype=bool), np.arange(4.0), np.arange(4), (1, 1))
+        out = flatten(table, prune_window(window, 0, 0.5).ravel())
+        assert out.total_count > 9
+        for f, r, c, vec in zip(out.frame_indices, out.grid_rows, out.grid_cols, out.vectors):
+            assert np.array_equal(vec, window[f, r, c])
 
     def test_invalid_inputs(self, rng):
         window = rng.standard_normal((3, 2, 2, 2)).astype(np.float32)
@@ -132,23 +166,21 @@ class TestPruneWindow:
             prune_window(window, 0, 1.5)
         with pytest.raises(InvalidWindowError):
             prune_window(window, 5, 0.8)
-        ragged = [constant_grid([1.0], 2, 2), constant_grid([1.0], 3, 3)]
         with pytest.raises(InvalidWindowError):
-            prune_window(ragged, 0, 0.8)
+            prune_window(window[0], 0, 0.8)  # not a stack of frames
 
 
 class TestSpatialCompress:
     def test_sixteen_frames_two_windows(self, rng):
         frames = rng.standard_normal((16, 2, 2, 3)).astype(np.float32)
         result = spatial_compress(frames, 8, 0.8)
-        assert result.windows == [(0, 8), (8, 16)]
-        assert sum(f.is_anchor for f in result.frames) == 2
+        assert anchor_frames(result, 4) == [0, 8]
 
     def test_single_frame_untouched(self, rng):
         frames = rng.standard_normal((1, 2, 2, 3)).astype(np.float32)
         result = spatial_compress(frames, 8, 0.8)
-        assert result.frames[0].is_anchor
-        assert result.tokens_after == result.tokens_before == 4
+        assert result.anchor.all()
+        assert result.tokens_after == result.keep.size == 4
 
     def test_theta_monotonicity(self, rng):
         frames = rng.standard_normal((24, 3, 3, 4)).astype(np.float32)
@@ -162,8 +194,7 @@ class TestSpatialCompress:
     def test_anchor_conservation(self, rng):
         frames = rng.standard_normal((20, 3, 2, 4)).astype(np.float32)
         result = spatial_compress(frames, 8, 0.6)
-        anchor_tokens = sum(f.token_count for f in result.frames if f.is_anchor)
-        assert anchor_tokens == len(result.windows) * 6
+        assert int((result.keep & result.anchor).sum()) == int(result.anchor.sum()) == 3 * 6
 
     def test_window_independence(self, rng):
         frames = rng.standard_normal((16, 2, 2, 3)).astype(np.float32)
@@ -171,34 +202,29 @@ class TestSpatialCompress:
         edited = frames.copy()
         edited[8:] = rng.standard_normal((8, 2, 2, 3)).astype(np.float32)
         after = spatial_compress(edited, 8, 0.8)
-        for f0, f1 in zip(before.frames[:8], after.frames[:8]):
-            assert np.array_equal(f0.kept_positions, f1.kept_positions)
-            assert np.array_equal(f0.kept_vectors, f1.kept_vectors)
+        assert np.array_equal(before.keep[:32], after.keep[:32])
+        assert np.array_equal(before.anchor[:32], after.anchor[:32])
 
     def test_matches_window_by_window_pruning(self, rng):
         frames = rng.standard_normal((13, 2, 3, 3)).astype(np.float32)
         frames[6] = frames[5]  # one duplicate to force some pruning
         result = spatial_compress(frames, 5, 0.8, AnchorStrategy.MIDDLE)
-        cursor = 0
-        for start, end in result.windows:
-            window = frames[start:end]
+        keep = result.keep.reshape(13, 2, 3)
+        for start in range(0, 13, 5):
+            window = frames[start : start + 5]
             anchor = select_anchor(window, AnchorStrategy.MIDDLE)
-            expected = prune_window(window, anchor, 0.8)
-            for exp in expected:
-                got = result.frames[cursor]
-                assert np.array_equal(got.kept_positions, exp.kept_positions)
-                assert np.array_equal(got.kept_vectors, exp.kept_vectors)
-                assert got.is_anchor == exp.is_anchor
-                cursor += 1
+            assert np.array_equal(keep[start : start + 5], prune_window(window, anchor, 0.8))
+            assert anchor_frames(result, 6)[start // 5] == start + anchor
+        assert not result.keep.all()
 
     def test_metadata_passthrough(self, rng):
         frames = rng.standard_normal((4, 2, 2, 3)).astype(np.float32)
-        result = spatial_compress(
-            frames, 2, 0.8,
-            original_indices=[10, 20, 30, 40],
-            timesteps=[1.5, 2.5, 3.5, 4.5],
-            level="full",
+        result = spatial_compress(frames, 2, 0.8)
+        table = token_table(
+            frames, np.ones(4, dtype=bool), [1.5, 2.5, 3.5, 4.5], [10, 20, 30, 40], (1, 1)
         )
-        assert [f.original_index for f in result.frames] == [10, 20, 30, 40]
-        assert [f.timestep for f in result.frames] == [1.5, 2.5, 3.5, 4.5]
-        assert all(f.level == "full" for f in result.frames)
+        out = flatten(table, result.keep)
+        kept = result.keep.reshape(4, 4).sum(axis=1)
+        assert out.frame_indices.tolist() == np.repeat([10, 20, 30, 40], kept).tolist()
+        assert out.timesteps.tolist() == np.repeat([1.5, 2.5, 3.5, 4.5], kept).tolist()
+        assert (out.levels == 0).all()

@@ -155,6 +155,24 @@ class TestFrameFeatureSequence:
         with pytest.raises(ValueError):
             FrameFeatureSequence(frames, np.array([1.0, 1.0]))
 
+    def test_non_finite_frame_rejected(self):
+        # frame 5 repeats its window's frames, so stage 1 would drop it
+        frames = np.ones((40, 2, 2, 3), dtype=np.float32)
+        frames[5, 1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            FrameFeatureSequence(frames, np.arange(40, dtype=np.float64))
+        frames[5, 1, 0, 2] = -np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            FrameFeatureSequence(frames, np.arange(40, dtype=np.float64))
+
+    def test_subset_does_not_rescan(self, rng, monkeypatch):
+        seq = random_sequence(rng, 10, 2, 2, 4)
+        monkeypatch.setattr(np, "isfinite", lambda *a, **kw: pytest.fail("subset rescanned"))
+        sub = seq.subset([1, 4, 7])
+        assert np.array_equal(sub.frames, seq.frames[[1, 4, 7]])
+        with pytest.raises(ValueError):
+            seq.subset([4, 1])  # the order checks still run
+
     def test_subset_preserves_summaries(self, rng):
         seq = random_sequence(rng, 10, 2, 2, 4)
         full = seq.summaries()
