@@ -242,21 +242,13 @@ def compress(
         return compressed, stage_stats(**stage, tokens_final=compressed.total_count)
 
     # Under budget at full resolution (or nothing enabled): emit as-is.
+    # Otherwise stage 2; with the query stage disabled, selection is skipped
+    # but the sequence is still pooled uniformly, the only route under budget.
     if tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled:
         full = np.ones(t_after, dtype=bool)
-        return finish(
-            token_table(working.frames, full, working.timesteps, original_indices, cfg.tokens_low),
-            np.ones(tokens_full, dtype=bool),
-            n_full=t_after,
-            tokens_query=tokens_full,
-            tokens_spatial=tokens_full,
-            theta_eff=cfg.theta,
-            fallback=False,
-        )
-
-    # Stage 2: with the query stage disabled, selection is skipped but the
-    # sequence is still pooled uniformly; that is the only route under budget.
-    if cfg.stages.query:
+        table = token_table(working.frames, full, working.timesteps, original_indices, cfg.tokens_low)
+        n_full = t_after
+    elif cfg.stages.query:
         table, split = select_and_pool(
             working.frames,
             working.timesteps,
@@ -275,7 +267,7 @@ def compress(
     tokens_query = table.token_count
     keep_all = np.ones(tokens_query, dtype=bool)
 
-    if tokens_query + l_q <= cfg.l_max:
+    if tokens_query + l_q <= cfg.l_max or not cfg.stages.any_enabled:
         return finish(
             table,
             keep_all,

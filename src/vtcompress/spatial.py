@@ -58,7 +58,10 @@ class SpatialCompressionResult:
 
 
 def _check_stack(frames) -> np.ndarray:
-    stack = np.asarray(frames, dtype=np.float32)
+    try:
+        stack = np.asarray(frames, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise InvalidWindowError("frames must form one (frames, h, w, dim) array") from exc
     if stack.ndim != 4:
         raise InvalidWindowError(f"expected (frames, h, w, dim) array, got shape {stack.shape}")
     return stack
@@ -94,10 +97,10 @@ def _anchor_index(vectors: np.ndarray, offsets: np.ndarray, strategy: AnchorStra
     return 1 + int(np.argmin(changes))
 
 
-def anchor_mask(
+def _anchor_frames(
     vectors: np.ndarray, offsets: np.ndarray, k: int, strategy: AnchorStrategy
 ) -> np.ndarray:
-    """Mark every token of each window's anchor frame in a token table.
+    """One flag per frame of a token table, set on each window's anchor.
 
     Frame i is rows ``offsets[i]:offsets[i + 1]`` of ``vectors``; windows are
     k consecutive frames, the last possibly shorter. ``first`` and
@@ -109,7 +112,14 @@ def anchor_mask(
     is_anchor = np.zeros(offsets.shape[0] - 1, dtype=bool)
     for start, end in partition_windows(is_anchor.shape[0], k):
         is_anchor[start + _anchor_index(vectors, offsets[start : end + 1], strategy)] = True
-    return np.repeat(is_anchor, np.diff(offsets))
+    return is_anchor
+
+
+def anchor_mask(
+    vectors: np.ndarray, offsets: np.ndarray, k: int, strategy: AnchorStrategy
+) -> np.ndarray:
+    """Mark every token of each window's anchor frame in a token table."""
+    return np.repeat(_anchor_frames(vectors, offsets, k, strategy), np.diff(offsets))
 
 
 def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
@@ -155,12 +165,11 @@ def build_plan(frames, k: int, strategy: AnchorStrategy = AnchorStrategy.FIRST) 
     each window's anchor and compute every token's similarity to it."""
     stack = _check_stack(frames)
     n, h, w, dim = stack.shape
-    anchor = anchor_mask(stack.reshape(-1, dim), np.arange(n + 1) * (h * w), k, strategy)
-    anchors = np.flatnonzero(anchor[:: h * w])
+    is_anchor = _anchor_frames(stack.reshape(-1, dim), np.arange(n + 1) * (h * w), k, strategy)
     sims = np.empty((n, h, w))
-    for (start, end), a in zip(partition_windows(n, k), anchors):
+    for (start, end), a in zip(partition_windows(n, k), np.flatnonzero(is_anchor)):
         sims[start:end] = _anchor_sims(stack[start:end], a - start)
-    return PruningPlan(sims.reshape(-1), anchor)
+    return PruningPlan(sims.reshape(-1), np.repeat(is_anchor, h * w))
 
 
 def prune_window(window_frames, anchor_idx: int, theta: float) -> np.ndarray:

@@ -168,6 +168,13 @@ class TestPruneWindow:
             prune_window(window, 5, 0.8)
         with pytest.raises(InvalidWindowError):
             prune_window(window[0], 0, 0.8)  # not a stack of frames
+        ragged = [constant_grid([1.0], 2, 2), constant_grid([1.0], 3, 3)]
+        with pytest.raises(InvalidWindowError):
+            prune_window(ragged, 0, 0.8)
+        with pytest.raises(InvalidWindowError):
+            build_plan(ragged, 2)
+        with pytest.raises(InvalidWindowError):
+            prune_window([window[0], window[0, :1]], 0, 0.8)  # ragged arrays
 
 
 class TestSpatialCompress:
