@@ -8,6 +8,7 @@ atomic rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -54,11 +55,34 @@ def _atomic_write(path, payload: bytes):
         raise
 
 
+def _check_remaining(fh, n: int, what: str) -> int:
+    """Check that at least n bytes remain in the file before anything is
+    allocated for them; returns the bytes remaining."""
+    available = os.fstat(fh.fileno()).st_size - fh.tell()
+    if available < n:
+        raise FileFormatError(f"truncated file: expected {n} bytes of {what}, got {available}")
+    return available
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
+    _check_remaining(fh, n, what)
     data = fh.read(n)
     if len(data) != n:
         raise FileFormatError(f"truncated file: expected {n} bytes of {what}, got {len(data)}")
     return data
+
+
+def _read_array(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Read the rest of the file, which must be exactly a little-endian
+    float32 array of the given shape, into a new array. The size is checked
+    before the array is allocated."""
+    nbytes = math.prod(shape) * 4
+    if _check_remaining(fh, nbytes, what) > nbytes:
+        raise FileFormatError(f"trailing bytes after {what}")
+    out = np.empty(shape, dtype="<f4")
+    if fh.readinto(out) != nbytes:
+        raise FileFormatError(f"file shrank while its {what} was read")
+    return out
 
 
 def _check_header(magic: bytes, expected: bytes, version: int, dtype: int | None):
@@ -88,18 +112,7 @@ def read_features(path) -> FrameFeatureSequence:
             raise FileFormatError("reserved header bytes must be zero")
         if min(t, h, w, d) < 1:
             raise FileFormatError(f"degenerate dimensions t={t} h={h} w={w} d={d}")
-        # Check the header's claim against the file before allocating for it.
-        expected = t * h * w * d * 4
-        available = os.fstat(fh.fileno()).st_size - fh.tell()
-        if available < expected:
-            raise FileFormatError(
-                f"truncated file: expected {expected} bytes of feature payload, got {available}"
-            )
-        if available > expected:
-            raise FileFormatError("trailing bytes after feature payload")
-        frames = np.empty((t, h, w, d), dtype="<f4")
-        if fh.readinto(frames) != expected:
-            raise FileFormatError("feature file shrank while being read")
+        frames = _read_array(fh, (t, h, w, d), "feature payload")
     try:  # the header fixes the shape and timesteps, so only the finiteness check can fail
         return FrameFeatureSequence(frames, np.arange(t, dtype=np.float64))
     except ValueError as exc:
@@ -120,13 +133,11 @@ def read_query(path) -> QueryEmbedding:
         _check_header(magic, QUERY_MAGIC, version, dtype)
         if min(l_q, d_q) < 1:
             raise FileFormatError(f"degenerate query shape {l_q}x{d_q}")
-        raw = _read_exact(fh, l_q * d_q * 4, "query payload")
-        if fh.read(1):
-            raise FileFormatError("trailing bytes after query payload")
-    rows = np.frombuffer(raw, dtype="<f4").reshape(l_q, d_q).astype(np.float32)
-    if not np.isfinite(rows).all():
-        raise FileFormatError("query payload contains non-finite values")
-    return QueryEmbedding(rows)
+        rows = _read_array(fh, (l_q, d_q), "query payload")
+    try:  # the header fixes the shape, so only the finiteness check can fail
+        return QueryEmbedding(rows)
+    except ValueError as exc:
+        raise FileFormatError(f"query payload: {exc}") from None
 
 
 def _stats_blob(stats: CompressionStats) -> bytes:

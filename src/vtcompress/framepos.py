@@ -62,10 +62,15 @@ def apply_position_encoding(
             f"position-encoding dim {cfg.dim} does not match token dim {seq.dim}"
         )
     vectors = seq.vectors.astype(np.float64)
-    # Tokens sharing a timestep share one offset; encode each distinct value once.
+    # Tokens sharing a timestep share one offset; encode each distinct value
+    # once, all in one array operation with encoding_vector's arithmetic.
     unique_ts, inverse = np.unique(seq.timesteps, return_inverse=True)
-    offsets = np.stack([encoding_vector(float(t), cfg.dim, cfg.base) for t in unique_ts])
-    vectors += offsets.astype(np.float64)[inverse]
+    even = np.arange(0, cfg.dim, 2, dtype=np.float64)
+    angles = unique_ts.astype(np.float64)[:, None] / np.power(float(cfg.base), even / cfg.dim)
+    offsets = np.empty((unique_ts.shape[0], cfg.dim), dtype=np.float64)
+    offsets[:, 0::2] = np.sin(angles)
+    offsets[:, 1::2] = np.cos(angles)[:, : cfg.dim // 2]
+    vectors += offsets.astype(np.float32).astype(np.float64)[inverse]
     return CompressedTokenSequence(
         frame_indices=seq.frame_indices.copy(),
         timesteps=seq.timesteps.copy(),

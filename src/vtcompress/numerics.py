@@ -142,8 +142,9 @@ def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:
     return start, end
 
 
-def pool_batch(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Adaptive average pooling over a (frames, h, w, dim) float32 stack.
+def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndarray:
+    """Adaptive average pooling over a (frames, h, w, dim) float32 stack, or
+    over the frames ``stack[index]`` when an index array is given.
 
     Each bin is summed separably: first the rows of its row bin, then the
     columns of its column bin, accumulating in float64 straight off the
@@ -154,19 +155,25 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     cells it covers. Frames are pooled independently, in chunks of
     ``POOL_CHUNK_FRAMES``, so the stack is never copied whole to float64,
     and pooling a batch is bitwise-identical to pooling each frame alone.
+    With an index, each chunk's frames are gathered from the stack by
+    index, so the selected frames are never copied out as one stack.
     """
-    n, h, w, dim = stack.shape
+    _, h, w, dim = stack.shape
+    n = stack.shape[0] if index is None else len(index)
     if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
         raise InvalidPoolingError(f"cannot pool a {h}x{w} grid to {out_h}x{out_w}")
     if out_h == h and out_w == w:
-        return stack.copy()
+        return stack.copy() if index is None else stack[index]
 
     r0, r1 = _pool_edges(h, out_h)
     c0, c1 = _pool_edges(w, out_w)
     counts = ((r1 - r0)[:, None] * (c1 - c0)[None, :])[:, :, None]
     out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
     for lo in range(0, n, POOL_CHUNK_FRAMES):
-        chunk = stack[lo : lo + POOL_CHUNK_FRAMES]
+        if index is None:
+            chunk = stack[lo : lo + POOL_CHUNK_FRAMES]
+        else:
+            chunk = stack[index[lo : lo + POOL_CHUNK_FRAMES]]
         rows = np.empty((chunk.shape[0], out_h, w, dim), dtype=np.float64)
         for p in range(out_h):
             chunk[:, r0[p] : r1[p]].sum(axis=1, dtype=np.float64, out=rows[:, p])

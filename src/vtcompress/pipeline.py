@@ -7,10 +7,14 @@ non-anchor tokens are subsampled uniformly so the budget is met exactly.
 The budget guarantee applies whenever at least one stage is enabled; with
 every stage disabled the input is flattened as-is.
 
-From stage 2 on there is one representation: stage 2's token table (every
-token of every surviving frame, frame-major, with per-frame offsets) and a
-``keep`` and an ``anchor`` mask over it. Pruning, the threshold ladder and
-subsampling only rewrite ``keep``; flatten gathers the kept rows.
+The input is read once. Stage 1 works from the per-frame means taken when
+the sequence was built and returns the surviving frames as indices; no
+second sequence is built. Stage 2 reads those frames from the input through
+the indices. From stage 2 on there is one representation: stage 2's token
+table (every token of every surviving frame, frame-major, with per-frame
+offsets) and a ``keep`` and an ``anchor`` mask over it. Pruning, the
+threshold ladder and subsampling only rewrite ``keep``; flatten gathers the
+kept rows.
 """
 
 from __future__ import annotations
@@ -204,14 +208,11 @@ def compress(
     tokens_in = frames_in * h_h * w_h
 
     if cfg.stages.temporal:
-        reduction = reduce_frames(seq, cfg.j, cfg.tau_t)
-        working = seq.subset(reduction.kept_indices)
-        original_indices = np.asarray(reduction.kept_indices, dtype=np.int64)
+        kept = np.asarray(reduce_frames(seq, cfg.j, cfg.tau_t).kept_indices, dtype=np.int64)
     else:
-        working = seq
-        original_indices = np.arange(frames_in, dtype=np.int64)
+        kept = np.arange(frames_in, dtype=np.int64)
 
-    t_after = working.n_frames
+    t_after = kept.shape[0]
     tokens_full = t_after * h_h * w_h
 
     def stage_stats(*, n_full, tokens_query, tokens_spatial, theta_eff, fallback, tokens_final):
@@ -245,14 +246,12 @@ def compress(
     # Otherwise stage 2; with the query stage disabled, selection is skipped
     # but the sequence is still pooled uniformly, the only route under budget.
     if tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled:
-        full = np.ones(t_after, dtype=bool)
-        table = token_table(working.frames, full, working.timesteps, original_indices, cfg.tokens_low)
+        table = token_table(seq, kept, np.ones(t_after, dtype=bool), cfg.tokens_low)
         n_full = t_after
     elif cfg.stages.query:
         table, split = select_and_pool(
-            working.frames,
-            working.timesteps,
-            original_indices,
+            seq,
+            kept,
             query,
             cfg.adapter,
             cfg.l_max,
@@ -261,8 +260,7 @@ def compress(
         )
         n_full = split.n_full_res
     else:
-        full = np.zeros(t_after, dtype=bool)
-        table = token_table(working.frames, full, working.timesteps, original_indices, cfg.tokens_low)
+        table = token_table(seq, kept, np.zeros(t_after, dtype=bool), cfg.tokens_low)
         n_full = 0
     tokens_query = table.token_count
     keep_all = np.ones(tokens_query, dtype=bool)

@@ -5,6 +5,10 @@ the text-query embedding rows (raw scores, no softmax). The budget formula
 decides how many frames can stay at full resolution; everything else is
 average-pooled down to the low-resolution grid.
 
+Stage 1's survivors are read from the input through their indices, and
+their scores from the input's cached per-frame means; they are never copied
+out as a stack of their own.
+
 The stage emits the token table that every later step works on: one
 frame-major ``CompressedTokenSequence`` holding each frame's tokens in
 (timestep, row, col) order, plus per-frame offsets into it. Tokens are never
@@ -20,6 +24,7 @@ import numpy as np
 
 from .errors import AdapterShapeError, InvalidConfigError
 from .numerics import AdapterSpec, pool_batch
+from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
 
 __all__ = [
@@ -60,7 +65,7 @@ class QueryEmbedding:
 class BudgetPlan:
     """How the token budget was split between full and pooled frames.
 
-    ``full_res_indices`` are positions within the frame list handed to
+    ``full_res_indices`` are positions within the kept frames handed to
     ``select_and_pool`` (not original video indices). ``scores`` is empty
     whenever scoring was skipped: either everything fit at full resolution
     or nothing did.
@@ -95,38 +100,42 @@ class MixedResolutionSequence:
 
 
 def token_table(
-    frames: np.ndarray,
+    seq: FrameFeatureSequence,
+    kept: np.ndarray,
     full: np.ndarray,
-    timesteps: np.ndarray,
-    original_indices: np.ndarray,
     tokens_low: tuple[int, int],
 ) -> MixedResolutionSequence:
-    """Lay out frames as a token table: frame i at full resolution where
-    ``full[i]``, otherwise average-pooled to ``tokens_low``.
+    """Lay out the input frames ``kept`` as a token table: table frame i is
+    input frame ``kept[i]``, at full resolution where ``full[i]``, otherwise
+    average-pooled to ``tokens_low``.
 
-    Only the pooled frames are pooled, in frame order. With every frame full
-    the table's vectors are a view of ``frames``.
+    Frames are read from ``seq.frames`` by index. Full frames are gathered
+    straight into the table; only the pooled frames are pooled, in frame
+    order, each chunk gathered inside the pooling.
     """
-    t, h_h, w_h, dim = frames.shape
+    frames = seq.frames
+    kept = np.asarray(kept, dtype=np.int64)
+    t = kept.shape[0]
+    _, h_h, w_h, dim = frames.shape
     h_l, w_l = tokens_low
     sizes = np.where(full, h_h * w_h, h_l * w_l)
     offsets = np.zeros(t + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     if full.all():
-        vectors = frames.reshape(-1, dim)
-    elif not full.any():  # indexing the stack would copy all of it
-        vectors = pool_batch(frames, h_l, w_l).reshape(-1, dim)
+        vectors = frames[kept].reshape(-1, dim)
+    elif not full.any():
+        vectors = pool_batch(frames, h_l, w_l, index=kept).reshape(-1, dim)
     else:
         vectors = np.empty((offsets[-1], dim), dtype=np.float32)
         token_full = np.repeat(full, sizes)
-        vectors[token_full] = frames[full].reshape(-1, dim)
-        vectors[~token_full] = pool_batch(frames[~full], h_l, w_l).reshape(-1, dim)
+        vectors[token_full] = frames[kept[full]].reshape(-1, dim)
+        vectors[~token_full] = pool_batch(frames, h_l, w_l, index=kept[~full]).reshape(-1, dim)
     local = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
     width = np.repeat(np.where(full, w_h, w_l), sizes)
     level = np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"])
     tokens = CompressedTokenSequence(
-        frame_indices=np.repeat(np.asarray(original_indices, dtype=np.int64), sizes),
-        timesteps=np.repeat(np.asarray(timesteps, dtype=np.float64).astype(np.float32), sizes),
+        frame_indices=np.repeat(kept, sizes),
+        timesteps=np.repeat(seq.timesteps[kept].astype(np.float32), sizes),
         grid_rows=local // width,
         grid_cols=local % width,
         levels=np.repeat(level, sizes),
@@ -152,20 +161,20 @@ def num_full_res_frames(t: int, l_max: int, l_q: int, hw_high: int, hw_low: int)
     return min(t, max(0, raw // (hw_high - hw_low)))
 
 
-def frame_query_scores(frames, query: QueryEmbedding, adapter: AdapterSpec) -> np.ndarray:
+def frame_query_scores(token_means, query: QueryEmbedding, adapter: AdapterSpec) -> np.ndarray:
     """Mean dot product between each frame's adapted tokens and the query rows.
 
-    The mean over (token, query row) pairs equals the dot product of the
-    token mean with the query-row mean, which is how it is computed here.
+    ``token_means`` is each frame's float64 mean token, shape (frames, dim),
+    as ``FrameFeatureSequence.means`` holds it. The mean over (token, query
+    row) pairs equals the dot product of the adapted token mean with the
+    query-row mean, which is how it is computed here.
     """
-    stack = np.asarray(frames).astype(np.float64)
-    t, h, w, dim = stack.shape
-    out_dim = adapter.output_dim(dim)
+    token_means = np.asarray(token_means, dtype=np.float64)
+    out_dim = adapter.output_dim(token_means.shape[1])
     if out_dim != query.dim:
         raise AdapterShapeError(
             f"adapter produces dim {out_dim} but query embedding has dim {query.dim}"
         )
-    token_means = stack.mean(axis=(1, 2))
     if adapter.kind == "linear":
         token_means = token_means @ adapter.weight.T.astype(np.float64)
         if adapter.bias is not None:
@@ -175,17 +184,16 @@ def frame_query_scores(frames, query: QueryEmbedding, adapter: AdapterSpec) -> n
 
 
 def select_and_pool(
-    frames: np.ndarray,
-    timesteps: np.ndarray,
-    original_indices: np.ndarray,
+    seq: FrameFeatureSequence,
+    kept: np.ndarray,
     query: QueryEmbedding,
     adapter: AdapterSpec,
     l_max: int,
     tokens_low: tuple[int, int],
     min_full_res_frames: int = 0,
 ) -> tuple[MixedResolutionSequence, BudgetPlan]:
-    """Choose which frames keep full resolution, pool the remainder, and
-    return the token table with the budget split.
+    """Choose which of the input frames ``kept`` keep full resolution, pool
+    the remainder, and return the token table with the budget split.
 
     If everything fits at full resolution the frames pass through untouched
     and no scores are computed. Otherwise the budget formula fixes the
@@ -193,8 +201,8 @@ def select_and_pool(
     ``min_full_res_frames`` can force a floor on that count for
     experimentation; the default of 0 applies the formula as-is.
     """
-    frames = np.asarray(frames, dtype=np.float32)
-    t, h_h, w_h = frames.shape[0], frames.shape[1], frames.shape[2]
+    kept = np.asarray(kept, dtype=np.int64)
+    t, h_h, w_h = kept.shape[0], seq.grid_h, seq.grid_w
     h_l, w_l = tokens_low
     l_q = query.n_tokens
 
@@ -209,9 +217,9 @@ def select_and_pool(
         if n_full == 0:
             plan = BudgetPlan(l_max, l_q, 0, [], [])
         else:
-            scores = frame_query_scores(frames, query, adapter)
+            scores = frame_query_scores(seq.means[kept], query, adapter)
             order = np.argsort(-scores, kind="stable")  # ties keep the earlier frame first
             full[order[:n_full]] = True
             full_res = np.flatnonzero(full).tolist()
             plan = BudgetPlan(l_max, l_q, n_full, full_res, [float(s) for s in scores])
-    return token_table(frames, full, timesteps, original_indices, tokens_low), plan
+    return token_table(seq, kept, full, tokens_low), plan

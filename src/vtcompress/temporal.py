@@ -4,6 +4,10 @@ Frames are grouped into non-overlapping windows; within each window a frame
 whose average cosine similarity to the other frames exceeds the threshold is
 dropped. The least-similar frame of every window is always kept, so the
 survivor set can never be empty.
+
+The input is read once: ``FrameFeatureSequence`` takes every frame's float64
+mean token in the pass that checks the tokens are finite, and stage 1 works
+from those means. Survivors are handed on as indices into the input.
 """
 
 from __future__ import annotations
@@ -28,22 +32,29 @@ __all__ = [
 
 @dataclass
 class FrameFeatureSequence:
-    """A video as a (frames, height, width, dim) float32 token array.
+    """A video as a read-only (frames, height, width, dim) float32 token array.
 
     ``timesteps`` holds the absolute second of each frame and must be strictly
-    increasing. Every token must be finite; this is the one place the input
-    is scanned for that. Per-frame summary vectors are computed lazily and
-    cached.
+    increasing. Construction is the one pass over the tokens: it stores each
+    frame's float64 mean token in ``means`` and rejects the input when a mean
+    is not finite. A float64 sum of finite float32 values cannot overflow, so
+    a frame's mean is finite exactly when all of its tokens are. The unit-norm
+    summaries are derived from ``means`` on first use and cached. ``frames``
+    is a read-only view, so the cached means always describe it.
     """
 
     frames: np.ndarray
     timesteps: np.ndarray
-    _summaries: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    _summaries: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float32)
+        self.frames = np.asarray(self.frames, dtype=np.float32).view()
+        self.frames.flags.writeable = False
         self._check_layout()
-        if not np.isfinite(self.frames).all():
+        with np.errstate(invalid="ignore"):  # +inf and -inf in one frame sum to NaN
+            self.means = self.frames.mean(axis=(1, 2), dtype=np.float64)
+        if not np.isfinite(self.means).all():
             raise ValueError("frames contain non-finite values")
 
     def _check_layout(self):
@@ -90,19 +101,20 @@ class FrameFeatureSequence:
     def summaries(self) -> np.ndarray:
         """Unit-norm mean token per frame, shape (n_frames, dim)."""
         if self._summaries is None:
-            means = self.frames.mean(axis=(1, 2), dtype=np.float64)
-            norms = np.linalg.norm(means, axis=1)
+            norms = np.linalg.norm(self.means, axis=1)
             if (norms == 0.0).any():
                 bad = int(np.flatnonzero(norms == 0.0)[0])
                 raise ZeroVectorError(f"frame {bad} has an all-zero mean token")
-            self._summaries = (means / norms[:, None]).astype(np.float32)
+            self._summaries = (self.means / norms[:, None]).astype(np.float32)
         return self._summaries
 
     def subset(self, indices) -> "FrameFeatureSequence":
+        """A copy holding only the given frames. Their means and summaries
+        are taken from this sequence, not recomputed."""
         idx = np.asarray(indices, dtype=np.int64)
-        # Frames taken from a checked sequence are finite: skip that scan.
         sub = copy.copy(self)
-        sub.frames, sub.timesteps = self.frames[idx], self.timesteps[idx]
+        sub.frames, sub.timesteps, sub.means = self.frames[idx], self.timesteps[idx], self.means[idx]
+        sub.frames.flags.writeable = False
         sub._check_layout()
         if self._summaries is not None:
             sub._summaries = self._summaries[idx]
@@ -155,20 +167,28 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
 
     The frame with the minimum average similarity in each window is always
     kept (earliest index on ties), so every window contributes at least one
-    survivor and temporal order is preserved.
+    survivor and temporal order is preserved. The full windows are scored
+    together in one batched product, with the same arithmetic as
+    ``window_average_similarity``, which scores the short last window.
     """
     if not (0.0 < tau_t <= 1.0):
         raise InvalidConfigError(f"tau_t must be in (0, 1], got {tau_t}")
     windows = partition_windows(seq.n_frames, j)
     summaries = seq.summaries()
-    per_frame = np.empty(seq.n_frames, dtype=np.float64)
-    kept: list[int] = []
-    for start, end in windows:
-        sims = window_average_similarity(summaries[start:end])
-        per_frame[start:end] = sims
-        keep = np.flatnonzero(sims <= tau_t)
-        anchor = int(np.argmin(sims))  # argmin ties break toward the earliest index
-        if anchor not in keep:
-            keep = np.append(keep, anchor)
-        kept.extend(int(start + i) for i in sorted(keep))
-    return TemporalReduction(kept, per_frame, windows)
+    n_full = seq.n_frames // j
+    body = n_full * j  # frames in full windows
+    per_frame = np.zeros(seq.n_frames, dtype=np.float64)
+    if n_full and j > 1:  # a single-frame window is trivially non-redundant: 0.0
+        s = summaries[:body].astype(np.float64).reshape(n_full, j, -1)
+        unit = s / np.linalg.norm(s, axis=2)[:, :, None]
+        sims = np.clip(unit @ unit.transpose(0, 2, 1), -1.0, 1.0)
+        per_frame[:body] = ((sims.sum(axis=2) - sims.diagonal(axis1=1, axis2=2)) / (j - 1)).ravel()
+    if body < seq.n_frames:
+        per_frame[body:] = window_average_similarity(summaries[body:])
+    keep = per_frame <= tau_t
+    # argmin ties break toward the earliest index, as in each window alone
+    if n_full:
+        keep[np.arange(n_full) * j + per_frame[:body].reshape(n_full, j).argmin(axis=1)] = True
+    if body < seq.n_frames:
+        keep[body + int(np.argmin(per_frame[body:]))] = True
+    return TemporalReduction(np.flatnonzero(keep).tolist(), per_frame, windows)

@@ -26,5 +26,12 @@ def random_sequence(rng, n_frames, h, w, dim, scale=1.0) -> FrameFeatureSequence
     return FrameFeatureSequence(frames, np.arange(n_frames, dtype=np.float64))
 
 
+def sequence_of(frames, timesteps=None) -> FrameFeatureSequence:
+    """A sequence over a frame stack, timestep = index unless given."""
+    if timesteps is None:
+        timesteps = np.arange(len(frames), dtype=np.float64)
+    return FrameFeatureSequence(frames, timesteps)
+
+
 def random_query(rng, n_tokens, dim) -> QueryEmbedding:
     return QueryEmbedding(rng.standard_normal((n_tokens, dim)).astype(np.float32))

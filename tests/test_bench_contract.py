@@ -23,3 +23,5 @@ def test_traced_needle_run_is_correct_and_byte_identical():
     assert result["correct"] and result["failed"] == 0, record["problems"]
     assert record["digest"] == NEEDLE_SEED1_DIGEST
     assert result["metrics"]["numerics.token_grids"]["value"] == 0
+    # compress hands stage 1's survivors on as indices; no subset is built
+    assert result["metrics"]["temporal.subset.s"]["value"] == 0

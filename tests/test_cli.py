@@ -8,7 +8,7 @@ from vtcompress.cli import main
 from vtcompress.formats import read_compressed, read_features, write_features
 from vtcompress.synthbench import reduction_report
 
-from .conftest import random_sequence
+from .conftest import random_sequence, sequence_of
 
 
 @pytest.fixture
@@ -125,10 +125,10 @@ class TestCompressCommand:
         assert code == 2
 
     def test_all_zero_frame_is_bad_input(self, tmp_path, query_file, capsys):
-        seq = random_sequence(np.random.default_rng(1), 12, 12, 12, 8)
-        seq.frames[5] = 0.0
+        frames = random_sequence(np.random.default_rng(1), 12, 12, 12, 8).frames.copy()
+        frames[5] = 0.0
         path = tmp_path / "black.lvuf"
-        write_features(path, seq)
+        write_features(path, sequence_of(frames))
         code = main([
             "compress", "--input", str(path), "--query", str(query_file),
             "--output", str(tmp_path / "o.lvuc"),
@@ -145,6 +145,16 @@ class TestCompressCommand:
             "--output", str(tmp_path / "o.lvuc"),
         ])
         assert code == 2
+
+    def test_oversized_query_header_exit_code(self, tmp_path, video_file, capsys):
+        bad = tmp_path / "huge.lvuq"
+        bad.write_bytes(struct.pack("<4sIIIB", b"LVUQ", 1, 65535, 65535, 0) + b"\0" * 100)
+        code = main([
+            "compress", "--input", str(video_file), "--query", str(bad),
+            "--output", str(tmp_path / "o.lvuc"),
+        ])
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_missing_input_exit_code(self, tmp_path, query_file):
         code = main([

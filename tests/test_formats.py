@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def sample_compressed(rng, n=9, dim=5):
         levels=rng.integers(0, 2, n).astype(np.uint8),
         vectors=rng.standard_normal((n, dim)).astype(np.float32),
     )
+
+
+def read_small(reader, path):
+    """Call a reader that must reject the file; returns the peak bytes
+    allocated while it ran."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="truncated"):
+            reader(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFeatureFiles:
@@ -142,8 +155,39 @@ class TestQueryFiles:
         with pytest.raises(FileFormatError):
             read_query(path)
 
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        # 117 bytes whose header claims 65535 x 65535 floats (17 GB)
+        path = tmp_path / "huge.lvuq"
+        path.write_bytes(struct.pack("<4sIIIB", b"LVUQ", 1, 65535, 65535, 0) + b"\0" * 100)
+        assert read_small(read_query, path) < 1 << 20
+
+    def test_non_finite_payload(self, rng, tmp_path):
+        path = tmp_path / "q.lvuq"
+        write_query(path, QueryEmbedding(rng.standard_normal((3, 4)).astype(np.float32)))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<f", float("inf"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="non-finite"):
+            read_query(path)
+
 
 class TestCompressedFiles:
+    def test_oversized_record_count_rejected_before_allocating(self, tmp_path):
+        # a header claiming 2**32 - 1 records of dim 4 (124 GB) in a 100-byte file
+        path = tmp_path / "huge.lvuc"
+        path.write_bytes(struct.pack("<4sIII", b"LVUC", 1, 2**32 - 1, 4) + b"\0" * 84)
+        assert read_small(read_compressed, path) < 1 << 20
+
+    def test_oversized_stats_length_rejected_before_allocating(self, rng, tmp_path):
+        path = tmp_path / "c.lvuc"
+        write_compressed(path, sample_compressed(rng), sample_stats())
+        raw = bytearray(path.read_bytes())
+        blob_len = struct.unpack("<I", raw[16 + 9 * 33 : 16 + 9 * 33 + 4])[0]
+        assert len(raw) == 16 + 9 * 33 + 4 + blob_len
+        raw[16 + 9 * 33 : 16 + 9 * 33 + 4] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(raw))
+        assert read_small(read_compressed, path) < 1 << 20
+
     def test_round_trip_bitwise(self, rng, tmp_path):
         seq = sample_compressed(rng)
         stats = sample_stats()

@@ -91,6 +91,26 @@ class TestApplyPositionEncoding:
         offsets = np.stack([2.0 * encoding_vector(t, 6) for t in seq.timesteps])
         np.testing.assert_allclose(twice.vectors, seq.vectors + offsets, atol=1e-5)
 
+    @pytest.mark.parametrize("dim", [2, 3, 7, 64, 65])
+    def test_matches_encoding_vector_per_timestep(self, rng, dim):
+        n = 3000
+        timesteps = np.sort(rng.choice(rng.uniform(-50, 4000, 700), n)).astype(np.float32)
+        timesteps[:5] = [0.0, 1.0, 1.0, 1e-3, 3599.0]
+        seq = CompressedTokenSequence(
+            frame_indices=np.arange(n),
+            timesteps=timesteps,
+            grid_rows=np.zeros(n, dtype=np.int32),
+            grid_cols=np.zeros(n, dtype=np.int32),
+            levels=np.ones(n, dtype=np.uint8),
+            vectors=rng.standard_normal((n, dim)).astype(np.float32),
+        )
+        out = apply_position_encoding(seq, FramePositionConfig(enabled=True, dim=dim, base=997.0))
+        expected = np.stack([
+            (v.astype(np.float64) + encoding_vector(float(t), dim, 997.0)).astype(np.float32)
+            for t, v in zip(seq.timesteps, seq.vectors)
+        ])
+        assert out.vectors.tobytes() == expected.tobytes()
+
     def test_dim_mismatch(self):
         seq = small_sequence(dim=4)
         with pytest.raises(InvalidConfigError):

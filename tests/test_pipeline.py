@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from vtcompress import (
 from vtcompress.query_select import token_table
 from vtcompress.spatial import anchor_mask, build_plan
 
-from .conftest import random_query, random_sequence, sequence_from_vectors
+from .conftest import random_query, random_sequence, sequence_from_vectors, sequence_of
 
 
 def small_config(**kw):
@@ -271,7 +273,7 @@ class TestBudgetLadder:
         assert out.tokens_after == int(keep.sum()) <= budget
         n, h, w, _ = frames.shape
         frame_idx, pos = np.divmod(np.flatnonzero(keep), h * w)
-        table = token_table(frames, np.zeros(n, dtype=bool), np.arange(n, dtype=np.float64), np.arange(n), (h, w))
+        table = token_table(sequence_of(frames), np.arange(n), np.zeros(n, dtype=bool), (h, w))
         got = flatten(table, out.keep)
         assert np.array_equal(got.frame_indices, frame_idx)
         assert np.array_equal(got.grid_rows, pos // w)
@@ -315,7 +317,7 @@ class TestBudgetLadder:
 class TestFlatten:
     def test_single_full_frame_enumeration(self, rng):
         data = rng.standard_normal((12, 12, 3)).astype(np.float32)
-        table = token_table(data[None], np.array([True]), [0.0], [0], (8, 8))
+        table = token_table(sequence_of(data[None]), [0], np.array([True]), (8, 8))
         out = flatten(table, np.ones(144, dtype=bool))
         assert out.total_count == 144
         assert out.grid_rows[0] == 0 and out.grid_cols[0] == 0
@@ -323,34 +325,36 @@ class TestFlatten:
         assert np.array_equal(out.vectors.reshape(12, 12, 3), data)
 
     def test_two_pooled_frames_in_order(self, rng):
-        frames = rng.standard_normal((2, 12, 12, 2)).astype(np.float32)
-        table = token_table(frames, np.array([False, False]), [3.0, 9.0], [3, 9], (8, 8))
+        frames = rng.standard_normal((10, 12, 12, 2)).astype(np.float32)
+        table = token_table(sequence_of(frames), [3, 9], np.array([False, False]), (8, 8))
         out = flatten(table, np.ones(128, dtype=bool))
         assert out.total_count == 128
         assert (out.frame_indices[:64] == 3).all() and (out.frame_indices[64:] == 9).all()
         assert (out.levels == 1).all()
 
     def test_pruned_positions_pass_through(self, rng):
-        frames = rng.standard_normal((1, 8, 8, 4)).astype(np.float32)
-        table = token_table(frames, np.array([False]), [7.0], [7], (8, 8))
+        frames = rng.standard_normal((8, 8, 8, 4)).astype(np.float32)
+        table = token_table(sequence_of(frames), [7], np.array([False]), (8, 8))
         keep = np.zeros(64, dtype=bool)
         keep[[0, 3 * 8 + 5]] = True
         out = flatten(table, keep)
         assert out.total_count == 2
         assert out.grid_rows.tolist() == [0, 3]
         assert out.grid_cols.tolist() == [0, 5]
-        assert np.array_equal(out.vectors, frames[0, [0, 3], [0, 5]])
+        assert np.array_equal(out.vectors, frames[7, [0, 3], [0, 5]])
 
     def test_interleaved_levels_under_a_keep_mask(self, rng):
-        frames = rng.standard_normal((5, 4, 4, 3)).astype(np.float32)
+        frames = rng.standard_normal((14, 4, 4, 3)).astype(np.float32)
+        timesteps = np.arange(14) / 4.0
         full = np.array([True, False, True, False, False])
-        indices, times = [2, 5, 7, 11, 13], [0.5, 1.0, 1.5, 2.0, 2.5]
-        table = token_table(frames, full, times, indices, (2, 2))
+        indices = [2, 5, 7, 11, 13]
+        times = timesteps[indices].tolist()
+        table = token_table(sequence_of(frames, timesteps), indices, full, (2, 2))
         keep = rng.random(table.token_count) < 0.5
         out = flatten(table, keep)
         expected, row = [], 0  # (frame, timestep, row, col, level, vector) in table order
-        for i in range(5):
-            grid = frames[i] if full[i] else adaptive_avg_pool(TokenGrid(frames[i]), 2, 2).data
+        for i, f in enumerate(indices):
+            grid = frames[f] if full[i] else adaptive_avg_pool(TokenGrid(frames[f]), 2, 2).data
             for r in range(grid.shape[0]):
                 for c in range(grid.shape[1]):
                     if keep[row]:
@@ -462,15 +466,16 @@ class TestPipelineInvariants:
     def test_keep_all_wrapper_counts(self, rng):
         # the anchors that subsampling keeps when stage 3 does not prune
         frames = rng.standard_normal((7, 2, 2, 3)).astype(np.float32)
-        table = token_table(frames, np.zeros(7, dtype=bool), np.arange(7.0), np.arange(7), (2, 2))
+        table = token_table(sequence_of(frames), np.arange(7), np.zeros(7, dtype=bool), (2, 2))
         assert table.token_count == 28
         mask = anchor_mask(table.tokens.vectors, table.offsets, 3, AnchorStrategy.FIRST)
         assert np.flatnonzero(mask[::4]).tolist() == [0, 3, 6]
         assert mask.sum() == 3 * 4
 
     def test_mixed_overflow_keeps_high_change_anchors_whole(self, rng):
-        seq = random_sequence(rng, 30, 4, 4, 4)
-        seq.frames[10:14] = seq.frames[10]  # a run of repeats moves the anchor
+        frames = random_sequence(rng, 30, 4, 4, 4).frames.copy()
+        frames[10:14] = frames[10]  # a run of repeats moves the anchor
+        seq = sequence_of(frames)
         query = random_query(rng, 4, 4)
         cfg = small_config(
             l_max=104, min_full_res_frames=6, anchor=AnchorStrategy.HIGH_CHANGE,
@@ -497,3 +502,25 @@ class TestPipelineInvariants:
             kept = int((out.frame_indices == anchor).sum())
             assert kept == grids[anchor].shape[0] * grids[anchor].shape[1]
         assert full & set(anchors)  # a full-resolution frame is among the anchors
+
+    def test_pooled_path_reads_the_input_without_copying_it(self, rng):
+        # Stage 1 keeps 9 of every 16 frames: the odd windows hold 8 distinct
+        # frames, the even ones 8 copies of one. Stage 2 pools every survivor
+        # from the input by index, so compress's own peak stays well under
+        # half the input; a copy of the survivors alone would be 56% of it.
+        frames = rng.standard_normal((512, 12, 12, 64)).astype(np.float32)
+        static = np.arange(512) // 8 % 2 == 0
+        frames[static] = frames[static][::8].repeat(8, axis=0)
+        seq = sequence_of(frames)
+        cfg = CompressionConfig(l_max=4096)
+        query = random_query(rng, 8, 64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, stats = compress(seq, query, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert stats.frames_after_temporal == 288 and stats.n_full_res == 0
+        assert stats.tokens_final + 8 <= 4096
+        assert peak < frames.nbytes / 2, (peak, frames.nbytes)

@@ -15,7 +15,7 @@ from vtcompress import (
 from vtcompress import query_select
 from vtcompress.numerics import pool_batch
 
-from .conftest import random_query
+from .conftest import random_query, random_sequence, sequence_of
 
 
 def scores_oracle(frames, query, adapter):
@@ -76,11 +76,15 @@ class TestNumFullResFrames:
                 assert got == (max(feasible) if feasible else 0)
 
 
+def scores_of(frames, query, adapter):
+    return frame_query_scores(sequence_of(frames).means, query, adapter)
+
+
 class TestFrameQueryScores:
     def test_self_alignment(self):
         q = np.array([1.0, 2.0, 3.0], dtype=np.float32)
         frames = np.broadcast_to(q, (1, 2, 2, 3)).copy()
-        scores = frame_query_scores(frames, QueryEmbedding(q[None, :]), AdapterSpec.identity())
+        scores = scores_of(frames, QueryEmbedding(q[None, :]), AdapterSpec.identity())
         assert scores[0] == pytest.approx(14.0)
 
     def test_orthogonal_scores_zero(self):
@@ -88,25 +92,25 @@ class TestFrameQueryScores:
             np.array([1.0, 0.0], dtype=np.float32), (3, 2, 2, 2)
         ).copy()
         query = QueryEmbedding(np.array([[0.0, 5.0]], dtype=np.float32))
-        assert np.allclose(frame_query_scores(frames, query, AdapterSpec.identity()), 0.0)
+        assert np.allclose(scores_of(frames, query, AdapterSpec.identity()), 0.0)
 
     def test_hand_case(self):
         frames = np.array([[[[1.0, 0.0], [0.0, 1.0]]]], dtype=np.float32)
         query = QueryEmbedding(np.array([[2.0, 2.0]], dtype=np.float32))
-        scores = frame_query_scores(frames, query, AdapterSpec.identity())
+        scores = scores_of(frames, query, AdapterSpec.identity())
         assert scores[0] == pytest.approx(2.0)
 
     def test_matches_exhaustive_oracle(self, rng):
         frames = rng.standard_normal((5, 3, 4, 6)).astype(np.float32)
         query = random_query(rng, 3, 4)
         adapter = AdapterSpec.linear(rng.standard_normal((4, 6)), bias=rng.standard_normal(4))
-        got = frame_query_scores(frames, query, adapter)
+        got = scores_of(frames, query, adapter)
         np.testing.assert_allclose(got, scores_oracle(frames, query, adapter), atol=1e-6)
 
     def test_dim_mismatch(self, rng):
         frames = rng.standard_normal((2, 2, 2, 3)).astype(np.float32)
         with pytest.raises(AdapterShapeError):
-            frame_query_scores(frames, random_query(rng, 2, 5), AdapterSpec.identity())
+            frame_query_scores(sequence_of(frames).means, random_query(rng, 2, 5), AdapterSpec.identity())
 
 
 def frame_levels(mixed) -> list[str]:
@@ -124,8 +128,7 @@ def run_select(rng, t=30, l_max=900, l_q=10, h=4, w=4, low=(2, 2), dim=3, **kw):
     frames = rng.standard_normal((t, h, w, dim)).astype(np.float32)
     query = random_query(rng, l_q, dim)
     mixed, plan = select_and_pool(
-        frames,
-        np.arange(t, dtype=np.float64),
+        sequence_of(frames),
         np.arange(t),
         query,
         kw.pop("adapter", AdapterSpec.identity()),
@@ -160,8 +163,7 @@ class TestSelectAndPool:
         target = query.rows.mean(axis=0)
         frames[17] = np.broadcast_to(5.0 * target, (4, 4, dim))
         mixed, plan = select_and_pool(
-            frames, np.arange(t, dtype=np.float64), np.arange(t),
-            query, AdapterSpec.identity(), 300, (2, 2),
+            sequence_of(frames), np.arange(t), query, AdapterSpec.identity(), 300, (2, 2),
         )
         assert plan.n_full_res == num_full_res_frames(t, 300, 4, 16, 4)
         assert 17 in plan.full_res_indices
@@ -209,9 +211,9 @@ class TestSelectAndPool:
     def test_only_pooled_frames_are_pooled(self, rng, monkeypatch):
         pooled_counts = []
 
-        def counting_pool(stack, out_h, out_w):
-            pooled_counts.append(stack.shape[0])
-            return pool_batch(stack, out_h, out_w)
+        def counting_pool(stack, out_h, out_w, index=None):
+            pooled_counts.append(len(index))
+            return pool_batch(stack, out_h, out_w, index=index)
 
         monkeypatch.setattr(query_select, "pool_batch", counting_pool)
         _, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
@@ -221,18 +223,20 @@ class TestSelectAndPool:
     def test_no_full_frame_pools_the_stack_uncopied(self, rng, monkeypatch):
         stacks = []
 
-        def recording_pool(stack, out_h, out_w):
-            stacks.append(stack)
-            return pool_batch(stack, out_h, out_w)
+        def recording_pool(stack, out_h, out_w, index=None):
+            stacks.append((stack, index))
+            return pool_batch(stack, out_h, out_w, index=index)
 
         monkeypatch.setattr(query_select, "pool_batch", recording_pool)
-        frames = rng.standard_normal((30, 4, 4, 3)).astype(np.float32)
+        seq = random_sequence(rng, 30, 4, 4, 3)
+        kept = np.array([0, 3, 4, 9, 12, 13, 17, 20, 22, 25, 26, 29])
         mixed, plan = select_and_pool(
-            frames, np.arange(30.0), np.arange(30), random_query(rng, 10, 3),
-            AdapterSpec.identity(), 140, (2, 2),
+            seq, kept, random_query(rng, 10, 3), AdapterSpec.identity(), 58, (2, 2),
         )
         assert plan.n_full_res == 0 and len(stacks) == 1
-        assert stacks[0] is frames
+        # the kept frames are read from the input by index, not copied out first
+        assert stacks[0][0] is seq.frames and stacks[0][1].tolist() == kept.tolist()
+        assert mixed.tokens.frame_indices[::4].tolist() == kept.tolist()
 
     def test_min_full_res_floor(self, rng):
         _, _, mixed, plan = run_select(rng, t=30, l_max=140, l_q=10, min_full_res_frames=3)
@@ -245,8 +249,7 @@ class TestSelectAndPool:
         ).copy()
         query = QueryEmbedding(np.array([[1.0, 0.0]], dtype=np.float32))
         mixed, plan = select_and_pool(
-            frames, np.arange(10, dtype=np.float64), np.arange(10),
-            query, AdapterSpec.identity(), 30, (1, 1),
+            sequence_of(frames), np.arange(10), query, AdapterSpec.identity(), 30, (1, 1),
         )
         # all scores tie; capacity picks the earliest frames
         assert plan.full_res_indices == list(range(plan.n_full_res))

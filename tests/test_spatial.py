@@ -13,7 +13,7 @@ from vtcompress.pipeline import flatten
 from vtcompress.query_select import token_table
 from vtcompress.spatial import anchor_mask, build_plan
 
-from .conftest import constant_grid
+from .conftest import constant_grid, sequence_of
 
 
 def prune_oracle(window, anchor_idx, theta):
@@ -154,7 +154,7 @@ class TestPruneWindow:
 
     def test_position_fidelity(self, rng):
         window = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
-        table = token_table(window, np.ones(4, dtype=bool), np.arange(4.0), np.arange(4), (1, 1))
+        table = token_table(sequence_of(window), np.arange(4), np.ones(4, dtype=bool), (1, 1))
         out = flatten(table, prune_window(window, 0, 0.5).ravel())
         assert out.total_count > 9
         for f, r, c, vec in zip(out.frame_indices, out.grid_rows, out.grid_cols, out.vectors):
@@ -227,9 +227,10 @@ class TestSpatialCompress:
     def test_metadata_passthrough(self, rng):
         frames = rng.standard_normal((4, 2, 2, 3)).astype(np.float32)
         result = spatial_compress(frames, 2, 0.8)
-        table = token_table(
-            frames, np.ones(4, dtype=bool), [1.5, 2.5, 3.5, 4.5], [10, 20, 30, 40], (1, 1)
-        )
+        stack = np.zeros((41, 2, 2, 3), dtype=np.float32)
+        stack[[10, 20, 30, 40]] = frames
+        seq = sequence_of(stack, np.arange(41) / 10.0 + 0.5)
+        table = token_table(seq, [10, 20, 30, 40], np.ones(4, dtype=bool), (1, 1))
         out = flatten(table, result.keep)
         kept = result.keep.reshape(4, 4).sum(axis=1)
         assert out.frame_indices.tolist() == np.repeat([10, 20, 30, 40], kept).tolist()

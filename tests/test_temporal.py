@@ -79,7 +79,53 @@ class TestWindowAverageSimilarity:
             )
 
 
+def reduce_oracle(seq, j, tau_t):
+    """Window-by-window reference for ``reduce_frames``: per-frame average
+    similarities and the kept indices."""
+    summaries = seq.summaries()
+    per_frame = np.empty(seq.n_frames, dtype=np.float64)
+    kept = []
+    for start, end in partition_windows(seq.n_frames, j):
+        sims = window_average_similarity(summaries[start:end])
+        per_frame[start:end] = sims
+        keep = set(np.flatnonzero(sims <= tau_t).tolist()) | {int(np.argmin(sims))}
+        kept.extend(start + i for i in sorted(keep))
+    return per_frame, kept
+
+
 class TestReduceFrames:
+    def test_matches_window_loop_oracle(self, rng):
+        cases = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 70))
+            seq = random_sequence(rng, n, 2, 2, 5)
+            for j in sorted({1, max(1, n - 1), n, n + 1, int(rng.integers(2, 10))}):
+                tau = float(rng.uniform(0.05, 1.0))
+                per_frame, kept = reduce_oracle(seq, j, tau)
+                result = reduce_frames(seq, j, tau)
+                assert result.per_frame_avg_sim.tobytes() == per_frame.tobytes()
+                assert result.kept_indices == kept
+                # a similarity exactly at the threshold is kept
+                ties = per_frame[(per_frame > 0.0) & (per_frame <= 1.0)]
+                if ties.size:
+                    tau = float(rng.choice(ties))
+                    per_frame, kept = reduce_oracle(seq, j, tau)
+                    assert reduce_frames(seq, j, tau).kept_indices == kept
+                    assert set(np.flatnonzero(per_frame == tau)) <= set(kept)
+                    cases += 1
+        assert cases > 50
+
+    def test_short_tail_window_matches_oracle(self, rng):
+        # 8 + 8 + 3 frames: two full windows and a 3-frame tail, with repeats
+        # so that some frames drop
+        base = rng.standard_normal((2, 2, 2, 4)).astype(np.float32)
+        frames = base[(rng.random(19) < 0.2).astype(int)] + 0.05 * rng.standard_normal((19, 2, 2, 4)).astype(np.float32)
+        seq = FrameFeatureSequence(frames, np.arange(19.0))
+        per_frame, kept = reduce_oracle(seq, 8, 0.6)
+        result = reduce_frames(seq, 8, 0.6)
+        assert result.per_frame_avg_sim.tobytes() == per_frame.tobytes()
+        assert result.kept_indices == kept and len(kept) < 19
+
     def test_identical_frames_keep_first(self):
         seq = sequence_from_vectors([[1.0, 0.0]] * 8)
         result = reduce_frames(seq, 8, 0.85)
@@ -164,6 +210,33 @@ class TestFrameFeatureSequence:
         frames[5, 1, 0, 2] = -np.inf
         with pytest.raises(ValueError, match="non-finite"):
             FrameFeatureSequence(frames, np.arange(40, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]], ids=["nan", "+inf", "-inf", "+inf-inf"]
+    )
+    def test_fused_check_rejects_each_non_finite_value(self, bad):
+        # +inf and -inf in one frame would sum to NaN, which is still rejected
+        frames = np.ones((6, 3, 3, 4), dtype=np.float32)
+        frames[4, 0, 1, 2] = bad[0]
+        frames[4, 2, 2, 2] = bad[-1]
+        with pytest.raises(ValueError, match="non-finite"):
+            FrameFeatureSequence(frames, np.arange(6, dtype=np.float64))
+
+    def test_fused_check_accepts_the_largest_finite_values(self):
+        frames = np.ones((3, 4, 4, 2), dtype=np.float32)
+        frames[1] = 3.0e38
+        frames[2, :2] = -3.0e38
+        seq = FrameFeatureSequence(frames, np.arange(3, dtype=np.float64))
+        assert np.isfinite(seq.means).all()
+        assert seq.means[1].tolist() == [float(np.float32(3.0e38))] * 2
+        assert seq.means.tobytes() == frames.mean(axis=(1, 2), dtype=np.float64).tobytes()
+
+    def test_frames_are_read_only(self, rng):
+        frames = rng.standard_normal((3, 2, 2, 4)).astype(np.float32)
+        seq = FrameFeatureSequence(frames, np.arange(3, dtype=np.float64))
+        with pytest.raises(ValueError):
+            seq.frames[0] = 0.0  # the cached means would no longer describe it
+        frames[0] = 1.0  # the caller's own array stays writable
 
     def test_subset_does_not_rescan(self, rng, monkeypatch):
         seq = random_sequence(rng, 10, 2, 2, 4)
