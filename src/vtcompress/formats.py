@@ -1,14 +1,24 @@
 """Bit-exact binary containers for feature, query, and compressed-token files.
 
 All integers and floats are little-endian regardless of platform, so a file
-written anywhere parses anywhere. Writes go through a temp file and an
-atomic rename.
+written anywhere parses anywhere. Writes stream their parts, in order, into a
+temp file and then rename it over the target; no part is joined to another
+first.
+
+A feature payload is mapped read-only, not copied: ``read_features`` checks
+the header and the file size, maps exactly the header plus the payload, and
+the sequence it returns views that mapping. The sequence stays valid when its
+file is replaced by a rename (as every writer here does) or unlinked.
+Truncating or rewriting the file in place while the sequence is alive is
+undefined, as it is for ``numpy.load(mmap_mode="r")``: a truncation can end
+the process with SIGBUS.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
@@ -42,12 +52,15 @@ _COMPRESSED_HEADER = struct.Struct("<4sIII")
 _U32 = struct.Struct("<I")
 
 
-def _atomic_write(path, payload: bytes):
+def _atomic_write(path, *parts):
+    """Write the bytes-like parts in order to a temp file beside ``path``,
+    then rename it over ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,6 +77,12 @@ def _check_remaining(fh, n: int, what: str) -> int:
     return available
 
 
+def _f32_bytes(arr) -> memoryview:
+    """The bytes of ``arr`` as little-endian float32, copied only when it is
+    not already a contiguous array of that type."""
+    return memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B")
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
     _check_remaining(fh, n, what)
     data = fh.read(n)
@@ -74,8 +93,8 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def _read_array(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Read the rest of the file, which must be exactly a little-endian
-    float32 array of the given shape, into a new array. The size is checked
-    before the array is allocated."""
+    float32 array of the given shape, into a new array (query payloads).
+    The size is checked before the array is allocated."""
     nbytes = math.prod(shape) * 4
     if _check_remaining(fh, nbytes, what) > nbytes:
         raise FileFormatError(f"trailing bytes after {what}")
@@ -98,11 +117,12 @@ def write_features(path, seq: FrameFeatureSequence):
     """Serialize a frame sequence; timesteps are implicit (1 fps from zero)."""
     t, h, w, d = seq.frames.shape
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, t, h, w, d, DTYPE_F32_LE, b"\0\0\0")
-    payload = seq.frames.astype("<f4").tobytes()
-    _atomic_write(path, header + payload)
+    _atomic_write(path, header, _f32_bytes(seq.frames))
 
 
 def read_features(path) -> FrameFeatureSequence:
+    """A sequence whose ``frames`` view a read-only mapping of the file's
+    payload; see the module docstring for what that asks of the file."""
     with open(path, "rb") as fh:
         magic, version, t, h, w, d, dtype, reserved = _FEATURE_HEADER.unpack(
             _read_exact(fh, _FEATURE_HEADER.size, "feature header")
@@ -112,9 +132,16 @@ def read_features(path) -> FrameFeatureSequence:
             raise FileFormatError("reserved header bytes must be zero")
         if min(t, h, w, d) < 1:
             raise FileFormatError(f"degenerate dimensions t={t} h={h} w={w} d={d}")
-        frames = _read_array(fh, (t, h, w, d), "feature payload")
+        count = t * h * w * d
+        if _check_remaining(fh, count * 4, "feature payload") > count * 4:
+            raise FileFormatError("trailing bytes after feature payload")
+        try:
+            mapped = mmap.mmap(fh.fileno(), fh.tell() + count * 4, access=mmap.ACCESS_READ)
+        except ValueError:  # mmap checks the size again, and it has shrunk
+            raise FileFormatError("file shrank while its feature payload was mapped") from None
+    frames = np.frombuffer(mapped, dtype="<f4", count=count, offset=_FEATURE_HEADER.size)
     try:  # the header fixes the shape and timesteps, so only the finiteness check can fail
-        return FrameFeatureSequence(frames, np.arange(t, dtype=np.float64))
+        return FrameFeatureSequence(frames.reshape(t, h, w, d), np.arange(t, dtype=np.float64))
     except ValueError as exc:
         raise FileFormatError(f"feature payload: {exc}") from None
 
@@ -122,7 +149,7 @@ def read_features(path) -> FrameFeatureSequence:
 def write_query(path, query: QueryEmbedding):
     l_q, d_q = query.rows.shape
     header = _QUERY_HEADER.pack(QUERY_MAGIC, FORMAT_VERSION, l_q, d_q, DTYPE_F32_LE)
-    _atomic_write(path, header + query.rows.astype("<f4").tobytes())
+    _atomic_write(path, header, _f32_bytes(query.rows))
 
 
 def read_query(path) -> QueryEmbedding:
@@ -173,13 +200,13 @@ def write_compressed(path, seq: CompressedTokenSequence, stats: CompressionStats
     records["level"] = seq.levels
     records["vector"] = seq.vectors
     blob = _stats_blob(stats)
-    payload = (
-        _COMPRESSED_HEADER.pack(COMPRESSED_MAGIC, FORMAT_VERSION, n, d)
-        + records.tobytes()
-        + _U32.pack(len(blob))
-        + blob
+    _atomic_write(
+        path,
+        _COMPRESSED_HEADER.pack(COMPRESSED_MAGIC, FORMAT_VERSION, n, d),
+        memoryview(records).cast("B"),
+        _U32.pack(len(blob)),
+        blob,
     )
-    _atomic_write(path, payload)
 
 
 def read_compressed(path) -> tuple[CompressedTokenSequence, CompressionStats]:

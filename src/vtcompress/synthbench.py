@@ -30,6 +30,7 @@ __all__ = [
     "make_aligned_query",
     "insert_needle",
     "run_needle_grid",
+    "needle_study",
     "reduction_report",
     "anchor_ablation",
     "ablation_report",
@@ -249,11 +250,13 @@ def _cell_seed(base: int, count: int, depth: float) -> int:
     return int(mix.generate_state(1, np.uint64)[0] % (2**63))
 
 
-def run_needle_grid(spec: NeedleSpec, cfg: CompressionConfig) -> list[dict]:
-    """Compress one haystack per (frame count, depth) cell and report whether
-    the needle frame survived, at what resolution, and how many of its tokens."""
+def needle_study(spec: NeedleSpec, cfgs: list[CompressionConfig]) -> list[list[dict]]:
+    """One result list per config. Each (frame count, depth) cell's haystack,
+    needle and query are built once and compressed under every config; each
+    result says whether the needle frame survived, at what resolution, and
+    how many of its tokens."""
     spec.validate()
-    results = []
+    per_cfg = [[] for _ in cfgs]
     for count in spec.frame_counts:
         for depth in spec.depths:
             cell = replace(
@@ -266,23 +269,29 @@ def run_needle_grid(spec: NeedleSpec, cfg: CompressionConfig) -> list[dict]:
             needle = make_needle_grid(cell)
             video, index = insert_needle(haystack, needle, depth)
             query = make_aligned_query(needle, spec.query_alignment, spec.query_tokens, cell.seed)
-            compressed, stats = compress(video, query, cfg)
-            mask = compressed.frame_indices == index
-            kept = int(mask.sum())
-            full = bool((compressed.levels[mask] == LEVEL_CODE["full"]).any()) if kept else False
-            results.append(
-                {
-                    "frame_count": count,
-                    "depth": depth,
-                    "needle_index": index,
-                    "needle_full_res": full,
-                    "needle_tokens_kept_fraction": kept / (video.grid_h * video.grid_w),
-                    "any_token_survives": kept > 0,
-                    "n_full_res": stats.n_full_res,
-                    "tokens_final": stats.tokens_final,
-                }
-            )
-    return results
+            for results, cfg in zip(per_cfg, cfgs):
+                compressed, stats = compress(video, query, cfg)
+                mask = compressed.frame_indices == index
+                kept = int(mask.sum())
+                full = bool((compressed.levels[mask] == LEVEL_CODE["full"]).any()) if kept else False
+                results.append(
+                    {
+                        "frame_count": count,
+                        "depth": depth,
+                        "needle_index": index,
+                        "needle_full_res": full,
+                        "needle_tokens_kept_fraction": kept / (video.grid_h * video.grid_w),
+                        "any_token_survives": kept > 0,
+                        "n_full_res": stats.n_full_res,
+                        "tokens_final": stats.tokens_final,
+                    }
+                )
+    return per_cfg
+
+
+def run_needle_grid(spec: NeedleSpec, cfg: CompressionConfig) -> list[dict]:
+    """The needle study under one config."""
+    return needle_study(spec, [cfg])[0]
 
 
 def make_mixed_corpus(

@@ -40,7 +40,9 @@ class FrameFeatureSequence:
     is not finite. A float64 sum of finite float32 values cannot overflow, so
     a frame's mean is finite exactly when all of its tokens are. The unit-norm
     summaries are derived from ``means`` on first use and cached. ``frames``
-    is a read-only view, so the cached means always describe it.
+    is a read-only view, so the cached means always describe it. It may view
+    a read-only mapping of a feature file (``formats.read_features``) rather
+    than memory of its own.
     """
 
     frames: np.ndarray

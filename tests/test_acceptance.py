@@ -33,8 +33,8 @@ from vtcompress import (
     prune_window,
     reduce_frames,
     reduction_report,
-    run_needle_grid,
 )
+from vtcompress.synthbench import needle_study
 
 from .test_spatial import prune_oracle
 
@@ -263,8 +263,9 @@ def test_criterion_6_needle_retention():
             depths=depths,
             frame_counts=counts,
         )
-        with_cells.extend(run_needle_grid(spec, cfg))
-        without_cells.extend(run_needle_grid(spec, cfg_no_query))
+        with_query, without_query = needle_study(spec, [cfg, cfg_no_query])
+        with_cells.extend(with_query)
+        without_cells.extend(without_query)
     eligible = [c for c in with_cells if c["n_full_res"] >= 1]
     full_rate_eligible = (
         sum(c["needle_full_res"] for c in eligible) / len(eligible) if eligible else 1.0

@@ -1,10 +1,19 @@
+import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vtcompress import FileFormatError, QueryEmbedding
+from vtcompress import (
+    CompressionConfig,
+    FileFormatError,
+    QueryEmbedding,
+    SynthSpec,
+    compress,
+    gen_video,
+)
 from vtcompress.formats import (
     read_compressed,
     read_features,
@@ -15,7 +24,11 @@ from vtcompress.formats import (
 )
 from vtcompress.tokens import CompressedTokenSequence, CompressionStats
 
-from .conftest import random_sequence
+from .conftest import random_query, random_sequence, sequence_of
+
+FEATURE_HEADER = struct.Struct("<4sIIIIIB3s")
+# 64 frames of 16 x 16 tokens of dim 256: a 16 MiB payload
+LARGE_SHAPE = (64, 16, 16, 256)
 
 
 def sample_stats():
@@ -48,16 +61,29 @@ def sample_compressed(rng, n=9, dim=5):
     )
 
 
+def traced_peak(fn, *args):
+    """The result of fn(*args) and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def feature_bytes(frames) -> bytes:
+    t, h, w, d = frames.shape
+    return FEATURE_HEADER.pack(b"LVUF", 1, t, h, w, d, 0, b"\0\0\0") + frames.astype("<f4").tobytes()
+
+
 def read_small(reader, path):
     """Call a reader that must reject the file; returns the peak bytes
     allocated while it ran."""
-    tracemalloc.start()
-    try:
+
+    def rejected():
         with pytest.raises(FileFormatError, match="truncated"):
             reader(path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    return traced_peak(rejected)[1]
 
 
 class TestFeatureFiles:
@@ -133,6 +159,76 @@ class TestFeatureFiles:
         path.write_bytes(header + b"\0" * (100 - len(header)))
         with pytest.raises(FileFormatError, match="truncated"):
             read_features(path)
+
+
+class TestFeatureWrites:
+    def test_bytes_equal_header_then_payload(self, rng, tmp_path):
+        seq = random_sequence(rng, 5, 3, 4, 6)
+        path = tmp_path / "video.lvuf"
+        write_features(path, seq)
+        assert path.read_bytes() == feature_bytes(seq.frames)
+
+    def test_non_contiguous_stack_round_trips(self, rng, tmp_path):
+        # every other frame of a Fortran-ordered stack, each frame mirrored
+        view = np.asfortranarray(rng.standard_normal((8, 4, 5, 6)).astype(np.float32))[::2, :, ::-1]
+        seq = sequence_of(view)
+        assert not seq.frames.flags.c_contiguous
+        path = tmp_path / "video.lvuf"
+        write_features(path, seq)
+        assert path.read_bytes() == feature_bytes(view)
+        assert np.array_equal(read_features(path).frames, view)
+
+    def test_payload_is_written_without_a_copy(self, rng, tmp_path):
+        seq = sequence_of(rng.standard_normal(LARGE_SHAPE, dtype=np.float32))
+        assert seq.frames.nbytes >= 16 << 20
+        _, peak = traced_peak(write_features, tmp_path / "video.lvuf", seq)
+        assert peak < 1 << 20
+
+
+class TestMappedFeatures:
+    def test_read_allocates_a_fraction_of_the_payload(self, rng, tmp_path):
+        frames = rng.standard_normal(LARGE_SHAPE, dtype=np.float32)
+        path = tmp_path / "video.lvuf"
+        write_features(path, sequence_of(frames))
+        seq, peak = traced_peak(read_features, path)
+        assert np.array_equal(seq.frames, frames)
+        assert peak < frames.nbytes / 8
+
+    def test_sequence_outlives_replace_and_unlink(self, rng, tmp_path):
+        path = tmp_path / "video.lvuf"
+        write_features(path, gen_video(SynthSpec(n_frames=120, n_scenes=3, dim=16, seed=5)))
+        seq = read_features(path)
+        frames, means = seq.frames.tobytes(), seq.means.tobytes()
+        query = random_query(rng, 4, 16)
+        cfg = CompressionConfig(l_max=2048)
+        write_compressed(tmp_path / "before.lvuc", *compress(seq, query, cfg))
+
+        write_features(path, gen_video(SynthSpec(n_frames=120, n_scenes=3, dim=16, seed=6)))
+        assert seq.frames.tobytes() == frames and seq.means.tobytes() == means
+        path.unlink()
+        assert seq.frames.tobytes() == frames and seq.means.tobytes() == means
+        write_compressed(tmp_path / "after.lvuc", *compress(seq, query, cfg))
+        assert (tmp_path / "after.lvuc").read_bytes() == (tmp_path / "before.lvuc").read_bytes()
+
+    def test_frames_cannot_be_written(self, rng, tmp_path):
+        path = tmp_path / "video.lvuf"
+        write_features(path, random_sequence(rng, 3, 2, 2, 4))
+        before = path.read_bytes()
+        seq = read_features(path)
+        with pytest.raises(ValueError):
+            seq.frames[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            seq.frames.flags.writeable = True
+        assert path.read_bytes() == before
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_dropped_sequences_release_their_descriptors(self, rng, tmp_path):
+        path = tmp_path / "video.lvuf"
+        write_features(path, random_sequence(rng, 3, 2, 2, 4))
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(200):
+            read_features(path)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestQueryFiles:
