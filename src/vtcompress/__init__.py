@@ -20,14 +20,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .framepos import FramePositionConfig, apply_position_encoding, encoding_vector
-from .numerics import (
-    AdapterSpec,
-    TokenGrid,
-    adaptive_avg_pool,
-    apply_adapter,
-    cosine_similarity,
-    frame_summary,
-)
+from .numerics import AdapterSpec
 from .pipeline import CompressionConfig, StageToggles, compress, enforce_budget, flatten
 from .query_select import (
     BudgetPlan,
@@ -57,6 +50,6 @@ from .temporal import (
     reduce_frames,
     window_average_similarity,
 )
-from .tokens import CompressedTokenSequence, CompressionStats, TokenRecord
+from .tokens import CompressedTokenSequence, CompressionStats
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     InvalidConfigError,
     ZeroVectorError,
 )
-from .formats import read_features, read_query, write_compressed, write_features
+from .formats import read_features, read_query, staged_write, write_compressed, write_features
 from .framepos import FramePositionConfig
 from .pipeline import CompressionConfig, StageToggles, compress
 from .spatial import AnchorStrategy
@@ -128,11 +128,11 @@ def cmd_compress(args) -> int:
     query = read_query(args.query)
     cfg = _build_config(args, fpe_dim=video.dim)
     compressed, stats = compress(video, query, cfg)
-    write_compressed(args.output, compressed, stats)
-    if args.stats:
-        Path(args.stats).write_text(
-            json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+    # The stats are staged first and renamed last, so a command that exits
+    # non-zero has replaced neither file.
+    text = json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n"
+    with staged_write(args.stats, text.encode("utf-8")) if args.stats else nullcontext():
+        write_compressed(args.output, compressed, stats)
     return EXIT_OK
 
 

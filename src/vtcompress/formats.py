@@ -22,6 +22,7 @@ import mmap
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,20 +53,31 @@ _COMPRESSED_HEADER = struct.Struct("<4sIII")
 _U32 = struct.Struct("<I")
 
 
-def _atomic_write(path, *parts):
-    """Write the bytes-like parts in order to a temp file beside ``path``,
-    then rename it over ``path``."""
+@contextmanager
+def staged_write(path, *parts):
+    """Write the bytes-like parts in order to a temp file beside ``path``
+    now; rename it over ``path`` when the block exits cleanly, and delete it
+    when the block or the rename raises. A directory at ``path`` is refused
+    before anything is written, so that the rename cannot fail on it."""
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"cannot replace directory {str(path)!r}")
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
                 fh.write(part)
+        yield
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path, *parts):
+    with staged_write(path, *parts):
+        pass
 
 
 def _check_remaining(fh, n: int, what: str) -> int:
@@ -218,24 +230,27 @@ def read_compressed(path) -> tuple[CompressedTokenSequence, CompressionStats]:
         if d < 1:
             raise FileFormatError(f"degenerate vector dim {d}")
         dtype = _record_dtype(d)
-        raw = _read_exact(fh, n * dtype.itemsize, "token records")
+        _check_remaining(fh, n * dtype.itemsize, "token records")
+        records = np.empty(n, dtype=dtype)
+        if fh.readinto(records) != records.nbytes:
+            raise FileFormatError("file shrank while its token records were read")
         (blob_len,) = _U32.unpack(_read_exact(fh, 4, "stats length"))
         blob = _read_exact(fh, blob_len, "stats blob")
         if fh.read(1):
             raise FileFormatError("trailing bytes after stats blob")
-    records = np.frombuffer(raw, dtype=dtype)
     if n and records["level"].max() > 1:
         raise FileFormatError("record has unknown level code")
     try:
         stats = CompressionStats.from_dict(json.loads(blob.decode("utf-8")))
     except (ValueError, KeyError, TypeError) as exc:
         raise FileFormatError(f"stats blob is not valid: {exc}") from exc
+    # The float and level fields stay views of the records; only integers widen.
     seq = CompressedTokenSequence(
-        frame_indices=records["frame_index"].astype(np.int64),
-        timesteps=records["timestep"].astype(np.float32),
-        grid_rows=records["grid_h"].astype(np.int32),
-        grid_cols=records["grid_w"].astype(np.int32),
-        levels=records["level"].copy(),
-        vectors=records["vector"].astype(np.float32).reshape(n, d),
+        frame_indices=records["frame_index"],
+        timesteps=records["timestep"],
+        grid_rows=records["grid_h"],
+        grid_cols=records["grid_w"],
+        levels=records["level"],
+        vectors=records["vector"],
     )
     return seq, stats

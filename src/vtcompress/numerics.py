@@ -15,22 +15,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AdapterShapeError, InvalidPoolingError, ZeroVectorError
+from .errors import AdapterShapeError, InvalidPoolingError
 
-__all__ = [
-    "TokenGrid",
-    "AdapterSpec",
-    "cosine_similarity",
-    "adaptive_avg_pool",
-    "pool_batch",
-    "frame_summary",
-    "apply_adapter",
-]
+__all__ = ["AdapterSpec", "pool_batch"]
 
 # Frames pooled per float64 working block; bounds pooling's working memory.
 POOL_CHUNK_FRAMES = 16
 
 
+# Unused by the package; kept because bench/spans.py patches its __post_init__.
 @dataclass
 class TokenGrid:
     """One frame of visual tokens laid out row-major as (height, width, dim)."""
@@ -47,22 +40,6 @@ class TokenGrid:
             raise ValueError(f"token grid dimensions must be positive, got {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ValueError("token grid contains non-finite entries")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def token_count(self) -> int:
-        return self.height * self.width
 
 
 @dataclass
@@ -117,23 +94,6 @@ class AdapterSpec:
         return cls(kind="linear", weight=weight, bias=bias)
 
 
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two feature vectors, in [-1, 1].
-
-    Raises ZeroVectorError for zero-norm inputs; callers must never treat a
-    degenerate vector as "similarity 0".
-    """
-    a = np.asarray(u, dtype=np.float64).ravel()
-    b = np.asarray(v, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine similarity of a zero-norm vector is undefined")
-    return float(np.clip(a.dot(b) / (na * nb), -1.0, 1.0))
-
-
 def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:
     # Bin p covers input cells [floor(p*size/out), ceil((p+1)*size/out) - 1].
     p = np.arange(out, dtype=np.int64)
@@ -182,33 +142,3 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndar
             rows[:, :, c0[q] : c1[q]].sum(axis=2, out=sums[:, :, q])
         out[lo : lo + POOL_CHUNK_FRAMES] = sums / counts
     return out
-
-
-def adaptive_avg_pool(grid: TokenGrid, out_h: int, out_w: int) -> TokenGrid:
-    """Average-pool a token grid down to (out_h, out_w), preserving dim.
-
-    Each output bin is the mean of the input cells it covers under the
-    floor/ceil bin rule; bins may overlap when sizes do not divide evenly.
-    """
-    return TokenGrid(pool_batch(grid.data[None], out_h, out_w)[0])
-
-
-def frame_summary(grid: TokenGrid) -> np.ndarray:
-    """Mean over all spatial tokens, L2-normalized to unit length."""
-    mean = grid.data.mean(axis=(0, 1), dtype=np.float64)
-    norm = np.linalg.norm(mean)
-    if norm == 0.0:
-        raise ZeroVectorError("frame summary of an all-zero grid is undefined")
-    return (mean / norm).astype(np.float32)
-
-
-def apply_adapter(adapter: AdapterSpec, grid: TokenGrid) -> TokenGrid:
-    """Apply the adapter to every token of a grid; shape (h, w) is preserved."""
-    if adapter.kind == "identity":
-        return grid
-    out_dim = adapter.output_dim(grid.dim)
-    mapped = grid.data.astype(np.float64) @ adapter.weight.T.astype(np.float64)
-    if adapter.bias is not None:
-        mapped += adapter.bias.astype(np.float64)
-    assert mapped.shape == (grid.height, grid.width, out_dim)
-    return TokenGrid(mapped.astype(np.float32))

@@ -65,17 +65,17 @@ class QueryEmbedding:
 class BudgetPlan:
     """How the token budget was split between full and pooled frames.
 
-    ``full_res_indices`` are positions within the kept frames handed to
-    ``select_and_pool`` (not original video indices). ``scores`` is empty
-    whenever scoring was skipped: either everything fit at full resolution
-    or nothing did.
+    ``full_res_indices`` (int64) are positions within the kept frames handed
+    to ``select_and_pool`` (not original video indices). ``scores`` holds the
+    float64 query score of every kept frame, and is empty whenever scoring
+    was skipped: either everything fit at full resolution or nothing did.
     """
 
     l_max: int
     l_q: int
     n_full_res: int
-    full_res_indices: list[int]
-    scores: list[float]
+    full_res_indices: np.ndarray
+    scores: np.ndarray
 
 
 @dataclass
@@ -206,20 +206,18 @@ def select_and_pool(
     h_l, w_l = tokens_low
     l_q = query.n_tokens
 
+    scores = np.empty(0)
     if t * h_h * w_h + l_q <= l_max:
         full = np.ones(t, dtype=bool)
-        plan = BudgetPlan(l_max, l_q, t, list(range(t)), [])
     else:
         n_full = num_full_res_frames(t, l_max, l_q, h_h * w_h, h_l * w_l)
         if min_full_res_frames > 0:
             n_full = min(t, max(n_full, min_full_res_frames))
         full = np.zeros(t, dtype=bool)
-        if n_full == 0:
-            plan = BudgetPlan(l_max, l_q, 0, [], [])
-        else:
+        if n_full > 0:
             scores = frame_query_scores(seq.means[kept], query, adapter)
             order = np.argsort(-scores, kind="stable")  # ties keep the earlier frame first
             full[order[:n_full]] = True
-            full_res = np.flatnonzero(full).tolist()
-            plan = BudgetPlan(l_max, l_q, n_full, full_res, [float(s) for s in scores])
+    full_res = np.flatnonzero(full)
+    plan = BudgetPlan(l_max, l_q, full_res.shape[0], full_res, scores)
     return token_table(seq, kept, full, tokens_low), plan

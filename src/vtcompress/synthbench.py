@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BudgetInfeasibleError, InvalidConfigError, InvalidNeedleError
-from .numerics import TokenGrid
 from .pipeline import CompressionConfig, compress
 from .query_select import QueryEmbedding
 from .spatial import AnchorStrategy
@@ -197,9 +196,10 @@ def _haystack_bases(spec: SynthSpec) -> np.ndarray:
     return _scene_bases(np.random.default_rng(seeds[0]), spec.n_scenes, spec.dim)
 
 
-def make_needle_grid(spec: SynthSpec, grid_shape: tuple[int, int] | None = None) -> TokenGrid:
-    """A needle frame whose single direction is orthogonalized against every
-    scene base of the haystack spec (as far as the dimension allows)."""
+def make_needle_grid(spec: SynthSpec, grid_shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A needle frame, an (h, w, dim) float32 array whose single direction is
+    orthogonalized against every scene base of the haystack spec (as far as
+    the dimension allows)."""
     h, w = grid_shape if grid_shape is not None else spec.grid
     bases = _haystack_bases(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x6E65]))
@@ -210,18 +210,18 @@ def make_needle_grid(spec: SynthSpec, grid_shape: tuple[int, int] | None = None)
     if norm < 1e-9:
         raise InvalidNeedleError("haystack bases span the space; no orthogonal needle exists")
     v /= norm
-    grid = np.broadcast_to(v.astype(np.float32), (h, w, spec.dim)).copy()
-    return TokenGrid(grid)
+    return np.broadcast_to(v.astype(np.float32), (h, w, spec.dim)).copy()
 
 
 def make_aligned_query(
-    needle: TokenGrid, alignment: float, n_tokens: int, seed: int
+    needle: np.ndarray, alignment: float, n_tokens: int, seed: int
 ) -> QueryEmbedding:
-    """Query rows mixing the needle direction with random noise directions."""
-    direction = needle.data.reshape(-1, needle.dim).mean(axis=0).astype(np.float64)
+    """Query rows mixing the needle frame's direction with random noise directions."""
+    dim = needle.shape[-1]
+    direction = needle.reshape(-1, dim).mean(axis=0).astype(np.float64)
     direction /= np.linalg.norm(direction)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x71]))
-    noise = rng.standard_normal((n_tokens, needle.dim))
+    noise = rng.standard_normal((n_tokens, dim))
     noise /= np.linalg.norm(noise, axis=1, keepdims=True)
     rows = alignment * direction[None, :] + (1.0 - alignment) * noise
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -229,18 +229,18 @@ def make_aligned_query(
 
 
 def insert_needle(
-    seq: FrameFeatureSequence, needle: TokenGrid, depth: float
+    seq: FrameFeatureSequence, needle: np.ndarray, depth: float
 ) -> tuple[FrameFeatureSequence, int]:
-    """Insert the needle at round(depth * n_frames); timesteps are renumbered
+    """Insert the needle frame at round(depth * n_frames); timesteps are renumbered
     to consecutive seconds so they stay strictly increasing."""
     if not (0.0 <= depth <= 1.0):
         raise InvalidConfigError(f"depth must be in [0, 1], got {depth}")
-    if needle.data.shape != seq.frames.shape[1:]:
+    if needle.shape != seq.frames.shape[1:]:
         raise InvalidNeedleError(
-            f"needle shape {needle.data.shape} does not match frames {seq.frames.shape[1:]}"
+            f"needle shape {needle.shape} does not match frames {seq.frames.shape[1:]}"
         )
     index = int(round(depth * seq.n_frames))
-    frames = np.insert(seq.frames, index, needle.data, axis=0)
+    frames = np.insert(seq.frames, index, needle, axis=0)
     timesteps = np.arange(seq.n_frames + 1, dtype=np.float64)
     return FrameFeatureSequence(frames, timesteps), index
 

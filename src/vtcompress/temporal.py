@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import EmptyVideoError, InvalidConfigError, ZeroVectorError
-from .numerics import TokenGrid
 
 __all__ = [
     "FrameFeatureSequence",
@@ -74,13 +73,6 @@ class FrameFeatureSequence:
         if self.n_frames > 1 and not (np.diff(self.timesteps) > 0).all():
             raise ValueError("timesteps must be strictly increasing")
 
-    @classmethod
-    def from_grids(cls, grids: Sequence[TokenGrid], timesteps=None) -> "FrameFeatureSequence":
-        arr = np.stack([g.data for g in grids])
-        if timesteps is None:
-            timesteps = np.arange(len(grids), dtype=np.float64)
-        return cls(arr, timesteps)
-
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
@@ -97,9 +89,6 @@ class FrameFeatureSequence:
     def dim(self) -> int:
         return self.frames.shape[3]
 
-    def frame(self, i: int) -> TokenGrid:
-        return TokenGrid(self.frames[i])
-
     def summaries(self) -> np.ndarray:
         """Unit-norm mean token per frame, shape (n_frames, dim)."""
         if self._summaries is None:
@@ -110,6 +99,7 @@ class FrameFeatureSequence:
             self._summaries = (self.means / norms[:, None]).astype(np.float32)
         return self._summaries
 
+    # Unused by the package; kept because bench/spans.py patches it.
     def subset(self, indices) -> "FrameFeatureSequence":
         """A copy holding only the given frames. Their means and summaries
         are taken from this sequence, not recomputed."""
@@ -145,23 +135,27 @@ def partition_windows(n_frames: int, j: int) -> list[tuple[int, int]]:
     return [(s, min(s + j, n_frames)) for s in range(0, n_frames, j)]
 
 
-def window_average_similarity(summaries) -> np.ndarray:
-    """Average cosine similarity of each frame to the others in its window.
+def _window_sims(s: np.ndarray) -> np.ndarray:
+    """Average cosine similarity of each frame to the others in its window,
+    for a (windows, w, dim) float64 stack of equal windows; shape (windows, w).
 
-    A single-frame window returns [0.0]: the frame is trivially non-redundant.
+    A single-frame window scores 0.0: the frame is trivially non-redundant.
     """
-    s = np.asarray(summaries, dtype=np.float64)
-    if s.ndim != 2:
-        s = np.stack([np.asarray(row, dtype=np.float64) for row in summaries])
-    w = s.shape[0]
+    w = s.shape[1]
     if w == 1:
-        return np.zeros(1)
-    norms = np.linalg.norm(s, axis=1)
+        return np.zeros(s.shape[:2])
+    norms = np.linalg.norm(s, axis=2)
     if (norms == 0.0).any():
         raise ZeroVectorError("window contains a zero-norm summary vector")
-    unit = s / norms[:, None]
-    sims = np.clip(unit @ unit.T, -1.0, 1.0)
-    return (sims.sum(axis=1) - sims.diagonal()) / (w - 1)
+    unit = s / norms[:, :, None]
+    sims = np.clip(unit @ unit.transpose(0, 2, 1), -1.0, 1.0)
+    return (sims.sum(axis=2) - sims.diagonal(axis1=1, axis2=2)) / (w - 1)
+
+
+def window_average_similarity(summaries) -> np.ndarray:
+    """Average cosine similarity of each frame to the others in one window
+    of (frames, dim) summaries. A single-frame window returns [0.0]."""
+    return _window_sims(np.asarray(summaries, dtype=np.float64)[None])[0]
 
 
 def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalReduction:
@@ -170,23 +164,19 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
     The frame with the minimum average similarity in each window is always
     kept (earliest index on ties), so every window contributes at least one
     survivor and temporal order is preserved. The full windows are scored
-    together in one batched product, with the same arithmetic as
-    ``window_average_similarity``, which scores the short last window.
+    together in one batched product, and the short last window through the
+    same routine on its own.
     """
     if not (0.0 < tau_t <= 1.0):
         raise InvalidConfigError(f"tau_t must be in (0, 1], got {tau_t}")
     windows = partition_windows(seq.n_frames, j)
-    summaries = seq.summaries()
+    summaries = seq.summaries().astype(np.float64)
     n_full = seq.n_frames // j
     body = n_full * j  # frames in full windows
-    per_frame = np.zeros(seq.n_frames, dtype=np.float64)
-    if n_full and j > 1:  # a single-frame window is trivially non-redundant: 0.0
-        s = summaries[:body].astype(np.float64).reshape(n_full, j, -1)
-        unit = s / np.linalg.norm(s, axis=2)[:, :, None]
-        sims = np.clip(unit @ unit.transpose(0, 2, 1), -1.0, 1.0)
-        per_frame[:body] = ((sims.sum(axis=2) - sims.diagonal(axis1=1, axis2=2)) / (j - 1)).ravel()
+    per_frame = np.empty(seq.n_frames, dtype=np.float64)
+    per_frame[:body] = _window_sims(summaries[:body].reshape(n_full, j, seq.dim)).ravel()
     if body < seq.n_frames:
-        per_frame[body:] = window_average_similarity(summaries[body:])
+        per_frame[body:] = _window_sims(summaries[body:][None])[0]
     keep = per_frame <= tau_t
     # argmin ties break toward the earliest index, as in each window alone
     if n_full:

@@ -3,21 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
-LEVEL_NAMES = ("full", "pooled")
 LEVEL_CODE = {"full": 0, "pooled": 1}
-
-
-class TokenRecord(NamedTuple):
-    frame_index: int
-    timestep: float
-    grid_row: int
-    grid_col: int
-    level: str
-    vector: np.ndarray
 
 
 @dataclass
@@ -56,27 +45,6 @@ class CompressedTokenSequence:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def records(self) -> Iterator[TokenRecord]:
-        for i in range(self.total_count):
-            yield TokenRecord(
-                int(self.frame_indices[i]),
-                float(self.timesteps[i]),
-                int(self.grid_rows[i]),
-                int(self.grid_cols[i]),
-                LEVEL_NAMES[self.levels[i]],
-                self.vectors[i],
-            )
-
-    def equals(self, other: "CompressedTokenSequence") -> bool:
-        return (
-            np.array_equal(self.frame_indices, other.frame_indices)
-            and np.array_equal(self.timesteps, other.timesteps)
-            and np.array_equal(self.grid_rows, other.grid_rows)
-            and np.array_equal(self.grid_cols, other.grid_cols)
-            and np.array_equal(self.levels, other.levels)
-            and np.array_equal(self.vectors, other.vectors)
-        )
 
 
 @dataclass

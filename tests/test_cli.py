@@ -226,6 +226,26 @@ class TestCompressCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_failed_stats_write_replaces_neither_file(self, tmp_path, video_file, query_file):
+        base = ["compress", "--input", str(video_file), "--query", str(query_file),
+                "--context-length", "1024"]
+        out = tmp_path / "out.lvuc"
+        assert main(base + ["--output", str(out), "--stats", str(tmp_path / "nodir" / "s.json")]) == 2
+        assert not out.exists()
+        out.write_bytes(b"previous")
+        (tmp_path / "statsdir").mkdir()
+        assert main(base + ["--output", str(out), "--stats", str(tmp_path / "statsdir")]) == 2
+        assert out.read_bytes() == b"previous"
+        stats = tmp_path / "s.json"
+        assert main(base + ["--output", str(tmp_path / "nodir" / "o.lvuc"), "--stats", str(stats)]) == 2
+        assert not stats.exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
+        # on success both files are written, the stats as indented, sorted JSON
+        assert main(base + ["--output", str(out), "--stats", str(stats)]) == 0
+        _, written = read_compressed(out)
+        expected = json.dumps(written.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert stats.read_bytes() == expected.encode("utf-8")
+
 class TestNeedleCommand:
     def test_two_cell_grid(self, tmp_path):
         report = tmp_path / "needle.csv"

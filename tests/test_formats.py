@@ -18,13 +18,14 @@ from vtcompress.formats import (
     read_compressed,
     read_features,
     read_query,
+    staged_write,
     write_compressed,
     write_features,
     write_query,
 )
 from vtcompress.tokens import CompressedTokenSequence, CompressionStats
 
-from .conftest import random_query, random_sequence, sequence_of
+from .conftest import assert_tokens_equal, random_query, random_sequence, sequence_of
 
 FEATURE_HEADER = struct.Struct("<4sIIIIIB3s")
 # 64 frames of 16 x 16 tokens of dim 256: a 16 MiB payload
@@ -290,8 +291,17 @@ class TestCompressedFiles:
         path = tmp_path / "out.lvuc"
         write_compressed(path, seq, stats)
         back_seq, back_stats = read_compressed(path)
-        assert back_seq.equals(seq)
+        assert_tokens_equal(back_seq, seq)
         assert back_stats == stats
+
+    def test_read_holds_the_records_once(self, rng, tmp_path):
+        # an hour-sized output: 16,360 tokens of dim 64, about 4.2 MB
+        seq = sample_compressed(rng, n=16_360, dim=64)
+        path = tmp_path / "out.lvuc"
+        write_compressed(path, seq, sample_stats())
+        (back_seq, _), peak = traced_peak(read_compressed, path)
+        assert_tokens_equal(back_seq, seq)
+        assert peak < 1.25 * path.stat().st_size
 
     def test_record_layout_size(self, rng, tmp_path):
         seq = sample_compressed(rng, n=4, dim=3)
@@ -353,3 +363,25 @@ class TestAtomicity:
         seq = random_sequence(rng, 2, 2, 2, 2)
         with pytest.raises(FileNotFoundError):
             write_features(tmp_path / "nope" / "a.lvuf", seq)
+
+    def test_staged_write_replaces_only_after_the_block(self, tmp_path):
+        target = tmp_path / "t.bin"
+        target.write_bytes(b"old")
+        with staged_write(target, b"ne", b"w"):
+            assert target.read_bytes() == b"old"
+            assert len(list(tmp_path.glob("*.tmp"))) == 1
+        assert target.read_bytes() == b"new"
+        with pytest.raises(RuntimeError):
+            with staged_write(target, b"newer"):
+                raise RuntimeError("the block failed")
+        assert target.read_bytes() == b"new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
+
+    def test_staged_write_refuses_a_directory_before_the_block(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        ran = []
+        with pytest.raises(IsADirectoryError):
+            with staged_write(tmp_path / "d", b"x"):
+                ran.append(True)
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]

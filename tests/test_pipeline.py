@@ -12,8 +12,6 @@ from vtcompress import (
     InvalidConfigError,
     QueryEmbedding,
     StageToggles,
-    TokenGrid,
-    adaptive_avg_pool,
     compress,
     enforce_budget,
     flatten,
@@ -21,7 +19,14 @@ from vtcompress import (
 from vtcompress.query_select import token_table
 from vtcompress.spatial import anchor_mask, build_plan
 
-from .conftest import random_query, random_sequence, sequence_from_vectors, sequence_of
+from .conftest import (
+    assert_tokens_equal,
+    pool_frame,
+    random_query,
+    random_sequence,
+    sequence_from_vectors,
+    sequence_of,
+)
 
 
 def small_config(**kw):
@@ -354,7 +359,7 @@ class TestFlatten:
         out = flatten(table, keep)
         expected, row = [], 0  # (frame, timestep, row, col, level, vector) in table order
         for i, f in enumerate(indices):
-            grid = frames[f] if full[i] else adaptive_avg_pool(TokenGrid(frames[f]), 2, 2).data
+            grid = frames[f] if full[i] else pool_frame(frames[f], 2, 2)
             for r in range(grid.shape[0]):
                 for c in range(grid.shape[1]):
                     if keep[row]:
@@ -413,7 +418,7 @@ class TestPipelineInvariants:
         q = random_query(rng, 8, 4)
         out1, stats1 = compress(seq, q, small_config(l_max=150))
         out2, stats2 = compress(seq, q, small_config(l_max=150))
-        assert out1.equals(out2)
+        assert_tokens_equal(out1, out2)
         assert stats1 == stats2
 
     def test_provenance_closure(self, rng):
@@ -421,18 +426,16 @@ class TestPipelineInvariants:
         cfg = small_config(l_max=220)
         out, stats = compress(seq, random_query(rng, 8, 4), cfg)
         pooled_cache = {}
-        for rec in out.records():
-            original = seq.frames[rec.frame_index]
-            if rec.level == "full":
-                assert np.array_equal(rec.vector, original[rec.grid_row, rec.grid_col])
+        for f, r, c, level, vector in zip(
+            out.frame_indices, out.grid_rows, out.grid_cols, out.levels, out.vectors
+        ):
+            original = seq.frames[f]
+            if level == 0:  # full
+                assert np.array_equal(vector, original[r, c])
             else:
-                if rec.frame_index not in pooled_cache:
-                    pooled_cache[rec.frame_index] = adaptive_avg_pool(
-                        TokenGrid(original), *cfg.tokens_low
-                    ).data
-                assert np.array_equal(
-                    rec.vector, pooled_cache[rec.frame_index][rec.grid_row, rec.grid_col]
-                )
+                if f not in pooled_cache:
+                    pooled_cache[f] = pool_frame(original, *cfg.tokens_low)
+                assert np.array_equal(vector, pooled_cache[f][r, c])
 
     def test_output_ordering(self, rng):
         seq = random_sequence(rng, 30, 4, 4, 4)
@@ -489,7 +492,7 @@ class TestPipelineInvariants:
         scores = seq.frames.mean(axis=(1, 2), dtype=np.float64) @ query.rows.mean(axis=0, dtype=np.float64)
         full = set(np.argsort(-scores, kind="stable")[:6])
         grids = [
-            seq.frames[i] if i in full else adaptive_avg_pool(TokenGrid(seq.frames[i]), 2, 2).data
+            seq.frames[i] if i in full else pool_frame(seq.frames[i], 2, 2)
             for i in range(30)
         ]
         anchors = []

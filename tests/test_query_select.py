@@ -6,8 +6,6 @@ from vtcompress import (
     AdapterSpec,
     InvalidConfigError,
     QueryEmbedding,
-    TokenGrid,
-    adaptive_avg_pool,
     frame_query_scores,
     num_full_res_frames,
     select_and_pool,
@@ -15,27 +13,7 @@ from vtcompress import (
 from vtcompress import query_select
 from vtcompress.numerics import pool_batch
 
-from .conftest import random_query, random_sequence, sequence_of
-
-
-def scores_oracle(frames, query, adapter):
-    """Exhaustive mean over every (token, query row) dot product."""
-    out = []
-    for f in range(frames.shape[0]):
-        total = 0.0
-        count = 0
-        for h in range(frames.shape[1]):
-            for w in range(frames.shape[2]):
-                token = frames[f, h, w].astype(np.float64)
-                if adapter.kind == "linear":
-                    token = adapter.weight.astype(np.float64) @ token
-                    if adapter.bias is not None:
-                        token = token + adapter.bias
-                for row in query.rows.astype(np.float64):
-                    total += float(token @ row)
-                    count += 1
-        out.append(total / count)
-    return np.array(out)
+from .conftest import pool_frame, random_query, random_sequence, scores_oracle, sequence_of
 
 
 class TestNumFullResFrames:
@@ -143,7 +121,7 @@ class TestSelectAndPool:
     def test_under_budget_passthrough(self, rng):
         frames, _, mixed, plan = run_select(rng, t=10, l_max=8192, l_q=50)
         assert plan.n_full_res == 10
-        assert plan.scores == []
+        assert plan.scores.dtype == np.float64 and plan.scores.size == 0
         assert frame_levels(mixed) == ["full"] * 10
         for i in range(10):
             assert np.array_equal(frame_tokens(mixed, i), frames[i])
@@ -152,7 +130,7 @@ class TestSelectAndPool:
         # 30 frames * 4 low tokens + 10 query tokens leaves no room for full frames
         _, _, mixed, plan = run_select(rng, t=30, l_max=140, l_q=10)
         assert plan.n_full_res == 0
-        assert plan.scores == []
+        assert plan.scores.dtype == np.float64 and plan.scores.size == 0
         assert frame_levels(mixed) == ["pooled"] * 30
         assert mixed.token_count == 30 * 4
 
@@ -169,7 +147,11 @@ class TestSelectAndPool:
         assert 17 in plan.full_res_indices
         oracle = scores_oracle(frames, query, AdapterSpec.identity())
         expected = set(np.argsort(-oracle, kind="stable")[: plan.n_full_res])
-        assert set(plan.full_res_indices) == expected
+        assert plan.full_res_indices.dtype == np.int64
+        assert plan.full_res_indices.tolist() == sorted(expected)
+        assert plan.scores.tobytes() == frame_query_scores(
+            sequence_of(frames).means, query, AdapterSpec.identity()
+        ).tobytes()
 
     def test_token_count_identity(self, rng):
         for _ in range(20):
@@ -197,14 +179,13 @@ class TestSelectAndPool:
         _, _, _, plan2 = run_select(
             rng.__class__(rng.bit_generator.jumped(1)), adapter=AdapterSpec.linear(3.0 * w)
         )
-        assert plan1.full_res_indices == plan2.full_res_indices
+        assert np.array_equal(plan1.full_res_indices, plan2.full_res_indices)
 
     def test_pooled_frames_bitwise_match_pooling(self, rng):
         frames, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
         for i, level in enumerate(frame_levels(mixed)):
             if level == "pooled":
-                expected = adaptive_avg_pool(TokenGrid(frames[i]), 2, 2)
-                assert np.array_equal(frame_tokens(mixed, i), expected.data)
+                assert np.array_equal(frame_tokens(mixed, i), pool_frame(frames[i], 2, 2))
             else:
                 assert np.array_equal(frame_tokens(mixed, i), frames[i])
 
@@ -252,7 +233,7 @@ class TestSelectAndPool:
             sequence_of(frames), np.arange(10), query, AdapterSpec.identity(), 30, (1, 1),
         )
         # all scores tie; capacity picks the earliest frames
-        assert plan.full_res_indices == list(range(plan.n_full_res))
+        assert plan.full_res_indices.tolist() == list(range(plan.n_full_res))
         assert plan.n_full_res > 0
 
 

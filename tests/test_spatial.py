@@ -6,14 +6,13 @@ from vtcompress import (
     InvalidConfigError,
     InvalidWindowError,
     ZeroVectorError,
-    cosine_similarity,
     prune_window,
 )
 from vtcompress.pipeline import flatten
 from vtcompress.query_select import token_table
 from vtcompress.spatial import anchor_mask, build_plan
 
-from .conftest import constant_grid, sequence_of
+from .conftest import constant_grid, cosine, sequence_of
 
 
 def prune_oracle(window, anchor_idx, theta):
@@ -31,7 +30,7 @@ def prune_oracle(window, anchor_idx, theta):
                 b = window[i, r, c]
                 if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
                     positions.append((r, c))  # undefined similarity: keep
-                elif cosine_similarity(a, b) <= theta:
+                elif cosine(a, b) <= theta:
                     positions.append((r, c))
         kept.append(positions)
     return kept
@@ -40,7 +39,7 @@ def prune_oracle(window, anchor_idx, theta):
 def select_anchor(window, strategy) -> int:
     """Anchor index of one window of same-shape frames, through the
     table-wide anchor routine."""
-    window = np.stack([g.data for g in window]) if isinstance(window, list) else window
+    window = np.stack(window)
     n, h, w, d = window.shape
     mask = anchor_mask(window.reshape(-1, d), np.arange(n + 1) * (h * w), n, strategy)
     assert mask.sum() == h * w

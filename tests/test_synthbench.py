@@ -9,9 +9,7 @@ from vtcompress import (
     StageToggles,
     SynthSpec,
     anchor_ablation,
-    cosine_similarity,
     frame_query_scores,
-    frame_summary,
     gen_video,
     insert_needle,
     make_aligned_query,
@@ -22,6 +20,8 @@ from vtcompress import (
 )
 from vtcompress.numerics import AdapterSpec
 from vtcompress.synthbench import _haystack_bases
+
+from .conftest import cosine
 
 
 def small_cfg(**kw):
@@ -51,16 +51,13 @@ class TestGenVideo:
     def test_cross_scene_summaries_nearly_orthogonal(self):
         video = gen_video(SynthSpec(n_frames=40, n_scenes=2, intra_scene_noise=0.01,
                                     drift_scenes_fraction=0.0, seed=5))
-        first = frame_summary(video.frame(0))
-        last = frame_summary(video.frame(39))
-        assert abs(cosine_similarity(first, last)) < 0.05
+        summaries = video.summaries()
+        assert abs(cosine(summaries[0], summaries[39])) < 0.05
 
     def test_within_scene_summaries_similar(self):
         video = gen_video(SynthSpec(n_frames=16, n_scenes=1, drift_scenes_fraction=0.0, seed=5))
-        sims = [
-            cosine_similarity(frame_summary(video.frame(0)), frame_summary(video.frame(i)))
-            for i in range(1, 16)
-        ]
+        summaries = video.summaries()
+        sims = [cosine(summaries[0], summaries[i]) for i in range(1, 16)]
         assert min(sims) > 0.95
 
     def test_token_norms_bounded_away_from_zero(self):
@@ -91,7 +88,7 @@ class TestInsertNeedle:
         needle = make_needle_grid(self.spec())
         out, idx = insert_needle(video, needle, 0.0)
         assert idx == 0
-        assert np.array_equal(out.frames[0], needle.data)
+        assert np.array_equal(out.frames[0], needle)
 
     def test_depth_one_appends(self):
         video = gen_video(self.spec())
@@ -124,7 +121,8 @@ class TestNeedleConstruction:
     def test_needle_orthogonal_to_scene_bases(self):
         spec = SynthSpec(n_frames=64, n_scenes=6, seed=9)
         needle = make_needle_grid(spec)
-        direction = needle.data[0, 0].astype(np.float64)
+        assert needle.shape == (12, 12, spec.dim) and needle.dtype == np.float32
+        direction = needle[0, 0].astype(np.float64)
         for base in _haystack_bases(spec):
             assert abs(direction @ base) < 1e-6
 
@@ -143,8 +141,8 @@ class TestNeedleConstruction:
         spec = SynthSpec(n_frames=24, n_scenes=2, seed=3)
         needle = make_needle_grid(spec)
         query = make_aligned_query(needle, 0.0, 8, spec.seed)
-        direction = needle.data[0, 0].astype(np.float64)
-        sims = [abs(cosine_similarity(row, direction)) for row in query.rows]
+        direction = needle[0, 0].astype(np.float64)
+        sims = [abs(cosine(row, direction)) for row in query.rows]
         assert max(sims) < 0.9
 
 
