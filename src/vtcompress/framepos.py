@@ -61,7 +61,6 @@ def apply_position_encoding(
         raise InvalidConfigError(
             f"position-encoding dim {cfg.dim} does not match token dim {seq.dim}"
         )
-    vectors = seq.vectors.astype(np.float64)
     # Tokens sharing a timestep share one offset; encode each distinct value
     # once, all in one array operation with encoding_vector's arithmetic.
     unique_ts, inverse = np.unique(seq.timesteps, return_inverse=True)
@@ -70,12 +69,14 @@ def apply_position_encoding(
     offsets = np.empty((unique_ts.shape[0], cfg.dim), dtype=np.float64)
     offsets[:, 0::2] = np.sin(angles)
     offsets[:, 1::2] = np.cos(angles)[:, : cfg.dim // 2]
-    vectors += offsets.astype(np.float32).astype(np.float64)[inverse]
+    # One float32 addition has the bits of the float64 sum rounded to
+    # float32: 53 >= 2 * 24 + 2 makes the double rounding innocuous.
+    vectors = seq.vectors + offsets.astype(np.float32)[inverse]
     return CompressedTokenSequence(
         frame_indices=seq.frame_indices.copy(),
         timesteps=seq.timesteps.copy(),
         grid_rows=seq.grid_rows.copy(),
         grid_cols=seq.grid_cols.copy(),
         levels=seq.levels.copy(),
-        vectors=vectors.astype(np.float32),
+        vectors=vectors,
     )

@@ -5,11 +5,18 @@ add per-token Gaussian noise to a fixed textured base grid; dynamic scenes
 overlay a normalized random walk on a contiguous sub-rectangle, modeling a
 moving object over a static background. Everything is deterministic for a
 fixed seed.
+
+Each scene draws from its own random stream, spawned from the video's seed,
+and writes only its own frames. ``gen_video`` therefore generates scenes in
+parallel, one thread per usable CPU, and the bytes it returns do not depend on
+the number of workers or on the order in which the scenes finish.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -148,11 +155,63 @@ def _normalized_walk(rng: np.random.Generator, steps: int, dim: int, step_scale:
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     out[0] = v
+    # One draw gives the same numbers as one draw per step.
+    moves = step_scale * rng.standard_normal((steps - 1, dim))
     for i in range(1, steps):
-        v = v + step_scale * rng.standard_normal(dim)
+        v = v + moves[i - 1]
         v /= np.linalg.norm(v)
         out[i] = v
     return out
+
+
+def _worker_count(n_scenes: int) -> int:
+    """Threads for generating n_scenes: one per usable CPU, at most one per scene."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_scenes))
+
+
+def _scene_into(
+    out: np.ndarray,
+    seed: np.random.SeedSequence,
+    base_dir: np.ndarray,
+    drift_alpha: float | None,
+    noise: float,
+):
+    """Generate one scene from its own stream straight into ``out``, its
+    (length, h, w, dim) float32 slice of the video. ``drift_alpha`` is the
+    adjacent-frame cosine of a dynamic scene, None for a static one."""
+    rng = np.random.default_rng(seed)
+    length, h, w, dim = out.shape
+    texture = rng.standard_normal((h, w, dim)) / np.sqrt(dim)
+    base = base_dir[None, None, :] + TEXTURE_SCALE * texture
+    base /= np.linalg.norm(base, axis=2, keepdims=True)
+    rect = walk = None
+    if drift_alpha is not None:
+        top, left, rh, rw = _active_rect(rng, h, w)
+        rect = (slice(None), slice(top, top + rh), slice(left, left + rw))
+        # Per-step noise scale that yields the drawn adjacent-frame cosine.
+        step = np.sqrt((1.0 / drift_alpha**2 - 1.0) / dim)
+        walk = _normalized_walk(rng, length, dim, step)[:, None, None, :]
+    if noise <= 0:
+        out[...] = base
+        if rect is not None:
+            out[rect] = walk
+        return
+    # noise * z + base has the bits of base + noise * z: one float64 buffer,
+    # no broadcast copy of the base and no temporaries.
+    scene = rng.standard_normal(out.shape)
+    scene *= noise
+    if rect is None:
+        scene += base
+    else:
+        background = np.ones((h, w, 1), dtype=bool)
+        background[rect[1:]] = False
+        np.add(scene, base, out=scene, where=background)
+        scene[rect] += walk
+    out[...] = scene
 
 
 def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
@@ -169,24 +228,25 @@ def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
     alphas = struct_rng.uniform(*ADJACENT_COS_RANGE, size=spec.n_scenes)
 
     frames = np.empty((spec.n_frames, h, w, spec.dim), dtype=np.float32)
-    cursor = 0
-    for s in range(spec.n_scenes):
-        rng = np.random.default_rng(seeds[s + 1])
-        length = int(lengths[s])
-        texture = rng.standard_normal((h, w, spec.dim)) / np.sqrt(spec.dim)
-        base = bases[s][None, None, :] + TEXTURE_SCALE * texture
-        base /= np.linalg.norm(base, axis=2, keepdims=True)
-        scene = np.broadcast_to(base, (length, h, w, spec.dim)).copy()
-        if is_drift[s]:
-            top, left, rh, rw = _active_rect(rng, h, w)
-            # Per-step noise scale that yields the drawn adjacent-frame cosine.
-            step = np.sqrt((1.0 / alphas[s] ** 2 - 1.0) / spec.dim)
-            walk = _normalized_walk(rng, length, spec.dim, step)
-            scene[:, top : top + rh, left : left + rw, :] = walk[:, None, None, :]
-        if spec.intra_scene_noise > 0:
-            scene += spec.intra_scene_noise * rng.standard_normal(scene.shape)
-        frames[cursor : cursor + length] = scene.astype(np.float32)
-        cursor += length
+    ends = np.cumsum(lengths)
+    jobs = [
+        (
+            frames[end - length : end],
+            seeds[s + 1],
+            bases[s],
+            alphas[s] if is_drift[s] else None,
+            spec.intra_scene_noise,
+        )
+        for s, (length, end) in enumerate(zip(lengths.tolist(), ends.tolist()))
+    ]
+    workers = _worker_count(spec.n_scenes)
+    if workers == 1:
+        for job in jobs:
+            _scene_into(*job)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(_scene_into, *job) for job in jobs]:
+                done.result()
     return FrameFeatureSequence(frames, np.arange(spec.n_frames, dtype=np.float64))
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -245,6 +247,27 @@ class TestCompressCommand:
         _, written = read_compressed(out)
         expected = json.dumps(written.to_dict(), sort_keys=True, indent=2) + "\n"
         assert stats.read_bytes() == expected.encode("utf-8")
+
+class TestFileModes:
+    def test_outputs_honour_the_umask(self, tmp_path):
+        from vtcompress import QueryEmbedding
+        from vtcompress.formats import write_query
+
+        names = ["v.lvuf", "q.lvuq", "o.lvuc", "s.json"]
+        video, query, out, stats = (tmp_path / n for n in names)
+        old = os.umask(0o022)
+        try:
+            assert main(["synth", "--frames", "32", "--scenes", "2", "--dim", "8",
+                         "--out", str(video)]) == 0
+            write_query(query, QueryEmbedding(np.ones((4, 8), dtype=np.float32)))
+            assert main(["compress", "--input", str(video), "--query", str(query),
+                         "--output", str(out), "--stats", str(stats),
+                         "--context-length", "1024"]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(names, 0o644)
+
 
 class TestNeedleCommand:
     def test_two_cell_grid(self, tmp_path):

@@ -377,6 +377,20 @@ class TestAtomicity:
         assert target.read_bytes() == b"new"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "t.bin"
+        target.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise PermissionError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            with staged_write(target, b"new"):
+                assert len(list(tmp_path.glob("*.tmp"))) == 1
+        assert target.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
+
     def test_staged_write_refuses_a_directory_before_the_block(self, tmp_path):
         (tmp_path / "d").mkdir()
         ran = []

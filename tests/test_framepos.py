@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcompress import (
     FramePositionConfig,
@@ -109,6 +111,34 @@ class TestApplyPositionEncoding:
             (v.astype(np.float64) + encoding_vector(float(t), dim, 997.0)).astype(np.float32)
             for t, v in zip(seq.timesteps, seq.vectors)
         ])
+        assert out.vectors.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(2, 65),
+        st.integers(0, 2**32 - 1),
+        st.floats(1.5, 1e5),
+    )
+    def test_float32_sum_matches_float64_oracle(self, n, dim, seed, base):
+        # Magnitudes from e^-30 to e^30 on both signs put the offsets anywhere
+        # from far below to far above a token's last bit.
+        rng = np.random.default_rng(seed)
+        magnitudes = np.exp(rng.uniform(-30.0, 30.0, (n, dim)))
+        vectors = (rng.choice([-1.0, 1.0], (n, dim)) * magnitudes).astype(np.float32)
+        timesteps = np.sort(rng.choice(rng.uniform(0.0, 5000.0, 40), n)).astype(np.float32)
+        seq = CompressedTokenSequence(
+            frame_indices=np.arange(n),
+            timesteps=timesteps,
+            grid_rows=np.zeros(n, dtype=np.int32),
+            grid_cols=np.zeros(n, dtype=np.int32),
+            levels=np.ones(n, dtype=np.uint8),
+            vectors=vectors,
+        )
+        out = apply_position_encoding(seq, FramePositionConfig(enabled=True, dim=dim, base=base))
+        offsets = np.stack([encoding_vector(float(t), dim, base) for t in timesteps])
+        expected = (vectors.astype(np.float64) + offsets.astype(np.float64)).astype(np.float32)
+        assert out.vectors.dtype == np.float32
         assert out.vectors.tobytes() == expected.tobytes()
 
     def test_dim_mismatch(self):

@@ -1,3 +1,7 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from vtcompress import (
     reduction_report,
     run_needle_grid,
 )
+from vtcompress import synthbench
 from vtcompress.numerics import AdapterSpec
 from vtcompress.synthbench import _haystack_bases
 
@@ -77,6 +82,79 @@ class TestGenVideo:
             SynthSpec(n_frames=4, n_scenes=1, intra_scene_noise=-1.0).validate()
         with pytest.raises(InvalidConfigError):
             SynthSpec(n_frames=4, n_scenes=1, drift_scenes_fraction=1.5).validate()
+
+
+# SHA-256 of the frames and of the float64 frame means, one spec per
+# generator path; the bytes must not change with the worker count.
+PINNED = {
+    "default": (
+        SynthSpec(n_frames=96, n_scenes=6, seed=3),
+        "426e595fba027c64df0615406ff7d924630dedf8b1a27d883c50eea70a7b1b17",
+        "f79f82f25e8d72fc6083410e1095b7a2386fdc028c65f3d9aa3513b8988173ad",
+    ),
+    "all_drift_noiseless": (
+        SynthSpec(n_frames=48, n_scenes=3, intra_scene_noise=0.0,
+                  drift_scenes_fraction=1.0, seed=5),
+        "1630acfe7dd4b6351301cfe0eed4d49fcfdeb783a83f6d2078907c1cb7429dcd",
+        "40ee50ddfdb2367160d467a20383f78f683c1a867d878a74e73d00a41d6440ff",
+    ),
+    "more_scenes_than_dim": (
+        SynthSpec(n_frames=40, n_scenes=10, dim=4, seed=8),
+        "63dec1d9eaa626014193987c679f536198160c94da3f577be383cb582f650efb",
+        "dc8c3dfa7117a71a41da7a4ec150fff36b5472f7906200f809f240834b85ea0d",
+    ),
+    "one_scene": (
+        SynthSpec(n_frames=20, n_scenes=1, seed=2),
+        "e0f2b2009b08faaf29e8496e9db4b36232872c6d56e3e7597c8fafafbe3b03e6",
+        "e4fce40daabfa730baead69b92df3a6271e9350c3635ed31ea3dd2d8ea2f9c6a",
+    ),
+    "grid_7x9": (
+        SynthSpec(n_frames=30, n_scenes=3, grid=(7, 9), drift_scenes_fraction=0.5, seed=4),
+        "4f965ad8bb9becf34a63c5be17b3c453ad65cd171c5f7b2665bb9e2d5fd212d6",
+        "acb87a5b6132b4934be722e431cdc4c802b1dd7c5d2a118fc2e5ec8ab32244e6",
+    ),
+    "one_frame": (
+        SynthSpec(n_frames=1, n_scenes=1, drift_scenes_fraction=1.0, seed=6),
+        "22796f53090b21e1e222825b5706323f19f6bd430294939c6cdf930cf03603cb",
+        "afbb90e6eae1df04ba973c04e09d0bff6f868033827fcf8378a45188582d2ae6",
+    ),
+}
+
+
+def digests(video):
+    return (
+        hashlib.sha256(video.frames.tobytes()).hexdigest(),
+        hashlib.sha256(video.means.tobytes()).hexdigest(),
+    )
+
+
+class TestGenVideoBytes:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_digests(self, name):
+        spec, frames_sha, means_sha = PINNED[name]
+        assert digests(gen_video(spec)) == (frames_sha, means_sha)
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_serial_path_gives_the_same_bytes(self, name, monkeypatch):
+        spec, frames_sha, means_sha = PINNED[name]
+        monkeypatch.setattr(synthbench, "_worker_count", lambda n_scenes: 1)
+        assert digests(gen_video(spec)) == (frames_sha, means_sha)
+
+    def test_more_workers_than_cpus_give_the_same_bytes(self, monkeypatch):
+        spec, frames_sha, means_sha = PINNED["more_scenes_than_dim"]
+        monkeypatch.setattr(synthbench, "_worker_count", lambda n_scenes: n_scenes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            assert digests(gen_video(spec)) == (frames_sha, means_sha)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(synthbench, "_worker_count", lambda n_scenes: n_scenes)
+        before = threading.active_count()
+        gen_video(PINNED["default"][0])
+        assert threading.active_count() == before
 
 
 class TestInsertNeedle:
