@@ -14,6 +14,7 @@ the number of workers or on the order in which the scenes finish.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -71,8 +72,10 @@ class SynthSpec:
             raise InvalidConfigError(
                 f"n_scenes must be in [1, n_frames], got {self.n_scenes} for {self.n_frames} frames"
             )
-        if self.intra_scene_noise < 0:
-            raise InvalidConfigError(f"noise must be >= 0, got {self.intra_scene_noise}")
+        if not (0.0 <= self.intra_scene_noise < math.inf):
+            raise InvalidConfigError(
+                f"noise must be finite and >= 0, got {self.intra_scene_noise}"
+            )
         if not (0.0 <= self.drift_scenes_fraction <= 1.0):
             raise InvalidConfigError(
                 f"drift fraction must be in [0, 1], got {self.drift_scenes_fraction}"
@@ -195,7 +198,7 @@ def _scene_into(
         # Per-step noise scale that yields the drawn adjacent-frame cosine.
         step = np.sqrt((1.0 / drift_alpha**2 - 1.0) / dim)
         walk = _normalized_walk(rng, length, dim, step)[:, None, None, :]
-    if noise <= 0:
+    if noise == 0:
         out[...] = base
         if rect is not None:
             out[rect] = walk
@@ -239,14 +242,9 @@ def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
         )
         for s, (length, end) in enumerate(zip(lengths.tolist(), ends.tolist()))
     ]
-    workers = _worker_count(spec.n_scenes)
-    if workers == 1:
-        for job in jobs:
-            _scene_into(*job)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(_scene_into, *job) for job in jobs]:
-                done.result()
+    with ThreadPoolExecutor(max_workers=_worker_count(spec.n_scenes)) as pool:
+        for done in [pool.submit(_scene_into, *job) for job in jobs]:
+            done.result()
     return FrameFeatureSequence(frames, np.arange(spec.n_frames, dtype=np.float64))
 
 

@@ -69,6 +69,11 @@ class TestSynthCommand:
             "synth", "--frames", "4", "--scenes", "9", "--out", str(tmp_path / "x.lvuf"),
         ])
         assert code == 3
+        for noise in ["nan", "inf"]:
+            out = tmp_path / f"{noise}.lvuf"
+            assert main(["synth", "--frames", "4", "--scenes", "1", "--noise", noise,
+                         "--out", str(out)]) == 3
+            assert not out.exists()
 
 
 class TestCompressCommand:
@@ -247,6 +252,7 @@ class TestCompressCommand:
         _, written = read_compressed(out)
         expected = json.dumps(written.to_dict(), sort_keys=True, indent=2) + "\n"
         assert stats.read_bytes() == expected.encode("utf-8")
+
 
 class TestFileModes:
     def test_outputs_honour_the_umask(self, tmp_path):

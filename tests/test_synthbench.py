@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import threading
 
@@ -80,6 +81,9 @@ class TestGenVideo:
             SynthSpec(n_frames=4, n_scenes=9).validate()
         with pytest.raises(InvalidConfigError):
             SynthSpec(n_frames=4, n_scenes=1, intra_scene_noise=-1.0).validate()
+        for noise in [math.nan, math.inf]:
+            with pytest.raises(InvalidConfigError, match="finite"):
+                gen_video(SynthSpec(n_frames=4, n_scenes=1, intra_scene_noise=noise))
         with pytest.raises(InvalidConfigError):
             SynthSpec(n_frames=4, n_scenes=1, drift_scenes_fraction=1.5).validate()
 
@@ -135,7 +139,7 @@ class TestGenVideoBytes:
         assert digests(gen_video(spec)) == (frames_sha, means_sha)
 
     @pytest.mark.parametrize("name", PINNED)
-    def test_serial_path_gives_the_same_bytes(self, name, monkeypatch):
+    def test_one_worker_gives_the_same_bytes(self, name, monkeypatch):
         spec, frames_sha, means_sha = PINNED[name]
         monkeypatch.setattr(synthbench, "_worker_count", lambda n_scenes: 1)
         assert digests(gen_video(spec)) == (frames_sha, means_sha)
