@@ -90,7 +90,6 @@ def _build_config(args, fpe_dim: int | None) -> CompressionConfig:
         )
     cfg = CompressionConfig(
         l_max=args.context_length,
-        tokens_high=_parse_grid(args.tokens_high, "--tokens-high"),
         tokens_low=_parse_grid(args.tokens_low, "--tokens-low"),
         j=args.window_j,
         k=args.window_k,
@@ -98,7 +97,6 @@ def _build_config(args, fpe_dim: int | None) -> CompressionConfig:
         tau_t=args.tau_t,
         anchor=AnchorStrategy(_ANCHOR_FLAGS[args.anchor]),
         fpe=FramePositionConfig(enabled=args.fpe == "on", dim=fpe_dim),
-        min_full_res_frames=args.min_full_res_frames,
         stages=StageToggles(
             temporal="temporal" not in disabled,
             query="query" not in disabled,
@@ -111,7 +109,6 @@ def _build_config(args, fpe_dim: int | None) -> CompressionConfig:
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--context-length", type=int, default=8192)
-    p.add_argument("--tokens-high", default="12x12")
     p.add_argument("--tokens-low", default="8x8")
     p.add_argument("--window-j", type=int, default=8)
     p.add_argument("--window-k", type=int, default=8)
@@ -119,7 +116,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--tau-t", type=float, default=0.85)
     p.add_argument("--anchor", default="first")
     p.add_argument("--fpe", default="off")
-    p.add_argument("--min-full-res-frames", type=int, default=0)
     p.add_argument("--disable-stage", action="append", default=[], metavar="STAGE")
 
 
@@ -159,18 +155,17 @@ def _write_csv(path, header: list[str], rows: list[list]):
 
 
 def cmd_needle(args) -> int:
-    counts = _parse_ints(args.frame_counts, "--frame-counts")
-    depths = _parse_floats(args.depths, "--depths")
     spec = NeedleSpec(
+        # Each cell sizes its own haystack from its frame count.
         haystack=SynthSpec(
-            n_frames=max(counts),
-            n_scenes=max(1, max(counts) // 64),
+            n_frames=1,
+            n_scenes=1,
             dim=args.dim,
             grid=_parse_grid(args.grid, "--grid"),
             seed=args.seed,
         ),
-        depths=depths,
-        frame_counts=counts,
+        depths=_parse_floats(args.depths, "--depths"),
+        frame_counts=_parse_ints(args.frame_counts, "--frame-counts"),
         query_alignment=args.alignment,
     )
     cfg = _build_config(args, fpe_dim=args.dim)

@@ -36,7 +36,7 @@ from .spatial import (
     AnchorStrategy,
     PruningPlan,
     SpatialCompressionResult,
-    anchor_mask,
+    anchor_frames,
     build_plan,
 )
 from .temporal import FrameFeatureSequence, reduce_frames
@@ -67,10 +67,15 @@ class StageToggles:
 
 @dataclass
 class CompressionConfig:
-    """All pipeline constants in one place. Defaults fit an 8k context."""
+    """All pipeline constants in one place. Defaults fit an 8k context.
+
+    The full-resolution grid is not a setting: a full frame holds as many
+    tokens as the vision encoder emits, so ``compress`` takes it from the
+    input. ``tokens_low`` is the pooled grid; ``compress`` checks that it
+    fits inside the input's grid and holds fewer tokens.
+    """
 
     l_max: int = 8192
-    tokens_high: tuple[int, int] = (12, 12)
     tokens_low: tuple[int, int] = (8, 8)
     j: int = 8
     k: int = 8
@@ -79,23 +84,11 @@ class CompressionConfig:
     anchor: AnchorStrategy = AnchorStrategy.FIRST
     adapter: AdapterSpec = field(default_factory=AdapterSpec.identity)
     fpe: FramePositionConfig = field(default_factory=FramePositionConfig)
-    min_full_res_frames: int = 0
     stages: StageToggles = field(default_factory=StageToggles)
 
     def validate(self):
-        h_h, w_h = self.tokens_high
-        h_l, w_l = self.tokens_low
-        if min(h_h, w_h, h_l, w_l) < 1:
-            raise InvalidConfigError(f"grid sizes must be positive, got {self.tokens_high} and {self.tokens_low}")
-        if h_h * w_h <= h_l * w_l:
-            raise InvalidConfigError(
-                f"full-resolution grid {self.tokens_high} must hold more tokens "
-                f"than pooled grid {self.tokens_low}"
-            )
-        if h_l > h_h or w_l > w_h:
-            raise InvalidConfigError(
-                f"pooled grid {self.tokens_low} must fit inside the full grid {self.tokens_high}"
-            )
+        if min(self.tokens_low) < 1:
+            raise InvalidConfigError(f"pooled grid must be positive, got {self.tokens_low}")
         if not (0.0 < self.theta < 1.0):
             raise InvalidConfigError(f"theta must be in (0, 1), got {self.theta}")
         if not (0.0 < self.tau_t <= 1.0):
@@ -106,10 +99,6 @@ class CompressionConfig:
             raise InvalidConfigError(f"k must be >= 1, got {self.k}")
         if self.l_max < 1:
             raise InvalidConfigError(f"context length must be positive, got {self.l_max}")
-        if self.min_full_res_frames < 0:
-            raise InvalidConfigError(
-                f"min_full_res_frames must be >= 0, got {self.min_full_res_frames}"
-            )
         self.anchor = AnchorStrategy(self.anchor)
         self.fpe.validate()
 
@@ -197,11 +186,15 @@ def compress(
     budget; its ``stats`` hold the accounting of every stage that ran.
     """
     cfg.validate()
-    h_h, w_h = cfg.tokens_high
-    if (seq.grid_h, seq.grid_w) != (h_h, w_h):
+    h_h, w_h = seq.grid_h, seq.grid_w
+    h_l, w_l = cfg.tokens_low
+    if h_h * w_h <= h_l * w_l:
         raise InvalidConfigError(
-            f"input frames are {seq.grid_h}x{seq.grid_w} but the configured "
-            f"full resolution is {h_h}x{w_h}"
+            f"input grid {h_h}x{w_h} must hold more tokens than pooled grid {cfg.tokens_low}"
+        )
+    if h_l > h_h or w_l > w_h:
+        raise InvalidConfigError(
+            f"pooled grid {cfg.tokens_low} must fit inside the input grid {h_h}x{w_h}"
         )
     l_q = query.n_tokens
     frames_in = seq.n_frames
@@ -249,15 +242,7 @@ def compress(
         table = token_table(seq, kept, np.ones(t_after, dtype=bool), cfg.tokens_low)
         n_full = t_after
     elif cfg.stages.query:
-        table, split = select_and_pool(
-            seq,
-            kept,
-            query,
-            cfg.adapter,
-            cfg.l_max,
-            cfg.tokens_low,
-            cfg.min_full_res_frames,
-        )
+        table, split = select_and_pool(seq, kept, query, cfg.adapter, cfg.l_max, cfg.tokens_low)
         n_full = split.n_full_res
     else:
         table = token_table(seq, kept, np.zeros(t_after, dtype=bool), cfg.tokens_low)
@@ -276,23 +261,24 @@ def compress(
             fallback=False,
         )
 
-    # Stage 3 applies only to the uniformly pooled regime; frames kept at
-    # full resolution by the query stage are never pruned.
-    vectors = table.tokens.vectors
-    if cfg.stages.stc and n_full == 0:
-        plan = build_plan(vectors.reshape(t_after, *cfg.tokens_low, -1), cfg.k, cfg.anchor)
+    # Every frame is pooled here. num_full_res_frames sizes the full frames
+    # to the budget, so a table that holds one always fits and was emitted
+    # above.
+    stack = table.tokens.vectors.reshape(t_after, h_l * w_l, -1)
+    if cfg.stages.stc:
+        plan = build_plan(stack.reshape(t_after, h_l, w_l, -1), cfg.k, cfg.anchor)
         result = plan.apply(cfg.theta)
         tokens_spatial = result.tokens_after
     else:
         plan = None
-        anchor = anchor_mask(vectors, table.offsets, cfg.k, cfg.anchor)
+        anchor = np.repeat(anchor_frames(stack, cfg.k, cfg.anchor), h_l * w_l)
         result = SpatialCompressionResult(keep_all, anchor)
         tokens_spatial = tokens_query
     try:
         result, theta_eff, fallback = enforce_budget(result, cfg, l_q, plan=plan)
     except BudgetInfeasibleError as exc:
         exc.stats = stage_stats(
-            n_full=n_full,
+            n_full=0,
             tokens_query=tokens_query,
             tokens_spatial=tokens_spatial,
             theta_eff=cfg.theta,
@@ -304,7 +290,7 @@ def compress(
     return finish(
         table,
         result.keep,
-        n_full=n_full,
+        n_full=0,
         tokens_query=tokens_query,
         tokens_spatial=tokens_spatial,
         theta_eff=theta_eff,

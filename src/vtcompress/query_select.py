@@ -190,16 +190,16 @@ def select_and_pool(
     adapter: AdapterSpec,
     l_max: int,
     tokens_low: tuple[int, int],
-    min_full_res_frames: int = 0,
 ) -> tuple[MixedResolutionSequence, BudgetPlan]:
     """Choose which of the input frames ``kept`` keep full resolution, pool
     the remainder, and return the token table with the budget split.
 
-    If everything fits at full resolution the frames pass through untouched
-    and no scores are computed. Otherwise the budget formula fixes the
-    full-resolution count; ties in score break toward earlier frames.
-    ``min_full_res_frames`` can force a floor on that count for
-    experimentation; the default of 0 applies the formula as-is.
+    A full frame keeps the input's own grid. If everything fits at full
+    resolution the frames pass through untouched and no scores are
+    computed. Otherwise ``num_full_res_frames`` fixes the full-resolution
+    count, the highest-scoring frames get it (ties toward earlier frames),
+    and a table holding any full frame therefore fits ``l_max`` with the
+    query; only an all-pooled table can exceed it.
     """
     kept = np.asarray(kept, dtype=np.int64)
     t, h_h, w_h = kept.shape[0], seq.grid_h, seq.grid_w
@@ -211,8 +211,6 @@ def select_and_pool(
         full = np.ones(t, dtype=bool)
     else:
         n_full = num_full_res_frames(t, l_max, l_q, h_h * w_h, h_l * w_l)
-        if min_full_res_frames > 0:
-            n_full = min(t, max(n_full, min_full_res_frames))
         full = np.zeros(t, dtype=bool)
         if n_full > 0:
             scores = frame_query_scores(seq.means[kept], query, adapter)

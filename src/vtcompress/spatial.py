@@ -27,7 +27,7 @@ __all__ = [
     "AnchorStrategy",
     "SpatialCompressionResult",
     "PruningPlan",
-    "anchor_mask",
+    "anchor_frames",
     "prune_window",
     "build_plan",
 ]
@@ -67,59 +67,37 @@ def _check_stack(frames) -> np.ndarray:
     return stack
 
 
-def _unit_means(vectors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Unit-norm mean token of each frame, float64; frame i is rows
-    ``offsets[i]:offsets[i + 1]`` of ``vectors``."""
-    sizes = np.diff(offsets)
-    if (sizes == sizes[0]).all():
-        rows = vectors[offsets[0] : offsets[-1]].reshape(sizes.shape[0], sizes[0], -1)
-        means = rows.mean(axis=1, dtype=np.float64)
-    else:
-        means = np.stack(
-            [vectors[a:b].mean(axis=0, dtype=np.float64) for a, b in zip(offsets[:-1], offsets[1:])]
-        )
-    norms = np.linalg.norm(means, axis=1)
-    if (norms == 0.0).any():
-        raise ZeroVectorError("window contains a frame with an all-zero mean token")
-    return means / norms[:, None]
-
-
-def _anchor_index(vectors: np.ndarray, offsets: np.ndarray, strategy: AnchorStrategy) -> int:
-    n = offsets.shape[0] - 1
+def _anchor_index(window: np.ndarray, strategy: AnchorStrategy) -> int:
+    n = window.shape[0]
     if strategy is AnchorStrategy.FIRST or n == 1:
         return 0
     if strategy is AnchorStrategy.MIDDLE:
         return n // 2
-    unit = _unit_means(vectors, offsets)
+    means = window.mean(axis=1, dtype=np.float64)
+    norms = np.linalg.norm(means, axis=1)
+    if (norms == 0.0).any():
+        raise ZeroVectorError("window contains a frame with an all-zero mean token")
+    unit = means / norms[:, None]
     # Change score of frame i is its similarity to frame i-1; the window's
     # first frame has no in-window predecessor and is not a candidate.
     changes = np.clip(np.einsum("id,id->i", unit[1:], unit[:-1]), -1.0, 1.0)
     return 1 + int(np.argmin(changes))
 
 
-def _anchor_frames(
-    vectors: np.ndarray, offsets: np.ndarray, k: int, strategy: AnchorStrategy
-) -> np.ndarray:
-    """One flag per frame of a token table, set on each window's anchor.
+def anchor_frames(stack: np.ndarray, k: int, strategy: AnchorStrategy) -> np.ndarray:
+    """One flag per frame of a (frames, tokens, dim) stack, set on each
+    window's anchor.
 
-    Frame i is rows ``offsets[i]:offsets[i + 1]`` of ``vectors``; windows are
-    k consecutive frames, the last possibly shorter. ``first`` and
-    ``middle`` are positional; ``middle`` is floor(length / 2). ``high_change``
-    picks the frame whose mean-token similarity to its predecessor is
-    minimal, ties toward the earliest frame. Frames may differ in size.
+    Windows are k consecutive frames, the last possibly shorter. ``first``
+    and ``middle`` are positional; ``middle`` is floor(length / 2).
+    ``high_change`` picks the frame whose mean-token similarity to its
+    predecessor is minimal, ties toward the earliest frame.
     """
     strategy = AnchorStrategy(strategy)
-    is_anchor = np.zeros(offsets.shape[0] - 1, dtype=bool)
-    for start, end in partition_windows(is_anchor.shape[0], k):
-        is_anchor[start + _anchor_index(vectors, offsets[start : end + 1], strategy)] = True
+    is_anchor = np.zeros(stack.shape[0], dtype=bool)
+    for start, end in partition_windows(stack.shape[0], k):
+        is_anchor[start + _anchor_index(stack[start:end], strategy)] = True
     return is_anchor
-
-
-def anchor_mask(
-    vectors: np.ndarray, offsets: np.ndarray, k: int, strategy: AnchorStrategy
-) -> np.ndarray:
-    """Mark every token of each window's anchor frame in a token table."""
-    return np.repeat(_anchor_frames(vectors, offsets, k, strategy), np.diff(offsets))
 
 
 def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
@@ -165,7 +143,7 @@ def build_plan(frames, k: int, strategy: AnchorStrategy = AnchorStrategy.FIRST) 
     each window's anchor and compute every token's similarity to it."""
     stack = _check_stack(frames)
     n, h, w, dim = stack.shape
-    is_anchor = _anchor_frames(stack.reshape(-1, dim), np.arange(n + 1) * (h * w), k, strategy)
+    is_anchor = anchor_frames(stack.reshape(n, h * w, dim), k, strategy)
     sims = np.empty((n, h, w))
     for (start, end), a in zip(partition_windows(n, k), np.flatnonzero(is_anchor)):
         sims[start:end] = _anchor_sims(stack[start:end], a - start)

@@ -96,6 +96,11 @@ class NeedleSpec:
 
     def validate(self):
         self.haystack.validate()
+        if not self.depths or not self.frame_counts:
+            raise InvalidConfigError(
+                f"depths and frame counts must be non-empty, "
+                f"got {self.depths} and {self.frame_counts}"
+            )
         if sorted(self.depths) != list(self.depths):
             raise InvalidConfigError("depths must be sorted ascending")
         if any(not (0.0 <= d <= 1.0) for d in self.depths):

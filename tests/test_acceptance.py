@@ -120,7 +120,6 @@ def _fuzz_video(rng):
         stages = StageToggles()
     cfg = CompressionConfig(
         l_max=int(rng.integers(512, 16385)),
-        tokens_high=(hh, wh),
         tokens_low=(hl, wl),
         j=int(rng.integers(1, 13)),
         k=int(rng.integers(1, 13)),
@@ -136,7 +135,7 @@ def _fuzz_video(rng):
 
 def _independent_infeasibility(seq, query, cfg) -> bool:
     """Re-derive from public ops whether anchors alone must exceed the budget."""
-    hh, wh = cfg.tokens_high
+    hh, wh = seq.grid_h, seq.grid_w
     hl, wl = cfg.tokens_low
     l_q = query.n_tokens
     if cfg.stages.temporal:

@@ -103,6 +103,20 @@ class TestCompressCommand:
         assert code == 3
         assert "--theta" in capsys.readouterr().err
 
+    def test_input_grid_too_small_for_tokens_low(self, tmp_path, query_file):
+        video_path = tmp_path / "small.lvuf"
+        assert main([
+            "synth", "--frames", "16", "--scenes", "2", "--dim", "8", "--grid", "6x6",
+            "--out", str(video_path),
+        ]) == 0
+        out = tmp_path / "o.lvuc"
+        code = main([
+            "compress", "--input", str(video_path), "--query", str(query_file),
+            "--output", str(out), "--tokens-low", "8x8",
+        ])
+        assert code == 3
+        assert not out.exists()
+
     def test_all_stages_disabled_raw_flatten(self, tmp_path, query_file):
         video_path = tmp_path / "over.lvuf"
         assert main([
@@ -296,6 +310,21 @@ class TestNeedleCommand:
             "--report", str(tmp_path / "n.csv"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--frame-counts", "--depths"])
+    def test_empty_list_exit_code(self, tmp_path, flag):
+        report = tmp_path / "n.csv"
+        assert main(["needle", flag, "", "--report", str(report)]) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_full_grid_comes_from_the_haystack(self, tmp_path):
+        report = tmp_path / "n.csv"
+        code = main([
+            "needle", "--frame-counts", "200", "--depths", "0.5", "--grid", "8x8",
+            "--tokens-low", "4x4", "--report", str(report),
+        ])
+        assert code == 0
+        assert json.loads(report.with_suffix(".json").read_text())["cells"] == 1
 
 
 class TestReportCommand:

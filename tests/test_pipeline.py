@@ -17,7 +17,7 @@ from vtcompress import (
     flatten,
 )
 from vtcompress.query_select import token_table
-from vtcompress.spatial import anchor_mask, build_plan
+from vtcompress.spatial import anchor_frames, build_plan
 
 from .conftest import (
     assert_tokens_equal,
@@ -30,8 +30,8 @@ from .conftest import (
 
 
 def small_config(**kw):
-    """Config scaled down to 4x4 -> 2x2 grids so tests stay fast."""
-    defaults = dict(l_max=200, tokens_high=(4, 4), tokens_low=(2, 2), j=4, k=4)
+    """Config for 4x4 input grids pooled to 2x2, so tests stay fast."""
+    defaults = dict(l_max=200, tokens_low=(2, 2), j=4, k=4)
     defaults.update(kw)
     return CompressionConfig(**defaults)
 
@@ -50,14 +50,17 @@ class TestConfigValidation:
             dict(j=0),
             dict(k=0),
             dict(l_max=0),
-            dict(tokens_high=(8, 8), tokens_low=(8, 8)),
-            dict(tokens_high=(2, 32), tokens_low=(8, 8)),
-            dict(min_full_res_frames=-1),
+            # the input grid against the default 8x8 pooled grid: it must
+            # hold more tokens, and the pooled grid must fit inside it
+            dict(grid=(8, 8)),
+            dict(grid=(2, 32)),
         ],
     )
-    def test_invalid_values(self, kw):
+    def test_invalid_values(self, rng, kw):
+        kw = dict(kw)
+        seq = random_sequence(rng, 2, *kw.pop("grid", (12, 12)), 4)
         with pytest.raises(InvalidConfigError):
-            CompressionConfig(**kw).validate()
+            compress(seq, random_query(rng, 2, 4), CompressionConfig(**kw))
 
 
 class TestCompressTraces:
@@ -82,6 +85,17 @@ class TestCompressTraces:
         assert out.total_count == 8080
         assert stats.tokens_final + 100 <= 8192
 
+    def test_full_grid_comes_from_the_input(self, rng):
+        # a 16x16 encoder at the defaults: 40 * 256 tokens are over budget,
+        # so (8192 - 8 - 40*64) / 192 = 29 frames stay full
+        seq = random_sequence(rng, 40, 16, 16, 4)
+        cfg = CompressionConfig(stages=StageToggles(temporal=False))
+        out, stats = compress(seq, random_query(rng, 8, 4), cfg)
+        assert stats.n_full_res == 29
+        assert out.total_count == stats.tokens_final == 29 * 256 + 11 * 64
+        full = out.levels == 0
+        assert out.grid_rows[full].max() == out.grid_cols[full].max() == 15
+
     def test_hour_long_redundant_video(self, rng):
         from vtcompress import SynthSpec, gen_video
 
@@ -97,9 +111,10 @@ class TestCompressTraces:
             FrameFeatureSequence(np.zeros((0, 4, 4, 2), dtype=np.float32), np.zeros(0))
 
     def test_wrong_input_resolution(self, rng):
+        # a 6x6 input cannot be pooled to the default 8x8 grid
         seq = random_sequence(rng, 4, 6, 6, 2)
         with pytest.raises(InvalidConfigError):
-            compress(seq, random_query(rng, 2, 2), small_config())
+            compress(seq, random_query(rng, 2, 2), CompressionConfig())
 
 
 class TestStageToggles:
@@ -458,53 +473,13 @@ class TestPipelineInvariants:
                 shifted.vectors[i], plain.vectors[i] + offset, atol=1e-6
             )
 
-    def test_min_full_res_forces_mixed_overflow_path(self, rng):
-        seq = random_sequence(rng, 60, 4, 4, 4)
-        cfg = small_config(l_max=120, min_full_res_frames=8, stages=StageToggles(temporal=False))
-        out, stats = compress(seq, random_query(rng, 4, 4), cfg)
-        assert stats.n_full_res == 8
-        assert stats.tokens_final + 4 <= 120
-        assert stats.fallback_used
-
     def test_keep_all_wrapper_counts(self, rng):
         # the anchors that subsampling keeps when stage 3 does not prune
         frames = rng.standard_normal((7, 2, 2, 3)).astype(np.float32)
         table = token_table(sequence_of(frames), np.arange(7), np.zeros(7, dtype=bool), (2, 2))
         assert table.token_count == 28
-        mask = anchor_mask(table.tokens.vectors, table.offsets, 3, AnchorStrategy.FIRST)
-        assert np.flatnonzero(mask[::4]).tolist() == [0, 3, 6]
-        assert mask.sum() == 3 * 4
-
-    def test_mixed_overflow_keeps_high_change_anchors_whole(self, rng):
-        frames = random_sequence(rng, 30, 4, 4, 4).frames.copy()
-        frames[10:14] = frames[10]  # a run of repeats moves the anchor
-        seq = sequence_of(frames)
-        query = random_query(rng, 4, 4)
-        cfg = small_config(
-            l_max=104, min_full_res_frames=6, anchor=AnchorStrategy.HIGH_CHANGE,
-            stages=StageToggles(temporal=False),
-        )
-        out, stats = compress(seq, query, cfg)
-        assert stats.n_full_res == 6 and stats.fallback_used
-        assert stats.tokens_final == out.total_count == 100  # the budget, exactly
-        # oracle: each frame's mean token at its emitted level, then per window
-        # the frame least similar to its predecessor
-        scores = seq.frames.mean(axis=(1, 2), dtype=np.float64) @ query.rows.mean(axis=0, dtype=np.float64)
-        full = set(np.argsort(-scores, kind="stable")[:6])
-        grids = [
-            seq.frames[i] if i in full else pool_frame(seq.frames[i], 2, 2)
-            for i in range(30)
-        ]
-        anchors = []
-        for start in range(0, 30, cfg.k):
-            means = [grids[i].mean(axis=(0, 1), dtype=np.float64) for i in range(start, min(start + cfg.k, 30))]
-            unit = [m / np.linalg.norm(m) for m in means]
-            changes = [float(np.dot(unit[i], unit[i - 1])) for i in range(1, len(unit))]
-            anchor = start + 1 + int(np.argmin(changes))
-            anchors.append(anchor)
-            kept = int((out.frame_indices == anchor).sum())
-            assert kept == grids[anchor].shape[0] * grids[anchor].shape[1]
-        assert full & set(anchors)  # a full-resolution frame is among the anchors
+        flags = anchor_frames(table.tokens.vectors.reshape(7, 4, 3), 3, AnchorStrategy.FIRST)
+        assert np.flatnonzero(flags).tolist() == [0, 3, 6]
 
     def test_pooled_path_reads_the_input_without_copying_it(self, rng):
         # Stage 1 keeps 9 of every 16 frames: the odd windows hold 8 distinct

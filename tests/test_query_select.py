@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vtcompress import (
     AdapterShapeError,
@@ -219,10 +221,20 @@ class TestSelectAndPool:
         assert stacks[0][0] is seq.frames and stacks[0][1].tolist() == kept.tolist()
         assert mixed.tokens.frame_indices[::4].tolist() == kept.tolist()
 
-    def test_min_full_res_floor(self, rng):
-        _, _, mixed, plan = run_select(rng, t=30, l_max=140, l_q=10, min_full_res_frames=3)
-        assert plan.n_full_res == 3
-        assert frame_levels(mixed).count("full") == 3
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_table_with_a_full_frame_fits_the_budget(self, data):
+        # compress relies on this: it prunes and subsamples only all-pooled tables
+        h, w = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        low = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+        assume(low[0] * low[1] < h * w)
+        t = data.draw(st.integers(1, 60))
+        l_q = data.draw(st.integers(1, 40))
+        l_max = data.draw(st.integers(1, t * h * w + l_q + 50))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        _, _, mixed, plan = run_select(rng, t=t, l_max=l_max, l_q=l_q, h=h, w=w, low=low, dim=2)
+        if plan.n_full_res > 0:
+            assert mixed.token_count + l_q <= l_max
 
     def test_tie_break_earlier_frame(self):
         frames = np.broadcast_to(

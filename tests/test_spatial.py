@@ -10,7 +10,7 @@ from vtcompress import (
 )
 from vtcompress.pipeline import flatten
 from vtcompress.query_select import token_table
-from vtcompress.spatial import anchor_mask, build_plan
+from vtcompress.spatial import anchor_frames, build_plan
 
 from .conftest import constant_grid, cosine, sequence_of
 
@@ -37,20 +37,19 @@ def prune_oracle(window, anchor_idx, theta):
 
 
 def select_anchor(window, strategy) -> int:
-    """Anchor index of one window of same-shape frames, through the
-    table-wide anchor routine."""
+    """Anchor index of one window of frames, through the stack-wide anchor
+    routine."""
     window = np.stack(window)
     n, h, w, d = window.shape
-    mask = anchor_mask(window.reshape(-1, d), np.arange(n + 1) * (h * w), n, strategy)
-    assert mask.sum() == h * w
-    return int(np.flatnonzero(mask)[0]) // (h * w)
+    (anchor,) = np.flatnonzero(anchor_frames(window.reshape(n, h * w, d), n, strategy))
+    return int(anchor)
 
 
 def spatial_compress(frames, k, theta, strategy=AnchorStrategy.FIRST):
     return build_plan(frames, k, strategy).apply(theta)
 
 
-def anchor_frames(result, tokens_per_frame):
+def anchors_of(result, tokens_per_frame):
     return np.flatnonzero(result.anchor[::tokens_per_frame]).tolist()
 
 
@@ -86,17 +85,10 @@ class TestSelectAnchor:
         window = rng.standard_normal((4, 2, 2, 3)).astype(np.float32)
         assert select_anchor(window, "middle") == 2
 
-    def test_frames_of_different_sizes(self):
-        # a 2x2 frame, a 1x1 frame and a 2x2 frame; the cut is at frame 1
-        vectors = np.array(
-            [[1.0, 0.0]] * 4 + [[0.0, 1.0]] + [[0.0, 1.0]] * 4, dtype=np.float32
-        )
-        offsets = np.array([0, 4, 5, 9])
-        mask = anchor_mask(vectors, offsets, 3, AnchorStrategy.HIGH_CHANGE)
-        assert mask.tolist() == [False] * 4 + [True] + [False] * 4
-        vectors[5:] = 0.0
+    def test_high_change_rejects_a_zero_mean_frame(self):
+        window = [constant_grid([1.0, 0.0]), constant_grid([0.0, 1.0]), constant_grid([0.0, 0.0])]
         with pytest.raises(ZeroVectorError):
-            anchor_mask(vectors, offsets, 3, AnchorStrategy.HIGH_CHANGE)
+            select_anchor(window, AnchorStrategy.HIGH_CHANGE)
 
 
 class TestPruneWindow:
@@ -180,7 +172,7 @@ class TestSpatialCompress:
     def test_sixteen_frames_two_windows(self, rng):
         frames = rng.standard_normal((16, 2, 2, 3)).astype(np.float32)
         result = spatial_compress(frames, 8, 0.8)
-        assert anchor_frames(result, 4) == [0, 8]
+        assert anchors_of(result, 4) == [0, 8]
 
     def test_single_frame_untouched(self, rng):
         frames = rng.standard_normal((1, 2, 2, 3)).astype(np.float32)
@@ -220,7 +212,7 @@ class TestSpatialCompress:
             window = frames[start : start + 5]
             anchor = select_anchor(window, AnchorStrategy.MIDDLE)
             assert np.array_equal(keep[start : start + 5], prune_window(window, anchor, 0.8))
-            assert anchor_frames(result, 6)[start // 5] == start + anchor
+            assert anchors_of(result, 6)[start // 5] == start + anchor
         assert not result.keep.all()
 
     def test_metadata_passthrough(self, rng):

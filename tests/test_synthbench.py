@@ -285,6 +285,10 @@ class TestNeedleGrid:
         with pytest.raises(InvalidConfigError):
             NeedleSpec(haystack=base, frame_counts=[0]).validate()
         with pytest.raises(InvalidConfigError):
+            NeedleSpec(haystack=base, frame_counts=[]).validate()
+        with pytest.raises(InvalidConfigError):
+            NeedleSpec(haystack=base, depths=[]).validate()
+        with pytest.raises(InvalidConfigError):
             NeedleSpec(haystack=base, query_alignment=1.5).validate()
 
 
@@ -344,7 +348,7 @@ class TestReductionReport:
         ]
         # 8 query tokens leave 40: the 16-frame video's 4 anchors x 4 pooled
         # tokens fit, the 64-frame video's 16 anchors do not
-        cfg = small_cfg(l_max=48, tokens_high=(4, 4), tokens_low=(2, 2), k=4,
+        cfg = small_cfg(l_max=48, tokens_low=(2, 2), k=4,
                         stages=StageToggles(temporal=False))
         per_video, agg = reduction_report(corpus, cfg)
         assert len(per_video) == 2
