@@ -120,6 +120,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def cmd_compress(args) -> int:
+    if args.stats and Path(args.stats).resolve() == Path(args.output).resolve():
+        raise InvalidConfigError(f"--stats and --output name the same file: {args.output}")
     video = read_features(args.input)
     query = read_query(args.query)
     cfg = _build_config(args, fpe_dim=video.dim)

@@ -17,6 +17,9 @@ from .tokens import CompressedTokenSequence
 
 __all__ = ["FramePositionConfig", "encoding_vector", "apply_position_encoding"]
 
+# Rows encoded per step of add_position_encoding; bounds its temporaries.
+ENCODE_CHUNK_ROWS = 1024
+
 
 @dataclass
 class FramePositionConfig:
@@ -52,11 +55,31 @@ def apply_position_encoding(
 ) -> CompressedTokenSequence:
     """Add the frame's timestep encoding to every one of its tokens.
 
-    With the encoding disabled the input sequence is returned unchanged.
+    Returns a new sequence and leaves ``seq`` unchanged. With the encoding
+    disabled the input sequence is returned unchanged.
     """
     cfg.validate()
     if not cfg.enabled:
         return seq
+    out = CompressedTokenSequence(
+        frame_indices=seq.frame_indices.copy(),
+        timesteps=seq.timesteps.copy(),
+        grid_rows=seq.grid_rows.copy(),
+        grid_cols=seq.grid_cols.copy(),
+        levels=seq.levels.copy(),
+        vectors=seq.vectors.copy(),
+    )
+    add_position_encoding(out, cfg)
+    return out
+
+
+def add_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConfig):
+    """``apply_position_encoding`` in place: the offsets are added straight
+    into ``seq.vectors``, ``ENCODE_CHUNK_ROWS`` rows at a time, so no array
+    the size of the sequence is built. Does nothing when disabled."""
+    cfg.validate()
+    if not cfg.enabled:
+        return
     if cfg.dim != seq.dim:
         raise InvalidConfigError(
             f"position-encoding dim {cfg.dim} does not match token dim {seq.dim}"
@@ -69,14 +92,9 @@ def apply_position_encoding(
     offsets = np.empty((unique_ts.shape[0], cfg.dim), dtype=np.float64)
     offsets[:, 0::2] = np.sin(angles)
     offsets[:, 1::2] = np.cos(angles)[:, : cfg.dim // 2]
+    offsets = offsets.astype(np.float32)
     # One float32 addition has the bits of the float64 sum rounded to
     # float32: 53 >= 2 * 24 + 2 makes the double rounding innocuous.
-    vectors = seq.vectors + offsets.astype(np.float32)[inverse]
-    return CompressedTokenSequence(
-        frame_indices=seq.frame_indices.copy(),
-        timesteps=seq.timesteps.copy(),
-        grid_rows=seq.grid_rows.copy(),
-        grid_cols=seq.grid_cols.copy(),
-        levels=seq.levels.copy(),
-        vectors=vectors,
-    )
+    vectors = seq.vectors
+    for lo in range(0, vectors.shape[0], ENCODE_CHUNK_ROWS):
+        vectors[lo : lo + ENCODE_CHUNK_ROWS] += offsets[inverse[lo : lo + ENCODE_CHUNK_ROWS]]

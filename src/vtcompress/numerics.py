@@ -3,9 +3,9 @@
 All kernels accept float32 data and accumulate in float64; results are cast
 back to float32 so repeated runs produce identical bytes. Pooling sums each
 bin separably (rows, then columns) in float64 straight off the float32
-input, a fixed-size chunk of frames at a time; float32 values of similar
-magnitude add exactly in float64, so the bin sums do not depend on the order
-of addition.
+input, a fixed-size chunk at a time. ``pool_batch`` pools whole frames and
+``pool_tokens`` single pooled tokens; both add a bin's values in the same
+order, so a token pooled alone has the bits it has in its pooled frame.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ import numpy as np
 
 from .errors import AdapterShapeError, InvalidPoolingError
 
-__all__ = ["AdapterSpec", "pool_batch"]
+__all__ = ["AdapterSpec", "pool_batch", "pool_tokens"]
 
 # Frames pooled per float64 working block; bounds pooling's working memory.
 POOL_CHUNK_FRAMES = 16
+# Tokens pooled per working block of pool_tokens, for the same reason.
+POOL_CHUNK_TOKENS = 512
 
 
 # Unused by the package; kept because bench/spans.py patches its __post_init__.
@@ -102,26 +104,51 @@ def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:
     return start, end
 
 
+def _check_pool(h: int, w: int, out_h: int, out_w: int):
+    if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
+        raise InvalidPoolingError(f"cannot pool a {h}x{w} grid to {out_h}x{out_w}")
+
+
+def _add_in_order(terms, out: np.ndarray):
+    """``out`` = terms[0] + terms[1] + ..., added left to right in float64."""
+    if len(terms) == 1:
+        out[...] = terms[0]
+        return
+    np.add(terms[0], terms[1], out=out, dtype=np.float64)
+    for term in terms[2:]:
+        np.add(out, term, out=out)
+
+
+def _mean_to_float32(sums: np.ndarray, counts: np.ndarray, out: np.ndarray):
+    """Divide float64 bin sums by their cell counts, rounding into float32 ``out``.
+
+    Adding 0.0 turns a -0.0 mean into +0.0 and leaves every other value
+    alone, so the result is that of sums started from +0.0: those never end
+    at -0.0, and otherwise only the sign of a zero can depend on the start.
+    """
+    np.divide(sums, counts, out=out, casting="same_kind")
+    out += 0.0
+
+
 def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndarray:
     """Adaptive average pooling over a (frames, h, w, dim) float32 stack, or
     over the frames ``stack[index]`` when an index array is given.
 
     Each bin is summed separably: first the rows of its row bin, then the
-    columns of its column bin, accumulating in float64 straight off the
-    float32 input, and divided by its integer cell count. A float64 sum of
-    float32 values is exact whenever the bin's nonzero values lie within a
-    factor of about 2**20 of each other, so the sum does not depend on the
-    order of addition and every mean stays inside the [min, max] of the
-    cells it covers. Frames are pooled independently, in chunks of
-    ``POOL_CHUNK_FRAMES``, so the stack is never copied whole to float64,
-    and pooling a batch is bitwise-identical to pooling each frame alone.
-    With an index, each chunk's frames are gathered from the stack by
-    index, so the selected frames are never copied out as one stack.
+    columns of its column bin, adding one cell at a time in float64 straight
+    off the float32 input, and divided by its integer cell count. A float64
+    sum of float32 values is exact whenever the bin's nonzero values lie
+    within a factor of about 2**20 of each other, and every mean stays
+    inside the [min, max] of the cells it covers. Frames are pooled
+    independently, in chunks of ``POOL_CHUNK_FRAMES``, so the stack is never
+    copied whole to float64, and pooling a batch is bitwise-identical to
+    pooling each frame alone. With an index, each chunk's frames are
+    gathered from the stack by index, so the selected frames are never
+    copied out as one stack.
     """
     _, h, w, dim = stack.shape
     n = stack.shape[0] if index is None else len(index)
-    if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
-        raise InvalidPoolingError(f"cannot pool a {h}x{w} grid to {out_h}x{out_w}")
+    _check_pool(h, w, out_h, out_w)
     if out_h == h and out_w == w:
         return stack.copy() if index is None else stack[index]
 
@@ -129,16 +156,66 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndar
     c0, c1 = _pool_edges(w, out_w)
     counts = ((r1 - r0)[:, None] * (c1 - c0)[None, :])[:, :, None]
     out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
+    # One pair of float64 buffers serves every chunk, and each gathered
+    # chunk is let go before the next is gathered.
+    m = min(n, POOL_CHUNK_FRAMES)
+    rows_buf, sums_buf = np.empty((m, out_h, w, dim)), np.empty((m, out_h, out_w, dim))
     for lo in range(0, n, POOL_CHUNK_FRAMES):
         if index is None:
             chunk = stack[lo : lo + POOL_CHUNK_FRAMES]
         else:
             chunk = stack[index[lo : lo + POOL_CHUNK_FRAMES]]
-        rows = np.empty((chunk.shape[0], out_h, w, dim), dtype=np.float64)
+        rows, sums = rows_buf[: chunk.shape[0]], sums_buf[: chunk.shape[0]]
         for p in range(out_h):
-            chunk[:, r0[p] : r1[p]].sum(axis=1, dtype=np.float64, out=rows[:, p])
-        sums = np.empty((chunk.shape[0], out_h, out_w, dim), dtype=np.float64)
+            _add_in_order([chunk[:, r] for r in range(r0[p], r1[p])], rows[:, p])
+        del chunk
         for q in range(out_w):
-            rows[:, :, c0[q] : c1[q]].sum(axis=2, out=sums[:, :, q])
-        out[lo : lo + POOL_CHUNK_FRAMES] = sums / counts
+            _add_in_order([rows[:, :, c] for c in range(c0[q], c1[q])], sums[:, :, q])
+        _mean_to_float32(sums, counts, out[lo : lo + POOL_CHUNK_FRAMES])
+    return out
+
+
+def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, frames, rows, cols) -> np.ndarray:
+    """Pooled tokens ``pool_batch(stack, out_h, out_w)[frames, rows, cols]``,
+    bit for bit, as an (n, dim) float32 array, without pooling whole frames.
+
+    Each token's bin cells are gathered at once and added as ``pool_batch``
+    adds them: down each column of the bin, then across the column sums.
+    Bins of one grid can differ in size by a cell; a token's cells beyond
+    its bin are set to zero, which changes at most the sign of a zero sum,
+    and that sign is settled as in ``pool_batch``. Tokens are pooled
+    ``POOL_CHUNK_TOKENS`` at a time, which bounds the working memory.
+    """
+    _, h, w, dim = stack.shape
+    _check_pool(h, w, out_h, out_w)
+    frames, rows, cols = (np.asarray(a, dtype=np.int64) for a in (frames, rows, cols))
+    if out_h == h and out_w == w:
+        return stack[frames, rows, cols]
+
+    r0, r1 = _pool_edges(h, out_h)
+    c0, c1 = _pool_edges(w, out_w)
+    bin_h, bin_w = int((r1 - r0).max()), int((c1 - c0).max())
+    uneven = (r1 - r0).min() < bin_h or (c1 - c0).min() < bin_w
+    cell_r = np.repeat(np.arange(bin_h), bin_w)[:, None]
+    cell_c = np.tile(np.arange(bin_w), bin_h)[:, None]
+    n = frames.shape[0]
+    out = np.empty((n, dim), dtype=np.float32)
+    step = POOL_CHUNK_TOKENS
+    for lo in range(0, n, step):
+        p, q = rows[lo : lo + step], cols[lo : lo + step]
+        r = r0[p] + cell_r  # (cells per bin, tokens)
+        c = c0[q] + cell_c
+        if uneven:
+            outside = (r >= r1[p]) | (c >= c1[q])
+            np.minimum(r, h - 1, out=r)
+            np.minimum(c, w - 1, out=c)
+        vals = stack[frames[lo : lo + step], r, c]
+        if uneven:
+            vals[outside] = 0.0
+        columns = np.empty((bin_w, p.shape[0], dim))
+        for j in range(bin_w):
+            _add_in_order([vals[i * bin_w + j] for i in range(bin_h)], columns[j])
+        sums = np.empty((p.shape[0], dim))
+        _add_in_order(columns, sums)
+        _mean_to_float32(sums, ((r1[p] - r0[p]) * (c1[q] - c0[q]))[:, None], out[lo : lo + step])
     return out

@@ -10,11 +10,18 @@ every stage disabled the input is flattened as-is.
 The input is read once. Stage 1 works from the per-frame means taken when
 the sequence was built and returns the surviving frames as indices; no
 second sequence is built. Stage 2 reads those frames from the input through
-the indices. From stage 2 on there is one representation: stage 2's token
-table (every token of every surviving frame, frame-major, with per-frame
-offsets) and a ``keep`` and an ``anchor`` mask over it. Pruning, the
-threshold ladder and subsampling only rewrite ``keep``; flatten gathers the
-kept rows.
+the indices. Token positions are rows of one frame-major table of every
+token of every surviving frame, and pruning, the threshold ladder and
+subsampling only rewrite a ``keep`` mask over those rows.
+
+The table itself is built only when it is the output: everything fits at
+full resolution, the table holds a full frame, or it fits once pooled. Over
+budget, memory is bounded by the budget, not by the kept frames: the frames
+are pooled and planned in blocks of at most a budget of pooled tokens, and
+only the similarities, the anchor flags and a budget-sized store of pooled
+tokens (the anchors, then the first survivors) are kept. The kept rows are
+then emitted directly into the store's array, stored tokens moved into
+place and every other survivor pooled again from the input.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetInfeasibleError, InvalidConfigError
-from .framepos import FramePositionConfig, apply_position_encoding
-from .numerics import AdapterSpec
+from .framepos import FramePositionConfig, add_position_encoding
+from .numerics import AdapterSpec, pool_batch, pool_tokens
 from .query_select import (
     MixedResolutionSequence,
     QueryEmbedding,
@@ -40,7 +47,7 @@ from .spatial import (
     build_plan,
 )
 from .temporal import FrameFeatureSequence, reduce_frames
-from .tokens import CompressedTokenSequence, CompressionStats
+from .tokens import LEVEL_CODE, CompressedTokenSequence, CompressionStats
 
 __all__ = [
     "StageToggles",
@@ -177,6 +184,105 @@ def flatten(table: MixedResolutionSequence, keep: np.ndarray) -> CompressedToken
     )
 
 
+def _plan_in_blocks(
+    seq: FrameFeatureSequence, kept: np.ndarray, cfg: CompressionConfig, budget: int
+) -> tuple[SpatialCompressionResult, PruningPlan | None, tuple | None]:
+    """Pool the input frames ``kept`` and plan their pruning block by block,
+    without building the pooled token table.
+
+    A block is whole k-windows holding at most ``budget`` pooled tokens (at
+    least one window), so every window and its anchor are as over the whole
+    table. Kept are the float64 similarities (with stage 3 on), the anchor
+    flags and a store of at most ``budget`` pooled tokens in table order:
+    every anchor token, and as many of the first survivors at ``cfg.theta``
+    as fit beside them. Every output token is one of those survivors. When
+    the anchors alone exceed the budget the verdict is infeasible and
+    nothing is stored.
+
+    Returns the pruning result at ``cfg.theta``, the plan (None with stage 3
+    off) and the store as (its table rows, ascending; a ``budget``-row
+    float32 array whose leading rows hold their vectors), or None.
+    """
+    frames = seq.frames
+    h_l, w_l = cfg.tokens_low
+    hw, k, t, dim = h_l * w_l, cfg.k, kept.shape[0], frames.shape[3]
+    room = budget - -(-t // k) * hw  # store rows left beside the anchors
+    if room >= 0:
+        stored_rows = np.empty(budget, dtype=np.int64)
+        vectors = np.empty((budget, dim), dtype=np.float32)
+    stored = 0
+    is_anchor = np.empty(t, dtype=bool)
+    keep = np.ones(t * hw, dtype=bool)
+    sims = np.empty(t * hw) if cfg.stages.stc else None
+    block = k * max(1, budget // (k * hw))
+    for lo in range(0, t, block):
+        pooled = pool_batch(frames, h_l, w_l, index=kept[lo : lo + block])
+        hi = lo + pooled.shape[0]
+        if sims is None:
+            is_anchor[lo:hi] = anchor_frames(pooled.reshape(hi - lo, hw, dim), k, cfg.anchor)
+        else:
+            plan = build_plan(pooled, k, cfg.anchor)
+            sims[lo * hw : hi * hw] = plan.sims
+            np.less_equal(plan.sims, cfg.theta, out=keep[lo * hw : hi * hw])
+            is_anchor[lo:hi] = plan.anchor[::hw]
+        if room >= 0:
+            # Anchor tokens always survive; the others take the room left.
+            local = np.flatnonzero(keep[lo * hw : hi * hw])
+            anchor_rows = int(np.count_nonzero(is_anchor[lo:hi])) * hw
+            if local.shape[0] - anchor_rows > room:
+                beside = ~is_anchor[lo + local // hw]
+                local = local[~beside | (np.cumsum(beside) <= room)]
+            room -= local.shape[0] - anchor_rows
+            end = stored + local.shape[0]
+            stored_rows[stored:end] = local + lo * hw
+            # mode="clip" writes straight into ``out``; "raise" buffers it.
+            # The rows are in range by construction.
+            np.take(pooled.reshape(-1, dim), local, axis=0, out=vectors[stored:end], mode="clip")
+            stored = end
+        del pooled  # not alive while the next block is pooled
+    store = (stored_rows[:stored], vectors) if room >= 0 else None
+    anchor = np.repeat(is_anchor, hw)
+    result = SpatialCompressionResult(keep, anchor)
+    return result, None if sims is None else PruningPlan(sims, anchor), store
+
+
+def _emit_kept(
+    seq: FrameFeatureSequence,
+    kept: np.ndarray,
+    keep: np.ndarray,
+    store: tuple,
+    cfg: CompressionConfig,
+) -> CompressedTokenSequence:
+    """The rows ``keep`` of the pooled token table of ``kept``, as
+    ``flatten`` would emit them, built in the store's own array.
+
+    Stored tokens are moved to their output rows, all read before any is
+    written; every other kept token is pooled again from the input by
+    ``pool_tokens``, which gives the bits ``pool_batch`` gave it. At most
+    ``budget`` rows are kept, so the output fits the store's array.
+    """
+    h_l, w_l = cfg.tokens_low
+    stored_rows, vectors = store
+    rows = np.flatnonzero(keep)
+    frame, cell = np.divmod(rows, h_l * w_l)
+    at = np.minimum(np.searchsorted(stored_rows, rows), stored_rows.shape[0] - 1)
+    found = stored_rows[at] == rows
+    moved = np.flatnonzero(found & (at != np.arange(rows.shape[0])))
+    vectors[moved] = vectors[at[moved]]
+    again = np.flatnonzero(~found)
+    vectors[again] = pool_tokens(
+        seq.frames, h_l, w_l, kept[frame[again]], cell[again] // w_l, cell[again] % w_l
+    )
+    return CompressedTokenSequence(
+        frame_indices=kept[frame],
+        timesteps=seq.timesteps[kept[frame]],
+        grid_rows=cell // w_l,
+        grid_cols=cell % w_l,
+        levels=np.full(rows.shape[0], LEVEL_CODE["pooled"], dtype=np.uint8),
+        vectors=vectors[: rows.shape[0]],
+    )
+
+
 def compress(
     seq: FrameFeatureSequence, query: QueryEmbedding, cfg: CompressionConfig
 ) -> tuple[CompressedTokenSequence, CompressionStats]:
@@ -230,14 +336,40 @@ def compress(
             ),
         )
 
-    def finish(table, keep, **stage):
-        compressed = flatten(table, keep)
-        compressed = apply_position_encoding(compressed, cfg.fpe)
-        return compressed, stage_stats(**stage, tokens_final=compressed.total_count)
+    tokens_pooled = t_after * h_l * w_l
+    if tokens_pooled + l_q > cfg.l_max and cfg.stages.any_enabled:
+        # Every frame is pooled and the table is still over budget: it is
+        # not built, and memory is bounded by the budget, not by t_after.
+        result, plan, store = _plan_in_blocks(seq, kept, cfg, cfg.l_max - l_q)
+        tokens_spatial = result.tokens_after
+        try:
+            result, theta_eff, fallback = enforce_budget(result, cfg, l_q, plan=plan)
+        except BudgetInfeasibleError as exc:
+            exc.stats = stage_stats(
+                n_full=0,
+                tokens_query=tokens_pooled,
+                tokens_spatial=tokens_spatial,
+                theta_eff=cfg.theta,
+                fallback=True,
+                tokens_final=None,
+            )
+            raise
+        del plan
+        compressed = _emit_kept(seq, kept, result.keep, store, cfg)
+        add_position_encoding(compressed, cfg.fpe)
+        return compressed, stage_stats(
+            n_full=0,
+            tokens_query=tokens_pooled,
+            tokens_spatial=tokens_spatial,
+            theta_eff=theta_eff,
+            fallback=fallback,
+            tokens_final=compressed.total_count,
+        )
 
-    # Under budget at full resolution (or nothing enabled): emit as-is.
-    # Otherwise stage 2; with the query stage disabled, selection is skipped
-    # but the sequence is still pooled uniformly, the only route under budget.
+    # Otherwise the token table is the output: under budget at full
+    # resolution (or nothing enabled), with some frames at full resolution,
+    # or once every frame is pooled. With the query stage disabled,
+    # selection is skipped but the frames are still pooled.
     if tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled:
         table = token_table(seq, kept, np.ones(t_after, dtype=bool), cfg.tokens_low)
         n_full = t_after
@@ -247,52 +379,13 @@ def compress(
     else:
         table = token_table(seq, kept, np.zeros(t_after, dtype=bool), cfg.tokens_low)
         n_full = 0
-    tokens_query = table.token_count
-    keep_all = np.ones(tokens_query, dtype=bool)
-
-    if tokens_query + l_q <= cfg.l_max or not cfg.stages.any_enabled:
-        return finish(
-            table,
-            keep_all,
-            n_full=n_full,
-            tokens_query=tokens_query,
-            tokens_spatial=tokens_query,
-            theta_eff=cfg.theta,
-            fallback=False,
-        )
-
-    # Every frame is pooled here. num_full_res_frames sizes the full frames
-    # to the budget, so a table that holds one always fits and was emitted
-    # above.
-    stack = table.tokens.vectors.reshape(t_after, h_l * w_l, -1)
-    if cfg.stages.stc:
-        plan = build_plan(stack.reshape(t_after, h_l, w_l, -1), cfg.k, cfg.anchor)
-        result = plan.apply(cfg.theta)
-        tokens_spatial = result.tokens_after
-    else:
-        plan = None
-        anchor = np.repeat(anchor_frames(stack, cfg.k, cfg.anchor), h_l * w_l)
-        result = SpatialCompressionResult(keep_all, anchor)
-        tokens_spatial = tokens_query
-    try:
-        result, theta_eff, fallback = enforce_budget(result, cfg, l_q, plan=plan)
-    except BudgetInfeasibleError as exc:
-        exc.stats = stage_stats(
-            n_full=0,
-            tokens_query=tokens_query,
-            tokens_spatial=tokens_spatial,
-            theta_eff=cfg.theta,
-            fallback=True,
-            tokens_final=None,
-        )
-        raise
-
-    return finish(
-        table,
-        result.keep,
-        n_full=0,
-        tokens_query=tokens_query,
-        tokens_spatial=tokens_spatial,
-        theta_eff=theta_eff,
-        fallback=fallback,
+    compressed = flatten(table, np.ones(table.token_count, dtype=bool))
+    add_position_encoding(compressed, cfg.fpe)
+    return compressed, stage_stats(
+        n_full=n_full,
+        tokens_query=table.token_count,
+        tokens_spatial=table.token_count,
+        theta_eff=cfg.theta,
+        fallback=False,
+        tokens_final=compressed.total_count,
     )

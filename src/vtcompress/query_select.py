@@ -9,11 +9,13 @@ Stage 1's survivors are read from the input through their indices, and
 their scores from the input's cached per-frame means; they are never copied
 out as a stack of their own.
 
-The stage emits the token table that every later step works on: one
-frame-major ``CompressedTokenSequence`` holding each frame's tokens in
-(timestep, row, col) order, plus per-frame offsets into it. Tokens are never
-changed after this point; spatial pruning, the budget and flatten only
-choose which rows of the table survive, through boolean masks over it.
+The token table, one frame-major ``CompressedTokenSequence`` holding each
+frame's tokens in (timestep, row, col) order plus per-frame offsets into
+it, is built only where it is the output: everything fits at full
+resolution, the table holds a full frame, or it fits once pooled. When
+every frame is pooled and the table would still be over budget, the
+pipeline pools block by block instead (see ``pipeline``), so that memory is
+bounded by the budget and not by the kept frames.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ class BudgetPlan:
     was skipped: either everything fit at full resolution or nothing did.
     """
 
-    l_max: int
-    l_q: int
     n_full_res: int
     full_res_indices: np.ndarray
     scores: np.ndarray
@@ -217,5 +217,5 @@ def select_and_pool(
             order = np.argsort(-scores, kind="stable")  # ties keep the earlier frame first
             full[order[:n_full]] = True
     full_res = np.flatnonzero(full)
-    plan = BudgetPlan(l_max, l_q, full_res.shape[0], full_res, scores)
+    plan = BudgetPlan(full_res.shape[0], full_res, scores)
     return token_table(seq, kept, full, tokens_low), plan

@@ -267,6 +267,20 @@ class TestCompressCommand:
         expected = json.dumps(written.to_dict(), sort_keys=True, indent=2) + "\n"
         assert stats.read_bytes() == expected.encode("utf-8")
 
+    def test_stats_and_output_naming_one_file_exit_code(self, tmp_path, video_file, query_file):
+        out = tmp_path / "o"
+        (tmp_path / "link").symlink_to(out)
+        for stats in (out, tmp_path / "." / "o", tmp_path / "link"):
+            code = main(["compress", "--input", str(video_file), "--query", str(query_file),
+                         "--output", str(out), "--stats", str(stats)])
+            assert code == 3
+            assert not out.exists()
+        # rejected before any input is read: a missing input is not reached
+        code = main(["compress", "--input", str(tmp_path / "missing.lvuf"), "--query",
+                     str(query_file), "--output", str(out), "--stats", str(out)])
+        assert code == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "query.lvuq", "video.lvuf"]
+
 
 class TestFileModes:
     def test_outputs_honour_the_umask(self, tmp_path):

@@ -11,6 +11,7 @@ from vtcompress import (
     apply_position_encoding,
     encoding_vector,
 )
+from vtcompress.framepos import ENCODE_CHUNK_ROWS, add_position_encoding
 from vtcompress.tokens import CompressedTokenSequence
 
 
@@ -140,6 +141,25 @@ class TestApplyPositionEncoding:
         expected = (vectors.astype(np.float64) + offsets.astype(np.float64)).astype(np.float32)
         assert out.vectors.dtype == np.float32
         assert out.vectors.tobytes() == expected.tobytes()
+
+    def test_in_place_has_the_bits_of_the_copy(self, rng):
+        # more rows than one encoding step, timesteps repeating in runs
+        n, dim = 2 * ENCODE_CHUNK_ROWS + 5, 6
+        seq = CompressedTokenSequence(
+            frame_indices=np.arange(n) // 7,
+            timesteps=(np.arange(n) // 7 * 0.25).astype(np.float32),
+            grid_rows=np.zeros(n, dtype=np.int32),
+            grid_cols=np.zeros(n, dtype=np.int32),
+            levels=np.ones(n, dtype=np.uint8),
+            vectors=rng.standard_normal((n, dim)).astype(np.float32),
+        )
+        before = seq.vectors.copy()
+        cfg = FramePositionConfig(enabled=True, dim=dim)
+        out = apply_position_encoding(seq, cfg)
+        assert np.array_equal(seq.vectors, before)
+        add_position_encoding(seq, cfg)
+        assert seq.vectors.tobytes() == out.vectors.tobytes()
+        assert not np.array_equal(seq.vectors, before)
 
     def test_dim_mismatch(self):
         seq = small_sequence(dim=4)

@@ -15,7 +15,7 @@ from vtcompress import (
     frame_query_scores,
     window_average_similarity,
 )
-from vtcompress.numerics import POOL_CHUNK_FRAMES, TokenGrid, pool_batch
+from vtcompress.numerics import POOL_CHUNK_FRAMES, TokenGrid, pool_batch, pool_tokens
 
 from .conftest import constant_grid, pool_frame, scores_oracle, sequence_from_vectors, sequence_of
 
@@ -185,6 +185,82 @@ class TestPoolBatch:
         finally:
             tracemalloc.stop()
         assert peak < 2 * stack.nbytes
+
+
+def pool_in_order(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Reference pooling that fixes the order of addition: each bin's
+    columns are summed down from a float64 zero, then the column sums are
+    added across, also from zero, and the sum is divided by the cell count.
+    A grid pooled to its own size is returned as it is."""
+    h, w, d = frame.shape
+    if (h, w) == (out_h, out_w):
+        return frame.copy()
+    out = np.empty((out_h, out_w, d), dtype=np.float32)
+    for p in range(out_h):
+        r0, r1 = (p * h) // out_h, math.ceil((p + 1) * h / out_h)
+        for q in range(out_w):
+            c0, c1 = (q * w) // out_w, math.ceil((q + 1) * w / out_w)
+            total = np.zeros(d)
+            for c in range(c0, c1):
+                column = np.zeros(d)
+                for r in range(r0, r1):
+                    column += frame[r, c].astype(np.float64)
+                total += column
+            out[p, q] = total / ((r1 - r0) * (c1 - c0))
+    return out
+
+
+@st.composite
+def wide_range_stacks(draw, max_frames=4):
+    """A float32 (frames, h, w, dim) stack of both signs with magnitudes from
+    e^-20 to e^20, and some cells +0.0 or -0.0; plus a pooled grid no larger
+    than it on either side. Each stack draws its cells from three
+    magnitudes, so bins often hold a value and its negation: float64 sums
+    of such cells round, and the bits of a mean depend on the order of
+    addition."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    out_h, out_w = draw(st.integers(1, h)), draw(st.integers(1, w))
+    n, dim = draw(st.integers(1, max_frames)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, h, w, dim)
+    magnitudes = np.exp(rng.uniform(-20.0, 20.0, 3))
+    stack = (rng.choice([-1.0, 1.0], shape) * rng.choice(magnitudes, shape)).astype(np.float32)
+    stack[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    stack[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    return stack, out_h, out_w, rng
+
+
+class TestPoolTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_range_stacks())
+    def test_pool_batch_adds_in_the_stated_order(self, case):
+        stack, out_h, out_w, _ = case
+        expected = np.stack([pool_in_order(frame, out_h, out_w) for frame in stack])
+        assert pool_batch(stack, out_h, out_w).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_range_stacks(), st.integers(0, 60))
+    def test_equals_pool_batch_bit_for_bit(self, case, m):
+        stack, out_h, out_w, rng = case
+        frames = rng.integers(0, stack.shape[0], m)
+        rows, cols = rng.integers(0, out_h, m), rng.integers(0, out_w, m)
+        got = pool_tokens(stack, out_h, out_w, frames, rows, cols)
+        assert got.shape == (m, stack.shape[3]) and got.dtype == np.float32
+        assert got.tobytes() == pool_batch(stack, out_h, out_w)[frames, rows, cols].tobytes()
+
+    @pytest.mark.parametrize("grid,out", [((7, 9), (3, 4)), ((12, 12), (8, 8)), ((16, 5), (3, 5))])
+    def test_more_tokens_than_a_chunk(self, rng, grid, out):
+        stack = rng.standard_normal((40, *grid, 3)).astype(np.float32)
+        m = 2 * POOL_CHUNK_FRAMES * out[0] * out[1] + 7
+        frames = np.sort(rng.integers(0, 40, m))
+        rows, cols = rng.integers(0, out[0], m), rng.integers(0, out[1], m)
+        got = pool_tokens(stack, *out, frames, rows, cols)
+        assert np.array_equal(got, pool_batch(stack, *out)[frames, rows, cols])
+
+    def test_upsampling_rejected(self):
+        stack = np.ones((1, 2, 2, 1), dtype=np.float32)
+        with pytest.raises(InvalidPoolingError):
+            pool_tokens(stack, 3, 2, [0], [0], [0])
 
 
 class TestFrameSummary:

@@ -12,12 +12,14 @@ from vtcompress import (
     InvalidConfigError,
     QueryEmbedding,
     StageToggles,
+    apply_position_encoding,
     compress,
     enforce_budget,
     flatten,
 )
 from vtcompress.query_select import token_table
-from vtcompress.spatial import anchor_frames, build_plan
+from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
+from vtcompress.temporal import reduce_frames
 
 from .conftest import (
     assert_tokens_equal,
@@ -481,11 +483,12 @@ class TestPipelineInvariants:
         flags = anchor_frames(table.tokens.vectors.reshape(7, 4, 3), 3, AnchorStrategy.FIRST)
         assert np.flatnonzero(flags).tolist() == [0, 3, 6]
 
-    def test_pooled_path_reads_the_input_without_copying_it(self, rng):
-        # Stage 1 keeps 9 of every 16 frames: the odd windows hold 8 distinct
-        # frames, the even ones 8 copies of one. Stage 2 pools every survivor
-        # from the input by index, so compress's own peak stays well under
-        # half the input; a copy of the survivors alone would be 56% of it.
+    @staticmethod
+    def half_static_peak(rng):
+        """Compress a 512-frame video whose stage 1 keeps 9 of every 16
+        frames (the odd windows hold 8 distinct frames, the even ones 8
+        copies of one) at 4k; returns the input, the stats and compress's
+        own allocation peak."""
         frames = rng.standard_normal((512, 12, 12, 64)).astype(np.float32)
         static = np.arange(512) // 8 % 2 == 0
         frames[static] = frames[static][::8].repeat(8, axis=0)
@@ -501,4 +504,99 @@ class TestPipelineInvariants:
             tracemalloc.stop()
         assert stats.frames_after_temporal == 288 and stats.n_full_res == 0
         assert stats.tokens_final + 8 <= 4096
+        return frames, stats, peak
+
+    def test_pooled_path_reads_the_input_without_copying_it(self, rng):
+        # Stage 2 pools every survivor from the input by index, so compress's
+        # own peak stays well under half the input; a copy of the survivors
+        # alone would be 56% of it.
+        frames, _, peak = self.half_static_peak(rng)
         assert peak < frames.nbytes / 2, (peak, frames.nbytes)
+
+    def test_over_budget_peak_is_below_the_pooled_table(self, rng):
+        # The 288 kept frames pool to 18,432 tokens against a 4,088 budget.
+        # Pooling block by block keeps compress's peak below the bytes of
+        # the pooled table alone.
+        _, stats, peak = self.half_static_peak(rng)
+        table_bytes = 288 * 64 * 64 * 4
+        assert stats.tokens_after_query * 64 * 4 == table_bytes
+        assert peak < table_bytes, (peak, table_bytes)
+
+
+def whole_table_oracle(seq, query, cfg):
+    """What compress returns for a video whose pooled table is over budget,
+    worked out on the whole pooled table: token_table, build_plan (or the
+    anchors alone with stage 3 off), enforce_budget, flatten and position
+    encoding. Returns (tokens or None, the stats fields the stages set)."""
+    kept = np.arange(seq.n_frames)
+    if cfg.stages.temporal:
+        kept = np.asarray(reduce_frames(seq, cfg.j, cfg.tau_t).kept_indices)
+    t, (h_l, w_l) = kept.shape[0], cfg.tokens_low
+    table = token_table(seq, kept, np.zeros(t, dtype=bool), cfg.tokens_low)
+    assert table.token_count + query.n_tokens > cfg.l_max  # the over-budget case
+    stack = table.tokens.vectors.reshape(t, h_l, w_l, -1)
+    plan = None
+    if cfg.stages.stc:
+        plan = build_plan(stack, cfg.k, cfg.anchor)
+        result = plan.apply(cfg.theta)
+    else:
+        anchor = anchor_frames(stack.reshape(t, h_l * w_l, -1), cfg.k, cfg.anchor)
+        result = SpatialCompressionResult(
+            np.ones(table.token_count, dtype=bool), np.repeat(anchor, h_l * w_l)
+        )
+    stats = dict(frames_after_temporal=t, n_full_res=0, tokens_after_query=table.token_count,
+                 tokens_after_spatial=result.tokens_after)
+    try:
+        result, theta_eff, fallback = enforce_budget(result, cfg, query.n_tokens, plan=plan)
+    except BudgetInfeasibleError:
+        return None, dict(stats, theta_effective=cfg.theta, fallback_used=True, tokens_final=None)
+    tokens = apply_position_encoding(flatten(table, result.keep), cfg.fpe)
+    return tokens, dict(stats, theta_effective=theta_eff, fallback_used=fallback,
+                        tokens_final=tokens.total_count)
+
+
+class TestOverBudgetPath:
+    """compress pools an over-budget video block by block and emits its kept
+    tokens from a budget-sized store and by pooling tokens again; every
+    output must be what the whole pooled table gives."""
+
+    @pytest.mark.parametrize("anchor", list(AnchorStrategy))
+    @pytest.mark.parametrize("stc", [True, False])
+    @pytest.mark.parametrize("fpe", [True, False])
+    @pytest.mark.parametrize("grid,pooled", [((4, 4), (2, 2)), ((5, 7), (3, 2))])
+    def test_matches_the_whole_table(self, rng, anchor, stc, fpe, grid, pooled):
+        # 61 frames in 7 drifting scenes, all kept by stage 1: 61 is no
+        # multiple of k = 3, so the last window holds one frame. Small
+        # budgets take several blocks; the largest take one.
+        scenes = rng.standard_normal((7, *grid, 6))
+        frames = scenes[np.arange(61) * 7 // 61] + 0.35 * rng.standard_normal((61, *grid, 6))
+        seq = sequence_of(frames.astype(np.float32), np.arange(61) * 0.5)
+        query = random_query(rng, 5, 6)
+        outcomes = set()
+        # budgets the 61 pooled frames exceed with the 5 query tokens
+        for l_max in range(20, 61 * pooled[0] * pooled[1] + 5, 20):
+            cfg = small_config(
+                l_max=l_max, tokens_low=pooled, k=3, theta=0.7, tau_t=0.995, anchor=anchor,
+                fpe=FramePositionConfig(enabled=fpe, dim=6), stages=StageToggles(stc=stc),
+            )
+            expected, expected_stats = whole_table_oracle(seq, query, cfg)
+            try:
+                out, stats = compress(seq, query, cfg)
+            except BudgetInfeasibleError as exc:
+                out, stats = None, exc.stats
+            assert stats.frames_after_temporal == 61
+            for name, value in expected_stats.items():
+                assert getattr(stats, name) == value, (l_max, name)
+            if expected is None:
+                assert out is None
+                outcomes.add("infeasible")
+                continue
+            assert_tokens_equal(out, expected)
+            assert stats.tokens_final + 5 <= l_max
+            if stats.tokens_final + 5 == l_max:
+                outcomes.add("subsampled")
+            else:
+                outcomes.add("ladder" if stats.theta_effective < cfg.theta else "at theta")
+        assert {"infeasible", "subsampled"} <= outcomes, outcomes
+        if stc:
+            assert "at theta" in outcomes, outcomes
