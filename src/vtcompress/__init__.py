@@ -21,16 +21,9 @@ from .errors import (
 )
 from .framepos import FramePositionConfig, apply_position_encoding, encoding_vector
 from .numerics import AdapterSpec
-from .pipeline import CompressionConfig, StageToggles, compress, enforce_budget, flatten
-from .query_select import (
-    BudgetPlan,
-    MixedResolutionSequence,
-    QueryEmbedding,
-    frame_query_scores,
-    num_full_res_frames,
-    select_and_pool,
-)
-from .spatial import AnchorStrategy, SpatialCompressionResult, prune_window
+from .pipeline import CompressionConfig, StageToggles, compress
+from .query_select import QueryEmbedding, frame_query_scores, num_full_res_frames
+from .spatial import AnchorStrategy, prune_window
 from .synthbench import (
     NeedleSpec,
     SynthSpec,
@@ -41,15 +34,8 @@ from .synthbench import (
     make_mixed_corpus,
     make_needle_grid,
     reduction_report,
-    run_needle_grid,
 )
-from .temporal import (
-    FrameFeatureSequence,
-    TemporalReduction,
-    partition_windows,
-    reduce_frames,
-    window_average_similarity,
-)
+from .temporal import FrameFeatureSequence, reduce_frames
 from .tokens import CompressedTokenSequence, CompressionStats
 
 __version__ = "0.1.0"

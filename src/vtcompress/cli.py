@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 
 from .errors import (
@@ -32,8 +33,8 @@ from .synthbench import (
     ablation_report,
     gen_video,
     make_mixed_corpus,
+    needle_study,
     reduction_report,
-    run_needle_grid,
 )
 
 EXIT_OK = 0
@@ -119,17 +120,49 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--disable-stage", action="append", default=[], metavar="STAGE")
 
 
+def _check_distinct(*outputs: tuple[str, str | Path | None]):
+    """Reject, before any work, two outputs that name one file: the second
+    write would replace the first. Each output is (what, path); a None path
+    is not written. Paths are compared once resolved, so ``./o`` and a
+    symlink to ``o`` name ``o``; hard links are not detected."""
+    seen = {}
+    for what, path in outputs:
+        if path is None:
+            continue
+        other = seen.setdefault(Path(path).resolve(), what)
+        if other != what:
+            raise InvalidConfigError(f"{other} and {what} name the same file: {path}")
+
+
+def _write_all(*outputs: tuple[str | Path, bytes]):
+    """Write each (path, bytes) output: all are staged before any is renamed
+    into place, so an output that cannot be written replaces none."""
+    with ExitStack() as stack:
+        for path, data in outputs:
+            stack.enter_context(staged_write(path, data))
+
+
+def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+def _json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
 def cmd_compress(args) -> int:
-    if args.stats and Path(args.stats).resolve() == Path(args.output).resolve():
-        raise InvalidConfigError(f"--stats and --output name the same file: {args.output}")
+    _check_distinct(("--output", args.output), ("--stats", args.stats))
     video = read_features(args.input)
     query = read_query(args.query)
     cfg = _build_config(args, fpe_dim=video.dim)
     compressed, stats = compress(video, query, cfg)
     # The stats are staged first and renamed last, so a command that exits
     # non-zero has replaced neither file.
-    text = json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n"
-    with staged_write(args.stats, text.encode("utf-8")) if args.stats else nullcontext():
+    with staged_write(args.stats, _json_bytes(stats.to_dict())) if args.stats else nullcontext():
         write_compressed(args.output, compressed, stats)
     return EXIT_OK
 
@@ -149,14 +182,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path, header: list[str], rows: list[list]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_needle(args) -> int:
+    report = Path(args.report)
+    _check_distinct(("--report", report), ("the aggregate JSON", report.with_suffix(".json")))
     spec = NeedleSpec(
         # Each cell sizes its own haystack from its frame count.
         haystack=SynthSpec(
@@ -171,9 +199,8 @@ def cmd_needle(args) -> int:
         query_alignment=args.alignment,
     )
     cfg = _build_config(args, fpe_dim=args.dim)
-    cells = run_needle_grid(spec, cfg)
+    cells = needle_study(spec, [cfg])[0]
 
-    report = Path(args.report)
     header = [
         "frame_count",
         "depth",
@@ -191,7 +218,6 @@ def cmd_needle(args) -> int:
         ]
         for c in cells
     ]
-    _write_csv(report, header, rows)
     aggregate = {
         "cells": len(cells),
         "full_res_rate": sum(c["needle_full_res"] for c in cells) / len(cells),
@@ -199,8 +225,9 @@ def cmd_needle(args) -> int:
         "mean_tokens_kept_fraction": sum(c["needle_tokens_kept_fraction"] for c in cells)
         / len(cells),
     }
-    report.with_suffix(".json").write_text(
-        json.dumps(aggregate, sort_keys=True, indent=2) + "\n"
+    _write_all(
+        (report, _csv_bytes(header, rows)),
+        (report.with_suffix(".json"), _json_bytes(aggregate)),
     )
     return EXIT_OK
 
@@ -208,6 +235,7 @@ def cmd_needle(args) -> int:
 def cmd_report(args) -> int:
     """Budget-infeasible videos do not fail the report: the JSON counts them
     in ``n_infeasible`` and their CSV rows have an empty ``tokens_final``."""
+    _check_distinct(("--out", args.out), ("--csv", args.csv))
     if args.corpus_size < 1:
         raise InvalidConfigError(f"--corpus-size must be positive, got {args.corpus_size}")
     corpus = make_mixed_corpus(args.corpus_size, args.seed)
@@ -218,7 +246,7 @@ def cmd_report(args) -> int:
     else:
         per_video, aggregate = reduction_report(corpus, cfg)
         payload = dict(aggregate)
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    outputs = [(args.out, _json_bytes(payload))]
     if args.csv:
         header = ["video", "frames_in", "frames_after_temporal", "temporal_keep_rate",
                   "spatial_reduction_rate", "tokens_final"]
@@ -227,7 +255,8 @@ def cmd_report(args) -> int:
              repr(s.spatial_reduction_rate), s.tokens_final]
             for i, s in enumerate(per_video)
         ]
-        _write_csv(args.csv, header, rows)
+        outputs.append((args.csv, _csv_bytes(header, rows)))
+    _write_all(*outputs)
     return EXIT_OK
 
 

@@ -14,8 +14,9 @@ the indices. Token positions are rows of one frame-major table of every
 token of every surviving frame, and pruning, the threshold ladder and
 subsampling only rewrite a ``keep`` mask over those rows.
 
-The table itself is built only when it is the output: everything fits at
-full resolution, the table holds a full frame, or it fits once pooled. Over
+The table itself is built only when it is the output, and then it is
+returned as built, position-encoded in place: everything fits at full
+resolution, the table holds a full frame, or it fits once pooled. Over
 budget, memory is bounded by the budget, not by the kept frames: the frames
 are pooled and planned in blocks of at most a budget of pooled tokens, and
 only the similarities, the anchor flags and a budget-sized store of pooled
@@ -33,12 +34,7 @@ import numpy as np
 from .errors import BudgetInfeasibleError, InvalidConfigError
 from .framepos import FramePositionConfig, add_position_encoding
 from .numerics import AdapterSpec, pool_batch, pool_tokens
-from .query_select import (
-    MixedResolutionSequence,
-    QueryEmbedding,
-    select_and_pool,
-    token_table,
-)
+from .query_select import MixedResolutionSequence, QueryEmbedding, select_and_pool, token_table
 from .spatial import (
     AnchorStrategy,
     PruningPlan,
@@ -53,8 +49,6 @@ __all__ = [
     "StageToggles",
     "CompressionConfig",
     "compress",
-    "enforce_budget",
-    "flatten",
 ]
 
 THETA_FLOOR = 0.5
@@ -169,9 +163,14 @@ def enforce_budget(
 
 
 def flatten(table: MixedResolutionSequence, keep: np.ndarray) -> CompressedTokenSequence:
-    """Emit the kept tokens of a token table in (timestep, row-major grid)
-    order with provenance fields. The gather always copies, so the output
-    shares no memory with the input frames."""
+    """The rows ``keep`` of a token table, in table order, which is
+    (timestep, row-major grid) order, with their provenance fields. The
+    gather always copies, so the result shares no memory with the table.
+
+    ``compress`` never calls it: its outputs are the table itself or rows
+    emitted straight into the over-budget store. It is the row gather of
+    the whole-table reference that the tests hold those outputs to, and
+    ``bench/spans.py`` still wraps it by name."""
     rows = np.flatnonzero(keep)
     tokens = table.tokens
     return CompressedTokenSequence(
@@ -307,7 +306,7 @@ def compress(
     tokens_in = frames_in * h_h * w_h
 
     if cfg.stages.temporal:
-        kept = np.asarray(reduce_frames(seq, cfg.j, cfg.tau_t).kept_indices, dtype=np.int64)
+        kept = reduce_frames(seq, cfg.j, cfg.tau_t).kept_indices
     else:
         kept = np.arange(frames_in, dtype=np.int64)
 
@@ -366,10 +365,10 @@ def compress(
             tokens_final=compressed.total_count,
         )
 
-    # Otherwise the token table is the output: under budget at full
-    # resolution (or nothing enabled), with some frames at full resolution,
-    # or once every frame is pooled. With the query stage disabled,
-    # selection is skipped but the frames are still pooled.
+    # Otherwise the token table, as built, is the output: under budget at
+    # full resolution (or nothing enabled), with some frames at full
+    # resolution, or once every frame is pooled. With the query stage
+    # disabled, selection is skipped but the frames are still pooled.
     if tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled:
         table = token_table(seq, kept, np.ones(t_after, dtype=bool), cfg.tokens_low)
         n_full = t_after
@@ -379,12 +378,12 @@ def compress(
     else:
         table = token_table(seq, kept, np.zeros(t_after, dtype=bool), cfg.tokens_low)
         n_full = 0
-    compressed = flatten(table, np.ones(table.token_count, dtype=bool))
+    compressed = table.tokens
     add_position_encoding(compressed, cfg.fpe)
     return compressed, stage_stats(
         n_full=n_full,
-        tokens_query=table.token_count,
-        tokens_spatial=table.token_count,
+        tokens_query=compressed.total_count,
+        tokens_spatial=compressed.total_count,
         theta_eff=cfg.theta,
         fallback=False,
         tokens_final=compressed.total_count,

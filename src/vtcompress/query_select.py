@@ -9,10 +9,10 @@ Stage 1's survivors are read from the input through their indices, and
 their scores from the input's cached per-frame means; they are never copied
 out as a stack of their own.
 
-The token table, one frame-major ``CompressedTokenSequence`` holding each
-frame's tokens in (timestep, row, col) order plus per-frame offsets into
-it, is built only where it is the output: everything fits at full
-resolution, the table holds a full frame, or it fits once pooled. When
+The token table is one frame-major ``CompressedTokenSequence`` holding each
+frame's tokens in (timestep, row, col) order, in fresh arrays. It is built
+only where it is the pipeline's output, as it stands: everything fits at
+full resolution, the table holds a full frame, or it fits once pooled. When
 every frame is pooled and the table would still be over budget, the
 pipeline pools block by block instead (see ``pipeline``), so that memory is
 bounded by the budget and not by the kept frames.
@@ -31,11 +31,8 @@ from .tokens import LEVEL_CODE, CompressedTokenSequence
 
 __all__ = [
     "QueryEmbedding",
-    "BudgetPlan",
-    "MixedResolutionSequence",
     "num_full_res_frames",
     "frame_query_scores",
-    "select_and_pool",
 ]
 
 
@@ -65,38 +62,19 @@ class QueryEmbedding:
 
 @dataclass
 class BudgetPlan:
-    """How the token budget was split between full and pooled frames.
-
-    ``full_res_indices`` (int64) are positions within the kept frames handed
-    to ``select_and_pool`` (not original video indices). ``scores`` holds the
-    float64 query score of every kept frame, and is empty whenever scoring
-    was skipped: either everything fit at full resolution or nothing did.
-    """
+    """How many of the kept frames stayed at full resolution."""
 
     n_full_res: int
-    full_res_indices: np.ndarray
-    scores: np.ndarray
 
 
 @dataclass
 class MixedResolutionSequence:
-    """Stage 2's token table: every token of every frame, frame-major.
-
-    Frame i holds rows ``offsets[i]:offsets[i + 1]`` of ``tokens``, in
-    row-major grid order at its level (full or pooled), so the table is
-    already in (timestep, row, col) order. Later steps only choose rows.
-    """
+    """Stage 2's token table: every token of ``n_frames`` frames, each in
+    row-major grid order at its level (full or pooled), frame after frame,
+    so the table is already in (timestep, row, col) order."""
 
     tokens: CompressedTokenSequence
-    offsets: np.ndarray  # (n_frames + 1,) int64
-
-    @property
-    def n_frames(self) -> int:
-        return self.offsets.shape[0] - 1
-
-    @property
-    def token_count(self) -> int:
-        return self.tokens.total_count
+    n_frames: int
 
 
 def token_table(
@@ -111,26 +89,26 @@ def token_table(
 
     Frames are read from ``seq.frames`` by index. Full frames are gathered
     straight into the table; only the pooled frames are pooled, in frame
-    order, each chunk gathered inside the pooling.
+    order, each chunk gathered inside the pooling. Every array of the table
+    is new, so it may be changed in place without reaching the input.
     """
     frames = seq.frames
     kept = np.asarray(kept, dtype=np.int64)
-    t = kept.shape[0]
     _, h_h, w_h, dim = frames.shape
     h_l, w_l = tokens_low
     sizes = np.where(full, h_h * w_h, h_l * w_l)
-    offsets = np.zeros(t + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
+    offsets = np.cumsum(sizes) - sizes  # each frame's first row
+    n_rows = int(sizes.sum())
     if full.all():
         vectors = frames[kept].reshape(-1, dim)
     elif not full.any():
         vectors = pool_batch(frames, h_l, w_l, index=kept).reshape(-1, dim)
     else:
-        vectors = np.empty((offsets[-1], dim), dtype=np.float32)
+        vectors = np.empty((n_rows, dim), dtype=np.float32)
         token_full = np.repeat(full, sizes)
         vectors[token_full] = frames[kept[full]].reshape(-1, dim)
         vectors[~token_full] = pool_batch(frames, h_l, w_l, index=kept[~full]).reshape(-1, dim)
-    local = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
+    local = np.arange(n_rows) - np.repeat(offsets, sizes)
     width = np.repeat(np.where(full, w_h, w_l), sizes)
     level = np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"])
     tokens = CompressedTokenSequence(
@@ -141,7 +119,7 @@ def token_table(
         levels=np.repeat(level, sizes),
         vectors=vectors,
     )
-    return MixedResolutionSequence(tokens, offsets)
+    return MixedResolutionSequence(tokens, kept.shape[0])
 
 
 def num_full_res_frames(t: int, l_max: int, l_q: int, hw_high: int, hw_low: int) -> int:
@@ -194,28 +172,19 @@ def select_and_pool(
     """Choose which of the input frames ``kept`` keep full resolution, pool
     the remainder, and return the token table with the budget split.
 
-    A full frame keeps the input's own grid. If everything fits at full
-    resolution the frames pass through untouched and no scores are
-    computed. Otherwise ``num_full_res_frames`` fixes the full-resolution
-    count, the highest-scoring frames get it (ties toward earlier frames),
-    and a table holding any full frame therefore fits ``l_max`` with the
-    query; only an all-pooled table can exceed it.
+    A full frame keeps the input's own grid. ``num_full_res_frames`` fixes
+    the full-resolution count; it is every frame exactly when everything
+    fits at full resolution. Frames are scored only when some but not all
+    of them stay full, and the highest-scoring frames stay (ties toward
+    earlier frames). A table holding any full frame therefore fits
+    ``l_max`` with the query; only an all-pooled table can exceed it.
     """
     kept = np.asarray(kept, dtype=np.int64)
-    t, h_h, w_h = kept.shape[0], seq.grid_h, seq.grid_w
+    t = kept.shape[0]
     h_l, w_l = tokens_low
-    l_q = query.n_tokens
-
-    scores = np.empty(0)
-    if t * h_h * w_h + l_q <= l_max:
-        full = np.ones(t, dtype=bool)
-    else:
-        n_full = num_full_res_frames(t, l_max, l_q, h_h * w_h, h_l * w_l)
-        full = np.zeros(t, dtype=bool)
-        if n_full > 0:
-            scores = frame_query_scores(seq.means[kept], query, adapter)
-            order = np.argsort(-scores, kind="stable")  # ties keep the earlier frame first
-            full[order[:n_full]] = True
-    full_res = np.flatnonzero(full)
-    plan = BudgetPlan(full_res.shape[0], full_res, scores)
-    return token_table(seq, kept, full, tokens_low), plan
+    n_full = num_full_res_frames(t, l_max, query.n_tokens, seq.grid_h * seq.grid_w, h_l * w_l)
+    full = np.full(t, n_full == t)
+    if 0 < n_full < t:
+        scores = frame_query_scores(seq.means[kept], query, adapter)
+        full[np.argsort(-scores, kind="stable")[:n_full]] = True  # ties keep the earlier frame
+    return token_table(seq, kept, full, tokens_low), BudgetPlan(n_full)

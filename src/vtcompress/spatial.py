@@ -25,7 +25,6 @@ from .temporal import partition_windows
 
 __all__ = [
     "AnchorStrategy",
-    "SpatialCompressionResult",
     "PruningPlan",
     "anchor_frames",
     "prune_window",

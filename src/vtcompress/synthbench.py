@@ -36,7 +36,6 @@ __all__ = [
     "make_needle_grid",
     "make_aligned_query",
     "insert_needle",
-    "run_needle_grid",
     "needle_study",
     "reduction_report",
     "anchor_ablation",
@@ -259,11 +258,11 @@ def _haystack_bases(spec: SynthSpec) -> np.ndarray:
     return _scene_bases(np.random.default_rng(seeds[0]), spec.n_scenes, spec.dim)
 
 
-def make_needle_grid(spec: SynthSpec, grid_shape: tuple[int, int] | None = None) -> np.ndarray:
+def make_needle_grid(spec: SynthSpec) -> np.ndarray:
     """A needle frame, an (h, w, dim) float32 array whose single direction is
     orthogonalized against every scene base of the haystack spec (as far as
     the dimension allows)."""
-    h, w = grid_shape if grid_shape is not None else spec.grid
+    h, w = spec.grid
     bases = _haystack_bases(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x6E65]))
     v = rng.standard_normal(spec.dim)
@@ -350,11 +349,6 @@ def needle_study(spec: NeedleSpec, cfgs: list[CompressionConfig]) -> list[list[d
                     }
                 )
     return per_cfg
-
-
-def run_needle_grid(spec: NeedleSpec, cfg: CompressionConfig) -> list[dict]:
-    """The needle study under one config."""
-    return needle_study(spec, [cfg])[0]
 
 
 def make_mixed_corpus(

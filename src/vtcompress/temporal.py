@@ -22,9 +22,6 @@ from .errors import EmptyVideoError, InvalidConfigError, ZeroVectorError
 
 __all__ = [
     "FrameFeatureSequence",
-    "TemporalReduction",
-    "partition_windows",
-    "window_average_similarity",
     "reduce_frames",
 ]
 
@@ -115,15 +112,14 @@ class FrameFeatureSequence:
 
 @dataclass
 class TemporalReduction:
-    """Outcome of the frame-reduction pass over one sequence."""
+    """Outcome of the frame-reduction pass over one sequence: the surviving
+    frames' indices into it, ascending, as int64."""
 
-    kept_indices: list[int]
-    per_frame_avg_sim: np.ndarray
-    windows: list[tuple[int, int]]
+    kept_indices: np.ndarray
 
     @property
     def n_kept(self) -> int:
-        return len(self.kept_indices)
+        return self.kept_indices.shape[0]
 
 
 def partition_windows(n_frames: int, j: int) -> list[tuple[int, int]]:
@@ -169,7 +165,8 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
     """
     if not (0.0 < tau_t <= 1.0):
         raise InvalidConfigError(f"tau_t must be in (0, 1], got {tau_t}")
-    windows = partition_windows(seq.n_frames, j)
+    if j < 1:
+        raise InvalidConfigError(f"window length must be >= 1, got {j}")
     summaries = seq.summaries().astype(np.float64)
     n_full = seq.n_frames // j
     body = n_full * j  # frames in full windows
@@ -183,4 +180,4 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
         keep[np.arange(n_full) * j + per_frame[:body].reshape(n_full, j).argmin(axis=1)] = True
     if body < seq.n_frames:
         keep[body + int(np.argmin(per_frame[body:]))] = True
-    return TemporalReduction(np.flatnonzero(keep).tolist(), per_frame, windows)
+    return TemporalReduction(np.flatnonzero(keep))

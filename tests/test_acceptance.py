@@ -412,6 +412,8 @@ def test_criterion_10_property_suites():
             "pytest",
             "tests",
             "--ignore=tests/test_acceptance.py",
+            # the top-level suite runs the benchmark contract itself
+            "--ignore=tests/test_bench_contract.py",
             "-q",
             "-p",
             "no:cacheprovider",

@@ -340,6 +340,16 @@ class TestNeedleCommand:
         assert code == 0
         assert json.loads(report.with_suffix(".json").read_text())["cells"] == 1
 
+    def test_report_naming_its_aggregate_json_exit_code(self, tmp_path):
+        # the aggregate goes to the report's .json sibling: here, the report
+        report = tmp_path / "out.json"
+        report.write_bytes(b"previous")
+        code = main(["needle", "--frame-counts", "200", "--depths", "0",
+                     "--report", str(report)])
+        assert code == 3
+        assert report.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
 
 class TestReportCommand:
     def test_json_schema(self, tmp_path):
@@ -395,6 +405,28 @@ class TestReportCommand:
         payload = json.loads(out.read_text())
         assert payload.pop("anchor_ablation") == anchor_ablation(corpus, cfg)
         assert payload == json.loads(json.dumps(reduction_report(corpus, cfg)[1]))
+
+    def test_failed_csv_write_replaces_neither_file(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_bytes(b"previous")
+        code = main(["report", "--corpus-size", "1", "--out", str(out),
+                     "--csv", str(tmp_path / "nodir" / "x.csv")])
+        assert code == 2
+        assert out.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_out_and_csv_naming_one_file_exit_code(self, tmp_path, monkeypatch):
+        import vtcompress.cli
+
+        same = tmp_path / "same"
+        same.write_bytes(b"previous")
+        # rejected before any work: no corpus is made
+        monkeypatch.setattr(vtcompress.cli, "make_mixed_corpus", lambda *a: pytest.fail("ran"))
+        code = main(["report", "--corpus-size", "1", "--out", str(same),
+                     "--csv", str(tmp_path / "." / "same")])
+        assert code == 3
+        assert same.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["same"]
 
     def test_invalid_corpus_size(self, tmp_path):
         assert main(["report", "--corpus-size", "0", "--out", str(tmp_path / "r.json")]) == 3

@@ -13,9 +13,9 @@ from vtcompress import (
     QueryEmbedding,
     ZeroVectorError,
     frame_query_scores,
-    window_average_similarity,
 )
 from vtcompress.numerics import POOL_CHUNK_FRAMES, TokenGrid, pool_batch, pool_tokens
+from vtcompress.temporal import window_average_similarity
 
 from .conftest import constant_grid, pool_frame, scores_oracle, sequence_from_vectors, sequence_of
 

@@ -14,9 +14,8 @@ from vtcompress import (
     StageToggles,
     apply_position_encoding,
     compress,
-    enforce_budget,
-    flatten,
 )
+from vtcompress.pipeline import enforce_budget, flatten
 from vtcompress.query_select import token_table
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
 from vtcompress.temporal import reduce_frames
@@ -372,7 +371,7 @@ class TestFlatten:
         indices = [2, 5, 7, 11, 13]
         times = timesteps[indices].tolist()
         table = token_table(sequence_of(frames, timesteps), indices, full, (2, 2))
-        keep = rng.random(table.token_count) < 0.5
+        keep = rng.random(table.tokens.total_count) < 0.5
         out = flatten(table, keep)
         expected, row = [], 0  # (frame, timestep, row, col, level, vector) in table order
         for i, f in enumerate(indices):
@@ -382,21 +381,13 @@ class TestFlatten:
                     if keep[row]:
                         expected.append((indices[i], times[i], r, c, 0 if full[i] else 1, grid[r, c]))
                     row += 1
-        assert row == table.token_count == 2 * 16 + 3 * 4
+        assert row == table.tokens.total_count == 2 * 16 + 3 * 4
         assert out.frame_indices.tolist() == [e[0] for e in expected]
         assert out.timesteps.tolist() == [e[1] for e in expected]
         assert out.grid_rows.tolist() == [e[2] for e in expected]
         assert out.grid_cols.tolist() == [e[3] for e in expected]
         assert out.levels.tolist() == [e[4] for e in expected]
         assert np.array_equal(out.vectors, np.array([e[5] for e in expected]).reshape(-1, 3))
-
-    def test_output_shares_no_memory_with_the_input(self, rng):
-        seq = random_sequence(rng, 6, 4, 4, 3)
-        cfg = small_config(l_max=5000, stages=StageToggles(temporal=False))
-        out, stats = compress(seq, random_query(rng, 2, 3), cfg)
-        assert stats.n_full_res == 6 and not cfg.fpe.enabled
-        assert np.array_equal(out.vectors, seq.frames.reshape(-1, 3))
-        assert not np.shares_memory(out.vectors, seq.frames)
 
 
 class TestPipelineInvariants:
@@ -475,11 +466,33 @@ class TestPipelineInvariants:
                 shifted.vectors[i], plain.vectors[i] + offset, atol=1e-6
             )
 
+    # The token table is compress's output and is encoded in place, so it
+    # must be new memory in each of its three cases: 6 frames of 16 tokens
+    # (4 pooled) and 2 query tokens fit whole at 5000, keep 2 full frames at
+    # 50 and fit only pooled at 26.
+    @pytest.mark.parametrize("fpe", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize("case", ["full", "mixed", "pooled"])
+    def test_output_shares_no_memory_with_the_input(self, rng, case, fpe):
+        l_max, n_full = {"full": (5000, 6), "mixed": (50, 2), "pooled": (26, 0)}[case]
+        seq = random_sequence(rng, 6, 4, 4, 4)
+        before = seq.frames.copy()
+        cfg = small_config(l_max=l_max, stages=StageToggles(temporal=False),
+                           fpe=FramePositionConfig(enabled=fpe, dim=4))
+        out, stats = compress(seq, random_query(rng, 2, 4), cfg)
+        assert stats.n_full_res == n_full
+        assert stats.tokens_final == stats.tokens_after_query  # the table, whole
+        if case == "full" and not fpe:
+            assert np.array_equal(out.vectors, seq.frames.reshape(-1, 4))
+        for column in vars(out).values():
+            assert not np.shares_memory(column, seq.frames)
+            assert not np.shares_memory(column, seq.timesteps)
+        assert seq.frames.tobytes() == before.tobytes()
+
     def test_keep_all_wrapper_counts(self, rng):
         # the anchors that subsampling keeps when stage 3 does not prune
         frames = rng.standard_normal((7, 2, 2, 3)).astype(np.float32)
         table = token_table(sequence_of(frames), np.arange(7), np.zeros(7, dtype=bool), (2, 2))
-        assert table.token_count == 28
+        assert table.tokens.total_count == 28
         flags = anchor_frames(table.tokens.vectors.reshape(7, 4, 3), 3, AnchorStrategy.FIRST)
         assert np.flatnonzero(flags).tolist() == [0, 3, 6]
 
@@ -530,10 +543,10 @@ def whole_table_oracle(seq, query, cfg):
     encoding. Returns (tokens or None, the stats fields the stages set)."""
     kept = np.arange(seq.n_frames)
     if cfg.stages.temporal:
-        kept = np.asarray(reduce_frames(seq, cfg.j, cfg.tau_t).kept_indices)
+        kept = reduce_frames(seq, cfg.j, cfg.tau_t).kept_indices
     t, (h_l, w_l) = kept.shape[0], cfg.tokens_low
     table = token_table(seq, kept, np.zeros(t, dtype=bool), cfg.tokens_low)
-    assert table.token_count + query.n_tokens > cfg.l_max  # the over-budget case
+    assert table.tokens.total_count + query.n_tokens > cfg.l_max  # the over-budget case
     stack = table.tokens.vectors.reshape(t, h_l, w_l, -1)
     plan = None
     if cfg.stages.stc:
@@ -542,9 +555,10 @@ def whole_table_oracle(seq, query, cfg):
     else:
         anchor = anchor_frames(stack.reshape(t, h_l * w_l, -1), cfg.k, cfg.anchor)
         result = SpatialCompressionResult(
-            np.ones(table.token_count, dtype=bool), np.repeat(anchor, h_l * w_l)
+            np.ones(table.tokens.total_count, dtype=bool), np.repeat(anchor, h_l * w_l)
         )
-    stats = dict(frames_after_temporal=t, n_full_res=0, tokens_after_query=table.token_count,
+    stats = dict(frames_after_temporal=t, n_full_res=0,
+                 tokens_after_query=table.tokens.total_count,
                  tokens_after_spatial=result.tokens_after)
     try:
         result, theta_eff, fallback = enforce_budget(result, cfg, query.n_tokens, plan=plan)

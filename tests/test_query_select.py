@@ -10,10 +10,10 @@ from vtcompress import (
     QueryEmbedding,
     frame_query_scores,
     num_full_res_frames,
-    select_and_pool,
 )
 from vtcompress import query_select
 from vtcompress.numerics import pool_batch
+from vtcompress.query_select import select_and_pool
 
 from .conftest import pool_frame, random_query, random_sequence, scores_oracle, sequence_of
 
@@ -93,15 +93,38 @@ class TestFrameQueryScores:
             frame_query_scores(sequence_of(frames).means, random_query(rng, 2, 5), AdapterSpec.identity())
 
 
+def frame_starts(mixed) -> np.ndarray:
+    """Each table frame's first row, and one past the last row."""
+    frames = mixed.tokens.frame_indices
+    starts = np.flatnonzero(np.diff(frames)) + 1
+    bounds = np.concatenate([[0], starts, [frames.shape[0]]])
+    assert bounds.shape[0] == mixed.n_frames + 1
+    return bounds
+
+
 def frame_levels(mixed) -> list[str]:
-    return ["full" if code == 0 else "pooled" for code in mixed.tokens.levels[mixed.offsets[:-1]]]
+    codes = mixed.tokens.levels[frame_starts(mixed)[:-1]]
+    return ["full" if code == 0 else "pooled" for code in codes]
+
+
+def full_frames(mixed) -> list[int]:
+    """Table positions of the frames kept at full resolution."""
+    return [i for i, level in enumerate(frame_levels(mixed)) if level == "full"]
 
 
 def frame_tokens(mixed, i) -> np.ndarray:
     """Frame i's tokens in the table as an (h, w, dim) grid."""
-    vectors = mixed.tokens.vectors[mixed.offsets[i] : mixed.offsets[i + 1]]
-    h = mixed.tokens.grid_rows[mixed.offsets[i + 1] - 1] + 1
+    lo, hi = frame_starts(mixed)[i : i + 2]
+    vectors = mixed.tokens.vectors[lo:hi]
+    h = mixed.tokens.grid_rows[hi - 1] + 1
     return vectors.reshape(h, -1, vectors.shape[1])
+
+
+def no_scoring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("frames were scored")
+
+    monkeypatch.setattr(query_select, "frame_query_scores", refuse)
 
 
 def run_select(rng, t=30, l_max=900, l_q=10, h=4, w=4, low=(2, 2), dim=3, **kw):
@@ -120,38 +143,46 @@ def run_select(rng, t=30, l_max=900, l_q=10, h=4, w=4, low=(2, 2), dim=3, **kw):
 
 
 class TestSelectAndPool:
-    def test_under_budget_passthrough(self, rng):
+    def test_under_budget_passthrough(self, rng, monkeypatch):
+        no_scoring(monkeypatch)
         frames, _, mixed, plan = run_select(rng, t=10, l_max=8192, l_q=50)
-        assert plan.n_full_res == 10
-        assert plan.scores.dtype == np.float64 and plan.scores.size == 0
+        assert plan.n_full_res == mixed.n_frames == 10
         assert frame_levels(mixed) == ["full"] * 10
         for i in range(10):
             assert np.array_equal(frame_tokens(mixed, i), frames[i])
 
-    def test_all_pooled_when_no_room(self, rng):
+    def test_all_pooled_when_no_room(self, rng, monkeypatch):
         # 30 frames * 4 low tokens + 10 query tokens leaves no room for full frames
+        no_scoring(monkeypatch)
         _, _, mixed, plan = run_select(rng, t=30, l_max=140, l_q=10)
         assert plan.n_full_res == 0
-        assert plan.scores.dtype == np.float64 and plan.scores.size == 0
         assert frame_levels(mixed) == ["pooled"] * 30
-        assert mixed.token_count == 30 * 4
+        assert mixed.tokens.total_count == 30 * 4
 
-    def test_top_scoring_frame_selected(self, rng):
+    def test_top_scoring_frame_selected(self, rng, monkeypatch):
         t, dim = 30, 3
         frames = rng.standard_normal((t, 4, 4, dim)).astype(np.float32) * 0.1
         query = random_query(rng, 4, dim)
         target = query.rows.mean(axis=0)
         frames[17] = np.broadcast_to(5.0 * target, (4, 4, dim))
+        scored = []
+
+        def recording_scores(means, query, adapter):
+            scored.append(frame_query_scores(means, query, adapter))
+            return scored[-1]
+
+        monkeypatch.setattr(query_select, "frame_query_scores", recording_scores)
         mixed, plan = select_and_pool(
             sequence_of(frames), np.arange(t), query, AdapterSpec.identity(), 300, (2, 2),
         )
         assert plan.n_full_res == num_full_res_frames(t, 300, 4, 16, 4)
-        assert 17 in plan.full_res_indices
+        assert 17 in full_frames(mixed)
         oracle = scores_oracle(frames, query, AdapterSpec.identity())
         expected = set(np.argsort(-oracle, kind="stable")[: plan.n_full_res])
-        assert plan.full_res_indices.dtype == np.int64
-        assert plan.full_res_indices.tolist() == sorted(expected)
-        assert plan.scores.tobytes() == frame_query_scores(
+        assert full_frames(mixed) == sorted(expected)
+        # the frames were scored once, on the input's cached means
+        assert len(scored) == 1
+        assert scored[0].tobytes() == frame_query_scores(
             sequence_of(frames).means, query, AdapterSpec.identity()
         ).tobytes()
 
@@ -161,7 +192,7 @@ class TestSelectAndPool:
             l_max = int(rng.integers(20, 1200))
             frames, query, mixed, plan = run_select(rng, t=t, l_max=l_max, l_q=5)
             n_h = plan.n_full_res
-            assert mixed.token_count == n_h * 16 + (t - n_h) * 4
+            assert mixed.tokens.total_count == n_h * 16 + (t - n_h) * 4
 
     def test_budget_feasibility_when_unclamped(self, rng):
         for _ in range(200):
@@ -175,13 +206,16 @@ class TestSelectAndPool:
 
     def test_adapter_scaling_leaves_selection_unchanged(self, rng):
         w = rng.standard_normal((3, 3))
-        _, _, _, plan1 = run_select(
-            rng.__class__(rng.bit_generator.jumped(1)), adapter=AdapterSpec.linear(w)
+        # at 200 five of the 30 frames stay full, so the scores pick them
+        _, _, mixed1, _ = run_select(
+            rng.__class__(rng.bit_generator.jumped(1)), l_max=200, adapter=AdapterSpec.linear(w)
         )
-        _, _, _, plan2 = run_select(
-            rng.__class__(rng.bit_generator.jumped(1)), adapter=AdapterSpec.linear(3.0 * w)
+        _, _, mixed2, _ = run_select(
+            rng.__class__(rng.bit_generator.jumped(1)), l_max=200,
+            adapter=AdapterSpec.linear(3.0 * w),
         )
-        assert np.array_equal(plan1.full_res_indices, plan2.full_res_indices)
+        assert len(full_frames(mixed1)) == 5
+        assert full_frames(mixed1) == full_frames(mixed2)
 
     def test_pooled_frames_bitwise_match_pooling(self, rng):
         frames, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
@@ -234,7 +268,7 @@ class TestSelectAndPool:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         _, _, mixed, plan = run_select(rng, t=t, l_max=l_max, l_q=l_q, h=h, w=w, low=low, dim=2)
         if plan.n_full_res > 0:
-            assert mixed.token_count + l_q <= l_max
+            assert mixed.tokens.total_count + l_q <= l_max
 
     def test_tie_break_earlier_frame(self):
         frames = np.broadcast_to(
@@ -245,7 +279,7 @@ class TestSelectAndPool:
             sequence_of(frames), np.arange(10), query, AdapterSpec.identity(), 30, (1, 1),
         )
         # all scores tie; capacity picks the earliest frames
-        assert plan.full_res_indices.tolist() == list(range(plan.n_full_res))
+        assert full_frames(mixed) == list(range(plan.n_full_res))
         assert plan.n_full_res > 0
 
 

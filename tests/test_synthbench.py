@@ -21,11 +21,10 @@ from vtcompress import (
     make_mixed_corpus,
     make_needle_grid,
     reduction_report,
-    run_needle_grid,
 )
 from vtcompress import synthbench
 from vtcompress.numerics import AdapterSpec
-from vtcompress.synthbench import _haystack_bases
+from vtcompress.synthbench import _haystack_bases, needle_study
 
 from .conftest import cosine
 
@@ -239,7 +238,7 @@ class TestNeedleGrid:
         for depth in (0.0, 0.3, 0.7, 1.0):
             inserted, idx = insert_needle(video, needle, depth)
             result = reduce_frames(inserted, 8, 0.85)
-            assert idx in result.kept_indices
+            assert idx in result.kept_indices.tolist()
 
     def test_small_grid_full_res_selection(self):
         # static haystack: enough survivors to exceed the budget at full
@@ -250,7 +249,7 @@ class TestNeedleGrid:
             depths=[0.0, 0.5, 1.0],
             frame_counts=[400],
         )
-        cells = run_needle_grid(spec, small_cfg())
+        cells = needle_study(spec, [small_cfg()])[0]
         assert len(cells) == 3
         for cell in cells:
             assert cell["n_full_res"] >= 1
@@ -264,7 +263,7 @@ class TestNeedleGrid:
             frame_counts=[200],
         )
         cfg = small_cfg(stages=StageToggles(query=False))
-        cells = run_needle_grid(spec, cfg)
+        cells = needle_study(spec, [cfg])[0]
         assert all(not c["needle_full_res"] for c in cells)
         assert all(c["any_token_survives"] for c in cells)
 
@@ -274,7 +273,7 @@ class TestNeedleGrid:
             depths=[0.25],
             frame_counts=[200],
         )
-        assert run_needle_grid(spec, small_cfg()) == run_needle_grid(spec, small_cfg())
+        assert needle_study(spec, [small_cfg()]) == needle_study(spec, [small_cfg()])
 
     def test_invalid_specs(self):
         base = SynthSpec(n_frames=10, n_scenes=1, seed=0)

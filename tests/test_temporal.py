@@ -6,10 +6,9 @@ from vtcompress import (
     FrameFeatureSequence,
     InvalidConfigError,
     ZeroVectorError,
-    partition_windows,
     reduce_frames,
-    window_average_similarity,
 )
+from vtcompress.temporal import partition_windows, window_average_similarity
 
 from .conftest import random_sequence, sequence_from_vectors
 
@@ -93,6 +92,21 @@ def reduce_oracle(seq, j, tau_t):
     return per_frame, kept
 
 
+def assert_decided_by(seq, j, per_frame):
+    """``reduce_frames`` keeps a frame whose similarity s is in (0, 1] at
+    tau = s, and drops it at the next float below unless it is its window's
+    minimum; so it decides by exactly ``per_frame``, bit for bit. Returns
+    how many frames were checked."""
+    minima = {start + int(np.argmin(per_frame[start:end]))
+              for start, end in partition_windows(seq.n_frames, j)}
+    checked = np.flatnonzero((per_frame > 0.0) & (per_frame <= 1.0)).tolist()
+    for i in checked:
+        assert i in reduce_frames(seq, j, per_frame[i]).kept_indices
+        below = reduce_frames(seq, j, np.nextafter(per_frame[i], 0.0)).kept_indices
+        assert (i in below) == (i in minima)
+    return len(checked)
+
+
 class TestReduceFrames:
     def test_matches_window_loop_oracle(self, rng):
         cases = 0
@@ -103,14 +117,15 @@ class TestReduceFrames:
                 tau = float(rng.uniform(0.05, 1.0))
                 per_frame, kept = reduce_oracle(seq, j, tau)
                 result = reduce_frames(seq, j, tau)
-                assert result.per_frame_avg_sim.tobytes() == per_frame.tobytes()
-                assert result.kept_indices == kept
+                assert result.kept_indices.dtype == np.int64
+                assert result.kept_indices.tolist() == kept
+                assert result.n_kept == len(kept)
                 # a similarity exactly at the threshold is kept
                 ties = per_frame[(per_frame > 0.0) & (per_frame <= 1.0)]
                 if ties.size:
                     tau = float(rng.choice(ties))
                     per_frame, kept = reduce_oracle(seq, j, tau)
-                    assert reduce_frames(seq, j, tau).kept_indices == kept
+                    assert reduce_frames(seq, j, tau).kept_indices.tolist() == kept
                     assert set(np.flatnonzero(per_frame == tau)) <= set(kept)
                     cases += 1
         assert cases > 50
@@ -123,17 +138,17 @@ class TestReduceFrames:
         seq = FrameFeatureSequence(frames, np.arange(19.0))
         per_frame, kept = reduce_oracle(seq, 8, 0.6)
         result = reduce_frames(seq, 8, 0.6)
-        assert result.per_frame_avg_sim.tobytes() == per_frame.tobytes()
-        assert result.kept_indices == kept and len(kept) < 19
+        assert result.kept_indices.tolist() == kept and len(kept) < 19
+        assert assert_decided_by(seq, 8, per_frame) > 8
 
     def test_identical_frames_keep_first(self):
         seq = sequence_from_vectors([[1.0, 0.0]] * 8)
         result = reduce_frames(seq, 8, 0.85)
-        assert result.kept_indices == [0]
+        assert result.kept_indices.tolist() == [0]
 
     def test_orthogonal_frames_keep_all(self):
         result = reduce_frames(orthogonal_sequence(8), 8, 0.85)
-        assert result.kept_indices == list(range(8))
+        assert result.kept_indices.tolist() == list(range(8))
 
     def test_every_window_contributes(self, rng):
         for _ in range(25):
@@ -141,10 +156,10 @@ class TestReduceFrames:
             j = int(rng.integers(1, 10))
             seq = random_sequence(rng, n, 2, 2, 4)
             result = reduce_frames(seq, j, float(rng.uniform(0.05, 1.0)))
-            kept = np.asarray(result.kept_indices)
+            kept = result.kept_indices
             assert len(kept) > 0
             assert (np.diff(kept) > 0).all()
-            for start, end in result.windows:
+            for start, end in partition_windows(n, j):
                 assert ((kept >= start) & (kept < end)).any()
 
     def test_threshold_monotonicity(self, rng):
@@ -159,29 +174,29 @@ class TestReduceFrames:
         for _ in range(10):
             seq = random_sequence(rng, int(rng.integers(1, 40)), 2, 2, 3)
             result = reduce_frames(seq, 8, 1.0)
-            assert result.kept_indices == list(range(seq.n_frames))
+            assert result.kept_indices.tolist() == list(range(seq.n_frames))
 
     def test_mixed_window_drops_redundant_only(self):
         # seven near-identical frames plus one orthogonal: the redundant ones
         # average 6/7 > 0.85 and drop, the outlier survives as window minimum
         seq = sequence_from_vectors([[1.0, 0.0]] * 7 + [[0.0, 1.0]])
         result = reduce_frames(seq, 8, 0.85)
-        assert result.kept_indices == [7]
+        assert result.kept_indices.tolist() == [7]
 
     def test_per_frame_sims_aligned(self, rng):
+        # each frame is judged by its own window's similarities, the short
+        # tail window's included
         seq = random_sequence(rng, 20, 2, 2, 4)
-        result = reduce_frames(seq, 8, 0.85)
-        assert result.per_frame_avg_sim.shape == (20,)
         summaries = seq.summaries()
-        first = window_average_similarity(summaries[0:8])
-        np.testing.assert_allclose(result.per_frame_avg_sim[0:8], first)
+        per_frame = np.concatenate([window_average_similarity(summaries[s:e])
+                                    for s, e in partition_windows(20, 8)])
+        assert assert_decided_by(seq, 8, per_frame) > 0
 
     def test_deterministic(self, rng):
         seq = random_sequence(rng, 33, 2, 2, 4)
         a = reduce_frames(seq, 8, 0.85)
         b = reduce_frames(seq, 8, 0.85)
-        assert a.kept_indices == b.kept_indices
-        assert np.array_equal(a.per_frame_avg_sim, b.per_frame_avg_sim)
+        assert a.kept_indices.tobytes() == b.kept_indices.tobytes()
 
     def test_invalid_tau(self, rng):
         seq = random_sequence(rng, 4, 2, 2, 3)
@@ -189,6 +204,12 @@ class TestReduceFrames:
             reduce_frames(seq, 8, 0.0)
         with pytest.raises(InvalidConfigError):
             reduce_frames(seq, 8, 1.5)
+
+    def test_invalid_window_length(self, rng):
+        seq = random_sequence(rng, 4, 2, 2, 3)
+        for j in (0, -1):
+            with pytest.raises(InvalidConfigError):
+                reduce_frames(seq, j, 0.85)
 
 
 class TestFrameFeatureSequence:
