@@ -15,7 +15,6 @@ the number of workers or on the order in which the scenes finish.
 from __future__ import annotations
 
 import math
-import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,7 @@ from .errors import BudgetInfeasibleError, InvalidConfigError, InvalidNeedleErro
 from .pipeline import CompressionConfig, compress
 from .query_select import QueryEmbedding
 from .spatial import AnchorStrategy
-from .temporal import FrameFeatureSequence
+from .temporal import FrameFeatureSequence, usable_cpus
 from .tokens import LEVEL_CODE, CompressionStats
 
 __all__ = [
@@ -173,11 +172,7 @@ def _normalized_walk(rng: np.random.Generator, steps: int, dim: int, step_scale:
 
 def _worker_count(n_scenes: int) -> int:
     """Threads for generating n_scenes: one per usable CPU, at most one per scene."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_scenes))
+    return max(1, min(usable_cpus(), n_scenes))
 
 
 def _scene_into(

@@ -7,12 +7,18 @@ survivor set can never be empty.
 
 The input is read once: ``FrameFeatureSequence`` takes every frame's float64
 mean token in the pass that checks the tokens are finite, and stage 1 works
-from those means. Survivors are handed on as indices into the input.
+from those means. That pass is split by contiguous frame ranges over the
+usable CPUs, one thread each, when every thread gets at least
+``MEANS_VALUES_PER_WORKER`` values; a smaller input is reduced on the calling
+thread. A frame's mean does not depend on the split, so the bytes do not
+either. Survivors are handed on as indices into the input.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,16 +31,64 @@ __all__ = [
     "reduce_frames",
 ]
 
+# The fewest float32 values a thread of the means pass is given. Below about
+# this many, starting the thread costs more than its share of the pass saves.
+MEANS_VALUES_PER_WORKER = 1 << 20
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _means_workers(n_values: int) -> int:
+    """Threads for a means pass over n_values values: one per usable CPU,
+    but none with fewer than MEANS_VALUES_PER_WORKER values."""
+    return max(1, min(usable_cpus(), n_values // MEANS_VALUES_PER_WORKER))
+
+
+def _sum_frames_into(out: np.ndarray, frames: np.ndarray):
+    """Write each frame's float64 token sum into its row of ``out``."""
+    # np.errstate does not reach worker threads, so each sets its own:
+    # +inf and -inf in one frame sum to NaN, which the caller rejects.
+    with np.errstate(invalid="ignore"):
+        np.add.reduce(frames, axis=(1, 2), dtype=np.float64, out=out)
+
+
+def _frame_means(frames: np.ndarray) -> np.ndarray:
+    """Each frame's float64 mean token, shape (frames, dim), with the bits of
+    ``frames.mean(axis=(1, 2), dtype=np.float64)``: the same per-frame sums,
+    divided in place by the token count as ``ndarray.mean`` does."""
+    n = frames.shape[0]
+    sums = np.empty((n, frames.shape[3]), dtype=np.float64)
+    workers = min(_means_workers(frames.size), n)
+    if workers == 1:
+        _sum_frames_into(sums, frames)
+    else:
+        bounds = [n * i // workers for i in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            jobs = [pool.submit(_sum_frames_into, sums[a:b], frames[a:b])
+                    for a, b in zip(bounds, bounds[1:])]
+            for done in jobs:
+                done.result()
+    sums /= frames.shape[1] * frames.shape[2]
+    return sums
+
 
 @dataclass
 class FrameFeatureSequence:
     """A video as a read-only (frames, height, width, dim) float32 token array.
 
     ``timesteps`` holds the absolute second of each frame and must be strictly
-    increasing. Construction is the one pass over the tokens: it stores each
-    frame's float64 mean token in ``means`` and rejects the input when a mean
-    is not finite. A float64 sum of finite float32 values cannot overflow, so
-    a frame's mean is finite exactly when all of its tokens are. The unit-norm
+    increasing. Construction is the one pass over the tokens, split by frame
+    over the usable CPUs when the input is large enough (see the module
+    docstring): it stores each frame's float64 mean token in ``means`` and
+    rejects the input when a mean is not finite. A float64 sum of finite
+    float32 values cannot overflow, so a frame's mean is finite exactly when
+    all of its tokens are. The unit-norm
     summaries are derived from ``means`` on first use and cached. ``frames``
     is a read-only view, so the cached means always describe it. It may view
     a read-only mapping of a feature file (``formats.read_features``) rather
@@ -50,8 +104,7 @@ class FrameFeatureSequence:
         self.frames = np.asarray(self.frames, dtype=np.float32).view()
         self.frames.flags.writeable = False
         self._check_layout()
-        with np.errstate(invalid="ignore"):  # +inf and -inf in one frame sum to NaN
-            self.means = self.frames.mean(axis=(1, 2), dtype=np.float64)
+        self.means = _frame_means(self.frames)
         if not np.isfinite(self.means).all():
             raise ValueError("frames contain non-finite values")
 
@@ -146,12 +199,6 @@ def _window_sims(s: np.ndarray) -> np.ndarray:
     unit = s / norms[:, :, None]
     sims = np.clip(unit @ unit.transpose(0, 2, 1), -1.0, 1.0)
     return (sims.sum(axis=2) - sims.diagonal(axis1=1, axis2=2)) / (w - 1)
-
-
-def window_average_similarity(summaries) -> np.ndarray:
-    """Average cosine similarity of each frame to the others in one window
-    of (frames, dim) summaries. A single-frame window returns [0.0]."""
-    return _window_sims(np.asarray(summaries, dtype=np.float64)[None])[0]
 
 
 def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalReduction:

@@ -3,6 +3,7 @@ import pytest
 
 from vtcompress import FrameFeatureSequence, QueryEmbedding
 from vtcompress.numerics import pool_batch
+from vtcompress.temporal import _window_sims
 
 
 @pytest.fixture
@@ -24,6 +25,13 @@ def sequence_from_vectors(vectors, h=2, w=2) -> FrameFeatureSequence:
 def pool_frame(frame, out_h, out_w) -> np.ndarray:
     """One (h, w, dim) frame average-pooled to (out_h, out_w, dim)."""
     return pool_batch(np.asarray(frame, dtype=np.float32)[None], out_h, out_w)[0]
+
+
+def window_average_similarity(summaries) -> np.ndarray:
+    """Average cosine similarity of each frame to the others in one window
+    of (frames, dim) summaries, as stage 1 scores it; a single-frame window
+    returns [0.0]. The per-window oracle of the temporal tests."""
+    return _window_sims(np.asarray(summaries, dtype=np.float64)[None])[0]
 
 
 def cosine(u, v) -> float:

@@ -1,6 +1,7 @@
 import os
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from vtcompress import (
     SynthSpec,
     compress,
     gen_video,
+    temporal,
 )
 from vtcompress.formats import (
     read_compressed,
@@ -143,6 +145,23 @@ class TestFeatureFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError):
             read_features(path)
+
+    def test_infinities_in_the_last_worker_range(self, rng, tmp_path, monkeypatch):
+        # +inf and -inf in one frame of the last worker's range sum to NaN
+        # there; the read still fails as a format error, with no warning
+        monkeypatch.setattr(temporal, "_means_workers", lambda n_values: 3)
+        seq = random_sequence(rng, 9, 2, 2, 2)
+        path = tmp_path / "video.lvuf"
+        write_features(path, seq)
+        raw = bytearray(path.read_bytes())
+        frame = 28 + 8 * (2 * 2 * 2) * 4  # frame 8 of 9: the header, then 2x2x2 floats a frame
+        raw[frame : frame + 4] = struct.pack("<f", float("inf"))
+        raw[frame + 8 : frame + 12] = struct.pack("<f", float("-inf"))
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match="non-finite"):
+                read_features(path)
 
     def test_zero_frame_header_rejected(self, tmp_path):
         path = tmp_path / "empty.lvuf"

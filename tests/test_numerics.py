@@ -15,9 +15,15 @@ from vtcompress import (
     frame_query_scores,
 )
 from vtcompress.numerics import POOL_CHUNK_FRAMES, TokenGrid, pool_batch, pool_tokens
-from vtcompress.temporal import window_average_similarity
 
-from .conftest import constant_grid, pool_frame, scores_oracle, sequence_from_vectors, sequence_of
+from .conftest import (
+    constant_grid,
+    pool_frame,
+    scores_oracle,
+    sequence_from_vectors,
+    sequence_of,
+    window_average_similarity,
+)
 
 nonzero_vectors = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=24

@@ -1,5 +1,10 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcompress import (
     EmptyVideoError,
@@ -7,10 +12,11 @@ from vtcompress import (
     InvalidConfigError,
     ZeroVectorError,
     reduce_frames,
+    temporal,
 )
-from vtcompress.temporal import partition_windows, window_average_similarity
+from vtcompress.temporal import partition_windows
 
-from .conftest import random_sequence, sequence_from_vectors
+from .conftest import random_sequence, sequence_from_vectors, window_average_similarity
 
 
 def orthogonal_sequence(n, dim=None):
@@ -212,6 +218,9 @@ class TestReduceFrames:
                 reduce_frames(seq, j, 0.85)
 
 
+NON_FINITE = {"nan": [np.nan], "+inf": [np.inf], "-inf": [-np.inf], "+inf-inf": [np.inf, -np.inf]}
+
+
 class TestFrameFeatureSequence:
     def test_empty_rejected(self):
         with pytest.raises(EmptyVideoError):
@@ -233,15 +242,23 @@ class TestFrameFeatureSequence:
             FrameFeatureSequence(frames, np.arange(40, dtype=np.float64))
 
     @pytest.mark.parametrize(
-        "bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]], ids=["nan", "+inf", "-inf", "+inf-inf"]
+        "bad, workers",
+        [pytest.param(bad, 1, id=name) for name, bad in NON_FINITE.items()]
+        + [pytest.param(bad, 3, id=f"{name}-split") for name, bad in NON_FINITE.items()],
     )
-    def test_fused_check_rejects_each_non_finite_value(self, bad):
-        # +inf and -inf in one frame would sum to NaN, which is still rejected
+    def test_fused_check_rejects_each_non_finite_value(self, bad, workers, monkeypatch):
+        # +inf and -inf in one frame would sum to NaN, which is still rejected;
+        # split, frame 4 is in the last worker's range, and that worker must
+        # not turn the invalid sum into a RuntimeWarning
+        monkeypatch.setattr(temporal, "_means_workers", lambda n_values: workers)
         frames = np.ones((6, 3, 3, 4), dtype=np.float32)
         frames[4, 0, 1, 2] = bad[0]
         frames[4, 2, 2, 2] = bad[-1]
-        with pytest.raises(ValueError, match="non-finite"):
-            FrameFeatureSequence(frames, np.arange(6, dtype=np.float64))
+        assert 6 * (workers - 1) // workers <= 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                FrameFeatureSequence(frames, np.arange(6, dtype=np.float64))
 
     def test_fused_check_accepts_the_largest_finite_values(self):
         frames = np.ones((3, 4, 4, 2), dtype=np.float32)
@@ -273,3 +290,53 @@ class TestFrameFeatureSequence:
         sub = seq.subset([1, 4, 7])
         assert np.array_equal(sub.summaries(), full[[1, 4, 7]])
         assert sub.timesteps.tolist() == [1.0, 4.0, 7.0]
+
+
+def random_stack(seed, n, h, w, dim) -> np.ndarray:
+    """Float32 frames whose magnitudes span e^-20 to e^20 per frame, with
+    about one value in eight replaced by +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.uniform(-20.0, 20.0, (n, 1, 1, 1)))
+    frames = (scale * rng.standard_normal((n, h, w, dim))).astype(np.float32)
+    zeros = rng.random(frames.shape) < 0.125
+    frames[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return frames
+
+
+class TestSplitMeans:
+    """The means pass split over worker threads by frame range."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workers=st.integers(1, 5),
+        n=st.integers(1, 300),
+        h=st.integers(1, 14),
+        w=st.integers(1, 14),
+        dim=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_gives_the_bytes_of_one_mean(self, workers, n, h, w, dim, seed):
+        frames = random_stack(seed, n, h, w, dim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(temporal, "_means_workers", lambda n_values: workers)
+            seq = FrameFeatureSequence(frames, np.arange(n, dtype=np.float64))
+        assert seq.means.tobytes() == frames.mean(axis=(1, 2), dtype=np.float64).tobytes()
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        callers = []
+        sum_into = temporal._sum_frames_into
+
+        def recorded(out, frames):
+            callers.append(threading.get_ident())
+            sum_into(out, frames)
+
+        monkeypatch.setattr(temporal, "_means_workers", lambda n_values: 3)
+        monkeypatch.setattr(temporal, "_sum_frames_into", recorded)
+        before = threading.active_count()
+        FrameFeatureSequence(random_stack(7, 10, 2, 2, 3), np.arange(10, dtype=np.float64))
+        assert threading.active_count() == before
+        assert len(callers) == 3 and threading.get_ident() not in callers
+
+    def test_small_inputs_stay_on_the_calling_thread(self):
+        n_values = temporal.MEANS_VALUES_PER_WORKER * 2 - 1
+        assert temporal._means_workers(n_values) == 1
