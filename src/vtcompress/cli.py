@@ -1,8 +1,9 @@
 """Command-line surface: compress, synth, needle, and report subcommands.
 
-Exit codes: 0 success, 2 malformed input file or unusable input (such as a
-frame with an all-zero mean token), 3 invalid configuration, 4 budget
-infeasible (anchors alone exceed the context length).
+Exit codes: 0 success, 2 malformed input file, unusable input (such as a
+frame with an all-zero mean token) or a path that cannot be read or
+written, 3 invalid configuration, 4 budget infeasible (anchors alone exceed
+the context length). The configuration is checked before any input is read.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from contextlib import ExitStack, nullcontext
 from pathlib import Path
@@ -73,10 +75,10 @@ def _parse_ints(text: str, flag: str) -> list[int]:
         raise InvalidConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _build_config(args, fpe_dim: int | None) -> CompressionConfig:
-    if args.theta is not None and not (0.0 < args.theta < 1.0):
+def _build_config(args) -> CompressionConfig:
+    if not (0.0 < args.theta < 1.0):
         raise InvalidConfigError(f"--theta must be in (0, 1), got {args.theta}")
-    if args.tau_t is not None and not (0.0 < args.tau_t <= 1.0):
+    if not (0.0 < args.tau_t <= 1.0):
         raise InvalidConfigError(f"--tau-t must be in (0, 1], got {args.tau_t}")
     if args.anchor not in _ANCHOR_FLAGS:
         raise InvalidConfigError(
@@ -98,7 +100,7 @@ def _build_config(args, fpe_dim: int | None) -> CompressionConfig:
         theta=args.theta,
         tau_t=args.tau_t,
         anchor=AnchorStrategy(_ANCHOR_FLAGS[args.anchor]),
-        fpe=FramePositionConfig(enabled=args.fpe == "on", dim=fpe_dim),
+        fpe=FramePositionConfig(enabled=args.fpe == "on"),
         stages=StageToggles(
             temporal="temporal" not in disabled,
             query="query" not in disabled,
@@ -110,14 +112,15 @@ def _build_config(args, fpe_dim: int | None) -> CompressionConfig:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--context-length", type=int, default=8192)
-    p.add_argument("--tokens-low", default="8x8")
-    p.add_argument("--window-j", type=int, default=8)
-    p.add_argument("--window-k", type=int, default=8)
-    p.add_argument("--theta", type=float, default=0.8)
-    p.add_argument("--tau-t", type=float, default=0.85)
-    p.add_argument("--anchor", default="first")
-    p.add_argument("--fpe", default="off")
+    cfg = CompressionConfig()
+    p.add_argument("--context-length", type=int, default=cfg.l_max)
+    p.add_argument("--tokens-low", default="x".join(map(str, cfg.tokens_low)))
+    p.add_argument("--window-j", type=int, default=cfg.j)
+    p.add_argument("--window-k", type=int, default=cfg.k)
+    p.add_argument("--theta", type=float, default=cfg.theta)
+    p.add_argument("--tau-t", type=float, default=cfg.tau_t)
+    p.add_argument("--anchor", default=cfg.anchor.value.replace("_", "-"))
+    p.add_argument("--fpe", default="on" if cfg.fpe.enabled else "off")
     p.add_argument("--disable-stage", action="append", default=[], metavar="STAGE")
 
 
@@ -130,7 +133,7 @@ def _check_distinct(*outputs: tuple[str, str | Path | None]):
     for what, path in outputs:
         if path is None:
             continue
-        other = seen.setdefault(Path(path).resolve(), what)
+        other = seen.setdefault(os.path.realpath(path), what)
         if other != what:
             raise InvalidConfigError(f"{other} and {what} name the same file: {path}")
 
@@ -156,10 +159,10 @@ def _json_bytes(payload: dict) -> bytes:
 
 
 def cmd_compress(args) -> int:
+    cfg = _build_config(args)
     _check_distinct(("--output", args.output), ("--stats", args.stats))
     video = read_features(args.input)
     query = read_query(args.query)
-    cfg = _build_config(args, fpe_dim=video.dim)
     compressed, stats = compress(video, query, cfg)
     # The stats are staged first and renamed last, so a command that exits
     # non-zero has replaced neither file.
@@ -184,6 +187,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_needle(args) -> int:
+    cfg = _build_config(args)
     report = Path(args.report)
     _check_distinct(("--report", report), ("the aggregate JSON", report.with_suffix(".json")))
     spec = NeedleSpec(
@@ -199,7 +203,6 @@ def cmd_needle(args) -> int:
         frame_counts=_parse_ints(args.frame_counts, "--frame-counts"),
         query_alignment=args.alignment,
     )
-    cfg = _build_config(args, fpe_dim=args.dim)
     cells = needle_study(spec, [cfg])[0]
 
     header = [
@@ -236,11 +239,11 @@ def cmd_needle(args) -> int:
 def cmd_report(args) -> int:
     """Budget-infeasible videos do not fail the report: the JSON counts them
     in ``n_infeasible`` and their CSV rows have an empty ``tokens_final``."""
+    cfg = _build_config(args)
     _check_distinct(("--out", args.out), ("--csv", args.csv))
     if args.corpus_size < 1:
         raise InvalidConfigError(f"--corpus-size must be positive, got {args.corpus_size}")
     corpus = make_mixed_corpus(args.corpus_size, args.seed)
-    cfg = _build_config(args, fpe_dim=corpus[0].dim)
     if args.anchor_ablation:
         per_video, aggregate, ablation = ablation_report(corpus, cfg)
         payload = dict(aggregate, anchor_ablation=ablation)
@@ -318,7 +321,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, EmptyVideoError, ZeroVectorError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FileFormatError, EmptyVideoError, ZeroVectorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetInfeasibleError as exc:

@@ -2,7 +2,8 @@
 
 Every token of a frame at time t receives the same offset vector, marking
 frame boundaries after compression has discarded the uniform frame stride.
-Disabled by default.
+The offset has the tokens' own width, so the encoding takes it from the
+tokens it is added to. Disabled by default.
 """
 
 from __future__ import annotations
@@ -19,35 +20,49 @@ __all__ = ["FramePositionConfig", "encoding_vector", "apply_position_encoding"]
 
 # Rows encoded per step of add_position_encoding; bounds its temporaries.
 ENCODE_CHUNK_ROWS = 1024
+# Wavelength base of the sinusoid: pair i turns at t / BASE^(2i/dim).
+BASE = 10000.0
 
 
 @dataclass
 class FramePositionConfig:
+    """Whether the offsets are added. The width is the tokens' own; ``dim``,
+    when given, is only a cross-check that the tokens must match."""
+
     enabled: bool = False
     dim: Optional[int] = None
-    base: float = 10000.0
 
-    def validate(self):
-        if self.base <= 1.0:
-            raise InvalidConfigError(f"position-encoding base must exceed 1, got {self.base}")
-        if self.enabled:
-            if self.dim is None or self.dim < 2:
-                raise InvalidConfigError(
-                    f"position encoding requires dim >= 2 when enabled, got {self.dim}"
-                )
+    def validate(self, token_dim: int | None = None):
+        """Raise unless an enabled encoding agrees with ``dim`` (when set)
+        and can offset tokens of ``token_dim`` (when given)."""
+        width = self.dim if token_dim is None else token_dim
+        if not self.enabled or width is None:
+            return
+        if width < 2:
+            raise InvalidConfigError(f"position encoding requires dim >= 2, got {width}")
+        if self.dim not in (None, width):
+            raise InvalidConfigError(
+                f"position-encoding dim {self.dim} does not match token dim {width}"
+            )
 
 
-def encoding_vector(t: float, dim: int, base: float = 10000.0) -> np.ndarray:
-    """Sinusoidal encoding of timestep t: entry 2i = sin(t / base^(2i/dim)),
-    entry 2i+1 = cos of the same angle. An odd final dim keeps its sin term."""
+def _offsets(timesteps, dim: int) -> np.ndarray:
+    """(len(timesteps), dim) float32 offsets: entry 2i = sin(t / BASE^(2i/dim)),
+    entry 2i+1 = cos of the same angle, computed in float64. An odd final
+    dim keeps its sin term."""
     if dim < 2:
         raise InvalidConfigError(f"encoding dim must be >= 2, got {dim}")
     even = np.arange(0, dim, 2, dtype=np.float64)
-    angles = t / np.power(float(base), even / dim)
-    out = np.empty(dim, dtype=np.float64)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles)[: dim // 2]
+    angles = np.asarray(timesteps, dtype=np.float64)[:, None] / np.power(BASE, even / dim)
+    out = np.empty((angles.shape[0], dim), dtype=np.float64)
+    out[:, 0::2] = np.sin(angles)
+    out[:, 1::2] = np.cos(angles)[:, : dim // 2]
     return out.astype(np.float32)
+
+
+def encoding_vector(t: float, dim: int) -> np.ndarray:
+    """The float32 offset that the encoding adds to every token at timestep t."""
+    return _offsets([t], dim)[0]
 
 
 def apply_position_encoding(
@@ -58,7 +73,6 @@ def apply_position_encoding(
     Returns a new sequence and leaves ``seq`` unchanged. With the encoding
     disabled the input sequence is returned unchanged.
     """
-    cfg.validate()
     if not cfg.enabled:
         return seq
     out = CompressedTokenSequence(
@@ -77,22 +91,12 @@ def add_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConfig
     """``apply_position_encoding`` in place: the offsets are added straight
     into ``seq.vectors``, ``ENCODE_CHUNK_ROWS`` rows at a time, so no array
     the size of the sequence is built. Does nothing when disabled."""
-    cfg.validate()
+    cfg.validate(seq.dim)
     if not cfg.enabled:
         return
-    if cfg.dim != seq.dim:
-        raise InvalidConfigError(
-            f"position-encoding dim {cfg.dim} does not match token dim {seq.dim}"
-        )
-    # Tokens sharing a timestep share one offset; encode each distinct value
-    # once, all in one array operation with encoding_vector's arithmetic.
+    # Tokens sharing a timestep share one offset; encode each distinct value once.
     unique_ts, inverse = np.unique(seq.timesteps, return_inverse=True)
-    even = np.arange(0, cfg.dim, 2, dtype=np.float64)
-    angles = unique_ts.astype(np.float64)[:, None] / np.power(float(cfg.base), even / cfg.dim)
-    offsets = np.empty((unique_ts.shape[0], cfg.dim), dtype=np.float64)
-    offsets[:, 0::2] = np.sin(angles)
-    offsets[:, 1::2] = np.cos(angles)[:, : cfg.dim // 2]
-    offsets = offsets.astype(np.float32)
+    offsets = _offsets(unique_ts, seq.dim)
     # One float32 addition has the bits of the float64 sum rounded to
     # float32: 53 >= 2 * 24 + 2 makes the double rounding innocuous.
     vectors = seq.vectors

@@ -48,24 +48,20 @@ class TokenGrid:
 class AdapterSpec:
     """Affine map applied to every token before cross-modal scoring.
 
-    ``identity`` passes tokens through unchanged and requires the token dim
-    to equal the query dim at use time. ``linear`` maps each token x to
-    weight @ x + bias, where weight is (query_dim, token_dim).
+    Without a weight it is the identity, which requires the token dim to
+    equal the query dim at use time. With one, each token x maps to
+    weight @ x + bias, where weight is (query_dim, token_dim) and the bias
+    is optional; a bias without a weight is rejected.
     """
 
-    kind: str = "identity"
     weight: Optional[np.ndarray] = None
     bias: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "linear"):
-            raise AdapterShapeError(f"unknown adapter kind {self.kind!r}")
-        if self.kind == "identity":
-            if self.weight is not None or self.bias is not None:
-                raise AdapterShapeError("identity adapter takes no weight or bias")
-            return
         if self.weight is None:
-            raise AdapterShapeError("linear adapter requires a weight matrix")
+            if self.bias is not None:
+                raise AdapterShapeError("an adapter bias requires a weight matrix")
+            return
         self.weight = np.asarray(self.weight, dtype=np.float32)
         if self.weight.ndim != 2:
             raise AdapterShapeError(f"adapter weight must be 2-d, got shape {self.weight.shape}")
@@ -77,23 +73,27 @@ class AdapterSpec:
                     f"output dim {self.weight.shape[0]}"
                 )
 
-    def output_dim(self, input_dim: int) -> int:
-        """Token dimension this adapter produces for a given input dimension."""
-        if self.kind == "identity":
-            return input_dim
-        if self.weight.shape[1] != input_dim:
+    def check_dims(self, token_dim: int, query_dim: int):
+        """Raise unless this adapter maps tokens of ``token_dim`` to ``query_dim``."""
+        out_dim = token_dim
+        if self.weight is not None:
+            if self.weight.shape[1] != token_dim:
+                raise AdapterShapeError(
+                    f"adapter expects tokens of dim {self.weight.shape[1]}, got {token_dim}"
+                )
+            out_dim = self.weight.shape[0]
+        if out_dim != query_dim:
             raise AdapterShapeError(
-                f"adapter expects tokens of dim {self.weight.shape[1]}, got {input_dim}"
+                f"adapter produces dim {out_dim} but query embedding has dim {query_dim}"
             )
-        return self.weight.shape[0]
 
     @classmethod
     def identity(cls) -> "AdapterSpec":
-        return cls(kind="identity")
+        return cls()
 
     @classmethod
     def linear(cls, weight, bias=None) -> "AdapterSpec":
-        return cls(kind="linear", weight=weight, bias=bias)
+        return cls(weight, bias)
 
 
 def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:

@@ -301,6 +301,9 @@ def compress(
         raise InvalidConfigError(
             f"pooled grid {cfg.tokens_low} must fit inside the input grid {h_h}x{w_h}"
         )
+    cfg.fpe.validate(seq.dim)
+    if cfg.stages.query:
+        cfg.adapter.check_dims(seq.dim, query.dim)
     l_q = query.n_tokens
     frames_in = seq.n_frames
     tokens_in = frames_in * h_h * w_h
@@ -367,17 +370,15 @@ def compress(
 
     # Otherwise the token table, as built, is the output: under budget at
     # full resolution (or nothing enabled), with some frames at full
-    # resolution, or once every frame is pooled. With the query stage
-    # disabled, selection is skipped but the frames are still pooled.
-    if tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled:
-        table = token_table(seq, kept, np.ones(t_after, dtype=bool), cfg.tokens_low)
-        n_full = t_after
-    elif cfg.stages.query:
+    # resolution, or once every frame is pooled. Selection keeps all frames
+    # full exactly when all fit; without it they are pooled unless all fit.
+    if cfg.stages.query:
         table, split = select_and_pool(seq, kept, query, cfg.adapter, cfg.l_max, cfg.tokens_low)
         n_full = split.n_full_res
     else:
-        table = token_table(seq, kept, np.zeros(t_after, dtype=bool), cfg.tokens_low)
-        n_full = 0
+        fits = tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled
+        table = token_table(seq, kept, np.full(t_after, fits), cfg.tokens_low)
+        n_full = t_after if fits else 0
     compressed = table.tokens
     add_position_encoding(compressed, cfg.fpe)
     return compressed, stage_stats(

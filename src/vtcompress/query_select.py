@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdapterShapeError, InvalidConfigError
+from .errors import InvalidConfigError
 from .numerics import AdapterSpec, pool_batch
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
@@ -148,12 +148,8 @@ def frame_query_scores(token_means, query: QueryEmbedding, adapter: AdapterSpec)
     query-row mean, which is how it is computed here.
     """
     token_means = np.asarray(token_means, dtype=np.float64)
-    out_dim = adapter.output_dim(token_means.shape[1])
-    if out_dim != query.dim:
-        raise AdapterShapeError(
-            f"adapter produces dim {out_dim} but query embedding has dim {query.dim}"
-        )
-    if adapter.kind == "linear":
+    adapter.check_dims(token_means.shape[1], query.dim)
+    if adapter.weight is not None:
         token_means = token_means @ adapter.weight.T.astype(np.float64)
         if adapter.bias is not None:
             token_means += adapter.bias.astype(np.float64)

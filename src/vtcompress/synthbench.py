@@ -48,6 +48,7 @@ TEXTURE_SCALE = 0.5
 ACTIVE_AREA_FRACTION = 0.66
 ADJACENT_COS_RANGE = (0.35, 0.7)
 NEEDLE_SCENE_LEN = 64
+NEEDLE_QUERY_TOKENS = 24  # rows of each needle cell's query
 CORPUS_SCENE_LEN = 128
 
 
@@ -90,7 +91,6 @@ class NeedleSpec:
     depths: list[float] = field(default_factory=lambda: [0.0, 0.25, 0.5, 0.75, 1.0])
     frame_counts: list[int] = field(default_factory=lambda: [200, 400, 800, 1400, 2000, 3600])
     query_alignment: float = 1.0
-    query_tokens: int = 24
 
     def validate(self):
         self.haystack.validate()
@@ -325,7 +325,7 @@ def needle_study(spec: NeedleSpec, cfgs: list[CompressionConfig]) -> list[list[d
             haystack = gen_video(cell)
             needle = make_needle_grid(cell)
             video, index = insert_needle(haystack, needle, depth)
-            query = make_aligned_query(needle, spec.query_alignment, spec.query_tokens, cell.seed)
+            query = make_aligned_query(needle, spec.query_alignment, NEEDLE_QUERY_TOKENS, cell.seed)
             for results, cfg in zip(per_cfg, cfgs):
                 compressed, stats = compress(video, query, cfg)
                 mask = compressed.frame_indices == index
@@ -347,13 +347,10 @@ def needle_study(spec: NeedleSpec, cfgs: list[CompressionConfig]) -> list[list[d
 
 
 def make_mixed_corpus(
-    n_videos: int,
-    seed: int,
-    n_frames_range: tuple[int, int] = (768, 1280),
-    dim: int = 32,
-    grid: tuple[int, int] = (12, 12),
+    n_videos: int, seed: int, n_frames_range: tuple[int, int] = (768, 1280)
 ) -> list[SynthSpec]:
-    """Calibrated corpus mixing static and dynamic scenes across videos.
+    """Calibrated corpus mixing static and dynamic scenes across videos, at
+    ``SynthSpec``'s default dim and grid.
 
     The drift-fraction range centers the corpus means near the reference keep
     and reduction rates. Lengths are drawn without regard to content, so at
@@ -374,8 +371,6 @@ def make_mixed_corpus(
                 n_scenes=max(1, n_frames // CORPUS_SCENE_LEN),
                 intra_scene_noise=0.02,
                 drift_scenes_fraction=float(rng.uniform(0.28, 0.44)),
-                dim=dim,
-                grid=grid,
                 seed=int(rng.integers(0, 2**63)),
             )
         )

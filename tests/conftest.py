@@ -72,7 +72,7 @@ def scores_oracle(frames, query, adapter):
         for h in range(frames.shape[1]):
             for w in range(frames.shape[2]):
                 token = frames[f, h, w].astype(np.float64)
-                if adapter.kind == "linear":
+                if adapter.weight is not None:
                     token = adapter.weight.astype(np.float64) @ token
                     if adapter.bias is not None:
                         token = token + adapter.bias

@@ -64,6 +64,14 @@ class TestSynthCommand:
         assert code == 0
         assert out.stat().st_size == 28 + 3600 * 144 * 32 * 4
 
+    def test_path_under_a_regular_file_exit_code(self, tmp_path):
+        blocker = tmp_path / "f"
+        blocker.write_bytes(b"previous")
+        code = main(["synth", "--frames", "8", "--scenes", "1", "--out", str(blocker / "x.lvuf")])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert blocker.read_bytes() == b"previous"
+
     def test_invalid_spec_exit_code(self, tmp_path):
         code = main([
             "synth", "--frames", "4", "--scenes", "9", "--out", str(tmp_path / "x.lvuf"),
@@ -184,6 +192,34 @@ class TestCompressCommand:
         ])
         assert code == 2
 
+    def test_bad_flag_is_reported_before_a_missing_input(self, tmp_path, query_file, capsys):
+        code = main([
+            "compress", "--input", str(tmp_path / "absent.lvuf"), "--query", str(query_file),
+            "--output", str(tmp_path / "o.lvuc"), "--theta", "2",
+        ])
+        assert code == 3
+        assert "--theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--output", "--input", "--stats"])
+    def test_path_under_a_regular_file_exit_code(self, tmp_path, video_file, query_file, flag):
+        blocker = tmp_path / "f"
+        blocker.write_bytes(b"previous")
+        paths = {"--input": video_file, "--output": tmp_path / "o.lvuc",
+                 "--stats": tmp_path / "s.json", flag: blocker / "x"}
+        argv = ["compress", "--query", str(query_file), "--context-length", "1024"]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert blocker.read_bytes() == b"previous"
+
+    def test_output_under_a_symlink_loop_exit_code(self, tmp_path, video_file, query_file):
+        (tmp_path / "loop").symlink_to("loop")
+        code = main(["compress", "--input", str(video_file), "--query", str(query_file),
+                     "--output", str(tmp_path / "loop" / "o.lvuc"), "--context-length", "1024"])
+        assert code == 2
+
     def test_budget_infeasible_exit_code(self, tmp_path, video_file, query_file):
         code = main([
             "compress", "--input", str(video_file), "--query", str(query_file),
@@ -193,8 +229,7 @@ class TestCompressCommand:
         assert code == 4
 
     def test_query_dim_mismatch_exit_code(self, tmp_path):
-        # static video sized so scoring actually runs (0 < n_h < frame count);
-        # dim checks happen at scoring time
+        # static video sized so scoring actually runs (0 < n_h < frame count)
         rng = np.random.default_rng(1)
         from vtcompress import QueryEmbedding
         from vtcompress.formats import write_query
@@ -211,6 +246,24 @@ class TestCompressCommand:
             "--output", str(tmp_path / "o.lvuc"),
         ])
         assert code == 3
+
+    def test_query_dim_mismatch_when_every_frame_fits(self, tmp_path):
+        # at the default context every kept frame stays full, so no frame is
+        # scored; the query is still checked against the tokens
+        from vtcompress import QueryEmbedding
+        from vtcompress.formats import write_query
+
+        video_path = tmp_path / "v.lvuf"
+        assert main([
+            "synth", "--frames", "64", "--scenes", "2", "--dim", "8", "--seed", "2",
+            "--out", str(video_path),
+        ]) == 0
+        qpath = tmp_path / "narrow.lvuq"
+        write_query(qpath, QueryEmbedding(np.ones((4, 5), dtype=np.float32)))
+        out = tmp_path / "o.lvuc"
+        assert main(["compress", "--input", str(video_path), "--query", str(qpath),
+                     "--output", str(out)]) == 3
+        assert not out.exists()
 
     def test_fpe_flag_changes_vectors(self, tmp_path, video_file, query_file):
         plain, shifted = tmp_path / "plain.lvuc", tmp_path / "fpe.lvuc"
@@ -317,6 +370,15 @@ class TestNeedleCommand:
         aggregate = json.loads(report.with_suffix(".json").read_text())
         assert aggregate["cells"] == 2
         assert 0.0 <= aggregate["any_token_survival_rate"] <= 1.0
+
+    def test_path_under_a_regular_file_exit_code(self, tmp_path):
+        blocker = tmp_path / "f"
+        blocker.write_bytes(b"previous")
+        code = main(["needle", "--frame-counts", "40", "--depths", "0.5",
+                     "--report", str(blocker / "n.csv")])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert blocker.read_bytes() == b"previous"
 
     def test_invalid_grid_exit_code(self, tmp_path):
         code = main([
@@ -427,6 +489,14 @@ class TestReportCommand:
         assert code == 3
         assert same.read_bytes() == b"previous"
         assert [p.name for p in tmp_path.iterdir()] == ["same"]
+
+    def test_path_under_a_regular_file_exit_code(self, tmp_path):
+        blocker = tmp_path / "f"
+        blocker.write_bytes(b"previous")
+        code = main(["report", "--corpus-size", "1", "--out", str(blocker / "r.json")])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
+        assert blocker.read_bytes() == b"previous"
 
     def test_invalid_corpus_size(self, tmp_path):
         assert main(["report", "--corpus-size", "0", "--out", str(tmp_path / "r.json")]) == 3

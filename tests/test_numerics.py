@@ -339,13 +339,14 @@ class TestApplyAdapter:
 
     def test_invalid_specs(self):
         with pytest.raises(AdapterShapeError):
-            AdapterSpec(kind="linear")
-        with pytest.raises(AdapterShapeError):
-            AdapterSpec(kind="nonsense")
-        with pytest.raises(AdapterShapeError):
             AdapterSpec.linear(np.eye(2), bias=[1.0, 2.0, 3.0])
         with pytest.raises(AdapterShapeError):
-            AdapterSpec(kind="identity", weight=np.eye(2))
+            AdapterSpec.linear(np.ones(3))
+
+    def test_bias_without_weight(self):
+        assert AdapterSpec() == AdapterSpec.identity()
+        with pytest.raises(AdapterShapeError):
+            AdapterSpec(bias=[1.0, 2.0])
 
 
 class TestTokenGrid:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vtcompress import (
+    AdapterShapeError,
     AnchorStrategy,
     BudgetInfeasibleError,
     CompressionConfig,
@@ -12,9 +13,12 @@ from vtcompress import (
     InvalidConfigError,
     QueryEmbedding,
     StageToggles,
+    SynthSpec,
     apply_position_encoding,
     compress,
+    gen_video,
 )
+from vtcompress import pipeline
 from vtcompress.pipeline import enforce_budget, flatten
 from vtcompress.query_select import token_table
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
@@ -62,6 +66,16 @@ class TestConfigValidation:
         seq = random_sequence(rng, 2, *kw.pop("grid", (12, 12)), 4)
         with pytest.raises(InvalidConfigError):
             compress(seq, random_query(rng, 2, 4), CompressionConfig(**kw))
+
+    def test_fpe_width_comes_from_the_tokens(self, rng):
+        seq = random_sequence(rng, 6, 4, 4, 5)
+        query = random_query(rng, 2, 5)
+        given, _ = compress(seq, query, small_config(fpe=FramePositionConfig(enabled=True, dim=5)))
+        taken, _ = compress(seq, query, small_config(fpe=FramePositionConfig(enabled=True)))
+        assert_tokens_equal(taken, given)
+        for dim in (1, 4):
+            with pytest.raises(InvalidConfigError):
+                compress(seq, query, small_config(fpe=FramePositionConfig(enabled=True, dim=dim)))
 
 
 class TestCompressTraces:
@@ -116,6 +130,23 @@ class TestCompressTraces:
         seq = random_sequence(rng, 4, 6, 6, 2)
         with pytest.raises(InvalidConfigError):
             compress(seq, random_query(rng, 2, 2), CompressionConfig())
+
+
+class TestQueryWidth:
+    """With the query stage on, a query the adapter cannot reach is rejected
+    before stage 1, whichever way the table is then built."""
+
+    @pytest.mark.parametrize("l_max, path", [(100000, "full"), (3000, "mixed"), (1000, "pooled")])
+    def test_rejected_before_stage_one(self, monkeypatch, l_max, path):
+        video = gen_video(SynthSpec(n_frames=64, n_scenes=2, dim=8, seed=2))
+        cfg = CompressionConfig(l_max=l_max)
+        _, stats = compress(video, QueryEmbedding(np.ones((4, 8), dtype=np.float32)), cfg)
+        t, n_full = stats.frames_after_temporal, stats.n_full_res
+        assert {"full": n_full == t, "mixed": 0 < n_full < t,
+                "pooled": n_full == 0 and stats.tokens_after_query + 4 > l_max}[path]
+        monkeypatch.setattr(pipeline, "reduce_frames", lambda *a: pytest.fail("stage 1 ran"))
+        with pytest.raises(AdapterShapeError):
+            compress(video, QueryEmbedding(np.ones((4, 5), dtype=np.float32)), cfg)
 
 
 class TestStageToggles:
