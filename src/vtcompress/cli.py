@@ -187,6 +187,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_needle(args) -> int:
+    """Budget-infeasible cells do not fail the grid: the JSON counts them in
+    ``n_infeasible`` and takes its rates over the other cells, and their CSV
+    rows have empty needle fields and ``tokens_final``."""
     cfg = _build_config(args)
     report = Path(args.report)
     _check_distinct(("--report", report), ("the aggregate JSON", report.with_suffix(".json")))
@@ -211,23 +214,30 @@ def cmd_needle(args) -> int:
         "needle_full_res",
         "needle_tokens_kept_fraction",
         "any_token_survives",
+        "tokens_final",
     ]
     rows = [
         [
             c["frame_count"],
             c["depth"],
             c["needle_full_res"],
-            repr(c["needle_tokens_kept_fraction"]),
+            "" if c["tokens_final"] is None else repr(c["needle_tokens_kept_fraction"]),
             c["any_token_survives"],
+            c["tokens_final"],
         ]
         for c in cells
     ]
+    done = [c for c in cells if c["tokens_final"] is not None]
+
+    def mean(key):
+        return sum(c[key] for c in done) / len(done) if done else None
+
     aggregate = {
         "cells": len(cells),
-        "full_res_rate": sum(c["needle_full_res"] for c in cells) / len(cells),
-        "any_token_survival_rate": sum(c["any_token_survives"] for c in cells) / len(cells),
-        "mean_tokens_kept_fraction": sum(c["needle_tokens_kept_fraction"] for c in cells)
-        / len(cells),
+        "n_infeasible": len(cells) - len(done),
+        "full_res_rate": mean("needle_full_res"),
+        "any_token_survival_rate": mean("any_token_survives"),
+        "mean_tokens_kept_fraction": mean("needle_tokens_kept_fraction"),
     }
     _write_all(
         (report, _csv_bytes(header, rows)),

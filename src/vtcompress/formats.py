@@ -129,7 +129,8 @@ def _check_header(magic: bytes, expected: bytes, version: int, dtype: int | None
 
 
 def write_features(path, seq: FrameFeatureSequence):
-    """Serialize a frame sequence; timesteps are implicit (1 fps from zero)."""
+    """Serialize a frame sequence. The file stores no timesteps: a frame's
+    timestep is its index (one frame per second from zero)."""
     t, h, w, d = seq.frames.shape
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, t, h, w, d, DTYPE_F32_LE, b"\0\0\0")
     _atomic_write(path, header, _f32_bytes(seq.frames))
@@ -155,8 +156,8 @@ def read_features(path) -> FrameFeatureSequence:
         except ValueError:  # mmap checks the size again, and it has shrunk
             raise FileFormatError("file shrank while its feature payload was mapped") from None
     frames = np.frombuffer(mapped, dtype="<f4", count=count, offset=_FEATURE_HEADER.size)
-    try:  # the header fixes the shape and timesteps, so only the finiteness check can fail
-        return FrameFeatureSequence(frames.reshape(t, h, w, d), np.arange(t, dtype=np.float64))
+    try:  # the header fixes the shape, so only the finiteness check can fail
+        return FrameFeatureSequence(frames.reshape(t, h, w, d))
     except ValueError as exc:
         raise FileFormatError(f"feature payload: {exc}") from None
 

@@ -1,6 +1,7 @@
 """Frame-level sinusoidal position encoding keyed to absolute timestep.
 
-Every token of a frame at time t receives the same offset vector, marking
+A frame's timestep t is its index in the input, sampled at one frame per
+second. Every token of the frame receives the same offset vector, marking
 frame boundaries after compression has discarded the uniform frame stride.
 The offset has the tokens' own width, so the encoding takes it from the
 tokens it is added to. Disabled by default.

@@ -272,9 +272,10 @@ def _emit_kept(
     vectors[again] = pool_tokens(
         seq.frames, h_l, w_l, kept[frame[again]], cell[again] // w_l, cell[again] % w_l
     )
+    index = kept[frame]  # input frame of each row; its index is its timestep
     return CompressedTokenSequence(
-        frame_indices=kept[frame],
-        timesteps=seq.timesteps[kept[frame]],
+        frame_indices=index,
+        timesteps=index,
         grid_rows=cell // w_l,
         grid_cols=cell % w_l,
         levels=np.full(rows.shape[0], LEVEL_CODE["pooled"], dtype=np.uint8),

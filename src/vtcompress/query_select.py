@@ -84,8 +84,8 @@ def token_table(
     tokens_low: tuple[int, int],
 ) -> MixedResolutionSequence:
     """Lay out the input frames ``kept`` as a token table: table frame i is
-    input frame ``kept[i]``, at full resolution where ``full[i]``, otherwise
-    average-pooled to ``tokens_low``.
+    input frame ``kept[i]``, with timestep ``kept[i]``, at full resolution
+    where ``full[i]``, otherwise average-pooled to ``tokens_low``.
 
     Frames are read from ``seq.frames`` by index. Full frames are gathered
     straight into the table; only the pooled frames are pooled, in frame
@@ -113,7 +113,7 @@ def token_table(
     level = np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"])
     tokens = CompressedTokenSequence(
         frame_indices=np.repeat(kept, sizes),
-        timesteps=np.repeat(seq.timesteps[kept].astype(np.float32), sizes),
+        timesteps=np.repeat(kept.astype(np.float32), sizes),
         grid_rows=local // width,
         grid_cols=local % width,
         levels=np.repeat(level, sizes),

@@ -81,6 +81,8 @@ class SynthSpec:
             )
         if self.dim < 1 or min(self.grid) < 1:
             raise InvalidConfigError(f"dim and grid must be positive, got {self.dim}, {self.grid}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -244,7 +246,7 @@ def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
     with ThreadPoolExecutor(max_workers=_worker_count(spec.n_scenes)) as pool:
         for done in [pool.submit(_scene_into, *job) for job in jobs]:
             done.result()
-    return FrameFeatureSequence(frames, np.arange(spec.n_frames, dtype=np.float64))
+    return FrameFeatureSequence(frames)
 
 
 def _haystack_bases(spec: SynthSpec) -> np.ndarray:
@@ -288,8 +290,8 @@ def make_aligned_query(
 def insert_needle(
     seq: FrameFeatureSequence, needle: np.ndarray, depth: float
 ) -> tuple[FrameFeatureSequence, int]:
-    """Insert the needle frame at round(depth * n_frames); timesteps are renumbered
-    to consecutive seconds so they stay strictly increasing."""
+    """Insert the needle frame at round(depth * n_frames). Timesteps are frame
+    indices, so every frame after the needle moves one second later."""
     if not (0.0 <= depth <= 1.0):
         raise InvalidConfigError(f"depth must be in [0, 1], got {depth}")
     if needle.shape != seq.frames.shape[1:]:
@@ -297,9 +299,7 @@ def insert_needle(
             f"needle shape {needle.shape} does not match frames {seq.frames.shape[1:]}"
         )
     index = int(round(depth * seq.n_frames))
-    frames = np.insert(seq.frames, index, needle, axis=0)
-    timesteps = np.arange(seq.n_frames + 1, dtype=np.float64)
-    return FrameFeatureSequence(frames, timesteps), index
+    return FrameFeatureSequence(np.insert(seq.frames, index, needle, axis=0)), index
 
 
 def _cell_seed(base: int, count: int, depth: float) -> int:
@@ -311,7 +311,9 @@ def needle_study(spec: NeedleSpec, cfgs: list[CompressionConfig]) -> list[list[d
     """One result list per config. Each (frame count, depth) cell's haystack,
     needle and query are built once and compressed under every config; each
     result says whether the needle frame survived, at what resolution, and
-    how many of its tokens."""
+    how many of its tokens. A budget-infeasible run gives no output: its
+    ``tokens_final`` and needle fields are None, and ``n_full_res`` comes
+    from the stats its error carries."""
     spec.validate()
     per_cfg = [[] for _ in cfgs]
     for count in spec.frame_counts:
@@ -327,18 +329,25 @@ def needle_study(spec: NeedleSpec, cfgs: list[CompressionConfig]) -> list[list[d
             video, index = insert_needle(haystack, needle, depth)
             query = make_aligned_query(needle, spec.query_alignment, NEEDLE_QUERY_TOKENS, cell.seed)
             for results, cfg in zip(per_cfg, cfgs):
-                compressed, stats = compress(video, query, cfg)
-                mask = compressed.frame_indices == index
-                kept = int(mask.sum())
-                full = bool((compressed.levels[mask] == LEVEL_CODE["full"]).any()) if kept else False
+                try:
+                    compressed, stats = compress(video, query, cfg)
+                except BudgetInfeasibleError as exc:
+                    compressed, stats = None, exc.stats
+                full = fraction = survives = None
+                if compressed is not None:
+                    mask = compressed.frame_indices == index
+                    kept = int(mask.sum())
+                    full = bool((compressed.levels[mask] == LEVEL_CODE["full"]).any())
+                    fraction = kept / (video.grid_h * video.grid_w)
+                    survives = kept > 0
                 results.append(
                     {
                         "frame_count": count,
                         "depth": depth,
                         "needle_index": index,
                         "needle_full_res": full,
-                        "needle_tokens_kept_fraction": kept / (video.grid_h * video.grid_w),
-                        "any_token_survives": kept > 0,
+                        "needle_tokens_kept_fraction": fraction,
+                        "any_token_survives": survives,
                         "n_full_res": stats.n_full_res,
                         "tokens_final": stats.tokens_final,
                     }
@@ -361,6 +370,8 @@ def make_mixed_corpus(
     """
     if n_videos < 1:
         raise InvalidConfigError(f"corpus size must be positive, got {n_videos}")
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     specs = []
     for _ in range(n_videos):

@@ -82,8 +82,8 @@ def _frame_means(frames: np.ndarray) -> np.ndarray:
 class FrameFeatureSequence:
     """A video as a read-only (frames, height, width, dim) float32 token array.
 
-    ``timesteps`` holds the absolute second of each frame and must be strictly
-    increasing. Construction is the one pass over the tokens, split by frame
+    The video is sampled at one frame per second, so a frame's timestep is
+    its index. Construction is the one pass over the tokens, split by frame
     over the usable CPUs when the input is large enough (see the module
     docstring): it stores each frame's float64 mean token in ``means`` and
     rejects the input when a mean is not finite. A float64 sum of finite
@@ -96,7 +96,6 @@ class FrameFeatureSequence:
     """
 
     frames: np.ndarray
-    timesteps: np.ndarray
     means: np.ndarray = field(init=False, repr=False, compare=False)
     _summaries: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
@@ -115,13 +114,6 @@ class FrameFeatureSequence:
             )
         if self.frames.shape[0] == 0:
             raise EmptyVideoError("frame sequence is empty")
-        self.timesteps = np.asarray(self.timesteps, dtype=np.float64)
-        if self.timesteps.shape != (self.frames.shape[0],):
-            raise ValueError(
-                f"expected {self.frames.shape[0]} timesteps, got {self.timesteps.shape}"
-            )
-        if self.n_frames > 1 and not (np.diff(self.timesteps) > 0).all():
-            raise ValueError("timesteps must be strictly increasing")
 
     @property
     def n_frames(self) -> int:
@@ -155,7 +147,7 @@ class FrameFeatureSequence:
         are taken from this sequence, not recomputed."""
         idx = np.asarray(indices, dtype=np.int64)
         sub = copy.copy(self)
-        sub.frames, sub.timesteps, sub.means = self.frames[idx], self.timesteps[idx], self.means[idx]
+        sub.frames, sub.means = self.frames[idx], self.means[idx]
         sub.frames.flags.writeable = False
         sub._check_layout()
         if self._summaries is not None:
@@ -218,7 +210,8 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
     n_full = seq.n_frames // j
     body = n_full * j  # frames in full windows
     per_frame = np.empty(seq.n_frames, dtype=np.float64)
-    per_frame[:body] = _window_sims(summaries[:body].reshape(n_full, j, seq.dim)).ravel()
+    if n_full:  # a window longer than the video has no full window to reshape
+        per_frame[:body] = _window_sims(summaries[:body].reshape(n_full, j, seq.dim)).ravel()
     if body < seq.n_frames:
         per_frame[body:] = _window_sims(summaries[body:][None])[0]
     keep = per_frame <= tau_t

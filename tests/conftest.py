@@ -18,8 +18,8 @@ def constant_grid(vector, h=2, w=2) -> np.ndarray:
 
 
 def sequence_from_vectors(vectors, h=2, w=2) -> FrameFeatureSequence:
-    """One constant-token frame per vector, timestep = index."""
-    return sequence_of(np.stack([constant_grid(v, h, w) for v in vectors]))
+    """One constant-token frame per vector."""
+    return FrameFeatureSequence(np.stack([constant_grid(v, h, w) for v in vectors]))
 
 
 def pool_frame(frame, out_h, out_w) -> np.ndarray:
@@ -49,14 +49,7 @@ def assert_tokens_equal(a, b):
 
 def random_sequence(rng, n_frames, h, w, dim, scale=1.0) -> FrameFeatureSequence:
     frames = (scale * rng.standard_normal((n_frames, h, w, dim))).astype(np.float32)
-    return FrameFeatureSequence(frames, np.arange(n_frames, dtype=np.float64))
-
-
-def sequence_of(frames, timesteps=None) -> FrameFeatureSequence:
-    """A sequence over a frame stack, timestep = index unless given."""
-    if timesteps is None:
-        timesteps = np.arange(len(frames), dtype=np.float64)
-    return FrameFeatureSequence(frames, timesteps)
+    return FrameFeatureSequence(frames)
 
 
 def random_query(rng, n_tokens, dim) -> QueryEmbedding:

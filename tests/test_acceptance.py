@@ -112,7 +112,7 @@ def _fuzz_video(rng):
                 base[None] + 0.05 * rng.standard_normal((length, hh, wh, dim))
             ).astype(np.float32)
             cursor += length
-    seq = FrameFeatureSequence(frames, np.arange(n, dtype=np.float64))
+    seq = FrameFeatureSequence(frames)
     l_q = int(rng.integers(1, 300))
     query = QueryEmbedding(rng.standard_normal((l_q, dim)).astype(np.float32))
     stages = StageToggles(*(bool(rng.integers(0, 2)) for _ in range(3)))

@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from vtcompress import FrameFeatureSequence
 from vtcompress.cli import main
 from vtcompress.formats import read_compressed, read_features, write_features
 from vtcompress.synthbench import reduction_report
 
-from .conftest import random_sequence, sequence_of
+from .conftest import random_sequence
 
 
 @pytest.fixture
@@ -82,6 +83,12 @@ class TestSynthCommand:
             assert main(["synth", "--frames", "4", "--scenes", "1", "--noise", noise,
                          "--out", str(out)]) == 3
             assert not out.exists()
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        code = main(["synth", "--frames", "4", "--scenes", "1", "--seed", "-1",
+                     "--out", str(tmp_path / "x.lvuf")])
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompressCommand:
@@ -157,7 +164,7 @@ class TestCompressCommand:
         frames = random_sequence(np.random.default_rng(1), 12, 12, 12, 8).frames.copy()
         frames[5] = 0.0
         path = tmp_path / "black.lvuf"
-        write_features(path, sequence_of(frames))
+        write_features(path, FrameFeatureSequence(frames))
         code = main([
             "compress", "--input", str(path), "--query", str(query_file),
             "--output", str(tmp_path / "o.lvuc"),
@@ -265,6 +272,18 @@ class TestCompressCommand:
                      "--output", str(out)]) == 3
         assert not out.exists()
 
+    def test_window_longer_than_any_video(self, tmp_path, video_file, query_file):
+        # 2^62 frames per window: no full window exists, so the 64 frames
+        # form one short window, as with --window-j 64
+        outputs = []
+        for j in [2**62, 64]:
+            out = tmp_path / f"j{j}.lvuc"
+            code = main(["compress", "--input", str(video_file), "--query", str(query_file),
+                         "--output", str(out), "--window-j", str(j)])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_fpe_flag_changes_vectors(self, tmp_path, video_file, query_file):
         plain, shifted = tmp_path / "plain.lvuc", tmp_path / "fpe.lvuc"
         base = [
@@ -368,8 +387,42 @@ class TestNeedleCommand:
         assert lines[0].startswith("frame_count,depth,needle_full_res")
         assert len(lines) == 3
         aggregate = json.loads(report.with_suffix(".json").read_text())
-        assert aggregate["cells"] == 2
+        assert aggregate["cells"] == 2 and aggregate["n_infeasible"] == 0
         assert 0.0 <= aggregate["any_token_survival_rate"] <= 1.0
+
+    def test_infeasible_cell_exits_zero(self, tmp_path):
+        # at the default 8,192 the 2,000-frame cell's anchors alone hold
+        # 8,384 tokens, so only the 200-frame cell gives rates
+        report = tmp_path / "needle.csv"
+        code = main(["needle", "--frame-counts", "200,2000", "--depths", "0.5",
+                     "--report", str(report)])
+        assert code == 0
+        header, feasible, infeasible = report.read_text().strip().splitlines()
+        assert header.endswith(",any_token_survives,tokens_final")
+        assert feasible.startswith("200,0.5,") and not feasible.endswith(",")
+        assert infeasible == "2000,0.5,,,,"
+        aggregate = json.loads(report.with_suffix(".json").read_text())
+        assert aggregate["cells"] == 2 and aggregate["n_infeasible"] == 1
+        _, _, full, fraction, survives, _ = feasible.split(",")
+        assert aggregate["full_res_rate"] == (full == "True")
+        assert aggregate["any_token_survival_rate"] == (survives == "True")
+        assert aggregate["mean_tokens_kept_fraction"] == float(fraction)
+
+    def test_no_feasible_cell_gives_no_rates(self, tmp_path):
+        report = tmp_path / "needle.csv"
+        code = main(["needle", "--frame-counts", "2000", "--depths", "0.5",
+                     "--report", str(report)])
+        assert code == 0
+        aggregate = json.loads(report.with_suffix(".json").read_text())
+        assert aggregate == {"cells": 1, "n_infeasible": 1, "full_res_rate": None,
+                             "any_token_survival_rate": None,
+                             "mean_tokens_kept_fraction": None}
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        code = main(["needle", "--frame-counts", "40", "--depths", "0.5", "--seed", "-1",
+                     "--report", str(tmp_path / "n.csv")])
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_path_under_a_regular_file_exit_code(self, tmp_path):
         blocker = tmp_path / "f"
@@ -500,6 +553,12 @@ class TestReportCommand:
 
     def test_invalid_corpus_size(self, tmp_path):
         assert main(["report", "--corpus-size", "0", "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        code = main(["report", "--corpus-size", "1", "--seed", "-1",
+                     "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_pure_static_mean_near_one_eighth(self, tmp_path):
         # corpus construction is exercised through the library for this check

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vtcompress import (
     AdapterShapeError,
     AdapterSpec,
+    FrameFeatureSequence,
     InvalidPoolingError,
     QueryEmbedding,
     ZeroVectorError,
@@ -21,7 +22,6 @@ from .conftest import (
     pool_frame,
     scores_oracle,
     sequence_from_vectors,
-    sequence_of,
     window_average_similarity,
 )
 
@@ -278,7 +278,7 @@ class TestFrameSummary:
 
     def test_two_token_mean(self):
         frame = np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=np.float32)
-        out = sequence_of(frame[None]).summaries()[0]
+        out = FrameFeatureSequence(frame[None]).summaries()[0]
         assert np.allclose(out, [1 / math.sqrt(2)] * 2, atol=1e-7)
 
     def test_zero_grid_raises(self):
@@ -286,7 +286,7 @@ class TestFrameSummary:
             sequence_from_vectors([[0.0, 0.0]]).summaries()
 
     def test_unit_norm(self, rng):
-        seq = sequence_of(rng.standard_normal((100, 3, 4, 6)).astype(np.float32))
+        seq = FrameFeatureSequence(rng.standard_normal((100, 3, 4, 6)).astype(np.float32))
         summaries = seq.summaries()
         assert summaries.shape == (100, 6)
         for row in summaries:
@@ -297,7 +297,7 @@ def adapted_scores(adapter, frames, query_rows) -> np.ndarray:
     """``frame_query_scores`` of a (frames, h, w, dim) stack, checked against
     the exhaustive (token, query row) oracle."""
     query = QueryEmbedding(np.asarray(query_rows, dtype=np.float32))
-    scores = frame_query_scores(sequence_of(frames).means, query, adapter)
+    scores = frame_query_scores(FrameFeatureSequence(frames).means, query, adapter)
     np.testing.assert_allclose(scores, scores_oracle(frames, query, adapter), atol=1e-6)
     return scores
 

@@ -16,6 +16,7 @@ from vtcompress import (
     SynthSpec,
     apply_position_encoding,
     compress,
+    encoding_vector,
     gen_video,
 )
 from vtcompress import pipeline
@@ -30,7 +31,6 @@ from .conftest import (
     random_query,
     random_sequence,
     sequence_from_vectors,
-    sequence_of,
 )
 
 
@@ -123,7 +123,7 @@ class TestCompressTraces:
 
     def test_empty_input_rejected(self):
         with pytest.raises(Exception):
-            FrameFeatureSequence(np.zeros((0, 4, 4, 2), dtype=np.float32), np.zeros(0))
+            FrameFeatureSequence(np.zeros((0, 4, 4, 2), dtype=np.float32))
 
     def test_wrong_input_resolution(self, rng):
         # a 6x6 input cannot be pooled to the default 8x8 grid
@@ -280,7 +280,7 @@ class TestEnforceBudget:
         r = np.random.default_rng(7)
         base = r.standard_normal((4, 4, 6)).astype(np.float32)
         frames = base[None] + 0.55 * r.standard_normal((64, 4, 4, 6)).astype(np.float32)
-        seq = FrameFeatureSequence(frames.astype(np.float32), np.arange(64, dtype=np.float64))
+        seq = FrameFeatureSequence(frames.astype(np.float32))
         query = QueryEmbedding(r.standard_normal((10, 6)).astype(np.float32))
         cfg = small_config(l_max=150, stages=StageToggles(temporal=False))
         out, stats = compress(seq, query, cfg)
@@ -325,7 +325,7 @@ class TestBudgetLadder:
         assert out.tokens_after == int(keep.sum()) <= budget
         n, h, w, _ = frames.shape
         frame_idx, pos = np.divmod(np.flatnonzero(keep), h * w)
-        table = token_table(sequence_of(frames), np.arange(n), np.zeros(n, dtype=bool), (h, w))
+        table = token_table(FrameFeatureSequence(frames), np.arange(n), np.zeros(n, dtype=bool), (h, w))
         got = flatten(table, out.keep)
         assert np.array_equal(got.frame_indices, frame_idx)
         assert np.array_equal(got.grid_rows, pos // w)
@@ -369,7 +369,7 @@ class TestBudgetLadder:
 class TestFlatten:
     def test_single_full_frame_enumeration(self, rng):
         data = rng.standard_normal((12, 12, 3)).astype(np.float32)
-        table = token_table(sequence_of(data[None]), [0], np.array([True]), (8, 8))
+        table = token_table(FrameFeatureSequence(data[None]), [0], np.array([True]), (8, 8))
         out = flatten(table, np.ones(144, dtype=bool))
         assert out.total_count == 144
         assert out.grid_rows[0] == 0 and out.grid_cols[0] == 0
@@ -378,7 +378,7 @@ class TestFlatten:
 
     def test_two_pooled_frames_in_order(self, rng):
         frames = rng.standard_normal((10, 12, 12, 2)).astype(np.float32)
-        table = token_table(sequence_of(frames), [3, 9], np.array([False, False]), (8, 8))
+        table = token_table(FrameFeatureSequence(frames), [3, 9], np.array([False, False]), (8, 8))
         out = flatten(table, np.ones(128, dtype=bool))
         assert out.total_count == 128
         assert (out.frame_indices[:64] == 3).all() and (out.frame_indices[64:] == 9).all()
@@ -386,7 +386,7 @@ class TestFlatten:
 
     def test_pruned_positions_pass_through(self, rng):
         frames = rng.standard_normal((8, 8, 8, 4)).astype(np.float32)
-        table = token_table(sequence_of(frames), [7], np.array([False]), (8, 8))
+        table = token_table(FrameFeatureSequence(frames), [7], np.array([False]), (8, 8))
         keep = np.zeros(64, dtype=bool)
         keep[[0, 3 * 8 + 5]] = True
         out = flatten(table, keep)
@@ -397,11 +397,9 @@ class TestFlatten:
 
     def test_interleaved_levels_under_a_keep_mask(self, rng):
         frames = rng.standard_normal((14, 4, 4, 3)).astype(np.float32)
-        timesteps = np.arange(14) / 4.0
         full = np.array([True, False, True, False, False])
         indices = [2, 5, 7, 11, 13]
-        times = timesteps[indices].tolist()
-        table = token_table(sequence_of(frames, timesteps), indices, full, (2, 2))
+        table = token_table(FrameFeatureSequence(frames), indices, full, (2, 2))
         keep = rng.random(table.tokens.total_count) < 0.5
         out = flatten(table, keep)
         expected, row = [], 0  # (frame, timestep, row, col, level, vector) in table order
@@ -410,7 +408,7 @@ class TestFlatten:
             for r in range(grid.shape[0]):
                 for c in range(grid.shape[1]):
                     if keep[row]:
-                        expected.append((indices[i], times[i], r, c, 0 if full[i] else 1, grid[r, c]))
+                        expected.append((f, float(f), r, c, 0 if full[i] else 1, grid[r, c]))
                     row += 1
         assert row == table.tokens.total_count == 2 * 16 + 3 * 4
         assert out.frame_indices.tolist() == [e[0] for e in expected]
@@ -516,13 +514,39 @@ class TestPipelineInvariants:
             assert np.array_equal(out.vectors, seq.frames.reshape(-1, 4))
         for column in vars(out).values():
             assert not np.shares_memory(column, seq.frames)
-            assert not np.shares_memory(column, seq.timesteps)
         assert seq.frames.tobytes() == before.tobytes()
+
+    # A token's timestep is its frame's index in the input. Stage 1 keeps one
+    # of each window's 4 near-copies, so 10 of 40 frames survive and a
+    # frame's index is not its table position. They hold 160 tokens at full
+    # resolution and 40 pooled; with 2 query tokens, all fit at 1000, 3
+    # frames stay full at 80, all fit pooled at 45, and at 30 the pooled
+    # table is over budget.
+    @pytest.mark.parametrize("fpe", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize("case", ["full", "mixed", "pooled", "over"])
+    def test_timestep_is_the_frame_index(self, rng, case, fpe):
+        l_max, n_full = {
+            "full": (1000, 10), "mixed": (80, 3), "pooled": (45, 0), "over": (30, 0)
+        }[case]
+        base = rng.standard_normal((10, 4, 4, 8))
+        frames = np.repeat(base, 4, axis=0) + 0.01 * rng.standard_normal((40, 4, 4, 8))
+        seq = FrameFeatureSequence(frames.astype(np.float32))
+        query = random_query(rng, 2, 8)
+        cfg = small_config(l_max=l_max, tau_t=0.9, fpe=FramePositionConfig(enabled=fpe))
+        out, stats = compress(seq, query, cfg)
+        assert stats.frames_after_temporal == 10 and stats.n_full_res == n_full
+        assert (stats.tokens_after_query + 2 > l_max) == (case == "over")
+        assert (out.frame_indices >= 4).any()  # a frame away from its table position
+        assert np.array_equal(out.timesteps, out.frame_indices.astype(np.float32))
+        if fpe:  # the offset added is that of the frame's index
+            plain, _ = compress(seq, query, small_config(l_max=l_max, tau_t=0.9))
+            offsets = np.stack([encoding_vector(float(f), 8) for f in plain.frame_indices])
+            assert np.array_equal(out.vectors, plain.vectors + offsets)
 
     def test_keep_all_wrapper_counts(self, rng):
         # the anchors that subsampling keeps when stage 3 does not prune
         frames = rng.standard_normal((7, 2, 2, 3)).astype(np.float32)
-        table = token_table(sequence_of(frames), np.arange(7), np.zeros(7, dtype=bool), (2, 2))
+        table = token_table(FrameFeatureSequence(frames), np.arange(7), np.zeros(7, dtype=bool), (2, 2))
         assert table.tokens.total_count == 28
         flags = anchor_frames(table.tokens.vectors.reshape(7, 4, 3), 3, AnchorStrategy.FIRST)
         assert np.flatnonzero(flags).tolist() == [0, 3, 6]
@@ -536,7 +560,7 @@ class TestPipelineInvariants:
         frames = rng.standard_normal((512, 12, 12, 64)).astype(np.float32)
         static = np.arange(512) // 8 % 2 == 0
         frames[static] = frames[static][::8].repeat(8, axis=0)
-        seq = sequence_of(frames)
+        seq = FrameFeatureSequence(frames)
         cfg = CompressionConfig(l_max=4096)
         query = random_query(rng, 8, 64)
         tracemalloc.start()
@@ -615,7 +639,7 @@ class TestOverBudgetPath:
         # budgets take several blocks; the largest take one.
         scenes = rng.standard_normal((7, *grid, 6))
         frames = scenes[np.arange(61) * 7 // 61] + 0.35 * rng.standard_normal((61, *grid, 6))
-        seq = sequence_of(frames.astype(np.float32), np.arange(61) * 0.5)
+        seq = FrameFeatureSequence(frames.astype(np.float32))
         query = random_query(rng, 5, 6)
         outcomes = set()
         # budgets the 61 pooled frames exceed with the 5 query tokens

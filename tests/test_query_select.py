@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from vtcompress import (
     AdapterShapeError,
     AdapterSpec,
+    FrameFeatureSequence,
     InvalidConfigError,
     QueryEmbedding,
     frame_query_scores,
@@ -15,7 +16,7 @@ from vtcompress import query_select
 from vtcompress.numerics import pool_batch
 from vtcompress.query_select import select_and_pool
 
-from .conftest import pool_frame, random_query, random_sequence, scores_oracle, sequence_of
+from .conftest import pool_frame, random_query, random_sequence, scores_oracle
 
 
 class TestNumFullResFrames:
@@ -57,7 +58,7 @@ class TestNumFullResFrames:
 
 
 def scores_of(frames, query, adapter):
-    return frame_query_scores(sequence_of(frames).means, query, adapter)
+    return frame_query_scores(FrameFeatureSequence(frames).means, query, adapter)
 
 
 class TestFrameQueryScores:
@@ -90,7 +91,9 @@ class TestFrameQueryScores:
     def test_dim_mismatch(self, rng):
         frames = rng.standard_normal((2, 2, 2, 3)).astype(np.float32)
         with pytest.raises(AdapterShapeError):
-            frame_query_scores(sequence_of(frames).means, random_query(rng, 2, 5), AdapterSpec.identity())
+            frame_query_scores(
+                FrameFeatureSequence(frames).means, random_query(rng, 2, 5), AdapterSpec.identity()
+            )
 
 
 def frame_starts(mixed) -> np.ndarray:
@@ -131,7 +134,7 @@ def run_select(rng, t=30, l_max=900, l_q=10, h=4, w=4, low=(2, 2), dim=3, **kw):
     frames = rng.standard_normal((t, h, w, dim)).astype(np.float32)
     query = random_query(rng, l_q, dim)
     mixed, plan = select_and_pool(
-        sequence_of(frames),
+        FrameFeatureSequence(frames),
         np.arange(t),
         query,
         kw.pop("adapter", AdapterSpec.identity()),
@@ -173,7 +176,7 @@ class TestSelectAndPool:
 
         monkeypatch.setattr(query_select, "frame_query_scores", recording_scores)
         mixed, plan = select_and_pool(
-            sequence_of(frames), np.arange(t), query, AdapterSpec.identity(), 300, (2, 2),
+            FrameFeatureSequence(frames), np.arange(t), query, AdapterSpec.identity(), 300, (2, 2),
         )
         assert plan.n_full_res == num_full_res_frames(t, 300, 4, 16, 4)
         assert 17 in full_frames(mixed)
@@ -183,7 +186,7 @@ class TestSelectAndPool:
         # the frames were scored once, on the input's cached means
         assert len(scored) == 1
         assert scored[0].tobytes() == frame_query_scores(
-            sequence_of(frames).means, query, AdapterSpec.identity()
+            FrameFeatureSequence(frames).means, query, AdapterSpec.identity()
         ).tobytes()
 
     def test_token_count_identity(self, rng):
@@ -276,7 +279,7 @@ class TestSelectAndPool:
         ).copy()
         query = QueryEmbedding(np.array([[1.0, 0.0]], dtype=np.float32))
         mixed, plan = select_and_pool(
-            sequence_of(frames), np.arange(10), query, AdapterSpec.identity(), 30, (1, 1),
+            FrameFeatureSequence(frames), np.arange(10), query, AdapterSpec.identity(), 30, (1, 1),
         )
         # all scores tie; capacity picks the earliest frames
         assert full_frames(mixed) == list(range(plan.n_full_res))

@@ -3,6 +3,7 @@ import pytest
 
 from vtcompress import (
     AnchorStrategy,
+    FrameFeatureSequence,
     InvalidConfigError,
     InvalidWindowError,
     ZeroVectorError,
@@ -12,7 +13,7 @@ from vtcompress.pipeline import flatten
 from vtcompress.query_select import token_table
 from vtcompress.spatial import anchor_frames, build_plan
 
-from .conftest import constant_grid, cosine, sequence_of
+from .conftest import constant_grid, cosine
 
 
 def prune_oracle(window, anchor_idx, theta):
@@ -145,7 +146,7 @@ class TestPruneWindow:
 
     def test_position_fidelity(self, rng):
         window = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
-        table = token_table(sequence_of(window), np.arange(4), np.ones(4, dtype=bool), (1, 1))
+        table = token_table(FrameFeatureSequence(window), np.arange(4), np.ones(4, dtype=bool), (1, 1))
         out = flatten(table, prune_window(window, 0, 0.5).ravel())
         assert out.total_count > 9
         for f, r, c, vec in zip(out.frame_indices, out.grid_rows, out.grid_cols, out.vectors):
@@ -220,10 +221,10 @@ class TestSpatialCompress:
         result = spatial_compress(frames, 2, 0.8)
         stack = np.zeros((41, 2, 2, 3), dtype=np.float32)
         stack[[10, 20, 30, 40]] = frames
-        seq = sequence_of(stack, np.arange(41) / 10.0 + 0.5)
+        seq = FrameFeatureSequence(stack)
         table = token_table(seq, [10, 20, 30, 40], np.ones(4, dtype=bool), (1, 1))
         out = flatten(table, result.keep)
         kept = result.keep.reshape(4, 4).sum(axis=1)
         assert out.frame_indices.tolist() == np.repeat([10, 20, 30, 40], kept).tolist()
-        assert out.timesteps.tolist() == np.repeat([1.5, 2.5, 3.5, 4.5], kept).tolist()
+        assert out.timesteps.tolist() == np.repeat([10.0, 20.0, 30.0, 40.0], kept).tolist()
         assert (out.levels == 0).all()

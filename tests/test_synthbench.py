@@ -46,7 +46,6 @@ class TestGenVideo:
         spec = SynthSpec(n_frames=40, n_scenes=4, seed=99)
         a, b = gen_video(spec), gen_video(spec)
         assert np.array_equal(a.frames, b.frames)
-        assert np.array_equal(a.timesteps, b.timesteps)
 
     def test_different_seeds_differ(self):
         a = gen_video(SynthSpec(n_frames=16, n_scenes=2, seed=1))
@@ -73,7 +72,6 @@ class TestGenVideo:
     def test_frame_count_and_timesteps(self):
         video = gen_video(SynthSpec(n_frames=37, n_scenes=5, seed=0))
         assert video.n_frames == 37
-        assert video.timesteps.tolist() == list(range(37))
 
     def test_invalid_spec(self):
         with pytest.raises(InvalidConfigError):
@@ -189,7 +187,6 @@ class TestInsertNeedle:
         out, idx = insert_needle(video, needle, 0.4)
         kept = np.delete(out.frames, idx, axis=0)
         assert np.array_equal(kept, video.frames)
-        assert (np.diff(out.timesteps) > 0).all()
 
     def test_shape_mismatch(self):
         video = gen_video(self.spec())
