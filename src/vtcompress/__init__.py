@@ -20,7 +20,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .framepos import FramePositionConfig, apply_position_encoding, encoding_vector
-from .numerics import AdapterSpec
 from .pipeline import CompressionConfig, StageToggles, compress
 from .query_select import QueryEmbedding, frame_query_scores, num_full_res_frames
 from .spatial import AnchorStrategy, prune_window

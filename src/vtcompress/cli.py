@@ -61,18 +61,13 @@ def _parse_grid(text: str, flag: str) -> tuple[int, int]:
     return h, w
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """The comma-separated entries of ``text`` as ``kind`` (int or float)."""
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise InvalidConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise InvalidConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise InvalidConfigError(f"{flag} expects comma-separated {what}, got {text!r}") from None
 
 
 def _build_config(args) -> CompressionConfig:
@@ -202,8 +197,8 @@ def cmd_needle(args) -> int:
             grid=_parse_grid(args.grid, "--grid"),
             seed=args.seed,
         ),
-        depths=_parse_floats(args.depths, "--depths"),
-        frame_counts=_parse_ints(args.frame_counts, "--frame-counts"),
+        depths=_parse_list(args.depths, "--depths", float),
+        frame_counts=_parse_list(args.frame_counts, "--frame-counts", int),
         query_alignment=args.alignment,
     )
     cells = needle_study(spec, [cfg])[0]

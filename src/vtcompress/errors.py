@@ -14,7 +14,10 @@ class InvalidPoolingError(CompressionError):
 
 
 class AdapterShapeError(CompressionError):
-    """Adapter weight/bias shapes do not match the tokens they are applied to."""
+    """A query's width differs from the width of the tokens it scores.
+
+    Tokens that pass through a projector before scoring are scored by
+    folding the projector into the query rows (see ``query_select``)."""
 
 
 class InvalidConfigError(CompressionError):

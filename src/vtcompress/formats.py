@@ -202,12 +202,14 @@ def _record_dtype(d: int) -> np.dtype:
 
 
 def write_compressed(path, seq: CompressedTokenSequence, stats: CompressionStats):
-    """Token records followed by a length-prefixed JSON stats blob."""
+    """Token records followed by a length-prefixed JSON stats blob. Each
+    record's timestep field holds its frame index as float32."""
     n, d = seq.vectors.shape
     if n and (seq.frame_indices.max() >= 2**32 or seq.frame_indices.min() < 0):
         raise FileFormatError("frame index does not fit in u32")
-    if n and (seq.grid_rows.max() >= 2**16 or seq.grid_cols.max() >= 2**16):
-        raise FileFormatError("grid coordinate does not fit in u16")
+    for coords in (seq.grid_rows, seq.grid_cols):
+        if n and (coords.max() >= 2**16 or coords.min() < 0):
+            raise FileFormatError("grid coordinate does not fit in u16")
     records = np.empty(n, dtype=_record_dtype(d))
     records["frame_index"] = seq.frame_indices
     records["timestep"] = seq.timesteps
@@ -244,14 +246,16 @@ def read_compressed(path) -> tuple[CompressedTokenSequence, CompressionStats]:
             raise FileFormatError("trailing bytes after stats blob")
     if n and records["level"].max() > 1:
         raise FileFormatError("record has unknown level code")
+    timestep_bits = records["frame_index"].astype("<f4").view("<u4")
+    if not np.array_equal(records["timestep"].view("<u4"), timestep_bits):
+        raise FileFormatError("record timestep is not its frame index")
     try:
         stats = CompressionStats.from_dict(json.loads(blob.decode("utf-8")))
     except (ValueError, KeyError, TypeError) as exc:
         raise FileFormatError(f"stats blob is not valid: {exc}") from exc
-    # The float and level fields stay views of the records; only integers widen.
+    # The vectors and levels stay views of the records; only integers widen.
     seq = CompressedTokenSequence(
         frame_indices=records["frame_index"],
-        timesteps=records["timestep"],
         grid_rows=records["grid_h"],
         grid_cols=records["grid_w"],
         levels=records["level"],

@@ -78,7 +78,6 @@ def apply_position_encoding(
         return seq
     out = CompressedTokenSequence(
         frame_indices=seq.frame_indices.copy(),
-        timesteps=seq.timesteps.copy(),
         grid_rows=seq.grid_rows.copy(),
         grid_cols=seq.grid_cols.copy(),
         levels=seq.levels.copy(),

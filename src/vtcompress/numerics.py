@@ -1,6 +1,6 @@
-"""Dense-array kernels shared by every compression stage.
+"""Adaptive average pooling of token grids, for stage 2 and the over-budget path.
 
-All kernels accept float32 data and accumulate in float64; results are cast
+Both kernels accept float32 data and accumulate in float64; results are cast
 back to float32 so repeated runs produce identical bytes. Pooling sums each
 bin separably (rows, then columns) in float64 straight off the float32
 input, a fixed-size chunk at a time. ``pool_batch`` pools whole frames and
@@ -11,13 +11,12 @@ order, so a token pooled alone has the bits it has in its pooled frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import AdapterShapeError, InvalidPoolingError
+from .errors import InvalidPoolingError
 
-__all__ = ["AdapterSpec", "pool_batch", "pool_tokens"]
+__all__ = ["pool_batch", "pool_tokens"]
 
 # Frames pooled per float64 working block; bounds pooling's working memory.
 POOL_CHUNK_FRAMES = 16
@@ -42,58 +41,6 @@ class TokenGrid:
             raise ValueError(f"token grid dimensions must be positive, got {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ValueError("token grid contains non-finite entries")
-
-
-@dataclass
-class AdapterSpec:
-    """Affine map applied to every token before cross-modal scoring.
-
-    Without a weight it is the identity, which requires the token dim to
-    equal the query dim at use time. With one, each token x maps to
-    weight @ x + bias, where weight is (query_dim, token_dim) and the bias
-    is optional; a bias without a weight is rejected.
-    """
-
-    weight: Optional[np.ndarray] = None
-    bias: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.weight is None:
-            if self.bias is not None:
-                raise AdapterShapeError("an adapter bias requires a weight matrix")
-            return
-        self.weight = np.asarray(self.weight, dtype=np.float32)
-        if self.weight.ndim != 2:
-            raise AdapterShapeError(f"adapter weight must be 2-d, got shape {self.weight.shape}")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float32)
-            if self.bias.shape != (self.weight.shape[0],):
-                raise AdapterShapeError(
-                    f"adapter bias shape {self.bias.shape} does not match weight "
-                    f"output dim {self.weight.shape[0]}"
-                )
-
-    def check_dims(self, token_dim: int, query_dim: int):
-        """Raise unless this adapter maps tokens of ``token_dim`` to ``query_dim``."""
-        out_dim = token_dim
-        if self.weight is not None:
-            if self.weight.shape[1] != token_dim:
-                raise AdapterShapeError(
-                    f"adapter expects tokens of dim {self.weight.shape[1]}, got {token_dim}"
-                )
-            out_dim = self.weight.shape[0]
-        if out_dim != query_dim:
-            raise AdapterShapeError(
-                f"adapter produces dim {out_dim} but query embedding has dim {query_dim}"
-            )
-
-    @classmethod
-    def identity(cls) -> "AdapterSpec":
-        return cls()
-
-    @classmethod
-    def linear(cls, weight, bias=None) -> "AdapterSpec":
-        return cls(weight, bias)
 
 
 def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetInfeasibleError, InvalidConfigError
 from .framepos import FramePositionConfig, add_position_encoding
-from .numerics import AdapterSpec, pool_batch, pool_tokens
+from .numerics import pool_batch, pool_tokens
 from .query_select import MixedResolutionSequence, QueryEmbedding, select_and_pool, token_table
 from .spatial import (
     AnchorStrategy,
@@ -83,7 +83,6 @@ class CompressionConfig:
     theta: float = 0.8
     tau_t: float = 0.85
     anchor: AnchorStrategy = AnchorStrategy.FIRST
-    adapter: AdapterSpec = field(default_factory=AdapterSpec.identity)
     fpe: FramePositionConfig = field(default_factory=FramePositionConfig)
     stages: StageToggles = field(default_factory=StageToggles)
 
@@ -175,7 +174,6 @@ def flatten(table: MixedResolutionSequence, keep: np.ndarray) -> CompressedToken
     tokens = table.tokens
     return CompressedTokenSequence(
         frame_indices=tokens.frame_indices[rows],
-        timesteps=tokens.timesteps[rows],
         grid_rows=tokens.grid_rows[rows],
         grid_cols=tokens.grid_cols[rows],
         levels=tokens.levels[rows],
@@ -272,10 +270,8 @@ def _emit_kept(
     vectors[again] = pool_tokens(
         seq.frames, h_l, w_l, kept[frame[again]], cell[again] // w_l, cell[again] % w_l
     )
-    index = kept[frame]  # input frame of each row; its index is its timestep
     return CompressedTokenSequence(
-        frame_indices=index,
-        timesteps=index,
+        frame_indices=kept[frame],
         grid_rows=cell // w_l,
         grid_cols=cell % w_l,
         levels=np.full(rows.shape[0], LEVEL_CODE["pooled"], dtype=np.uint8),
@@ -304,7 +300,7 @@ def compress(
         )
     cfg.fpe.validate(seq.dim)
     if cfg.stages.query:
-        cfg.adapter.check_dims(seq.dim, query.dim)
+        query.check_width(seq.dim)
     l_q = query.n_tokens
     frames_in = seq.n_frames
     tokens_in = frames_in * h_h * w_h
@@ -374,7 +370,7 @@ def compress(
     # resolution, or once every frame is pooled. Selection keeps all frames
     # full exactly when all fit; without it they are pooled unless all fit.
     if cfg.stages.query:
-        table, split = select_and_pool(seq, kept, query, cfg.adapter, cfg.l_max, cfg.tokens_low)
+        table, split = select_and_pool(seq, kept, query, cfg.l_max, cfg.tokens_low)
         n_full = split.n_full_res
     else:
         fits = tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled

@@ -1,8 +1,12 @@
 """Stage 2: keep the query-relevant frames at full resolution, pool the rest.
 
-Frames are ranked by the mean dot product between their adapted tokens and
-the text-query embedding rows (raw scores, no softmax). The budget formula
-decides how many frames can stay at full resolution; everything else is
+Frames are ranked by the mean dot product between their tokens and the
+text-query embedding rows (raw scores, no softmax); the rows must have the
+tokens' width. To score tokens seen through a projector ``W``, pass the rows
+``rows @ W``: a score is the mean token dotted with the mean row, and
+``(W @ m) . q = m . (W.T @ q)``. A bias would add the same amount to every
+frame's score, so it never changes the choice. The budget formula decides
+how many frames can stay at full resolution; everything else is
 average-pooled down to the low-resolution grid.
 
 Stage 1's survivors are read from the input through their indices, and
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
-from .numerics import AdapterSpec, pool_batch
+from .errors import AdapterShapeError, InvalidConfigError
+from .numerics import pool_batch
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
 
@@ -58,6 +62,13 @@ class QueryEmbedding:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
+
+    def check_width(self, token_dim: int):
+        """Raise unless the query rows have the width of the tokens they score."""
+        if self.dim != token_dim:
+            raise AdapterShapeError(
+                f"query embedding has dim {self.dim} but the tokens have dim {token_dim}"
+            )
 
 
 @dataclass
@@ -113,7 +124,6 @@ def token_table(
     level = np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"])
     tokens = CompressedTokenSequence(
         frame_indices=np.repeat(kept, sizes),
-        timesteps=np.repeat(kept.astype(np.float32), sizes),
         grid_rows=local // width,
         grid_cols=local % width,
         levels=np.repeat(level, sizes),
@@ -139,29 +149,24 @@ def num_full_res_frames(t: int, l_max: int, l_q: int, hw_high: int, hw_low: int)
     return min(t, max(0, raw // (hw_high - hw_low)))
 
 
-def frame_query_scores(token_means, query: QueryEmbedding, adapter: AdapterSpec) -> np.ndarray:
-    """Mean dot product between each frame's adapted tokens and the query rows.
+def frame_query_scores(token_means, query: QueryEmbedding) -> np.ndarray:
+    """Mean dot product between each frame's tokens and the query rows.
 
     ``token_means`` is each frame's float64 mean token, shape (frames, dim),
     as ``FrameFeatureSequence.means`` holds it. The mean over (token, query
-    row) pairs equals the dot product of the adapted token mean with the
-    query-row mean, which is how it is computed here.
+    row) pairs equals the dot product of the token mean with the query-row
+    mean, which is how it is computed here. For tokens seen through a
+    projector ``W``, pass the rows ``rows @ W`` (see the module docstring).
     """
     token_means = np.asarray(token_means, dtype=np.float64)
-    adapter.check_dims(token_means.shape[1], query.dim)
-    if adapter.weight is not None:
-        token_means = token_means @ adapter.weight.T.astype(np.float64)
-        if adapter.bias is not None:
-            token_means += adapter.bias.astype(np.float64)
-    query_mean = query.rows.astype(np.float64).mean(axis=0)
-    return token_means @ query_mean
+    query.check_width(token_means.shape[1])
+    return token_means @ query.rows.astype(np.float64).mean(axis=0)
 
 
 def select_and_pool(
     seq: FrameFeatureSequence,
     kept: np.ndarray,
     query: QueryEmbedding,
-    adapter: AdapterSpec,
     l_max: int,
     tokens_low: tuple[int, int],
 ) -> tuple[MixedResolutionSequence, BudgetPlan]:
@@ -181,6 +186,6 @@ def select_and_pool(
     n_full = num_full_res_frames(t, l_max, query.n_tokens, seq.grid_h * seq.grid_w, h_l * w_l)
     full = np.full(t, n_full == t)
     if 0 < n_full < t:
-        scores = frame_query_scores(seq.means[kept], query, adapter)
+        scores = frame_query_scores(seq.means[kept], query)
         full[np.argsort(-scores, kind="stable")[:n_full]] = True  # ties keep the earlier frame
     return token_table(seq, kept, full, tokens_low), BudgetPlan(n_full)

@@ -14,11 +14,11 @@ class CompressedTokenSequence:
     """Column-wise storage of the final token stream.
 
     Records are ordered by (timestep, grid row, grid col). ``levels`` uses
-    the byte codes 0=full, 1=pooled.
+    the byte codes 0=full, 1=pooled. A token's timestep is not stored: it
+    is its frame's index, one frame per second from zero.
     """
 
     frame_indices: np.ndarray  # (n,) int64
-    timesteps: np.ndarray  # (n,) float32
     grid_rows: np.ndarray  # (n,) int32
     grid_cols: np.ndarray  # (n,) int32
     levels: np.ndarray  # (n,) uint8
@@ -26,17 +26,21 @@ class CompressedTokenSequence:
 
     def __post_init__(self):
         self.frame_indices = np.asarray(self.frame_indices, dtype=np.int64)
-        self.timesteps = np.asarray(self.timesteps, dtype=np.float32)
         self.grid_rows = np.asarray(self.grid_rows, dtype=np.int32)
         self.grid_cols = np.asarray(self.grid_cols, dtype=np.int32)
         self.levels = np.asarray(self.levels, dtype=np.uint8)
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
         n = self.frame_indices.shape[0]
-        for name in ("timesteps", "grid_rows", "grid_cols", "levels"):
+        for name in ("grid_rows", "grid_cols", "levels"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
         if self.vectors.ndim != 2 or self.vectors.shape[0] != n:
             raise ValueError(f"vectors must have shape ({n}, dim), got {self.vectors.shape}")
+
+    @property
+    def timesteps(self) -> np.ndarray:
+        """Each token's timestep as a new (n,) float32 array: its frame index."""
+        return self.frame_indices.astype(np.float32)
 
     @property
     def total_count(self) -> int:

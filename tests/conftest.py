@@ -56,7 +56,7 @@ def random_query(rng, n_tokens, dim) -> QueryEmbedding:
     return QueryEmbedding(rng.standard_normal((n_tokens, dim)).astype(np.float32))
 
 
-def scores_oracle(frames, query, adapter):
+def scores_oracle(frames, query):
     """Exhaustive mean over every (token, query row) dot product."""
     out = []
     for f in range(frames.shape[0]):
@@ -65,10 +65,6 @@ def scores_oracle(frames, query, adapter):
         for h in range(frames.shape[1]):
             for w in range(frames.shape[2]):
                 token = frames[f, h, w].astype(np.float64)
-                if adapter.weight is not None:
-                    token = adapter.weight.astype(np.float64) @ token
-                    if adapter.bias is not None:
-                        token = token + adapter.bias
                 for row in query.rows.astype(np.float64):
                     total += float(token @ row)
                     count += 1

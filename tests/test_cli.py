@@ -446,6 +446,19 @@ class TestNeedleCommand:
         assert main(["needle", flag, "", "--report", str(report)]) == 3
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "counts, depths, message",
+        [("40", "0,x", "--depths expects comma-separated numbers"),
+         ("1.5", "0.5", "--frame-counts expects comma-separated integers")],
+        ids=["depths", "frame-counts"],
+    )
+    def test_non_numeric_list_entry_exit_code(self, tmp_path, capsys, counts, depths, message):
+        code = main(["needle", "--frame-counts", counts, "--depths", depths,
+                     "--report", str(tmp_path / "n.csv")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_full_grid_comes_from_the_haystack(self, tmp_path):
         report = tmp_path / "n.csv"
         code = main([

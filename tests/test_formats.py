@@ -57,7 +57,6 @@ def sample_stats():
 def sample_compressed(rng, n=9, dim=5):
     return CompressedTokenSequence(
         frame_indices=rng.integers(0, 50, n),
-        timesteps=rng.uniform(0, 100, n).astype(np.float32),
         grid_rows=rng.integers(0, 12, n).astype(np.int32),
         grid_cols=rng.integers(0, 12, n).astype(np.int32),
         levels=rng.integers(0, 2, n).astype(np.uint8),
@@ -342,6 +341,17 @@ class TestCompressedFiles:
         with pytest.raises(FileFormatError):
             read_compressed(path)
 
+    def test_timestep_other_than_frame_index_rejected(self, rng, tmp_path):
+        seq = sample_compressed(rng, n=1, dim=2)
+        path = tmp_path / "out.lvuc"
+        write_compressed(path, seq, sample_stats())
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack("<f", raw[16 + 4 : 16 + 8])[0] == seq.frame_indices[0]
+        raw[16 + 4 : 16 + 8] = struct.pack("<f", seq.frame_indices[0] + 0.5)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError):
+            read_compressed(path)
+
     def test_corrupt_stats_blob(self, rng, tmp_path):
         seq = sample_compressed(rng, n=1, dim=2)
         path = tmp_path / "out.lvuc"
@@ -356,10 +366,18 @@ class TestCompressedFiles:
         with pytest.raises(FileFormatError):
             write_compressed(tmp_path / "out.lvuc", seq, sample_stats())
 
+    @pytest.mark.parametrize("field", ["grid_rows", "grid_cols"])
+    def test_negative_grid_coordinate_rejected(self, rng, tmp_path, field):
+        # u16 would wrap -1 to 65535 without a word
+        seq = sample_compressed(rng, n=2, dim=2)
+        getattr(seq, field)[1] = -1
+        with pytest.raises(FileFormatError):
+            write_compressed(tmp_path / "out.lvuc", seq, sample_stats())
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_token_list_round_trips(self, tmp_path):
         seq = CompressedTokenSequence(
             frame_indices=np.zeros(0, dtype=np.int64),
-            timesteps=np.zeros(0, dtype=np.float32),
             grid_rows=np.zeros(0, dtype=np.int32),
             grid_cols=np.zeros(0, dtype=np.int32),
             levels=np.zeros(0, dtype=np.uint8),

@@ -26,8 +26,7 @@ def encoding_oracle(t, dim):
 
 def small_sequence(n=4, dim=4):
     return CompressedTokenSequence(
-        frame_indices=np.arange(n),
-        timesteps=np.repeat(np.arange((n + 1) // 2, dtype=np.float32), 2)[:n],
+        frame_indices=np.repeat(np.arange((n + 1) // 2), 2)[:n],
         grid_rows=np.zeros(n, dtype=np.int32),
         grid_cols=np.arange(n, dtype=np.int32),
         levels=np.zeros(n, dtype=np.uint8),
@@ -97,11 +96,10 @@ class TestApplyPositionEncoding:
     @pytest.mark.parametrize("dim", [2, 3, 7, 64, 65])
     def test_matches_encoding_vector_per_timestep(self, rng, dim):
         n = 3000
-        timesteps = np.sort(rng.choice(rng.uniform(-50, 4000, 700), n)).astype(np.float32)
-        timesteps[:5] = [0.0, 1.0, 1.0, 1e-3, 3599.0]
+        frame_indices = np.sort(rng.choice(rng.integers(0, 4000, 700), n))
+        frame_indices[:5] = [0, 1, 1, 2, 3599]
         seq = CompressedTokenSequence(
-            frame_indices=np.arange(n),
-            timesteps=timesteps,
+            frame_indices=frame_indices,
             grid_rows=np.zeros(n, dtype=np.int32),
             grid_cols=np.zeros(n, dtype=np.int32),
             levels=np.ones(n, dtype=np.uint8),
@@ -126,17 +124,15 @@ class TestApplyPositionEncoding:
         rng = np.random.default_rng(seed)
         magnitudes = np.exp(rng.uniform(-30.0, 30.0, (n, dim)))
         vectors = (rng.choice([-1.0, 1.0], (n, dim)) * magnitudes).astype(np.float32)
-        timesteps = np.sort(rng.choice(rng.uniform(0.0, 5000.0, 40), n)).astype(np.float32)
         seq = CompressedTokenSequence(
-            frame_indices=np.arange(n),
-            timesteps=timesteps,
+            frame_indices=np.sort(rng.choice(rng.integers(0, 5000, 40), n)),
             grid_rows=np.zeros(n, dtype=np.int32),
             grid_cols=np.zeros(n, dtype=np.int32),
             levels=np.ones(n, dtype=np.uint8),
             vectors=vectors,
         )
         out = apply_position_encoding(seq, FramePositionConfig(enabled=True))
-        offsets = np.stack([encoding_vector(float(t), dim) for t in timesteps])
+        offsets = np.stack([encoding_vector(float(t), dim) for t in seq.timesteps])
         expected = (vectors.astype(np.float64) + offsets.astype(np.float64)).astype(np.float32)
         assert out.vectors.dtype == np.float32
         assert out.vectors.tobytes() == expected.tobytes()
@@ -146,7 +142,6 @@ class TestApplyPositionEncoding:
         n, dim = 2 * ENCODE_CHUNK_ROWS + 5, 6
         seq = CompressedTokenSequence(
             frame_indices=np.arange(n) // 7,
-            timesteps=(np.arange(n) // 7 * 0.25).astype(np.float32),
             grid_rows=np.zeros(n, dtype=np.int32),
             grid_cols=np.zeros(n, dtype=np.int32),
             levels=np.ones(n, dtype=np.uint8),

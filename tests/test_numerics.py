@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vtcompress import (
     AdapterShapeError,
-    AdapterSpec,
     FrameFeatureSequence,
     InvalidPoolingError,
     QueryEmbedding,
@@ -293,60 +292,58 @@ class TestFrameSummary:
             assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-6)
 
 
-def adapted_scores(adapter, frames, query_rows) -> np.ndarray:
-    """``frame_query_scores`` of a (frames, h, w, dim) stack, checked against
-    the exhaustive (token, query row) oracle."""
-    query = QueryEmbedding(np.asarray(query_rows, dtype=np.float32))
-    scores = frame_query_scores(FrameFeatureSequence(frames).means, query, adapter)
-    np.testing.assert_allclose(scores, scores_oracle(frames, query, adapter), atol=1e-6)
+def adapted_scores(weight, frames, query_rows) -> np.ndarray:
+    """``frame_query_scores`` of a (frames, h, w, dim) stack seen through the
+    projector ``weight``, folded into the query rows, checked against the
+    exhaustive (token, query row) oracle over the projected tokens."""
+    weight, rows = np.asarray(weight, dtype=np.float64), np.asarray(query_rows, dtype=np.float64)
+    folded = QueryEmbedding(rows @ weight)
+    scores = frame_query_scores(FrameFeatureSequence(frames).means, folded)
+    projected = np.asarray(frames, dtype=np.float64) @ weight.T
+    np.testing.assert_allclose(
+        scores, scores_oracle(projected, QueryEmbedding(rows)), rtol=1e-6, atol=1e-6
+    )
     return scores
 
 
 class TestApplyAdapter:
-    """Adapters as ``frame_query_scores`` applies them to each frame's mean token."""
+    """An affine adapter x -> W x + b on the tokens, applied by scoring with
+    the query rows ``rows @ W``."""
 
     def test_identity_equals_linear_identity(self, rng):
         frames = rng.standard_normal((3, 2, 3, 4)).astype(np.float32)
         rows = rng.standard_normal((2, 4))
-        identity = adapted_scores(AdapterSpec.identity(), frames, rows)
-        linear = adapted_scores(AdapterSpec.linear(np.eye(4)), frames, rows)
-        assert identity.tobytes() == linear.tobytes()
+        plain = frame_query_scores(FrameFeatureSequence(frames).means, QueryEmbedding(rows))
+        assert adapted_scores(np.eye(4), frames, rows).tobytes() == plain.tobytes()
 
     def test_scalar_multiple(self):
-        adapter = AdapterSpec.linear(2.0 * np.eye(2))
-        scores = adapted_scores(adapter, constant_grid([1.0, 2.0])[None], [[1.0, 0.0], [0.0, 1.0]])
+        scores = adapted_scores(
+            2.0 * np.eye(2), constant_grid([1.0, 2.0])[None], [[1.0, 0.0], [0.0, 1.0]]
+        )
         assert scores == pytest.approx([(2.0 + 4.0) / 2])
 
     def test_swap_matrix(self):
-        adapter = AdapterSpec.linear(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        scores = adapted_scores(adapter, constant_grid([3.0, 5.0])[None], [[1.0, 0.0]])
+        weight = np.array([[0.0, 1.0], [1.0, 0.0]])
+        scores = adapted_scores(weight, constant_grid([3.0, 5.0])[None], [[1.0, 0.0]])
         assert scores == pytest.approx([5.0])
 
-    def test_bias(self):
-        adapter = AdapterSpec.linear(np.eye(2), bias=[1.0, -1.0])
-        scores = adapted_scores(adapter, constant_grid([3.0, 5.0])[None], [[1.0, 0.0], [0.0, 1.0]])
-        assert scores == pytest.approx([(4.0 + 4.0) / 2])
+    def test_bias(self, rng):
+        # A bias adds the same b . (mean query row) to every frame's score.
+        frames = rng.standard_normal((6, 2, 2, 5)).astype(np.float32)
+        weight, bias = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        rows = rng.standard_normal((4, 3))
+        with_bias = scores_oracle(frames @ weight.T + bias, QueryEmbedding(rows))
+        shift = with_bias - adapted_scores(weight, frames, rows)
+        np.testing.assert_allclose(shift, bias @ rows.mean(axis=0), rtol=1e-6, atol=1e-6)
 
     def test_dim_change(self, rng):
-        adapter = AdapterSpec.linear(rng.standard_normal((3, 5)))
         frames = rng.standard_normal((2, 2, 2, 5)).astype(np.float32)
-        assert adapted_scores(adapter, frames, rng.standard_normal((4, 3))).shape == (2,)
+        weight = rng.standard_normal((3, 5))
+        assert adapted_scores(weight, frames, rng.standard_normal((4, 3))).shape == (2,)
 
     def test_shape_mismatch(self):
-        adapter = AdapterSpec.linear(np.eye(3))
         with pytest.raises(AdapterShapeError):
-            adapted_scores(adapter, constant_grid([1.0, 2.0])[None], [[1.0, 0.0, 0.0]])
-
-    def test_invalid_specs(self):
-        with pytest.raises(AdapterShapeError):
-            AdapterSpec.linear(np.eye(2), bias=[1.0, 2.0, 3.0])
-        with pytest.raises(AdapterShapeError):
-            AdapterSpec.linear(np.ones(3))
-
-    def test_bias_without_weight(self):
-        assert AdapterSpec() == AdapterSpec.identity()
-        with pytest.raises(AdapterShapeError):
-            AdapterSpec(bias=[1.0, 2.0])
+            adapted_scores(np.eye(3), constant_grid([1.0, 2.0])[None], [[1.0, 0.0, 0.0]])
 
 
 class TestTokenGrid:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from vtcompress import (
     AdapterShapeError,
-    AdapterSpec,
     FrameFeatureSequence,
     InvalidConfigError,
     QueryEmbedding,
@@ -57,15 +56,15 @@ class TestNumFullResFrames:
                 assert got == (max(feasible) if feasible else 0)
 
 
-def scores_of(frames, query, adapter):
-    return frame_query_scores(FrameFeatureSequence(frames).means, query, adapter)
+def scores_of(frames, query):
+    return frame_query_scores(FrameFeatureSequence(frames).means, query)
 
 
 class TestFrameQueryScores:
     def test_self_alignment(self):
         q = np.array([1.0, 2.0, 3.0], dtype=np.float32)
         frames = np.broadcast_to(q, (1, 2, 2, 3)).copy()
-        scores = scores_of(frames, QueryEmbedding(q[None, :]), AdapterSpec.identity())
+        scores = scores_of(frames, QueryEmbedding(q[None, :]))
         assert scores[0] == pytest.approx(14.0)
 
     def test_orthogonal_scores_zero(self):
@@ -73,27 +72,24 @@ class TestFrameQueryScores:
             np.array([1.0, 0.0], dtype=np.float32), (3, 2, 2, 2)
         ).copy()
         query = QueryEmbedding(np.array([[0.0, 5.0]], dtype=np.float32))
-        assert np.allclose(scores_of(frames, query, AdapterSpec.identity()), 0.0)
+        assert np.allclose(scores_of(frames, query), 0.0)
 
     def test_hand_case(self):
         frames = np.array([[[[1.0, 0.0], [0.0, 1.0]]]], dtype=np.float32)
         query = QueryEmbedding(np.array([[2.0, 2.0]], dtype=np.float32))
-        scores = scores_of(frames, query, AdapterSpec.identity())
+        scores = scores_of(frames, query)
         assert scores[0] == pytest.approx(2.0)
 
     def test_matches_exhaustive_oracle(self, rng):
         frames = rng.standard_normal((5, 3, 4, 6)).astype(np.float32)
-        query = random_query(rng, 3, 4)
-        adapter = AdapterSpec.linear(rng.standard_normal((4, 6)), bias=rng.standard_normal(4))
-        got = scores_of(frames, query, adapter)
-        np.testing.assert_allclose(got, scores_oracle(frames, query, adapter), atol=1e-6)
+        query = random_query(rng, 3, 6)
+        got = scores_of(frames, query)
+        np.testing.assert_allclose(got, scores_oracle(frames, query), atol=1e-6)
 
     def test_dim_mismatch(self, rng):
         frames = rng.standard_normal((2, 2, 2, 3)).astype(np.float32)
         with pytest.raises(AdapterShapeError):
-            frame_query_scores(
-                FrameFeatureSequence(frames).means, random_query(rng, 2, 5), AdapterSpec.identity()
-            )
+            frame_query_scores(FrameFeatureSequence(frames).means, random_query(rng, 2, 5))
 
 
 def frame_starts(mixed) -> np.ndarray:
@@ -137,7 +133,6 @@ def run_select(rng, t=30, l_max=900, l_q=10, h=4, w=4, low=(2, 2), dim=3, **kw):
         FrameFeatureSequence(frames),
         np.arange(t),
         query,
-        kw.pop("adapter", AdapterSpec.identity()),
         l_max,
         low,
         **kw,
@@ -170,23 +165,23 @@ class TestSelectAndPool:
         frames[17] = np.broadcast_to(5.0 * target, (4, 4, dim))
         scored = []
 
-        def recording_scores(means, query, adapter):
-            scored.append(frame_query_scores(means, query, adapter))
+        def recording_scores(means, query):
+            scored.append(frame_query_scores(means, query))
             return scored[-1]
 
         monkeypatch.setattr(query_select, "frame_query_scores", recording_scores)
         mixed, plan = select_and_pool(
-            FrameFeatureSequence(frames), np.arange(t), query, AdapterSpec.identity(), 300, (2, 2),
+            FrameFeatureSequence(frames), np.arange(t), query, 300, (2, 2),
         )
         assert plan.n_full_res == num_full_res_frames(t, 300, 4, 16, 4)
         assert 17 in full_frames(mixed)
-        oracle = scores_oracle(frames, query, AdapterSpec.identity())
+        oracle = scores_oracle(frames, query)
         expected = set(np.argsort(-oracle, kind="stable")[: plan.n_full_res])
         assert full_frames(mixed) == sorted(expected)
         # the frames were scored once, on the input's cached means
         assert len(scored) == 1
         assert scored[0].tobytes() == frame_query_scores(
-            FrameFeatureSequence(frames).means, query, AdapterSpec.identity()
+            FrameFeatureSequence(frames).means, query
         ).tobytes()
 
     def test_token_count_identity(self, rng):
@@ -207,18 +202,25 @@ class TestSelectAndPool:
             if n == raw:  # unclamped value
                 assert n * 144 + (t - n) * 64 + l_q <= l_max
 
-    def test_adapter_scaling_leaves_selection_unchanged(self, rng):
-        w = rng.standard_normal((3, 3))
-        # at 200 five of the 30 frames stay full, so the scores pick them
-        _, _, mixed1, _ = run_select(
-            rng.__class__(rng.bit_generator.jumped(1)), l_max=200, adapter=AdapterSpec.linear(w)
-        )
-        _, _, mixed2, _ = run_select(
-            rng.__class__(rng.bit_generator.jumped(1)), l_max=200,
-            adapter=AdapterSpec.linear(3.0 * w),
-        )
-        assert len(full_frames(mixed1)) == 5
-        assert full_frames(mixed1) == full_frames(mixed2)
+    def test_projector_folded_into_the_query_keeps_the_oracle_top_frames(self, rng):
+        # Tokens scored through an affine map x -> W x + b are scored by the
+        # query rows @ W: the bias shifts every frame's score alike.
+        for _ in range(20):
+            t = int(rng.integers(2, 30))
+            dim, dim_q = (int(d) for d in rng.integers(1, 6, 2))
+            frames = rng.standard_normal((t, 4, 4, dim)).astype(np.float32)
+            weight, bias = rng.standard_normal((dim_q, dim)), rng.standard_normal(dim_q)
+            rows = rng.standard_normal((3, dim_q))
+            l_max = int(rng.integers(3 + 4 * t, 3 + 16 * t))
+            oracle = scores_oracle(frames @ weight.T + bias, QueryEmbedding(rows))
+            mixed, plan = select_and_pool(
+                FrameFeatureSequence(frames), np.arange(t), QueryEmbedding(rows @ weight),
+                l_max, (2, 2),
+            )
+            n_full = num_full_res_frames(t, l_max, 3, 16, 4)
+            assert plan.n_full_res == n_full
+            expected = np.argsort(-oracle, kind="stable")[:n_full]
+            assert full_frames(mixed) == sorted(expected.tolist())
 
     def test_pooled_frames_bitwise_match_pooling(self, rng):
         frames, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
@@ -251,7 +253,7 @@ class TestSelectAndPool:
         seq = random_sequence(rng, 30, 4, 4, 3)
         kept = np.array([0, 3, 4, 9, 12, 13, 17, 20, 22, 25, 26, 29])
         mixed, plan = select_and_pool(
-            seq, kept, random_query(rng, 10, 3), AdapterSpec.identity(), 58, (2, 2),
+            seq, kept, random_query(rng, 10, 3), 58, (2, 2),
         )
         assert plan.n_full_res == 0 and len(stacks) == 1
         # the kept frames are read from the input by index, not copied out first
@@ -279,7 +281,7 @@ class TestSelectAndPool:
         ).copy()
         query = QueryEmbedding(np.array([[1.0, 0.0]], dtype=np.float32))
         mixed, plan = select_and_pool(
-            FrameFeatureSequence(frames), np.arange(10), query, AdapterSpec.identity(), 30, (1, 1),
+            FrameFeatureSequence(frames), np.arange(10), query, 30, (1, 1),
         )
         # all scores tie; capacity picks the earliest frames
         assert full_frames(mixed) == list(range(plan.n_full_res))

@@ -23,7 +23,6 @@ from vtcompress import (
     reduction_report,
 )
 from vtcompress import synthbench
-from vtcompress.numerics import AdapterSpec
 from vtcompress.synthbench import _haystack_bases, needle_study
 
 from .conftest import cosine
@@ -210,7 +209,7 @@ class TestNeedleConstruction:
         needle = make_needle_grid(spec)
         with_needle, idx = insert_needle(video, needle, 0.5)
         query = make_aligned_query(needle, 1.0, 8, spec.seed)
-        scores = frame_query_scores(with_needle.means, query, AdapterSpec.identity())
+        scores = frame_query_scores(with_needle.means, query)
         assert int(np.argmax(scores)) == idx
         others = np.delete(scores, idx)
         assert scores[idx] > others.max() + 0.5
