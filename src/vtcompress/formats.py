@@ -210,6 +210,8 @@ def write_compressed(path, seq: CompressedTokenSequence, stats: CompressionStats
     for coords in (seq.grid_rows, seq.grid_cols):
         if n and (coords.max() >= 2**16 or coords.min() < 0):
             raise FileFormatError("grid coordinate does not fit in u16")
+    if n and seq.levels.max() > 1:
+        raise FileFormatError("record has unknown level code")
     records = np.empty(n, dtype=_record_dtype(d))
     records["frame_index"] = seq.frame_indices
     records["timestep"] = seq.timesteps

@@ -1,10 +1,10 @@
 """Adaptive average pooling of token grids, for stage 2 and the over-budget path.
 
-Both kernels accept float32 data and accumulate in float64; results are cast
-back to float32 so repeated runs produce identical bytes. Pooling sums each
-bin separably (rows, then columns) in float64 straight off the float32
-input, a fixed-size chunk at a time. ``pool_batch`` pools whole frames and
-``pool_tokens`` single pooled tokens; both add a bin's values in the same
+Both kernels sum each bin separably (rows, then columns) in float64 straight
+off the float32 input, divide in float64, cast to float32 and only then add
+0.0, so repeated runs produce identical bytes. ``pool_batch`` pools whole
+frames, 8 at a time, adding each phase of bins in one ufunc call per cell;
+``pool_tokens`` pools single tokens. Both add a bin's values in the same
 order, so a token pooled alone has the bits it has in its pooled frame.
 """
 
@@ -18,8 +18,8 @@ from .errors import InvalidPoolingError
 
 __all__ = ["pool_batch", "pool_tokens"]
 
-# Frames pooled per float64 working block; bounds pooling's working memory.
-POOL_CHUNK_FRAMES = 16
+# Frames pooled per working block; bounds pooling's working memory.
+POOL_CHUNK_FRAMES = 8
 # Tokens pooled per working block of pool_tokens, for the same reason.
 POOL_CHUNK_TOKENS = 512
 
@@ -67,14 +67,28 @@ def _add_in_order(terms, out: np.ndarray):
 
 
 def _mean_to_float32(sums: np.ndarray, counts: np.ndarray, out: np.ndarray):
-    """Divide float64 bin sums by their cell counts, rounding into float32 ``out``.
+    """Divide float64 bin sums by their cell counts in place, rounding into float32 ``out``.
 
-    Adding 0.0 turns a -0.0 mean into +0.0 and leaves every other value
-    alone, so the result is that of sums started from +0.0: those never end
-    at -0.0, and otherwise only the sign of a zero can depend on the start.
+    Adding 0.0 after the cast (where a tiny negative quotient becomes -0.0)
+    turns a -0.0 mean into +0.0 and leaves every other value alone, so the
+    result is that of sums started from +0.0: those never end at -0.0, and
+    otherwise only the sign of a zero can depend on the start.
     """
-    np.divide(sums, counts, out=out, casting="same_kind")
+    sums /= counts
+    out[...] = sums
     out += 0.0
+
+
+def _add_bins(src: np.ndarray, dst: np.ndarray, axis: int, start, end):
+    """Sum cells [start[p], end[p]) of ``src`` along ``axis`` into bin p of ``dst``:
+    with g = gcd(size, bins), bin p + bins/g starts size/g cells after bin p, so
+    both arrays are viewed as g periods and each phase's g bins share every call."""
+    g = int(np.gcd(src.shape[axis], dst.shape[axis]))
+    src, dst = (a.reshape(a.shape[:axis] + (g, a.shape[axis] // g) + a.shape[axis + 1 :])
+                for a in (src, dst))
+    at = (slice(None),) * (axis + 1)
+    for p in range(dst.shape[axis + 1]):
+        _add_in_order([src[at + (r,)] for r in range(start[p], end[p])], dst[at + (p,)])
 
 
 def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndarray:
@@ -86,12 +100,14 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndar
     off the float32 input, and divided by its integer cell count. A float64
     sum of float32 values is exact whenever the bin's nonzero values lie
     within a factor of about 2**20 of each other, and every mean stays
-    inside the [min, max] of the cells it covers. Frames are pooled
-    independently, in chunks of ``POOL_CHUNK_FRAMES``, so the stack is never
-    copied whole to float64, and pooling a batch is bitwise-identical to
-    pooling each frame alone. With an index, each chunk's frames are
-    gathered from the stack by index, so the selected frames are never
-    copied out as one stack.
+    inside the [min, max] of the cells it covers. Each axis is viewed as
+    gcd(size, bins) periods, so one ufunc call per cell adds a phase of bins
+    (4 add calls for 12 -> 8, not 16). The 0.0 that settles the sign of a
+    zero mean is added after the cast to float32.
+    Frames are pooled independently, ``POOL_CHUNK_FRAMES`` (8) at a time, so
+    the stack is never copied whole to float64, and pooling a batch is
+    bitwise-identical to pooling each frame alone. With an index, each
+    chunk is gathered by fancy indexing, so a bad index raises IndexError.
     """
     _, h, w, dim = stack.shape
     n = stack.shape[0] if index is None else len(index)
@@ -101,24 +117,20 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndar
 
     r0, r1 = _pool_edges(h, out_h)
     c0, c1 = _pool_edges(w, out_w)
-    counts = ((r1 - r0)[:, None] * (c1 - c0)[None, :])[:, :, None]
+    counts = np.repeat(((r1 - r0)[:, None] * (c1 - c0))[:, :, None], dim, axis=2).astype(float)
     out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
     # One pair of float64 buffers serves every chunk, and each gathered
-    # chunk is let go before the next is gathered.
+    # chunk is let go before the column pass.
     m = min(n, POOL_CHUNK_FRAMES)
     rows_buf, sums_buf = np.empty((m, out_h, w, dim)), np.empty((m, out_h, out_w, dim))
     for lo in range(0, n, POOL_CHUNK_FRAMES):
-        if index is None:
-            chunk = stack[lo : lo + POOL_CHUNK_FRAMES]
-        else:
-            chunk = stack[index[lo : lo + POOL_CHUNK_FRAMES]]
+        hi = lo + POOL_CHUNK_FRAMES
+        chunk = stack[lo:hi] if index is None else stack[index[lo:hi]]
         rows, sums = rows_buf[: chunk.shape[0]], sums_buf[: chunk.shape[0]]
-        for p in range(out_h):
-            _add_in_order([chunk[:, r] for r in range(r0[p], r1[p])], rows[:, p])
+        _add_bins(chunk, rows, 1, r0, r1)
         del chunk
-        for q in range(out_w):
-            _add_in_order([rows[:, :, c] for c in range(c0[q], c1[q])], sums[:, :, q])
-        _mean_to_float32(sums, counts, out[lo : lo + POOL_CHUNK_FRAMES])
+        _add_bins(rows, sums, 2, c0, c1)
+        _mean_to_float32(sums, counts, out[lo:hi])
     return out
 
 

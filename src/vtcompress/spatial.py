@@ -108,7 +108,7 @@ def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
     w64 = window.astype(np.float64)
     anchor = w64[anchor_idx]
     dots = np.einsum("fhwd,hwd->fhw", w64, anchor)
-    norms = np.linalg.norm(w64, axis=3)
+    norms = np.sqrt(np.add.reduce(np.square(w64, out=w64), axis=3))  # w64 is squared now
     denom = norms * norms[anchor_idx][None, :, :]
     sims = np.full(dots.shape, -np.inf)
     np.divide(dots, denom, out=sims, where=denom > 0.0)

@@ -341,6 +341,13 @@ class TestCompressedFiles:
         with pytest.raises(FileFormatError):
             read_compressed(path)
 
+    def test_unknown_level_code_not_written(self, rng, tmp_path):
+        seq = sample_compressed(rng, n=2, dim=2)
+        seq.levels[:] = [0, 2]
+        with pytest.raises(FileFormatError, match="level"):
+            write_compressed(tmp_path / "out.lvuc", seq, sample_stats())
+        assert list(tmp_path.iterdir()) == []
+
     def test_timestep_other_than_frame_index_rejected(self, rng, tmp_path):
         seq = sample_compressed(rng, n=1, dim=2)
         path = tmp_path / "out.lvuc"

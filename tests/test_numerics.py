@@ -14,6 +14,7 @@ from vtcompress import (
     ZeroVectorError,
     frame_query_scores,
 )
+from vtcompress import numerics
 from vtcompress.numerics import POOL_CHUNK_FRAMES, TokenGrid, pool_batch, pool_tokens
 
 from .conftest import (
@@ -191,6 +192,24 @@ class TestPoolBatch:
             tracemalloc.stop()
         assert peak < 2 * stack.nbytes
 
+    def test_working_set_is_eight_frames(self, rng):
+        # Through an index, so that each chunk is gathered: beyond its output,
+        # pooling holds 8 gathered float32 frames, their float64 row sums and
+        # their float64 bin sums. The slack covers the float64 (8, 8, 64) cell
+        # counts (32 KiB), numpy's buffers for the float32 -> float64 adds
+        # (up to three operands of 8,192 float64, 192 KiB) and small objects.
+        stack = rng.standard_normal((2000, 12, 12, 64), dtype=np.float32)
+        index = rng.permutation(2000)
+        working_set = 8 * (12 * 12 * 64 * 4 + 8 * 12 * 64 * 8 + 8 * 8 * 64 * 8)
+        slack = 256 * 1024
+        tracemalloc.start()
+        try:
+            out = pool_batch(stack, 8, 8, index=index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= working_set + slack
+
 
 def pool_in_order(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Reference pooling that fixes the order of addition: each bin's
@@ -239,9 +258,18 @@ class TestPoolTokens:
     @settings(max_examples=300, deadline=None)
     @given(wide_range_stacks())
     def test_pool_batch_adds_in_the_stated_order(self, case):
-        stack, out_h, out_w, _ = case
+        stack, out_h, out_w, rng = case
         expected = np.stack([pool_in_order(frame, out_h, out_w) for frame in stack])
         assert pool_batch(stack, out_h, out_w).tobytes() == expected.tobytes()
+        # Any chunk size gives the same bits, also through an index that
+        # repeats frames and takes them out of order.
+        index = rng.integers(0, stack.shape[0], rng.integers(1, 12))
+        for chunk_frames in (POOL_CHUNK_FRAMES, 1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numerics, "POOL_CHUNK_FRAMES", chunk_frames)
+                assert pool_batch(stack, out_h, out_w).tobytes() == expected.tobytes()
+                got = pool_batch(stack, out_h, out_w, index=index)
+                assert got.tobytes() == expected[index].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(wide_range_stacks(), st.integers(0, 60))

@@ -133,8 +133,8 @@ class TestCompressTraces:
 
 
 class TestQueryWidth:
-    """With the query stage on, a query the adapter cannot reach is rejected
-    before stage 1, whichever way the table is then built."""
+    """With the query stage on, a query whose dim is not the tokens' dim is
+    rejected before stage 1, whichever way the table is then built."""
 
     @pytest.mark.parametrize("l_max, path", [(100000, "full"), (3000, "mixed"), (1000, "pooled")])
     def test_rejected_before_stage_one(self, monkeypatch, l_max, path):
