@@ -17,7 +17,6 @@ from .errors import (
     InvalidNeedleError,
     InvalidPoolingError,
     InvalidWindowError,
-    ZeroVectorError,
 )
 from .framepos import FramePositionConfig, apply_position_encoding, encoding_vector
 from .pipeline import CompressionConfig, StageToggles, compress

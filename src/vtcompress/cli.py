@@ -1,9 +1,9 @@
 """Command-line surface: compress, synth, needle, and report subcommands.
 
 Exit codes: 0 success, 2 malformed input file, unusable input (such as a
-frame with an all-zero mean token) or a path that cannot be read or
-written, 3 invalid configuration, 4 budget infeasible (anchors alone exceed
-the context length). The configuration is checked before any input is read.
+video with no frames) or a path that cannot be read or written, 3 invalid
+configuration, 4 budget infeasible (anchors alone exceed the context
+length). The configuration is checked before any input is read.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     EmptyVideoError,
     FileFormatError,
     InvalidConfigError,
-    ZeroVectorError,
 )
 from .formats import read_features, read_query, staged_write, write_compressed, write_features
 from .framepos import FramePositionConfig
@@ -326,7 +325,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, EmptyVideoError, ZeroVectorError, OSError) as exc:
+    except (FileFormatError, EmptyVideoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetInfeasibleError as exc:

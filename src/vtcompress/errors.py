@@ -5,10 +5,6 @@ class CompressionError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroVectorError(CompressionError):
-    """A similarity or normalization was requested on a zero-norm vector."""
-
-
 class InvalidPoolingError(CompressionError):
     """Requested pooling output dimensions are not achievable."""
 

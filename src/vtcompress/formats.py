@@ -55,16 +55,16 @@ _U32 = struct.Struct("<I")
 
 @contextmanager
 def staged_write(path, *parts):
-    """Write the bytes-like parts in order to a temp file beside ``path``
-    now; rename it over ``path`` when the block exits cleanly, and delete it
-    when the block or the rename raises. A directory at ``path`` is refused
-    before anything is written, so that the rename cannot fail on it. The
-    temp file is created like any new file, 0o666 less the umask, and the
-    rename keeps that mode."""
+    """Write the bytes-like parts in order to a temp file of a fixed-length
+    name beside ``path`` now; rename it over ``path`` when the block exits
+    cleanly, and delete it when the block or the rename raises. A directory
+    at ``path`` is refused before anything is written, so that the rename
+    cannot fail on it. The temp file is created like any new file, 0o666
+    less the umask, and the rename keeps that mode."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(f"cannot replace directory {str(path)!r}")
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"vtcompress-{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:

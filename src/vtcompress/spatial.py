@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidWindowError, ZeroVectorError
-from .temporal import partition_windows
+from .errors import InvalidConfigError, InvalidWindowError
+from .temporal import cosines, partition_windows, unit_rows, window_minima
 
 __all__ = [
     "AnchorStrategy",
@@ -66,36 +66,32 @@ def _check_stack(frames) -> np.ndarray:
     return stack
 
 
-def _anchor_index(window: np.ndarray, strategy: AnchorStrategy) -> int:
-    n = window.shape[0]
-    if strategy is AnchorStrategy.FIRST or n == 1:
-        return 0
-    if strategy is AnchorStrategy.MIDDLE:
-        return n // 2
-    means = window.mean(axis=1, dtype=np.float64)
-    norms = np.linalg.norm(means, axis=1)
-    if (norms == 0.0).any():
-        raise ZeroVectorError("window contains a frame with an all-zero mean token")
-    unit = means / norms[:, None]
-    # Change score of frame i is its similarity to frame i-1; the window's
-    # first frame has no in-window predecessor and is not a candidate.
-    changes = np.clip(np.einsum("id,id->i", unit[1:], unit[:-1]), -1.0, 1.0)
-    return 1 + int(np.argmin(changes))
-
-
 def anchor_frames(stack: np.ndarray, k: int, strategy: AnchorStrategy) -> np.ndarray:
     """One flag per frame of a (frames, tokens, dim) stack, set on each
     window's anchor.
 
     Windows are k consecutive frames, the last possibly shorter. ``first``
     and ``middle`` are positional; ``middle`` is floor(length / 2).
-    ``high_change`` picks the frame whose mean-token similarity to its
-    predecessor is minimal, ties toward the earliest frame.
+    ``high_change`` picks the frame whose mean-token cosine to its
+    predecessor in the window is minimal (ties toward the earliest frame; a
+    one-frame window's only frame). A zero mean token has cosine 1 to its
+    neighbours (``temporal.cosines``). The cosines are taken once per stack.
     """
     strategy = AnchorStrategy(strategy)
-    is_anchor = np.zeros(stack.shape[0], dtype=bool)
-    for start, end in partition_windows(stack.shape[0], k):
-        is_anchor[start + _anchor_index(stack[start:end], strategy)] = True
+    n = stack.shape[0]
+    starts = np.array([start for start, _ in partition_windows(n, k)])
+    if strategy is AnchorStrategy.FIRST:
+        anchors = starts
+    elif strategy is AnchorStrategy.MIDDLE:
+        anchors = starts + np.minimum(n - starts, k) // 2
+    else:
+        unit, zero = unit_rows(stack.mean(axis=1, dtype=np.float64))
+        change = np.empty(n)
+        change[1:] = cosines(np.einsum("id,id->i", unit[1:], unit[:-1]), zero[1:], zero[:-1])
+        change[starts] = np.inf  # no predecessor in the window
+        anchors = window_minima(change, k)
+    is_anchor = np.zeros(n, dtype=bool)
+    is_anchor[anchors] = True
     return is_anchor
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyVideoError, InvalidConfigError, ZeroVectorError
+from .errors import EmptyVideoError, InvalidConfigError
 
 __all__ = [
     "FrameFeatureSequence",
@@ -78,6 +78,30 @@ def _frame_means(frames: np.ndarray) -> np.ndarray:
     return sums
 
 
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row (last axis) of ``x`` at unit norm, in a new array, where a zero row stays
+    zero; and a flag per row, set on the zero rows."""
+    norms = np.linalg.norm(x, axis=-1)
+    zero = norms == 0.0
+    return x / np.where(zero, 1.0, norms)[..., None], zero
+
+
+def cosines(dots: np.ndarray, zero_a: np.ndarray, zero_b: np.ndarray) -> np.ndarray:
+    """Cosines from dot products of ``unit_rows`` rows, clipped to [-1, 1], under the one
+    rule for a frame with a zero mean token: it repeats every frame it is compared with,
+    so a pair where ``zero_a`` or ``zero_b`` (broadcast) marks a zero row has cosine 1."""
+    return np.where(zero_a | zero_b, 1.0, np.clip(dots, -1.0, 1.0))
+
+
+def window_minima(scores: np.ndarray, j: int) -> np.ndarray:
+    """Index of the least score of each j-window, earliest on ties; the last may be short."""
+    n = scores.shape[0]
+    j = min(j, n)  # a window longer than the scores holds them all
+    padded = np.full(-(-n // j) * j, np.inf)
+    padded[:n] = scores
+    return np.arange(0, n, j) + padded.reshape(-1, j).argmin(axis=1)
+
+
 @dataclass
 class FrameFeatureSequence:
     """A video as a read-only (frames, height, width, dim) float32 token array.
@@ -88,11 +112,11 @@ class FrameFeatureSequence:
     docstring): it stores each frame's float64 mean token in ``means`` and
     rejects the input when a mean is not finite. A float64 sum of finite
     float32 values cannot overflow, so a frame's mean is finite exactly when
-    all of its tokens are. The unit-norm
-    summaries are derived from ``means`` on first use and cached. ``frames``
-    is a read-only view, so the cached means always describe it. It may view
-    a read-only mapping of a feature file (``formats.read_features``) rather
-    than memory of its own.
+    all of its tokens are. A zero mean is valid: the frame repeats every
+    other (``cosines``). The unit-norm summaries are derived from ``means``
+    on first use and cached. ``frames`` is a read-only view, so the cached
+    means always describe it. It may view a read-only mapping of a feature
+    file (``formats.read_features``) rather than memory of its own.
     """
 
     frames: np.ndarray
@@ -132,13 +156,9 @@ class FrameFeatureSequence:
         return self.frames.shape[3]
 
     def summaries(self) -> np.ndarray:
-        """Unit-norm mean token per frame, shape (n_frames, dim)."""
+        """Unit-norm mean tokens, (n_frames, dim) float32; a zero mean stays zero (``cosines``)."""
         if self._summaries is None:
-            norms = np.linalg.norm(self.means, axis=1)
-            if (norms == 0.0).any():
-                bad = int(np.flatnonzero(norms == 0.0)[0])
-                raise ZeroVectorError(f"frame {bad} has an all-zero mean token")
-            self._summaries = (self.means / norms[:, None]).astype(np.float32)
+            self._summaries = unit_rows(self.means)[0].astype(np.float32)
         return self._summaries
 
     # Unused by the package; kept because bench/spans.py patches it.
@@ -181,16 +201,11 @@ def _window_sims(s: np.ndarray) -> np.ndarray:
     for a (windows, w, dim) float64 stack of equal windows; shape (windows, w).
 
     A single-frame window scores 0.0: the frame is trivially non-redundant.
+    A zero row repeats every frame (``cosines``), so it scores 1.0.
     """
-    w = s.shape[1]
-    if w == 1:
-        return np.zeros(s.shape[:2])
-    norms = np.linalg.norm(s, axis=2)
-    if (norms == 0.0).any():
-        raise ZeroVectorError("window contains a zero-norm summary vector")
-    unit = s / norms[:, :, None]
-    sims = np.clip(unit @ unit.transpose(0, 2, 1), -1.0, 1.0)
-    return (sims.sum(axis=2) - sims.diagonal(axis1=1, axis2=2)) / (w - 1)
+    unit, zero = unit_rows(s)
+    sims = cosines(unit @ unit.transpose(0, 2, 1), zero[:, :, None], zero[:, None])
+    return (sims.sum(axis=2) - sims.diagonal(axis1=1, axis2=2)) / max(s.shape[1] - 1, 1)
 
 
 def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalReduction:
@@ -206,18 +221,12 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
         raise InvalidConfigError(f"tau_t must be in (0, 1], got {tau_t}")
     if j < 1:
         raise InvalidConfigError(f"window length must be >= 1, got {j}")
+    j = min(j, seq.n_frames)  # a window longer than the video holds all of it
     summaries = seq.summaries().astype(np.float64)
-    n_full = seq.n_frames // j
-    body = n_full * j  # frames in full windows
-    per_frame = np.empty(seq.n_frames, dtype=np.float64)
-    if n_full:  # a window longer than the video has no full window to reshape
-        per_frame[:body] = _window_sims(summaries[:body].reshape(n_full, j, seq.dim)).ravel()
+    body = seq.n_frames // j * j  # frames in full windows
+    per_frame = _window_sims(summaries[:body].reshape(-1, j, seq.dim)).ravel()
     if body < seq.n_frames:
-        per_frame[body:] = _window_sims(summaries[body:][None])[0]
+        per_frame = np.concatenate([per_frame, _window_sims(summaries[body:][None])[0]])
     keep = per_frame <= tau_t
-    # argmin ties break toward the earliest index, as in each window alone
-    if n_full:
-        keep[np.arange(n_full) * j + per_frame[:body].reshape(n_full, j).argmin(axis=1)] = True
-    if body < seq.n_frames:
-        keep[body + int(np.argmin(per_frame[body:]))] = True
+    keep[window_minima(per_frame, j)] = True
     return TemporalReduction(np.flatnonzero(keep))

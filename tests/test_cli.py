@@ -160,17 +160,20 @@ class TestCompressCommand:
         ])
         assert code == 2
 
-    def test_all_zero_frame_is_bad_input(self, tmp_path, query_file, capsys):
+    def test_all_zero_frame_compresses(self, tmp_path, query_file):
         frames = random_sequence(np.random.default_rng(1), 12, 12, 12, 8).frames.copy()
         frames[5] = 0.0
-        path = tmp_path / "black.lvuf"
+        path, out = tmp_path / "black.lvuf", tmp_path / "o.lvuc"
         write_features(path, FrameFeatureSequence(frames))
-        code = main([
-            "compress", "--input", str(path), "--query", str(query_file),
-            "--output", str(tmp_path / "o.lvuc"),
-        ])
-        assert code == 2
-        assert "frame 5 has an all-zero mean token" in capsys.readouterr().err
+        for anchor in ("first", "middle", "high-change"):
+            code = main([
+                "compress", "--input", str(path), "--query", str(query_file),
+                "--output", str(out), "--context-length", "400", "--anchor", anchor,
+            ])
+            assert code == 0
+            seq, stats = read_compressed(out)
+            assert seq.total_count == stats.tokens_final
+            assert stats.tokens_final + stats.query_tokens <= 400
 
     def test_oversized_header_exit_code(self, tmp_path, query_file):
         bad = tmp_path / "huge.lvuf"
@@ -318,6 +321,16 @@ class TestCompressCommand:
         assert main(base + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_long_output_name(self, tmp_path, video_file, query_file):
+        # The temp file beside the output has a name of its own length, so
+        # any name the output may have is writable.
+        base = ["compress", "--input", str(video_file), "--query", str(query_file)]
+        long_name = tmp_path / ("o" * 240 + ".lvuc")
+        assert len(long_name.name) == 245
+        assert main(base + ["--output", str(long_name)]) == 0
+        assert main(base + ["--output", str(tmp_path / "s.lvuc")]) == 0
+        assert long_name.read_bytes() == (tmp_path / "s.lvuc").read_bytes()
+        assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
     def test_failed_stats_write_replaces_neither_file(self, tmp_path, video_file, query_file):
         base = ["compress", "--input", str(video_file), "--query", str(query_file),

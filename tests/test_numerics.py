@@ -11,7 +11,6 @@ from vtcompress import (
     FrameFeatureSequence,
     InvalidPoolingError,
     QueryEmbedding,
-    ZeroVectorError,
     frame_query_scores,
 )
 from vtcompress import numerics
@@ -53,11 +52,11 @@ class TestCosineSimilarity:
         u, v = rng.standard_normal(8), rng.standard_normal(8)
         assert pair_scores(u, v).tolist() == pair_scores(v, u)[::-1].tolist()
 
-    def test_zero_vector_raises(self):
-        with pytest.raises(ZeroVectorError):
-            pair_scores([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ZeroVectorError):
-            pair_scores([1.0, 0.0], [0.0, 0.0])
+    def test_zero_vector_is_a_repeat(self):
+        # A zero vector repeats whatever it is compared with: cosine 1.
+        assert pair_scores([0.0, 0.0], [1.0, 0.0]).tolist() == [1.0, 1.0]
+        assert pair_scores([-3.0, 4.0], [0.0, 0.0]).tolist() == [1.0, 1.0]
+        assert pair_scores([0.0, 0.0], [0.0, 0.0]).tolist() == [1.0, 1.0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):  # the rows do not form one array
@@ -308,9 +307,12 @@ class TestFrameSummary:
         out = FrameFeatureSequence(frame[None]).summaries()[0]
         assert np.allclose(out, [1 / math.sqrt(2)] * 2, atol=1e-7)
 
-    def test_zero_grid_raises(self):
-        with pytest.raises(ZeroVectorError):
-            sequence_from_vectors([[0.0, 0.0]]).summaries()
+    def test_zero_grid_gives_a_zero_row(self):
+        seq = sequence_from_vectors([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
+        out = seq.summaries()
+        assert out.dtype == np.float32
+        assert out[1].tolist() == [0.0, 0.0]
+        assert np.allclose(out[[0, 2]], [[0.6, 0.8], [0.0, 1.0]])
 
     def test_unit_norm(self, rng):
         seq = FrameFeatureSequence(rng.standard_normal((100, 3, 4, 6)).astype(np.float32))

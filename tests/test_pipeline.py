@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vtcompress import (
     gen_video,
 )
 from vtcompress import pipeline
+from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import enforce_budget, flatten
 from vtcompress.query_select import token_table
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
@@ -31,6 +33,7 @@ from .conftest import (
     random_query,
     random_sequence,
     sequence_from_vectors,
+    window_average_similarity,
 )
 
 
@@ -669,3 +672,68 @@ class TestOverBudgetPath:
         assert {"infeasible", "subsampled"} <= outcomes, outcomes
         if stc:
             assert "at theta" in outcomes, outcomes
+
+
+def zero_mean_video(kind: str) -> FrameFeatureSequence:
+    """40 frames of 12x12x16 in 5 drifting scenes, with the zero-mean frames
+    of one kind: an all-zero last frame ("zero last"), a content frame of
+    +v on rows 0-5 and -v on rows 6-11 ("balanced"), a frame of +v on rows
+    1, 4, 7 and 10 and -v elsewhere, whose own mean is not zero but whose
+    8x8 pooled mean is ("pooled zero"), or an 8-frame all-zero tail."""
+    rng = np.random.default_rng(18)
+    scenes = rng.standard_normal((5, 12, 12, 16))
+    frames = (scenes[np.arange(40) // 8] + 0.3 * rng.standard_normal((40, 12, 12, 16)))
+    frames = frames.astype(np.float32)
+    v = rng.standard_normal(16).astype(np.float32)
+    if kind == "zero last":
+        frames[-1] = 0.0
+    elif kind == "balanced":
+        frames[13, :6], frames[13, 6:] = v, -v
+    elif kind == "pooled zero":
+        frames[13] = -v
+        frames[13, [1, 4, 7, 10]] = v
+    else:
+        frames[32:] = 0.0
+    return FrameFeatureSequence(frames)
+
+
+class TestZeroMeanFrames:
+    """A frame whose mean token is zero repeats every frame it is compared
+    with: no configuration raises on one, and stage 1 keeps it only as its
+    window's minimum."""
+
+    @pytest.mark.parametrize("kind", ["zero last", "balanced", "pooled zero", "zero tail"])
+    def test_compresses_within_budget(self, rng, kind):
+        seq = zero_mean_video(kind)
+        pooled = pool_batch(seq.frames, 8, 8)
+        zero_pooled = np.flatnonzero(~pooled.mean(axis=(1, 2), dtype=np.float64).any(axis=1))
+        zero_own = np.flatnonzero(~seq.means.any(axis=1))
+        if kind == "pooled zero":
+            assert zero_own.size == 0 and zero_pooled.tolist() == [13]
+        else:
+            assert zero_own.size > 0 and set(zero_own) <= set(zero_pooled)
+        flags = anchor_frames(pooled.reshape(40, 64, 16), 8, AnchorStrategy.HIGH_CHANGE)
+        if kind == "zero tail":  # a window of repeats takes its earliest candidate
+            assert np.flatnonzero(flags)[-1] == 33
+        else:
+            assert not flags[zero_pooled].any()
+        query = random_query(rng, 8, 16)
+        j = CompressionConfig().j
+        minima = set()
+        for start in range(0, seq.n_frames, j):
+            scores = window_average_similarity(seq.summaries()[start : start + j])
+            minima.add(start + int(np.argmin(scores)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = reduce_frames(seq, j, CompressionConfig().tau_t).kept_indices
+            assert set(zero_own) & set(kept) <= minima
+            for anchor in AnchorStrategy:
+                for stages in (StageToggles(), StageToggles(temporal=False),
+                               StageToggles(stc=False)):
+                    for l_max in (8192, 1200, 600):
+                        cfg = CompressionConfig(l_max=l_max, anchor=anchor, stages=stages)
+                        out, stats = compress(seq, query, cfg)
+                        assert stats.tokens_final + query.n_tokens <= l_max
+                        assert out.total_count == stats.tokens_final
+                        if stages.temporal:
+                            assert set(zero_own) & set(out.frame_indices.tolist()) <= minima

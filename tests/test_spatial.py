@@ -6,7 +6,6 @@ from vtcompress import (
     FrameFeatureSequence,
     InvalidConfigError,
     InvalidWindowError,
-    ZeroVectorError,
     prune_window,
 )
 from vtcompress.pipeline import flatten
@@ -44,6 +43,28 @@ def select_anchor(window, strategy) -> int:
     n, h, w, d = window.shape
     (anchor,) = np.flatnonzero(anchor_frames(window.reshape(n, h * w, d), n, strategy))
     return int(anchor)
+
+
+def high_change_oracle(stack, k) -> list[int]:
+    """Window-by-window, frame-by-frame reference for the ``high_change``
+    anchors of a (frames, tokens, dim) stack. The anchor of a window is the
+    frame, after its first, least like its predecessor by mean-token cosine,
+    the earliest on ties; a zero mean token is like every frame (cosine 1).
+    A one-frame window anchors on its frame."""
+    anchors = []
+    for start in range(0, stack.shape[0], k):
+        means = [f.mean(axis=0, dtype=np.float64) for f in stack[start : start + k]]
+        best, best_cos = start, None
+        for i in range(1, len(means)):
+            a, b = means[i], means[i - 1]
+            if not a.any() or not b.any():
+                cos = 1.0
+            else:
+                cos = min(1.0, max(-1.0, cosine(a, b)))
+            if best_cos is None or cos < best_cos:
+                best, best_cos = start + i, cos
+        anchors.append(best)
+    return anchors
 
 
 def spatial_compress(frames, k, theta, strategy=AnchorStrategy.FIRST):
@@ -86,10 +107,48 @@ class TestSelectAnchor:
         window = rng.standard_normal((4, 2, 2, 3)).astype(np.float32)
         assert select_anchor(window, "middle") == 2
 
-    def test_high_change_rejects_a_zero_mean_frame(self):
-        window = [constant_grid([1.0, 0.0]), constant_grid([0.0, 1.0]), constant_grid([0.0, 0.0])]
-        with pytest.raises(ZeroVectorError):
-            select_anchor(window, AnchorStrategy.HIGH_CHANGE)
+    def test_high_change_never_prefers_a_zero_mean_frame(self):
+        # Frame 2's mean is zero: it repeats frames 1 and 3 (cosine 1), so
+        # the cut to frame 1 (cosine 0.6) is the anchor. Were a zero mean
+        # orthogonal to every frame (cosine 0), frame 2 would be.
+        a, b, c = [1.0, 0.0], [0.6, 0.8], [0.0, 0.0]
+        window = [constant_grid(a), constant_grid(b), constant_grid(c), constant_grid(b)]
+        assert select_anchor(window, AnchorStrategy.HIGH_CHANGE) == 1
+        # With every candidate a repeat, the earliest one is the anchor.
+        window = [constant_grid(c), constant_grid(c), constant_grid(a), constant_grid(c)]
+        assert select_anchor(window, AnchorStrategy.HIGH_CHANGE) == 1
+
+
+class TestHighChangeAnchors:
+    """``anchor_frames`` scores a whole stack at once; each window's anchor
+    must be the one the window-by-window oracle picks."""
+
+    def test_matches_the_per_window_oracle(self, rng):
+        for trial in range(200):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            tokens, dim = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            stack = rng.standard_normal((n, tokens, dim)).astype(np.float32)
+            if trial % 3 == 0:  # exact ties: frames alternate between two
+                stack[2::2], stack[1::2] = stack[0], stack[min(1, n - 1)]
+            if trial % 4 == 1:  # zero mean tokens: all-zero frames and one of +v, -v pairs
+                stack[rng.integers(0, n, size=3)] = 0.0
+                i, v = int(rng.integers(0, n)), rng.standard_normal(dim).astype(np.float32)
+                pairs = tokens // 2 * 2
+                stack[i] = 0.0
+                stack[i, 0:pairs:2], stack[i, 1:pairs:2] = v, -v
+            expected = high_change_oracle(stack, k)
+            got = np.flatnonzero(anchor_frames(stack, k, AnchorStrategy.HIGH_CHANGE))
+            assert got.tolist() == expected, (trial, n, k)
+
+    def test_ties_and_zero_means_take_the_earliest_candidate(self):
+        a, b = [1.0, 0.0], [0.0, 1.0]
+        zero = [0.0, 0.0]
+        # k = 3 does not divide 8: windows [0, 3), [3, 6), [6, 8)
+        frames = [a, b, a, b, a, zero, zero, zero]
+        stack = np.stack([constant_grid(f) for f in frames]).reshape(8, 4, 2)
+        assert high_change_oracle(stack, 3) == [1, 4, 7]
+        flags = anchor_frames(stack, 3, AnchorStrategy.HIGH_CHANGE)
+        assert np.flatnonzero(flags).tolist() == [1, 4, 7]
 
 
 class TestPruneWindow:
