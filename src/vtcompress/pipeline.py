@@ -182,7 +182,11 @@ def flatten(table: MixedResolutionSequence, keep: np.ndarray) -> CompressedToken
 
 
 def _plan_in_blocks(
-    seq: FrameFeatureSequence, kept: np.ndarray, cfg: CompressionConfig, budget: int
+    seq: FrameFeatureSequence,
+    kept: np.ndarray,
+    cfg: CompressionConfig,
+    budget: int,
+    anchor_tokens: int,
 ) -> tuple[SpatialCompressionResult, PruningPlan | None, tuple | None]:
     """Pool the input frames ``kept`` and plan their pruning block by block,
     without building the pooled token table.
@@ -192,9 +196,10 @@ def _plan_in_blocks(
     table. Kept are the float64 similarities (with stage 3 on), the anchor
     flags and a store of at most ``budget`` pooled tokens in table order:
     every anchor token, and as many of the first survivors at ``cfg.theta``
-    as fit beside them. Every output token is one of those survivors. When
-    the anchors alone exceed the budget the verdict is infeasible and
-    nothing is stored.
+    as fit beside them. Every output token is one of those survivors. The
+    caller passes ``anchor_tokens``, the pooled tokens of the anchor frames,
+    which it works out from the frame count; when they alone exceed the
+    budget the verdict is infeasible and nothing is stored.
 
     Returns the pruning result at ``cfg.theta``, the plan (None with stage 3
     off) and the store as (its table rows, ascending; a ``budget``-row
@@ -203,7 +208,7 @@ def _plan_in_blocks(
     frames = seq.frames
     h_l, w_l = cfg.tokens_low
     hw, k, t, dim = h_l * w_l, cfg.k, kept.shape[0], frames.shape[3]
-    room = budget - -(-t // k) * hw  # store rows left beside the anchors
+    room = budget - anchor_tokens  # store rows left beside the anchors
     if room >= 0:
         stored_rows = np.empty(budget, dtype=np.int64)
         vectors = np.empty((budget, dim), dtype=np.float32)
@@ -284,6 +289,13 @@ def compress(
 ) -> tuple[CompressedTokenSequence, CompressionStats]:
     """Run the full pipeline on one video and return tokens plus statistics.
 
+    One flow, in stage order: stage 1 keeps t' frames, and every later
+    count follows from t'. Within the budget ``l_max - l_q``, stage 2's
+    token table is the output. Over it, the frames are pooled and planned in
+    blocks, and the ceil(t' / k) anchor frames of pooled tokens decide the
+    verdict: they fit and the budget is enforced, or the run is infeasible.
+    The output is position-encoded and counted at the one exit.
+
     Raises BudgetInfeasibleError when the anchor tokens alone exceed the
     budget; its ``stats`` hold the accounting of every stage that ran.
     """
@@ -302,6 +314,7 @@ def compress(
     if cfg.stages.query:
         query.check_width(seq.dim)
     l_q = query.n_tokens
+    budget = cfg.l_max - l_q
     frames_in = seq.n_frames
     tokens_in = frames_in * h_h * w_h
 
@@ -312,8 +325,9 @@ def compress(
 
     t_after = kept.shape[0]
     tokens_full = t_after * h_h * w_h
+    tokens_pooled = t_after * h_l * w_l
 
-    def stage_stats(*, n_full, tokens_query, tokens_spatial, theta_eff, fallback, tokens_final):
+    def stage_stats(n_full, tokens_query, tokens_spatial, theta_eff, fallback, tokens_final):
         return CompressionStats(
             frames_in=frames_in,
             frames_after_temporal=t_after,
@@ -327,62 +341,41 @@ def compress(
             budget=cfg.l_max,
             temporal_keep_rate=t_after / frames_in,
             query_reduction_rate=1.0 - tokens_query / tokens_full,
-            spatial_reduction_rate=(
-                1.0 - tokens_spatial / tokens_query if tokens_query else 0.0
-            ),
+            spatial_reduction_rate=1.0 - tokens_spatial / tokens_query,
             total_reduction_rate=(
                 None if tokens_final is None else 1.0 - tokens_final / tokens_in
             ),
         )
 
-    tokens_pooled = t_after * h_l * w_l
-    if tokens_pooled + l_q > cfg.l_max and cfg.stages.any_enabled:
+    if tokens_pooled > budget and cfg.stages.any_enabled:
         # Every frame is pooled and the table is still over budget: it is
         # not built, and memory is bounded by the budget, not by t_after.
-        result, plan, store = _plan_in_blocks(seq, kept, cfg, cfg.l_max - l_q)
-        tokens_spatial = result.tokens_after
-        try:
-            result, theta_eff, fallback = enforce_budget(result, cfg, l_q, plan=plan)
-        except BudgetInfeasibleError as exc:
-            exc.stats = stage_stats(
-                n_full=0,
-                tokens_query=tokens_pooled,
-                tokens_spatial=tokens_spatial,
-                theta_eff=cfg.theta,
-                fallback=True,
-                tokens_final=None,
-            )
-            raise
+        # Every window's anchor frame keeps all its pooled tokens.
+        anchor_tokens = -(-t_after // cfg.k) * h_l * w_l
+        result, plan, store = _plan_in_blocks(seq, kept, cfg, budget, anchor_tokens)
+        n_full, tokens_query, tokens_spatial = 0, tokens_pooled, result.tokens_after
+        if anchor_tokens > budget:
+            stats = stage_stats(n_full, tokens_query, tokens_spatial, cfg.theta, True, None)
+            raise BudgetInfeasibleError(anchor_tokens, budget, stats)
+        result, theta_eff, fallback = enforce_budget(result, cfg, l_q, plan=plan)
         del plan
         compressed = _emit_kept(seq, kept, result.keep, store, cfg)
-        add_position_encoding(compressed, cfg.fpe)
-        return compressed, stage_stats(
-            n_full=0,
-            tokens_query=tokens_pooled,
-            tokens_spatial=tokens_spatial,
-            theta_eff=theta_eff,
-            fallback=fallback,
-            tokens_final=compressed.total_count,
-        )
-
-    # Otherwise the token table, as built, is the output: under budget at
-    # full resolution (or nothing enabled), with some frames at full
-    # resolution, or once every frame is pooled. Selection keeps all frames
-    # full exactly when all fit; without it they are pooled unless all fit.
-    if cfg.stages.query:
-        table, split = select_and_pool(seq, kept, query, cfg.l_max, cfg.tokens_low)
-        n_full = split.n_full_res
     else:
-        fits = tokens_full + l_q <= cfg.l_max or not cfg.stages.any_enabled
-        table = token_table(seq, kept, np.full(t_after, fits), cfg.tokens_low)
-        n_full = t_after if fits else 0
-    compressed = table.tokens
+        # The token table, as built, is the output: under budget at full
+        # resolution (or nothing enabled), with some frames at full
+        # resolution, or once every frame is pooled. Selection keeps all
+        # frames full exactly when all fit; without it they are pooled
+        # unless all fit.
+        if cfg.stages.query:
+            table, split = select_and_pool(seq, kept, query, cfg.l_max, cfg.tokens_low)
+            n_full = split.n_full_res
+        else:
+            n_full = t_after if tokens_full <= budget or not cfg.stages.any_enabled else 0
+            table = token_table(seq, kept, np.full(t_after, n_full == t_after), cfg.tokens_low)
+        compressed = table.tokens
+        tokens_query = tokens_spatial = compressed.total_count
+        theta_eff, fallback = cfg.theta, False
     add_position_encoding(compressed, cfg.fpe)
     return compressed, stage_stats(
-        n_full=n_full,
-        tokens_query=compressed.total_count,
-        tokens_spatial=compressed.total_count,
-        theta_eff=cfg.theta,
-        fallback=False,
-        tokens_final=compressed.total_count,
+        n_full, tokens_query, tokens_spatial, theta_eff, fallback, compressed.total_count
     )

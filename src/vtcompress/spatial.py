@@ -79,6 +79,7 @@ def anchor_frames(stack: np.ndarray, k: int, strategy: AnchorStrategy) -> np.nda
     """
     strategy = AnchorStrategy(strategy)
     n = stack.shape[0]
+    k = min(k, n)  # a window longer than the stack holds all of it
     starts = np.array([start for start, _ in partition_windows(n, k)])
     if strategy is AnchorStrategy.FIRST:
         anchors = starts

@@ -246,7 +246,10 @@ def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
     with ThreadPoolExecutor(max_workers=_worker_count(spec.n_scenes)) as pool:
         for done in [pool.submit(_scene_into, *job) for job in jobs]:
             done.result()
-    return FrameFeatureSequence(frames)
+    try:
+        return FrameFeatureSequence(frames)
+    except ValueError:  # noise * z overflowed float32: the features are not finite
+        raise InvalidConfigError(f"noise {spec.intra_scene_noise} overflows the float32 features") from None
 
 
 def _haystack_bases(spec: SynthSpec) -> np.ndarray:

@@ -90,6 +90,15 @@ class TestSynthCommand:
         assert code == 3
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_noise_exit_code(self, tmp_path, capsys):
+        # a finite noise whose draws overflow float32 is a bad configuration
+        out = tmp_path / "x.lvuf"
+        code = main(["synth", "--frames", "4", "--scenes", "1", "--noise", "1e308",
+                     "--out", str(out)])
+        assert code == 3
+        assert "noise 1e+308" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCompressCommand:
     def test_defaults_respect_budget(self, tmp_path, query_file):
@@ -597,3 +606,42 @@ class TestReportCommand:
         ]
         _, agg = reduction_report(corpus, CompressionConfig())
         assert agg["mean_frames_kept"] == pytest.approx(1 / 8, abs=0.01)
+
+
+HUGE = str(10**22)
+NO_EXIT_ONE = [
+    pytest.param(["compress", "--window-k", str(2**63), "--anchor", "middle"], 0, id="k=2^63-middle"),
+    pytest.param(["synth", "--noise", "1e308"], 3, id="noise=1e308"),
+    # One 1e22-frame stage-1 window keeps more frames than 8-frame windows,
+    # and their anchors alone exceed the budget.
+    *[
+        pytest.param(["compress", flag, HUGE, "--anchor", anchor], code, id=f"{flag}=1e22-{anchor}")
+        for flag, code in (("--window-j", 4), ("--window-k", 0))
+        for anchor in ("first", "middle", "high-change")
+    ],
+    pytest.param(["compress", "--context-length", HUGE], 0, id="context=1e22"),
+    pytest.param(["compress", "--tokens-low", "99999999999999999999x1"], 3, id="tokens-low=1e20x1"),
+    pytest.param(["synth", "--noise", "inf"], 3, id="noise=inf"),
+    pytest.param(["needle", "--depths", "nan"], 3, id="depths=nan"),
+    pytest.param(["report", "--corpus-size", "0"], 3, id="corpus-size=0"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", NO_EXIT_ONE)
+def test_no_command_exits_one(tmp_path, video_file, query_file, capsys, argv, expected):
+    """Out-of-range values end with a documented exit code: an exception
+    escaping ``main`` would exit 1 with a traceback. Compress runs over
+    budget at 300 tokens unless a case sets the context, so stage 3 plans
+    its windows."""
+    command, out = argv[0], str(tmp_path / "out")
+    base = {
+        "compress": ["--input", str(video_file), "--query", str(query_file),
+                     "--output", out, "--context-length", "300"],
+        "synth": ["--frames", "8", "--scenes", "1", "--grid", "4x4", "--dim", "8", "--out", out],
+        "needle": ["--frame-counts", "40", "--grid", "4x4", "--dim", "8", "--tokens-low", "2x2",
+                   "--report", out],
+        "report": ["--out", out],
+    }[command]
+    code = main([command, *base, *argv[1:]])
+    assert code == expected
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -26,6 +27,7 @@ from vtcompress.pipeline import enforce_budget, flatten
 from vtcompress.query_select import token_table
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
 from vtcompress.temporal import reduce_frames
+from vtcompress.tokens import LEVEL_CODE
 
 from .conftest import (
     assert_tokens_equal,
@@ -594,6 +596,32 @@ class TestPipelineInvariants:
         assert peak < table_bytes, (peak, table_bytes)
 
 
+def expected_record(seq, query, cfg, out, **counts):
+    """The whole ``stats.to_dict()`` of a run that output ``out`` (None when
+    infeasible). The stage counts are ``counts`` or, on the table paths,
+    read from the output, which is the table whole; frames and budgets
+    come from the input and the config, and each rate from its counts."""
+    t = reduce_frames(seq, cfg.j, cfg.tau_t).n_kept if cfg.stages.temporal else seq.n_frames
+    hw = seq.grid_h * seq.grid_w
+    counts = counts or dict(
+        n_full_res=int(np.count_nonzero(out.levels == LEVEL_CODE["full"])) // hw,
+        tokens_after_query=out.total_count,
+        tokens_after_spatial=out.total_count,
+        theta_effective=cfg.theta,
+        fallback_used=False,
+    )
+    final = None if out is None else out.total_count
+    record = {"frames_in": seq.n_frames, "frames_after_temporal": t, "tokens_final": final,
+              "query_tokens": query.n_tokens, "budget": cfg.l_max, **counts}
+    return dict(
+        record,
+        temporal_keep_rate=t / seq.n_frames,
+        query_reduction_rate=1.0 - record["tokens_after_query"] / (t * hw),
+        spatial_reduction_rate=1.0 - record["tokens_after_spatial"] / record["tokens_after_query"],
+        total_reduction_rate=None if final is None else 1.0 - final / (seq.n_frames * hw),
+    )
+
+
 def whole_table_oracle(seq, query, cfg):
     """What compress returns for a video whose pooled table is over budget,
     worked out on the whole pooled table: token_table, build_plan (or the
@@ -627,6 +655,15 @@ def whole_table_oracle(seq, query, cfg):
                         tokens_final=tokens.total_count)
 
 
+def drifting_video(rng, grid) -> FrameFeatureSequence:
+    """61 frames of dim 6 in 7 drifting scenes, all kept by stage 1 at
+    tau_t = 0.995: 61 is no multiple of k = 3, so the last window holds one
+    frame."""
+    scenes = rng.standard_normal((7, *grid, 6))
+    frames = scenes[np.arange(61) * 7 // 61] + 0.35 * rng.standard_normal((61, *grid, 6))
+    return FrameFeatureSequence(frames.astype(np.float32))
+
+
 class TestOverBudgetPath:
     """compress pools an over-budget video block by block and emits its kept
     tokens from a budget-sized store and by pooling tokens again; every
@@ -637,12 +674,8 @@ class TestOverBudgetPath:
     @pytest.mark.parametrize("fpe", [True, False])
     @pytest.mark.parametrize("grid,pooled", [((4, 4), (2, 2)), ((5, 7), (3, 2))])
     def test_matches_the_whole_table(self, rng, anchor, stc, fpe, grid, pooled):
-        # 61 frames in 7 drifting scenes, all kept by stage 1: 61 is no
-        # multiple of k = 3, so the last window holds one frame. Small
-        # budgets take several blocks; the largest take one.
-        scenes = rng.standard_normal((7, *grid, 6))
-        frames = scenes[np.arange(61) * 7 // 61] + 0.35 * rng.standard_normal((61, *grid, 6))
-        seq = FrameFeatureSequence(frames.astype(np.float32))
+        # Small budgets take several blocks; the largest take one.
+        seq = drifting_video(rng, grid)
         query = random_query(rng, 5, 6)
         outcomes = set()
         # budgets the 61 pooled frames exceed with the 5 query tokens
@@ -656,9 +689,11 @@ class TestOverBudgetPath:
                 out, stats = compress(seq, query, cfg)
             except BudgetInfeasibleError as exc:
                 out, stats = None, exc.stats
+                # the 21 anchor frames of pooled tokens against l_max - l_q
+                assert exc.anchor_tokens == math.ceil(61 / 3) * pooled[0] * pooled[1]
+                assert exc.budget == l_max - 5
             assert stats.frames_after_temporal == 61
-            for name, value in expected_stats.items():
-                assert getattr(stats, name) == value, (l_max, name)
+            assert stats.to_dict() == expected_record(seq, query, cfg, out, **expected_stats), l_max
             if expected is None:
                 assert out is None
                 outcomes.add("infeasible")
@@ -672,6 +707,69 @@ class TestOverBudgetPath:
         assert {"infeasible", "subsampled"} <= outcomes, outcomes
         if stc:
             assert "at theta" in outcomes, outcomes
+
+    @pytest.mark.parametrize("anchor", list(AnchorStrategy))
+    @pytest.mark.parametrize("stc", [True, False])
+    def test_window_longer_than_the_video(self, rng, anchor, stc):
+        # A window of 2^62 frames or more holds all 61 kept frames, as one
+        # of 61 does, even past the range of a 64-bit integer.
+        seq = drifting_video(rng, (4, 4))
+        query = random_query(rng, 5, 6)
+        (expected, expected_stats), *longer = [
+            compress(seq, query, small_config(
+                l_max=100, k=k, theta=0.7, tau_t=0.995, anchor=anchor, stages=StageToggles(stc=stc)
+            ))
+            for k in (61, 2**62, 2**63, 2**64)
+        ]
+        assert expected_stats.frames_after_temporal == 61 and expected_stats.fallback_used
+        for out, stats in longer:
+            assert_tokens_equal(out, expected)
+            assert stats == expected_stats
+
+
+class TestStatsRecord:
+    """The whole stats record on every path, each field from the output,
+    the input and the config."""
+
+    # One drifting video down every path of compress: 61 frames kept by
+    # stage 1 pool to 244 tokens, their 21 anchor frames to 84, and the
+    # query holds 5 tokens. Each case is (l_max, stages, the path's
+    # n_full_res, theta_effective and fallback_used).
+    PATHS = {
+        "full": (1000, StageToggles(), 61, 0.7, False),
+        "mixed": (300, StageToggles(), 4, 0.7, False),
+        "pooled": (250, StageToggles(), 0, 0.7, False),
+        "at theta": (150, StageToggles(), 0, 0.7, False),
+        "ladder": (112, StageToggles(), 0, 0.65, True),
+        "subsampled": (100, StageToggles(), 0, 0.5, True),
+        "infeasible": (50, StageToggles(), 0, 0.7, True),
+        "query off, fits": (1000, StageToggles(query=False), 61, 0.7, False),
+        "query off, pooled": (300, StageToggles(query=False), 0, 0.7, False),
+        "every stage off": (50, StageToggles(False, False, False), 61, 0.7, False),
+    }
+
+    @pytest.mark.parametrize("case", list(PATHS))
+    def test_stats_record_on_every_path(self, rng, case):
+        l_max, stages, n_full, theta_eff, fallback = self.PATHS[case]
+        seq = drifting_video(rng, (4, 4))
+        query = random_query(rng, 5, 6)
+        cfg = small_config(l_max=l_max, k=3, theta=0.7, tau_t=0.995, stages=stages)
+        try:
+            out, stats = compress(seq, query, cfg)
+        except BudgetInfeasibleError as exc:
+            out, stats = None, exc.stats
+            assert (exc.anchor_tokens, exc.budget) == (84, l_max - 5)
+        assert (stats.n_full_res, stats.theta_effective, stats.fallback_used) == (
+            n_full, theta_eff, fallback
+        )
+        over = stats.tokens_after_query + 5 > l_max
+        assert over == (case in {"at theta", "ladder", "subsampled", "infeasible", "every stage off"})
+        if over and stages.any_enabled:  # the over-budget path: counts from the whole table
+            _, counts = whole_table_oracle(seq, query, cfg)
+            assert (stats.tokens_final == l_max - 5) == (case == "subsampled")
+        else:
+            counts = {}
+        assert stats.to_dict() == expected_record(seq, query, cfg, out, **counts)
 
 
 def zero_mean_video(kind: str) -> FrameFeatureSequence:
