@@ -8,15 +8,11 @@ a synthetic benchmark harness.
 """
 
 from .errors import (
-    AdapterShapeError,
     BudgetInfeasibleError,
     CompressionError,
     EmptyVideoError,
     FileFormatError,
     InvalidConfigError,
-    InvalidNeedleError,
-    InvalidPoolingError,
-    InvalidWindowError,
 )
 from .framepos import FramePositionConfig, apply_position_encoding, encoding_vector
 from .pipeline import CompressionConfig, StageToggles, compress

@@ -1,35 +1,21 @@
-"""Exception types shared across the compression pipeline."""
+"""Exception types shared across the compression pipeline.
+
+The classes mirror the CLI's exit codes: ``FileFormatError`` and
+``EmptyVideoError`` exit 2, ``InvalidConfigError`` exits 3 (as does the
+base, ``CompressionError``), and ``BudgetInfeasibleError`` exits 4.
+"""
 
 
 class CompressionError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidPoolingError(CompressionError):
-    """Requested pooling output dimensions are not achievable."""
-
-
-class AdapterShapeError(CompressionError):
-    """A query's width differs from the width of the tokens it scores.
-
-    Tokens that pass through a projector before scoring are scored by
-    folding the projector into the query rows (see ``query_select``)."""
-
-
 class InvalidConfigError(CompressionError):
-    """A configuration value is outside its allowed range."""
-
-
-class InvalidWindowError(CompressionError):
-    """Frames inside one pruning window do not share a common shape."""
+    """A setting or argument outside its allowed range or shape."""
 
 
 class EmptyVideoError(CompressionError):
     """The input contains no frames."""
-
-
-class InvalidNeedleError(CompressionError):
-    """Needle frame is incompatible with the haystack it is inserted into."""
 
 
 class FileFormatError(CompressionError):

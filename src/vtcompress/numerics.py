@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPoolingError
+from .errors import InvalidConfigError
 
 __all__ = ["pool_batch", "pool_tokens"]
 
@@ -53,7 +53,7 @@ def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_pool(h: int, w: int, out_h: int, out_w: int):
     if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
-        raise InvalidPoolingError(f"cannot pool a {h}x{w} grid to {out_h}x{out_w}")
+        raise InvalidConfigError(f"cannot pool a {h}x{w} grid to {out_h}x{out_w}")
 
 
 def _add_in_order(terms, out: np.ndarray):

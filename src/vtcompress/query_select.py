@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdapterShapeError, InvalidConfigError
+from .errors import InvalidConfigError
 from .numerics import pool_batch
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
@@ -66,7 +66,7 @@ class QueryEmbedding:
     def check_width(self, token_dim: int):
         """Raise unless the query rows have the width of the tokens they score."""
         if self.dim != token_dim:
-            raise AdapterShapeError(
+            raise InvalidConfigError(
                 f"query embedding has dim {self.dim} but the tokens have dim {token_dim}"
             )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidWindowError
+from .errors import InvalidConfigError
 from .temporal import cosines, partition_windows, unit_rows, window_minima
 
 __all__ = [
@@ -60,9 +60,9 @@ def _check_stack(frames) -> np.ndarray:
     try:
         stack = np.asarray(frames, dtype=np.float32)
     except (TypeError, ValueError) as exc:
-        raise InvalidWindowError("frames must form one (frames, h, w, dim) array") from exc
+        raise InvalidConfigError("frames must form one (frames, h, w, dim) array") from exc
     if stack.ndim != 4:
-        raise InvalidWindowError(f"expected (frames, h, w, dim) array, got shape {stack.shape}")
+        raise InvalidConfigError(f"expected (frames, h, w, dim) array, got shape {stack.shape}")
     return stack
 
 
@@ -158,7 +158,7 @@ def prune_window(window_frames, anchor_idx: int, theta: float) -> np.ndarray:
     stack = _check_stack(window_frames)
     n = stack.shape[0]
     if n == 0:
-        raise InvalidWindowError("cannot prune an empty window")
+        raise InvalidConfigError("cannot prune an empty window")
     if not (0 <= anchor_idx < n):
-        raise InvalidWindowError(f"anchor index {anchor_idx} outside window of {n} frames")
+        raise InvalidConfigError(f"anchor index {anchor_idx} outside window of {n} frames")
     return _anchor_sims(stack, anchor_idx) <= theta

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, InvalidConfigError, InvalidNeedleError
+from .errors import BudgetInfeasibleError, InvalidConfigError
 from .pipeline import CompressionConfig, compress
 from .query_select import QueryEmbedding
 from .spatial import AnchorStrategy
@@ -199,23 +199,21 @@ def _scene_into(
         # Per-step noise scale that yields the drawn adjacent-frame cosine.
         step = np.sqrt((1.0 / drift_alpha**2 - 1.0) / dim)
         walk = _normalized_walk(rng, length, dim, step)[:, None, None, :]
-    if noise == 0:
-        out[...] = base
-        if rect is not None:
-            out[rect] = walk
-        return
     # noise * z + base has the bits of base + noise * z: one float64 buffer,
-    # no broadcast copy of the base and no temporaries.
+    # no broadcast copy of the base and no temporaries. A noise that
+    # overflows float32 is reported by gen_video, so numpy's overflow
+    # warnings are silenced here, in the thread that does the arithmetic.
     scene = rng.standard_normal(out.shape)
-    scene *= noise
-    if rect is None:
-        scene += base
-    else:
-        background = np.ones((h, w, 1), dtype=bool)
-        background[rect[1:]] = False
-        np.add(scene, base, out=scene, where=background)
-        scene[rect] += walk
-    out[...] = scene
+    with np.errstate(over="ignore"):
+        scene *= noise
+        if rect is None:
+            scene += base
+        else:
+            background = np.ones((h, w, 1), dtype=bool)
+            background[rect[1:]] = False
+            np.add(scene, base, out=scene, where=background)
+            scene[rect] += walk
+        out[...] = scene
 
 
 def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
@@ -270,7 +268,7 @@ def make_needle_grid(spec: SynthSpec) -> np.ndarray:
         v -= v.dot(b) * b
     norm = np.linalg.norm(v)
     if norm < 1e-9:
-        raise InvalidNeedleError("haystack bases span the space; no orthogonal needle exists")
+        raise InvalidConfigError("haystack bases span the space; no orthogonal needle exists")
     v /= norm
     return np.broadcast_to(v.astype(np.float32), (h, w, spec.dim)).copy()
 
@@ -298,7 +296,7 @@ def insert_needle(
     if not (0.0 <= depth <= 1.0):
         raise InvalidConfigError(f"depth must be in [0, 1], got {depth}")
     if needle.shape != seq.frames.shape[1:]:
-        raise InvalidNeedleError(
+        raise InvalidConfigError(
             f"needle shape {needle.shape} does not match frames {seq.frames.shape[1:]}"
         )
     index = int(round(depth * seq.n_frames))

@@ -6,8 +6,15 @@ import struct
 import numpy as np
 import pytest
 
-from vtcompress import FrameFeatureSequence
+from vtcompress import FrameFeatureSequence, cli, errors
 from vtcompress.cli import main
+from vtcompress.errors import (
+    BudgetInfeasibleError,
+    CompressionError,
+    EmptyVideoError,
+    FileFormatError,
+    InvalidConfigError,
+)
 from vtcompress.formats import read_compressed, read_features, write_features
 from vtcompress.synthbench import reduction_report
 
@@ -90,13 +97,15 @@ class TestSynthCommand:
         assert code == 3
         assert list(tmp_path.iterdir()) == []
 
-    def test_overflowing_noise_exit_code(self, tmp_path, capsys):
-        # a finite noise whose draws overflow float32 is a bad configuration
+    def test_overflowing_noise_exit_code(self, tmp_path, capsys, recwarn):
+        # a finite noise whose draws overflow float32 is a bad configuration,
+        # reported by its one error line and no numpy overflow warning
         out = tmp_path / "x.lvuf"
         code = main(["synth", "--frames", "4", "--scenes", "1", "--noise", "1e308",
                      "--out", str(out)])
         assert code == 3
-        assert "noise 1e+308" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: noise 1e+308 overflows the float32 features\n"
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
         assert list(tmp_path.iterdir()) == []
 
 
@@ -645,3 +654,31 @@ def test_no_command_exits_one(tmp_path, video_file, query_file, capsys, argv, ex
     code = main([command, *base, *argv[1:]])
     assert code == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, expected", [
+    (FileFormatError("truncated header"), 2),
+    (EmptyVideoError("no frames"), 2),
+    (OSError("unreadable"), 2),
+    (InvalidConfigError("bad setting"), 3),
+    (CompressionError("bad setting"), 3),
+    (BudgetInfeasibleError(1, 0), 4),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_error_class_maps_to_its_exit_code(tmp_path, monkeypatch, capsys, error, expected):
+    def read_features(path):
+        raise error
+
+    monkeypatch.setattr(cli, "read_features", read_features)
+    code = main(["compress", "--input", str(tmp_path / "in.lvuf"),
+                 "--query", str(tmp_path / "q.lvuq"), "--output", str(tmp_path / "out.lvuc")])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_errors_module_defines_one_family_per_exit_code():
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert defined == {"CompressionError", "InvalidConfigError", "EmptyVideoError",
+                       "FileFormatError", "BudgetInfeasibleError"}

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtcompress import (
-    AdapterShapeError,
     FrameFeatureSequence,
-    InvalidPoolingError,
+    InvalidConfigError,
     QueryEmbedding,
     frame_query_scores,
 )
@@ -129,9 +128,9 @@ class TestAdaptiveAvgPool:
 
     def test_upsampling_rejected(self):
         grid = constant_grid([1.0], 2, 2)
-        with pytest.raises(InvalidPoolingError):
+        with pytest.raises(InvalidConfigError, match="cannot pool a 2x2 grid to 3x2"):
             pool_frame(grid, 3, 2)
-        with pytest.raises(InvalidPoolingError):
+        with pytest.raises(InvalidConfigError, match="cannot pool a 2x2 grid to 2x0"):
             pool_frame(grid, 2, 0)
 
     def test_values_within_bin_bounds(self, rng):
@@ -291,7 +290,7 @@ class TestPoolTokens:
 
     def test_upsampling_rejected(self):
         stack = np.ones((1, 2, 2, 1), dtype=np.float32)
-        with pytest.raises(InvalidPoolingError):
+        with pytest.raises(InvalidConfigError, match="cannot pool a 2x2 grid to 3x2"):
             pool_tokens(stack, 3, 2, [0], [0], [0])
 
 
@@ -372,7 +371,7 @@ class TestApplyAdapter:
         assert adapted_scores(weight, frames, rng.standard_normal((4, 3))).shape == (2,)
 
     def test_shape_mismatch(self):
-        with pytest.raises(AdapterShapeError):
+        with pytest.raises(InvalidConfigError, match="query embedding has dim 3 but the tokens have dim 2"):
             adapted_scores(np.eye(3), constant_grid([1.0, 2.0])[None], [[1.0, 0.0, 0.0]])
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vtcompress import (
-    AdapterShapeError,
     AnchorStrategy,
     BudgetInfeasibleError,
     CompressionConfig,
@@ -150,7 +149,7 @@ class TestQueryWidth:
         assert {"full": n_full == t, "mixed": 0 < n_full < t,
                 "pooled": n_full == 0 and stats.tokens_after_query + 4 > l_max}[path]
         monkeypatch.setattr(pipeline, "reduce_frames", lambda *a: pytest.fail("stage 1 ran"))
-        with pytest.raises(AdapterShapeError):
+        with pytest.raises(InvalidConfigError, match="query embedding has dim 5 but the tokens have dim 8"):
             compress(video, QueryEmbedding(np.ones((4, 5), dtype=np.float32)), cfg)
 
 

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vtcompress import (
-    AdapterShapeError,
     FrameFeatureSequence,
     InvalidConfigError,
     QueryEmbedding,
@@ -88,7 +87,7 @@ class TestFrameQueryScores:
 
     def test_dim_mismatch(self, rng):
         frames = rng.standard_normal((2, 2, 2, 3)).astype(np.float32)
-        with pytest.raises(AdapterShapeError):
+        with pytest.raises(InvalidConfigError, match="query embedding has dim 5 but the tokens have dim 3"):
             frame_query_scores(FrameFeatureSequence(frames).means, random_query(rng, 2, 5))
 
 

@@ -5,7 +5,6 @@ from vtcompress import (
     AnchorStrategy,
     FrameFeatureSequence,
     InvalidConfigError,
-    InvalidWindowError,
     prune_window,
 )
 from vtcompress.pipeline import flatten
@@ -215,16 +214,16 @@ class TestPruneWindow:
         window = rng.standard_normal((3, 2, 2, 2)).astype(np.float32)
         with pytest.raises(InvalidConfigError):
             prune_window(window, 0, 1.5)
-        with pytest.raises(InvalidWindowError):
+        with pytest.raises(InvalidConfigError, match="anchor index 5 outside window of 3 frames"):
             prune_window(window, 5, 0.8)
-        with pytest.raises(InvalidWindowError):
+        with pytest.raises(InvalidConfigError, match=r"expected \(frames, h, w, dim\) array"):
             prune_window(window[0], 0, 0.8)  # not a stack of frames
         ragged = [constant_grid([1.0], 2, 2), constant_grid([1.0], 3, 3)]
-        with pytest.raises(InvalidWindowError):
+        with pytest.raises(InvalidConfigError, match="frames must form one"):
             prune_window(ragged, 0, 0.8)
-        with pytest.raises(InvalidWindowError):
+        with pytest.raises(InvalidConfigError, match="frames must form one"):
             build_plan(ragged, 2)
-        with pytest.raises(InvalidWindowError):
+        with pytest.raises(InvalidConfigError, match="frames must form one"):
             prune_window([window[0], window[0, :1]], 0, 0.8)  # ragged arrays
 
 

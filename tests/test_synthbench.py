@@ -9,7 +9,6 @@ import pytest
 from vtcompress import (
     CompressionConfig,
     InvalidConfigError,
-    InvalidNeedleError,
     NeedleSpec,
     StageToggles,
     SynthSpec,
@@ -97,6 +96,13 @@ PINNED = {
                   drift_scenes_fraction=1.0, seed=5),
         "1630acfe7dd4b6351301cfe0eed4d49fcfdeb783a83f6d2078907c1cb7429dcd",
         "40ee50ddfdb2367160d467a20383f78f683c1a867d878a74e73d00a41d6440ff",
+    ),
+    # scenes 0, 2 and 4 drift, 1 and 3 are static
+    "mixed_noiseless": (
+        SynthSpec(n_frames=40, n_scenes=5, intra_scene_noise=0.0, drift_scenes_fraction=0.5,
+                  dim=16, grid=(6, 7), seed=3),
+        "875236829095a458714a29d208577595c82ed4704d58dd2ca915e26b6a5f5786",
+        "1845b7d5e5269655a2d46a761c9bfe649cf9e2d61cdfcddff89c705bedce49bf",
     ),
     "more_scenes_than_dim": (
         SynthSpec(n_frames=40, n_scenes=10, dim=4, seed=8),
@@ -190,7 +196,7 @@ class TestInsertNeedle:
     def test_shape_mismatch(self):
         video = gen_video(self.spec())
         wrong = make_needle_grid(SynthSpec(n_frames=4, n_scenes=1, grid=(6, 6), seed=1))
-        with pytest.raises(InvalidNeedleError):
+        with pytest.raises(InvalidConfigError, match=r"needle shape \(6, 6, 32\) does not match frames"):
             insert_needle(video, wrong, 0.5)
 
 
