@@ -16,8 +16,8 @@ from .errors import (
 )
 from .framepos import FramePositionConfig, apply_position_encoding, encoding_vector
 from .pipeline import CompressionConfig, StageToggles, compress
-from .query_select import QueryEmbedding, frame_query_scores, num_full_res_frames
-from .spatial import AnchorStrategy, prune_window
+from .query_select import QueryEmbedding, frame_query_scores
+from .spatial import AnchorStrategy
 from .synthbench import (
     NeedleSpec,
     SynthSpec,
@@ -29,7 +29,7 @@ from .synthbench import (
     make_needle_grid,
     reduction_report,
 )
-from .temporal import FrameFeatureSequence, reduce_frames
+from .temporal import FrameFeatureSequence
 from .tokens import CompressedTokenSequence, CompressionStats
 
 __version__ = "0.1.0"

@@ -74,6 +74,7 @@ def apply_position_encoding(
     Returns a new sequence and leaves ``seq`` unchanged. With the encoding
     disabled the input sequence is returned unchanged.
     """
+    cfg.validate(seq.dim)
     if not cfg.enabled:
         return seq
     out = CompressedTokenSequence(
@@ -90,8 +91,8 @@ def apply_position_encoding(
 def add_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConfig):
     """``apply_position_encoding`` in place: the offsets are added straight
     into ``seq.vectors``, ``ENCODE_CHUNK_ROWS`` rows at a time, so no array
-    the size of the sequence is built. Does nothing when disabled."""
-    cfg.validate(seq.dim)
+    the size of the sequence is built. Does nothing when disabled. The
+    caller has validated ``cfg`` against the tokens' width."""
     if not cfg.enabled:
         return
     # Tokens sharing a timestep share one offset; encode each distinct value once.

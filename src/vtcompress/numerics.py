@@ -6,6 +6,8 @@ off the float32 input, divide in float64, cast to float32 and only then add
 frames, 8 at a time, adding each phase of bins in one ufunc call per cell;
 ``pool_tokens`` pools single tokens. Both add a bin's values in the same
 order, so a token pooled alone has the bits it has in its pooled frame.
+``compress`` checks the pooled grid. Pooled to its own size, a grid
+follows the same rule and comes back as it was, each -0.0 made +0.0.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import InvalidConfigError
 
 __all__ = ["pool_batch", "pool_tokens"]
 
@@ -49,11 +49,6 @@ def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:
     start = (p * size) // out
     end = -((-(p + 1) * size) // out)
     return start, end
-
-
-def _check_pool(h: int, w: int, out_h: int, out_w: int):
-    if out_h < 1 or out_w < 1 or out_h > h or out_w > w:
-        raise InvalidConfigError(f"cannot pool a {h}x{w} grid to {out_h}x{out_w}")
 
 
 def _add_in_order(terms, out: np.ndarray):
@@ -108,13 +103,10 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndar
     the stack is never copied whole to float64, and pooling a batch is
     bitwise-identical to pooling each frame alone. With an index, each
     chunk is gathered by fancy indexing, so a bad index raises IndexError.
+    A same-size grid takes the general path (see the module docstring).
     """
     _, h, w, dim = stack.shape
     n = stack.shape[0] if index is None else len(index)
-    _check_pool(h, w, out_h, out_w)
-    if out_h == h and out_w == w:
-        return stack.copy() if index is None else stack[index]
-
     r0, r1 = _pool_edges(h, out_h)
     c0, c1 = _pool_edges(w, out_w)
     counts = np.repeat(((r1 - r0)[:, None] * (c1 - c0))[:, :, None], dim, axis=2).astype(float)
@@ -143,14 +135,11 @@ def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, frames, rows, cols) -
     Bins of one grid can differ in size by a cell; a token's cells beyond
     its bin are set to zero, which changes at most the sign of a zero sum,
     and that sign is settled as in ``pool_batch``. Tokens are pooled
-    ``POOL_CHUNK_TOKENS`` at a time, which bounds the working memory.
+    ``POOL_CHUNK_TOKENS`` at a time, which bounds the working memory. A
+    same-size grid takes the general path, as in ``pool_batch``.
     """
     _, h, w, dim = stack.shape
-    _check_pool(h, w, out_h, out_w)
     frames, rows, cols = (np.asarray(a, dtype=np.int64) for a in (frames, rows, cols))
-    if out_h == h and out_w == w:
-        return stack[frames, rows, cols]
-
     r0, r1 = _pool_edges(h, out_h)
     c0, c1 = _pool_edges(w, out_w)
     bin_h, bin_w = int((r1 - r0).max()), int((c1 - c0).max())

@@ -74,6 +74,9 @@ class CompressionConfig:
     tokens as the vision encoder emits, so ``compress`` takes it from the
     input. ``tokens_low`` is the pooled grid; ``compress`` checks that it
     fits inside the input's grid and holds fewer tokens.
+
+    ``validate`` is where every setting is checked. ``compress`` calls it
+    first, and the stages below ``compress`` trust what it let through.
     """
 
     l_max: int = 8192
@@ -87,8 +90,15 @@ class CompressionConfig:
     stages: StageToggles = field(default_factory=StageToggles)
 
     def validate(self):
-        if min(self.tokens_low) < 1:
-            raise InvalidConfigError(f"pooled grid must be positive, got {self.tokens_low}")
+        for name in ("l_max", "j", "k"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InvalidConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        low = self.tokens_low
+        if not (isinstance(low, (tuple, list)) and len(low) == 2
+                and all(isinstance(x, (int, np.integer)) for x in low)):
+            raise InvalidConfigError(f"pooled grid must be two integers, got {low!r}")
+        if min(low) < 1:
+            raise InvalidConfigError(f"pooled grid must be positive, got {low}")
         if not (0.0 < self.theta < 1.0):
             raise InvalidConfigError(f"theta must be in (0, 1), got {self.theta}")
         if not (0.0 < self.tau_t <= 1.0):
@@ -99,6 +109,11 @@ class CompressionConfig:
             raise InvalidConfigError(f"k must be >= 1, got {self.k}")
         if self.l_max < 1:
             raise InvalidConfigError(f"context length must be positive, got {self.l_max}")
+        names = [a.value for a in AnchorStrategy]
+        if self.anchor not in names:
+            raise InvalidConfigError(
+                f"anchor must be one of {', '.join(names)}; got {self.anchor!r}"
+            )
         self.anchor = AnchorStrategy(self.anchor)
         self.fpe.validate()
 
@@ -139,16 +154,12 @@ def enforce_budget(
     and the plan is applied once at that threshold. Anything still over
     budget then has its non-anchor tokens uniformly subsampled by table
     rank, which is (timestep, position) rank, until the budget is met
-    exactly. Raises BudgetInfeasibleError when the anchors alone exceed the
-    budget; anchors keep every token at any threshold, so that verdict is
-    reached before the ladder runs.
+    exactly. The caller has checked that the anchor tokens fit the budget;
+    anchors keep every token at any threshold, so no step can change that.
     """
     budget = cfg.l_max - query_len
     if result.tokens_after <= budget:
         return result, cfg.theta, False
-    anchor_tokens = int(np.count_nonzero(result.keep & result.anchor))
-    if anchor_tokens > budget:
-        raise BudgetInfeasibleError(anchor_tokens, budget)
     theta_eff = cfg.theta
     steps = _theta_ladder(cfg.theta) if plan is not None else []
     if steps:

@@ -33,11 +33,7 @@ from .numerics import pool_batch
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
 
-__all__ = [
-    "QueryEmbedding",
-    "num_full_res_frames",
-    "frame_query_scores",
-]
+__all__ = ["QueryEmbedding", "frame_query_scores"]
 
 
 @dataclass
@@ -137,14 +133,9 @@ def num_full_res_frames(t: int, l_max: int, l_q: int, hw_high: int, hw_low: int)
 
     Evaluates max(0, (l_max - l_q - t*hw_low) / (hw_high - hw_low)), floored
     and clamped to [0, t]. Floor is the only rounding that never exceeds
-    the budget.
+    the budget. Takes hw_high > hw_low >= 1 and l_max >= 1, as ``compress``
+    ensures before it calls here.
     """
-    if hw_high <= hw_low or hw_low <= 0:
-        raise InvalidConfigError(
-            f"tokens per full frame ({hw_high}) must exceed tokens per pooled frame ({hw_low})"
-        )
-    if l_max <= 0:
-        raise InvalidConfigError(f"context length must be positive, got {l_max}")
     raw = l_max - l_q - t * hw_low
     return min(t, max(0, raw // (hw_high - hw_low)))
 

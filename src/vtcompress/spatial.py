@@ -20,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
-from .temporal import cosines, partition_windows, unit_rows, window_minima
+from .temporal import cosines, unit_rows, window_minima
 
 __all__ = [
     "AnchorStrategy",
     "PruningPlan",
     "anchor_frames",
-    "prune_window",
     "build_plan",
 ]
 
@@ -56,16 +54,6 @@ class SpatialCompressionResult:
         return int(np.count_nonzero(self.keep))
 
 
-def _check_stack(frames) -> np.ndarray:
-    try:
-        stack = np.asarray(frames, dtype=np.float32)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError("frames must form one (frames, h, w, dim) array") from exc
-    if stack.ndim != 4:
-        raise InvalidConfigError(f"expected (frames, h, w, dim) array, got shape {stack.shape}")
-    return stack
-
-
 def anchor_frames(stack: np.ndarray, k: int, strategy: AnchorStrategy) -> np.ndarray:
     """One flag per frame of a (frames, tokens, dim) stack, set on each
     window's anchor.
@@ -80,7 +68,7 @@ def anchor_frames(stack: np.ndarray, k: int, strategy: AnchorStrategy) -> np.nda
     strategy = AnchorStrategy(strategy)
     n = stack.shape[0]
     k = min(k, n)  # a window longer than the stack holds all of it
-    starts = np.array([start for start, _ in partition_windows(n, k)])
+    starts = np.arange(0, n, k)
     if strategy is AnchorStrategy.FIRST:
         anchors = starts
     elif strategy is AnchorStrategy.MIDDLE:
@@ -115,11 +103,6 @@ def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
     return sims
 
 
-def _check_theta(theta: float):
-    if not (0.0 < theta < 1.0):
-        raise InvalidConfigError(f"theta must be in (0, 1), got {theta}")
-
-
 @dataclass
 class PruningPlan:
     """Anchor similarity and anchor flag of every token of a frame stack,
@@ -130,35 +113,16 @@ class PruningPlan:
     anchor: np.ndarray  # (tokens,) bool
 
     def apply(self, theta: float) -> SpatialCompressionResult:
-        _check_theta(theta)
         return SpatialCompressionResult(self.sims <= theta, self.anchor)
 
 
 def build_plan(frames, k: int, strategy: AnchorStrategy = AnchorStrategy.FIRST) -> PruningPlan:
-    """Partition a (frames, h, w, dim) stack into windows of length k, pick
-    each window's anchor and compute every token's similarity to it."""
-    stack = _check_stack(frames)
-    n, h, w, dim = stack.shape
-    is_anchor = anchor_frames(stack.reshape(n, h * w, dim), k, strategy)
+    """Partition a (frames, h, w, dim) float32 stack, as ``pool_batch``
+    returns it, into windows of length k, pick each window's anchor and
+    compute every token's similarity to it."""
+    n, h, w, dim = frames.shape
+    is_anchor = anchor_frames(frames.reshape(n, h * w, dim), k, strategy)
     sims = np.empty((n, h, w))
-    for (start, end), a in zip(partition_windows(n, k), np.flatnonzero(is_anchor)):
-        sims[start:end] = _anchor_sims(stack[start:end], a - start)
+    for start, a in zip(range(0, n, k), np.flatnonzero(is_anchor)):
+        sims[start : start + k] = _anchor_sims(frames[start : start + k], a - start)
     return PruningPlan(sims.reshape(-1), np.repeat(is_anchor, h * w))
-
-
-def prune_window(window_frames, anchor_idx: int, theta: float) -> np.ndarray:
-    """Keep mask, shape (frames, h, w), of one window pruned against a given anchor.
-
-    A non-anchor token survives iff its cosine similarity to the anchor token
-    at the same (h, w) is <= theta. Zero-norm tokens on either side have
-    undefined similarity and are conservatively kept; the anchor frame keeps
-    every token.
-    """
-    _check_theta(theta)
-    stack = _check_stack(window_frames)
-    n = stack.shape[0]
-    if n == 0:
-        raise InvalidConfigError("cannot prune an empty window")
-    if not (0 <= anchor_idx < n):
-        raise InvalidConfigError(f"anchor index {anchor_idx} outside window of {n} frames")
-    return _anchor_sims(stack, anchor_idx) <= theta

@@ -24,12 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyVideoError, InvalidConfigError
+from .errors import EmptyVideoError
 
-__all__ = [
-    "FrameFeatureSequence",
-    "reduce_frames",
-]
+__all__ = ["FrameFeatureSequence"]
 
 # The fewest float32 values a thread of the means pass is given. Below about
 # this many, starting the thread costs more than its share of the pass saves.
@@ -187,15 +184,6 @@ class TemporalReduction:
         return self.kept_indices.shape[0]
 
 
-def partition_windows(n_frames: int, j: int) -> list[tuple[int, int]]:
-    """Split [0, n_frames) into consecutive windows of length j (last may be short)."""
-    if n_frames < 1:
-        raise EmptyVideoError("cannot partition zero frames")
-    if j < 1:
-        raise InvalidConfigError(f"window length must be >= 1, got {j}")
-    return [(s, min(s + j, n_frames)) for s in range(0, n_frames, j)]
-
-
 def _window_sims(s: np.ndarray) -> np.ndarray:
     """Average cosine similarity of each frame to the others in its window,
     for a (windows, w, dim) float64 stack of equal windows; shape (windows, w).
@@ -215,12 +203,8 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
     kept (earliest index on ties), so every window contributes at least one
     survivor and temporal order is preserved. The full windows are scored
     together in one batched product, and the short last window through the
-    same routine on its own.
+    same routine on its own. ``compress`` has checked j >= 1 and tau_t in (0, 1].
     """
-    if not (0.0 < tau_t <= 1.0):
-        raise InvalidConfigError(f"tau_t must be in (0, 1], got {tau_t}")
-    if j < 1:
-        raise InvalidConfigError(f"window length must be >= 1, got {j}")
     j = min(j, seq.n_frames)  # a window longer than the video holds all of it
     summaries = seq.summaries().astype(np.float64)
     body = seq.n_frames // j * j  # frames in full windows

@@ -22,6 +22,11 @@ def sequence_from_vectors(vectors, h=2, w=2) -> FrameFeatureSequence:
     return FrameFeatureSequence(np.stack([constant_grid(v, h, w) for v in vectors]))
 
 
+def partition_windows(n_frames: int, j: int) -> list[tuple[int, int]]:
+    """Split [0, n_frames) into consecutive windows of length j (last may be short)."""
+    return [(s, min(s + j, n_frames)) for s in range(0, n_frames, j)]
+
+
 def pool_frame(frame, out_h, out_w) -> np.ndarray:
     """One (h, w, dim) frame average-pooled to (out_h, out_w, dim)."""
     return pool_batch(np.asarray(frame, dtype=np.float32)[None], out_h, out_w)[0]

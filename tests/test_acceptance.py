@@ -29,14 +29,13 @@ from vtcompress import (
     compress,
     encoding_vector,
     make_mixed_corpus,
-    num_full_res_frames,
-    prune_window,
-    reduce_frames,
     reduction_report,
 )
+from vtcompress.query_select import num_full_res_frames
 from vtcompress.synthbench import needle_study
+from vtcompress.temporal import reduce_frames
 
-from .test_spatial import prune_oracle
+from .test_spatial import oracle_mismatches
 
 CORPUS_SEED = 20240807
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -204,13 +203,11 @@ def test_criterion_3_pruning_oracle_equivalence():
             window[dst] = window[src] + 0.01 * rng.standard_normal((h, w, d)).astype(
                 np.float32
             )
-        anchor = int(rng.integers(0, n))
+        # k is the window's length; the strategy chooses the anchor, and
+        # high_change can choose any frame after the first
+        strategy = list(AnchorStrategy)[int(rng.integers(0, 3))]
         theta = float(rng.uniform(0.05, 0.95))
-        keep = prune_window(window, anchor, theta)
-        expected = prune_oracle(window, anchor, theta)
-        for f, exp in zip(keep, expected):
-            if [tuple(p) for p in np.argwhere(f)] != exp:
-                mismatches += 1
+        mismatches += oracle_mismatches(window, strategy, theta)[0]
     elapsed = time.time() - start
     report(
         3,

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtcompress import (
+    CompressionConfig,
     FrameFeatureSequence,
     InvalidConfigError,
     QueryEmbedding,
+    compress,
     frame_query_scores,
 )
 from vtcompress import numerics
@@ -18,6 +20,7 @@ from vtcompress.numerics import POOL_CHUNK_FRAMES, TokenGrid, pool_batch, pool_t
 from .conftest import (
     constant_grid,
     pool_frame,
+    random_query,
     scores_oracle,
     sequence_from_vectors,
     window_average_similarity,
@@ -126,12 +129,16 @@ class TestAdaptiveAvgPool:
         pooled = pool_frame(data, 5, 7)
         assert np.array_equal(pooled, data)
 
-    def test_upsampling_rejected(self):
-        grid = constant_grid([1.0], 2, 2)
-        with pytest.raises(InvalidConfigError, match="cannot pool a 2x2 grid to 3x2"):
-            pool_frame(grid, 3, 2)
-        with pytest.raises(InvalidConfigError, match="cannot pool a 2x2 grid to 2x0"):
-            pool_frame(grid, 2, 0)
+    def test_upsampling_rejected(self, rng):
+        # The pooled grid is checked where it enters: by the config and
+        # against the input grid, before anything is pooled.
+        seq = FrameFeatureSequence(constant_grid([1.0], 2, 2)[None])
+        for low, message in [
+            ((3, 2), r"input grid 2x2 must hold more tokens than pooled grid \(3, 2\)"),
+            ((2, 0), r"pooled grid must be positive, got \(2, 0\)"),
+        ]:
+            with pytest.raises(InvalidConfigError, match=message):
+                compress(seq, random_query(rng, 1, 1), CompressionConfig(tokens_low=low))
 
     def test_values_within_bin_bounds(self, rng):
         for _ in range(20):
@@ -213,10 +220,8 @@ def pool_in_order(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Reference pooling that fixes the order of addition: each bin's
     columns are summed down from a float64 zero, then the column sums are
     added across, also from zero, and the sum is divided by the cell count.
-    A grid pooled to its own size is returned as it is."""
+    A grid pooled to its own size follows the same rule."""
     h, w, d = frame.shape
-    if (h, w) == (out_h, out_w):
-        return frame.copy()
     out = np.empty((out_h, out_w, d), dtype=np.float32)
     for p in range(out_h):
         r0, r1 = (p * h) // out_h, math.ceil((p + 1) * h / out_h)
@@ -288,10 +293,13 @@ class TestPoolTokens:
         got = pool_tokens(stack, *out, frames, rows, cols)
         assert np.array_equal(got, pool_batch(stack, *out)[frames, rows, cols])
 
-    def test_upsampling_rejected(self):
-        stack = np.ones((1, 2, 2, 1), dtype=np.float32)
-        with pytest.raises(InvalidConfigError, match="cannot pool a 2x2 grid to 3x2"):
-            pool_tokens(stack, 3, 2, [0], [0], [0])
+    def test_upsampling_rejected(self, rng):
+        # A grid with fewer tokens that does not fit inside the input is
+        # refused before anything is pooled.
+        seq = FrameFeatureSequence(np.ones((1, 2, 8, 1), dtype=np.float32))
+        message = r"pooled grid \(3, 2\) must fit inside the input grid 2x8"
+        with pytest.raises(InvalidConfigError, match=message):
+            compress(seq, random_query(rng, 1, 1), CompressionConfig(tokens_low=(3, 2)))
 
 
 class TestFrameSummary:

@@ -9,6 +9,7 @@ from vtcompress import (
     AnchorStrategy,
     BudgetInfeasibleError,
     CompressionConfig,
+    EmptyVideoError,
     FramePositionConfig,
     FrameFeatureSequence,
     InvalidConfigError,
@@ -52,23 +53,29 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(theta=0.0),
-            dict(theta=1.0),
-            dict(tau_t=0.0),
-            dict(tau_t=1.2),
-            dict(j=0),
-            dict(k=0),
-            dict(l_max=0),
+            dict(theta=0.0, match=r"theta must be in \(0, 1\), got 0.0"),
+            dict(theta=1.0, match=r"theta must be in \(0, 1\), got 1.0"),
+            dict(tau_t=0.0, match=r"tau_t must be in \(0, 1\], got 0.0"),
+            dict(tau_t=1.2, match=r"tau_t must be in \(0, 1\], got 1.2"),
+            dict(j=0, match="j must be >= 1, got 0"),
+            dict(k=0, match="k must be >= 1, got 0"),
+            dict(l_max=0, match="context length must be positive, got 0"),
             # the input grid against the default 8x8 pooled grid: it must
             # hold more tokens, and the pooled grid must fit inside it
-            dict(grid=(8, 8)),
-            dict(grid=(2, 32)),
+            dict(grid=(8, 8), match=r"input grid 8x8 must hold more tokens than pooled grid \(8, 8\)"),
+            dict(grid=(2, 32), match=r"input grid 2x32 must hold more tokens than pooled grid \(8, 8\)"),
+            # malformed settings, which only a library caller can send
+            dict(anchor="bogus", match="anchor must be one of first, middle, high_change; got 'bogus'"),
+            dict(tokens_low=(8, 8, 8), match=r"pooled grid must be two integers, got \(8, 8, 8\)"),
+            dict(tokens_low=(8,), match=r"pooled grid must be two integers, got \(8,\)"),
+            dict(j=2.5, match="j must be an integer, got 2.5"),
+            dict(grid=(4, 32), match=r"pooled grid \(8, 8\) must fit inside the input grid 4x32"),
         ],
     )
     def test_invalid_values(self, rng, kw):
         kw = dict(kw)
         seq = random_sequence(rng, 2, *kw.pop("grid", (12, 12)), 4)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=kw.pop("match")):
             compress(seq, random_query(rng, 2, 4), CompressionConfig(**kw))
 
     def test_fpe_width_comes_from_the_tokens(self, rng):
@@ -126,7 +133,7 @@ class TestCompressTraces:
         assert stats.tokens_final + 64 <= 8192
 
     def test_empty_input_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(EmptyVideoError, match="frame sequence is empty"):
             FrameFeatureSequence(np.zeros((0, 4, 4, 2), dtype=np.float32))
 
     def test_wrong_input_resolution(self, rng):
@@ -624,8 +631,9 @@ def expected_record(seq, query, cfg, out, **counts):
 def whole_table_oracle(seq, query, cfg):
     """What compress returns for a video whose pooled table is over budget,
     worked out on the whole pooled table: token_table, build_plan (or the
-    anchors alone with stage 3 off), enforce_budget, flatten and position
-    encoding. Returns (tokens or None, the stats fields the stages set)."""
+    anchors alone with stage 3 off), a count of the table's anchor tokens
+    against the budget, enforce_budget, flatten and position encoding.
+    Returns (tokens or None, the stats fields the stages set)."""
     kept = np.arange(seq.n_frames)
     if cfg.stages.temporal:
         kept = reduce_frames(seq, cfg.j, cfg.tau_t).kept_indices
@@ -645,10 +653,10 @@ def whole_table_oracle(seq, query, cfg):
     stats = dict(frames_after_temporal=t, n_full_res=0,
                  tokens_after_query=table.tokens.total_count,
                  tokens_after_spatial=result.tokens_after)
-    try:
-        result, theta_eff, fallback = enforce_budget(result, cfg, query.n_tokens, plan=plan)
-    except BudgetInfeasibleError:
+    # infeasible when the table's anchor tokens alone exceed the budget
+    if int(np.count_nonzero(result.anchor)) > cfg.l_max - query.n_tokens:
         return None, dict(stats, theta_effective=cfg.theta, fallback_used=True, tokens_final=None)
+    result, theta_eff, fallback = enforce_budget(result, cfg, query.n_tokens, plan=plan)
     tokens = apply_position_encoding(flatten(table, result.keep), cfg.fpe)
     return tokens, dict(stats, theta_effective=theta_eff, fallback_used=fallback,
                         tokens_final=tokens.total_count)

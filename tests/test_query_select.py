@@ -1,18 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vtcompress import (
+    CompressionConfig,
     FrameFeatureSequence,
     InvalidConfigError,
     QueryEmbedding,
+    compress,
     frame_query_scores,
-    num_full_res_frames,
 )
 from vtcompress import query_select
 from vtcompress.numerics import pool_batch
-from vtcompress.query_select import select_and_pool
+from vtcompress.query_select import num_full_res_frames, select_and_pool
 
 from .conftest import pool_frame, random_query, random_sequence, scores_oracle
 
@@ -27,13 +30,17 @@ class TestNumFullResFrames:
     def test_clamps_to_frame_count(self):
         assert num_full_res_frames(40, 8192, 92, 144, 64) == 40
 
-    def test_invalid_grid_sizes(self):
-        with pytest.raises(InvalidConfigError):
-            num_full_res_frames(10, 8192, 0, 64, 64)
-        with pytest.raises(InvalidConfigError):
-            num_full_res_frames(10, 8192, 0, 64, 144)
-        with pytest.raises(InvalidConfigError):
-            num_full_res_frames(10, 0, 0, 144, 64)
+    def test_invalid_grid_sizes(self, rng):
+        # The formula's preconditions are checked where their values enter:
+        # a full frame must hold more tokens than a pooled one, and the
+        # context length must be positive.
+        seq, query = random_sequence(rng, 10, 8, 8, 3), random_query(rng, 2, 3)
+        for low in ((8, 8), (12, 12)):
+            message = re.escape(f"input grid 8x8 must hold more tokens than pooled grid {low}")
+            with pytest.raises(InvalidConfigError, match=message):
+                compress(seq, query, CompressionConfig(tokens_low=low))
+        with pytest.raises(InvalidConfigError, match="context length must be positive, got 0"):
+            compress(seq, query, CompressionConfig(l_max=0))
 
     def test_monotonicity(self, rng):
         for _ in range(200):

@@ -3,15 +3,16 @@ import pytest
 
 from vtcompress import (
     AnchorStrategy,
+    CompressionConfig,
     FrameFeatureSequence,
     InvalidConfigError,
-    prune_window,
+    compress,
 )
 from vtcompress.pipeline import flatten
 from vtcompress.query_select import token_table
 from vtcompress.spatial import anchor_frames, build_plan
 
-from .conftest import constant_grid, cosine
+from .conftest import constant_grid, cosine, random_query, random_sequence
 
 
 def prune_oracle(window, anchor_idx, theta):
@@ -33,6 +34,23 @@ def prune_oracle(window, anchor_idx, theta):
                     positions.append((r, c))
         kept.append(positions)
     return kept
+
+
+def prune_single_window(window, strategy=AnchorStrategy.FIRST, theta=0.8):
+    """One window pruned as stage 3 prunes it: (keep mask of shape
+    (frames, h, w), the anchor that ``strategy`` chose)."""
+    n, h, w, _ = window.shape
+    plan = build_plan(window, n, strategy)
+    (anchor,) = np.flatnonzero(plan.anchor[:: h * w])
+    return plan.apply(theta).keep.reshape(n, h, w), int(anchor)
+
+
+def oracle_mismatches(window, strategy, theta) -> tuple[int, int]:
+    """(frames whose keep positions differ from ``prune_oracle``'s at the
+    anchor that ``strategy`` chose, that anchor)."""
+    keep, anchor = prune_single_window(window, strategy, theta)
+    expected = prune_oracle(window, anchor, theta)
+    return sum([tuple(p) for p in np.argwhere(f)] != exp for f, exp in zip(keep, expected)), anchor
 
 
 def select_anchor(window, strategy) -> int:
@@ -151,19 +169,22 @@ class TestHighChangeAnchors:
 
 
 class TestPruneWindow:
+    """Stage 3 on a single window (k the window's length), at the anchor
+    its strategy chooses."""
+
     def test_identical_frames_fully_pruned(self):
         window = np.broadcast_to(
             np.array([1.0, 1.0], dtype=np.float32), (4, 2, 2, 2)
         ).copy()
-        keep = prune_window(window, 0, 0.8)
-        assert keep.shape == (4, 2, 2)
+        keep, anchor = prune_single_window(window)
+        assert keep.shape == (4, 2, 2) and anchor == 0
         assert keep[0].all() and not keep[1:].any()
 
     def test_orthogonal_tokens_untouched(self):
         window = np.zeros((2, 1, 2, 2), dtype=np.float32)
         window[0, 0, :, 0] = 1.0
         window[1, 0, :, 1] = 1.0
-        keep = prune_window(window, 0, 0.8)
+        keep, _ = prune_single_window(window)
         assert keep.all()
 
     def test_hand_similarity_case(self):
@@ -171,23 +192,25 @@ class TestPruneWindow:
         window = np.array(
             [[[[3.0, 4.0]]], [[[4.0, 3.0]]]], dtype=np.float32
         )
-        keep = prune_window(window, 0, 0.8)
+        keep, _ = prune_single_window(window)
         assert keep[1].sum() == 0
 
     def test_zero_norm_tokens_kept(self):
         window = np.ones((2, 1, 2, 2), dtype=np.float32)
         window[1, 0, 0] = 0.0  # zero token in the non-anchor frame
         window[0, 0, 1] = 0.0  # zero token in the anchor
-        keep = prune_window(window, 0, 0.8)
+        keep, _ = prune_single_window(window)
         assert keep[1].sum() == 2
 
     def test_anchor_choice_respected(self, rng):
         window = rng.standard_normal((5, 3, 3, 4)).astype(np.float32)
-        window[4] = window[3]  # a duplicate of the anchor is pruned, the anchor is not
-        keep = prune_window(window, 3, 0.8)
-        assert keep[3].all() and not keep[4].any()
+        window[3] = window[2]  # a duplicate of the anchor is pruned, the anchor is not
+        keep, anchor = prune_single_window(window, AnchorStrategy.MIDDLE)
+        assert anchor == 2
+        assert keep[2].all() and not keep[3].any()
 
     def test_matches_oracle(self, rng):
+        anchors = set()
         for _ in range(60):
             n = int(rng.integers(1, 9))
             h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -195,36 +218,35 @@ class TestPruneWindow:
             window = rng.standard_normal((n, h, w, d)).astype(np.float32)
             if rng.random() < 0.3:  # sprinkle zero tokens
                 window[tuple(rng.integers(0, s) for s in (n, h, w))] = 0.0
-            anchor = int(rng.integers(0, n))
+            strategy = list(AnchorStrategy)[int(rng.integers(0, 3))]
             theta = float(rng.uniform(0.05, 0.95))
-            keep = prune_window(window, anchor, theta)
-            expected = prune_oracle(window, anchor, theta)
-            for f, exp in zip(keep, expected):
-                assert [tuple(p) for p in np.argwhere(f)] == exp
+            mismatches, anchor = oracle_mismatches(window, strategy, theta)
+            assert mismatches == 0
+            anchors.add(anchor)
+        assert {0, 1, 2} <= anchors  # the anchor is not always the first frame
 
     def test_position_fidelity(self, rng):
         window = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
         table = token_table(FrameFeatureSequence(window), np.arange(4), np.ones(4, dtype=bool), (1, 1))
-        out = flatten(table, prune_window(window, 0, 0.5).ravel())
+        out = flatten(table, prune_single_window(window, theta=0.5)[0].ravel())
         assert out.total_count > 9
         for f, r, c, vec in zip(out.frame_indices, out.grid_rows, out.grid_cols, out.vectors):
             assert np.array_equal(vec, window[f, r, c])
 
     def test_invalid_inputs(self, rng):
-        window = rng.standard_normal((3, 2, 2, 2)).astype(np.float32)
-        with pytest.raises(InvalidConfigError):
-            prune_window(window, 0, 1.5)
-        with pytest.raises(InvalidConfigError, match="anchor index 5 outside window of 3 frames"):
-            prune_window(window, 5, 0.8)
-        with pytest.raises(InvalidConfigError, match=r"expected \(frames, h, w, dim\) array"):
-            prune_window(window[0], 0, 0.8)  # not a stack of frames
+        # Bad values reach stage 3 only through the boundaries: theta
+        # through the config, and the frames through the frame sequence.
+        seq = random_sequence(rng, 3, 4, 4, 2)
+        with pytest.raises(InvalidConfigError, match=r"theta must be in \(0, 1\), got 1.5"):
+            compress(seq, random_query(rng, 2, 2), CompressionConfig(tokens_low=(2, 2), theta=1.5))
+        window = seq.frames
+        with pytest.raises(ValueError, match="frames must be 4-d"):
+            FrameFeatureSequence(window[0])  # not a stack of frames
         ragged = [constant_grid([1.0], 2, 2), constant_grid([1.0], 3, 3)]
-        with pytest.raises(InvalidConfigError, match="frames must form one"):
-            prune_window(ragged, 0, 0.8)
-        with pytest.raises(InvalidConfigError, match="frames must form one"):
-            build_plan(ragged, 2)
-        with pytest.raises(InvalidConfigError, match="frames must form one"):
-            prune_window([window[0], window[0, :1]], 0, 0.8)  # ragged arrays
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
+            FrameFeatureSequence(ragged)
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
+            FrameFeatureSequence([window[0], window[0, :1]])  # ragged arrays
 
 
 class TestSpatialCompress:
@@ -270,7 +292,9 @@ class TestSpatialCompress:
         for start in range(0, 13, 5):
             window = frames[start : start + 5]
             anchor = select_anchor(window, AnchorStrategy.MIDDLE)
-            assert np.array_equal(keep[start : start + 5], prune_window(window, anchor, 0.8))
+            assert oracle_mismatches(window, AnchorStrategy.MIDDLE, 0.8) == (0, anchor)
+            alone, _ = prune_single_window(window, AnchorStrategy.MIDDLE)
+            assert np.array_equal(keep[start : start + 5], alone)
             assert anchors_of(result, 6)[start // 5] == start + anchor
         assert not result.keep.all()
 

@@ -231,7 +231,7 @@ class TestNeedleConstruction:
 
 class TestNeedleGrid:
     def test_identical_haystack_needle_survives_temporal(self):
-        from vtcompress import reduce_frames
+        from vtcompress.temporal import reduce_frames
 
         spec = SynthSpec(n_frames=40, n_scenes=1, intra_scene_noise=0.0,
                          drift_scenes_fraction=0.0, seed=13)

@@ -7,15 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtcompress import (
+    CompressionConfig,
     EmptyVideoError,
     FrameFeatureSequence,
     InvalidConfigError,
-    reduce_frames,
+    compress,
     temporal,
 )
-from vtcompress.temporal import partition_windows
+from vtcompress.temporal import reduce_frames
 
-from .conftest import random_sequence, sequence_from_vectors, window_average_similarity
+from .conftest import (
+    partition_windows,
+    random_query,
+    random_sequence,
+    sequence_from_vectors,
+    window_average_similarity,
+)
 
 
 def orthogonal_sequence(n, dim=None):
@@ -42,11 +49,13 @@ class TestPartitionWindows:
                 assert b == c and b - a == j
             assert all(e - s >= 1 for s, e in windows)
 
-    def test_invalid(self):
-        with pytest.raises(EmptyVideoError):
-            partition_windows(0, 8)
-        with pytest.raises(InvalidConfigError):
-            partition_windows(8, 0)
+    def test_invalid(self, rng):
+        # A zero window length of either stage is refused by the config.
+        seq = random_sequence(rng, 8, 4, 4, 3)
+        for name in ("j", "k"):
+            cfg = CompressionConfig(tokens_low=(2, 2), **{name: 0})
+            with pytest.raises(InvalidConfigError, match=f"{name} must be >= 1, got 0"):
+                compress(seq, random_query(rng, 2, 3), cfg)
 
 
 class TestWindowAverageSimilarity:
@@ -216,18 +225,21 @@ class TestReduceFrames:
         b = reduce_frames(seq, 8, 0.85)
         assert a.kept_indices.tobytes() == b.kept_indices.tobytes()
 
+    # Stage 1's settings are checked where they enter, by the config.
     def test_invalid_tau(self, rng):
         seq = random_sequence(rng, 4, 2, 2, 3)
-        with pytest.raises(InvalidConfigError):
-            reduce_frames(seq, 8, 0.0)
-        with pytest.raises(InvalidConfigError):
-            reduce_frames(seq, 8, 1.5)
+        for tau_t in (0.0, 1.5):
+            cfg = CompressionConfig(tokens_low=(1, 1), tau_t=tau_t)
+            message = rf"tau_t must be in \(0, 1\], got {tau_t}"
+            with pytest.raises(InvalidConfigError, match=message):
+                compress(seq, random_query(rng, 2, 3), cfg)
 
     def test_invalid_window_length(self, rng):
         seq = random_sequence(rng, 4, 2, 2, 3)
         for j in (0, -1):
-            with pytest.raises(InvalidConfigError):
-                reduce_frames(seq, j, 0.85)
+            cfg = CompressionConfig(tokens_low=(1, 1), j=j)
+            with pytest.raises(InvalidConfigError, match=f"j must be >= 1, got {j}"):
+                compress(seq, random_query(rng, 2, 3), cfg)
 
 
 NON_FINITE = {"nan": [np.nan], "+inf": [np.inf], "-inf": [-np.inf], "+inf-inf": [np.inf, -np.inf]}
