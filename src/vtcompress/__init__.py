@@ -10,7 +10,6 @@ a synthetic benchmark harness.
 from .errors import (
     BudgetInfeasibleError,
     CompressionError,
-    EmptyVideoError,
     FileFormatError,
     InvalidConfigError,
 )

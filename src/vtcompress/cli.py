@@ -1,8 +1,8 @@
 """Command-line surface: compress, synth, needle, and report subcommands.
 
-Exit codes: 0 success, 2 malformed input file, unusable input (such as a
-video with no frames) or a path that cannot be read or written, 3 invalid
-configuration, 4 budget infeasible (anchors alone exceed the context
+Exit codes: 0 success, 2 malformed input file (``FileFormatError``, an empty
+array in a file included) or a path that cannot be read or written (``OSError``),
+3 invalid configuration, 4 budget infeasible (anchors alone exceed the context
 length). The configuration is checked before any input is read.
 """
 
@@ -21,7 +21,6 @@ from pathlib import Path
 from .errors import (
     BudgetInfeasibleError,
     CompressionError,
-    EmptyVideoError,
     FileFormatError,
     InvalidConfigError,
 )
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, EmptyVideoError, OSError) as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetInfeasibleError as exc:

@@ -1,8 +1,9 @@
 """Exception types shared across the compression pipeline.
 
-The classes mirror the CLI's exit codes: ``FileFormatError`` and
-``EmptyVideoError`` exit 2, ``InvalidConfigError`` exits 3 (as does the
-base, ``CompressionError``), and ``BudgetInfeasibleError`` exits 4.
+The classes mirror the CLI's exit codes: ``FileFormatError`` and ``OSError``
+exit 2, ``InvalidConfigError`` and the base ``CompressionError`` exit 3, and
+``BudgetInfeasibleError`` exits 4. A malformed array, an empty one included,
+is a ``ValueError``, which the file readers raise as ``FileFormatError``.
 """
 
 
@@ -12,10 +13,6 @@ class CompressionError(Exception):
 
 class InvalidConfigError(CompressionError):
     """A setting or argument outside its allowed range or shape."""
-
-
-class EmptyVideoError(CompressionError):
-    """The input contains no frames."""
 
 
 class FileFormatError(CompressionError):

@@ -5,13 +5,13 @@ written anywhere parses anywhere. Writes stream their parts, in order, into a
 temp file and then rename it over the target; no part is joined to another
 first.
 
-A feature payload is mapped read-only, not copied: ``read_features`` checks
-the header and the file size, maps exactly the header plus the payload, and
-the sequence it returns views that mapping. The sequence stays valid when its
-file is replaced by a rename (as every writer here does) or unlinked.
-Truncating or rewriting the file in place while the sequence is alive is
-undefined, as it is for ``numpy.load(mmap_mode="r")``: a truncation can end
-the process with SIGBUS.
+Both float32 payloads are mapped read-only, after the header and the file
+size are checked, as exactly the header plus the payload. ``read_query``
+copies its rows out, so no query mapping outlives the call; the sequence
+``read_features`` returns views its mapping, and stays valid when its file
+is replaced by a rename (as every writer here does) or unlinked. Truncating
+or rewriting the file in place while the sequence is alive is undefined, as
+for ``numpy.load(mmap_mode="r")``: a truncation can end the process with SIGBUS.
 """
 
 from __future__ import annotations
@@ -106,17 +106,19 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-def _read_array(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Read the rest of the file, which must be exactly a little-endian
-    float32 array of the given shape, into a new array (query payloads).
-    The size is checked before the array is allocated."""
-    nbytes = math.prod(shape) * 4
-    if _check_remaining(fh, nbytes, what) > nbytes:
+def _map_payload(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The rest of the file, which must be exactly a little-endian float32
+    array of the given shape, as a read-only view of a mapping of the header
+    plus the payload. The size is checked before anything is mapped."""
+    count = math.prod(shape)
+    if _check_remaining(fh, count * 4, what) > count * 4:
         raise FileFormatError(f"trailing bytes after {what}")
-    out = np.empty(shape, dtype="<f4")
-    if fh.readinto(out) != nbytes:
-        raise FileFormatError(f"file shrank while its {what} was read")
-    return out
+    offset = fh.tell()
+    try:
+        mapped = mmap.mmap(fh.fileno(), offset + count * 4, access=mmap.ACCESS_READ)
+    except ValueError:  # mmap checks the size again, and it has shrunk
+        raise FileFormatError(f"file shrank while its {what} was mapped") from None
+    return np.frombuffer(mapped, dtype="<f4", count=count, offset=offset).reshape(shape)
 
 
 def _check_header(magic: bytes, expected: bytes, version: int, dtype: int | None):
@@ -148,16 +150,9 @@ def read_features(path) -> FrameFeatureSequence:
             raise FileFormatError("reserved header bytes must be zero")
         if min(t, h, w, d) < 1:
             raise FileFormatError(f"degenerate dimensions t={t} h={h} w={w} d={d}")
-        count = t * h * w * d
-        if _check_remaining(fh, count * 4, "feature payload") > count * 4:
-            raise FileFormatError("trailing bytes after feature payload")
-        try:
-            mapped = mmap.mmap(fh.fileno(), fh.tell() + count * 4, access=mmap.ACCESS_READ)
-        except ValueError:  # mmap checks the size again, and it has shrunk
-            raise FileFormatError("file shrank while its feature payload was mapped") from None
-    frames = np.frombuffer(mapped, dtype="<f4", count=count, offset=_FEATURE_HEADER.size)
+        frames = _map_payload(fh, (t, h, w, d), "feature payload")
     try:  # the header fixes the shape, so only the finiteness check can fail
-        return FrameFeatureSequence(frames.reshape(t, h, w, d))
+        return FrameFeatureSequence(frames)
     except ValueError as exc:
         raise FileFormatError(f"feature payload: {exc}") from None
 
@@ -176,7 +171,7 @@ def read_query(path) -> QueryEmbedding:
         _check_header(magic, QUERY_MAGIC, version, dtype)
         if min(l_q, d_q) < 1:
             raise FileFormatError(f"degenerate query shape {l_q}x{d_q}")
-        rows = _read_array(fh, (l_q, d_q), "query payload")
+        rows = np.array(_map_payload(fh, (l_q, d_q), "query payload"))
     try:  # the header fixes the shape, so only the finiteness check can fail
         return QueryEmbedding(rows)
     except ValueError as exc:

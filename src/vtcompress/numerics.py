@@ -1,13 +1,13 @@
 """Adaptive average pooling of token grids, for stage 2 and the over-budget path.
 
-Both kernels sum each bin separably (rows, then columns) in float64 straight
-off the float32 input, divide in float64, cast to float32 and only then add
-0.0, so repeated runs produce identical bytes. ``pool_batch`` pools whole
-frames, 8 at a time, adding each phase of bins in one ufunc call per cell;
-``pool_tokens`` pools single tokens. Both add a bin's values in the same
-order, so a token pooled alone has the bits it has in its pooled frame.
-``compress`` checks the pooled grid. Pooled to its own size, a grid
-follows the same rule and comes back as it was, each -0.0 made +0.0.
+Both kernels sum each bin separably (rows, then columns) in float64 straight off the
+float32 input, divide in float64, cast to float32 and only then add 0.0, so repeated
+runs produce identical bytes. ``pool_batch`` pools the frames its required index picks,
+8 at a time, one phase of bins per ufunc call, dividing by cell counts broadcast over
+the channels; ``pool_tokens`` pools single tokens. Both add a bin's values in the same
+order, so a token pooled alone has the bits it has in its pooled frame. ``compress``
+checks the pooled grid. Pooled to its own size, a grid follows the same rule and comes
+back as it was, each -0.0 made +0.0.
 """
 
 from __future__ import annotations
@@ -86,30 +86,30 @@ def _add_bins(src: np.ndarray, dst: np.ndarray, axis: int, start, end):
         _add_in_order([src[at + (r,)] for r in range(start[p], end[p])], dst[at + (p,)])
 
 
-def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndarray:
-    """Adaptive average pooling over a (frames, h, w, dim) float32 stack, or
-    over the frames ``stack[index]`` when an index array is given.
+def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index) -> np.ndarray:
+    """Adaptive average pooling of the frames ``stack[index]`` of a
+    (frames, h, w, dim) float32 stack; the index array is required.
 
     Each bin is summed separably: first the rows of its row bin, then the
     columns of its column bin, adding one cell at a time in float64 straight
-    off the float32 input, and divided by its integer cell count. A float64
-    sum of float32 values is exact whenever the bin's nonzero values lie
-    within a factor of about 2**20 of each other, and every mean stays
-    inside the [min, max] of the cells it covers. Each axis is viewed as
-    gcd(size, bins) periods, so one ufunc call per cell adds a phase of bins
-    (4 add calls for 12 -> 8, not 16). The 0.0 that settles the sign of a
-    zero mean is added after the cast to float32.
+    off the float32 input, and divided by its integer cell count (one
+    (out_h, out_w, 1) array, broadcast over ``dim``). A float64 sum of float32
+    values is exact whenever the bin's nonzero values lie within a factor of
+    about 2**20 of each other, and every mean stays inside the [min, max] of
+    the cells it covers. Each axis is viewed as gcd(size, bins) periods, so
+    one ufunc call per cell adds a phase of bins (4 add calls for 12 -> 8,
+    not 16). The 0.0 settling the sign of a zero mean is added after the cast.
     Frames are pooled independently, ``POOL_CHUNK_FRAMES`` (8) at a time, so
     the stack is never copied whole to float64, and pooling a batch is
-    bitwise-identical to pooling each frame alone. With an index, each
-    chunk is gathered by fancy indexing, so a bad index raises IndexError.
-    A same-size grid takes the general path (see the module docstring).
+    bitwise-identical to pooling each frame alone. Each chunk is gathered by
+    fancy indexing, so a bad index raises IndexError. A same-size grid takes
+    the general path (see the module docstring).
     """
     _, h, w, dim = stack.shape
-    n = stack.shape[0] if index is None else len(index)
+    n = len(index)
     r0, r1 = _pool_edges(h, out_h)
     c0, c1 = _pool_edges(w, out_w)
-    counts = np.repeat(((r1 - r0)[:, None] * (c1 - c0))[:, :, None], dim, axis=2).astype(float)
+    counts = ((r1 - r0)[:, None] * (c1 - c0))[:, :, None].astype(float)
     out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
     # One pair of float64 buffers serves every chunk, and each gathered
     # chunk is let go before the column pass.
@@ -117,7 +117,7 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndar
     rows_buf, sums_buf = np.empty((m, out_h, w, dim)), np.empty((m, out_h, out_w, dim))
     for lo in range(0, n, POOL_CHUNK_FRAMES):
         hi = lo + POOL_CHUNK_FRAMES
-        chunk = stack[lo:hi] if index is None else stack[index[lo:hi]]
+        chunk = stack[index[lo:hi]]
         rows, sums = rows_buf[: chunk.shape[0]], sums_buf[: chunk.shape[0]]
         _add_bins(chunk, rows, 1, r0, r1)
         del chunk
@@ -127,8 +127,8 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index=None) -> np.ndar
 
 
 def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, frames, rows, cols) -> np.ndarray:
-    """Pooled tokens ``pool_batch(stack, out_h, out_w)[frames, rows, cols]``,
-    bit for bit, as an (n, dim) float32 array, without pooling whole frames.
+    """Token i is ``pool_batch(stack, out_h, out_w, frames)[i, rows[i], cols[i]]``,
+    bit for bit; all n come as an (n, dim) float32 array, without pooling whole frames.
 
     Each token's bin cells are gathered at once and added as ``pool_batch``
     adds them: down each column of the bin, then across the column sums.

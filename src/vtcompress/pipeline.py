@@ -90,12 +90,21 @@ class CompressionConfig:
     stages: StageToggles = field(default_factory=StageToggles)
 
     def validate(self):
-        for name in ("l_max", "j", "k"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InvalidConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        # Python counts a bool as an int, but no setting takes one.
+        integer = (int, np.integer)
+        for names, kind, types in (
+            (("l_max", "j", "k"), "an integer", integer),
+            (("theta", "tau_t"), "a real number", integer + (float, np.floating)),
+            (("fpe",), "a FramePositionConfig", FramePositionConfig),
+            (("stages",), "a StageToggles", StageToggles),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise InvalidConfigError(f"{name} must be {kind}, got {value!r}")
         low = self.tokens_low
         if not (isinstance(low, (tuple, list)) and len(low) == 2
-                and all(isinstance(x, (int, np.integer)) for x in low)):
+                and all(isinstance(x, integer) and not isinstance(x, bool) for x in low)):
             raise InvalidConfigError(f"pooled grid must be two integers, got {low!r}")
         if min(low) < 1:
             raise InvalidConfigError(f"pooled grid must be positive, got {low}")

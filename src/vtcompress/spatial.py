@@ -97,8 +97,7 @@ def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
     denom = norms * norms[anchor_idx][None, :, :]
     sims = np.full(dots.shape, -np.inf)
     np.divide(dots, denom, out=sims, where=denom > 0.0)
-    np.clip(sims, -1.0, 1.0, out=sims)
-    sims[denom == 0.0] = -np.inf
+    np.clip(sims, -1.0, 1.0, out=sims, where=denom > 0.0)
     sims[anchor_idx] = -np.inf
     return sims
 

@@ -24,8 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyVideoError
-
 __all__ = ["FrameFeatureSequence"]
 
 # The fewest float32 values a thread of the means pass is given. Below about
@@ -91,9 +89,8 @@ def cosines(dots: np.ndarray, zero_a: np.ndarray, zero_b: np.ndarray) -> np.ndar
 
 
 def window_minima(scores: np.ndarray, j: int) -> np.ndarray:
-    """Index of the least score of each j-window, earliest on ties; the last may be short."""
+    """Index of each j-window's least score, earliest on ties; j <= n, the last may be short."""
     n = scores.shape[0]
-    j = min(j, n)  # a window longer than the scores holds them all
     padded = np.full(-(-n // j) * j, np.inf)
     padded[:n] = scores
     return np.arange(0, n, j) + padded.reshape(-1, j).argmin(axis=1)
@@ -134,7 +131,7 @@ class FrameFeatureSequence:
                 f"frames must be 4-d (frames, height, width, dim), got shape {self.frames.shape}"
             )
         if self.frames.shape[0] == 0:
-            raise EmptyVideoError("frame sequence is empty")
+            raise ValueError("frame sequence is empty")
 
     @property
     def n_frames(self) -> int:

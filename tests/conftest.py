@@ -29,7 +29,7 @@ def partition_windows(n_frames: int, j: int) -> list[tuple[int, int]]:
 
 def pool_frame(frame, out_h, out_w) -> np.ndarray:
     """One (h, w, dim) frame average-pooled to (out_h, out_w, dim)."""
-    return pool_batch(np.asarray(frame, dtype=np.float32)[None], out_h, out_w)[0]
+    return pool_batch(np.asarray(frame, dtype=np.float32)[None], out_h, out_w, np.arange(1))[0]
 
 
 def window_average_similarity(summaries) -> np.ndarray:

@@ -11,7 +11,6 @@ from vtcompress.cli import main
 from vtcompress.errors import (
     BudgetInfeasibleError,
     CompressionError,
-    EmptyVideoError,
     FileFormatError,
     InvalidConfigError,
 )
@@ -658,7 +657,6 @@ def test_no_command_exits_one(tmp_path, video_file, query_file, capsys, argv, ex
 
 @pytest.mark.parametrize("error, expected", [
     (FileFormatError("truncated header"), 2),
-    (EmptyVideoError("no frames"), 2),
     (OSError("unreadable"), 2),
     (InvalidConfigError("bad setting"), 3),
     (CompressionError("bad setting"), 3),
@@ -680,5 +678,5 @@ def test_each_error_class_maps_to_its_exit_code(tmp_path, monkeypatch, capsys, e
 def test_errors_module_defines_one_family_per_exit_code():
     defined = {name for name, obj in vars(errors).items()
                if isinstance(obj, type) and issubclass(obj, Exception)}
-    assert defined == {"CompressionError", "InvalidConfigError", "EmptyVideoError",
-                       "FileFormatError", "BudgetInfeasibleError"}
+    assert defined == {"CompressionError", "InvalidConfigError", "FileFormatError",
+                       "BudgetInfeasibleError"}

@@ -285,6 +285,23 @@ class TestQueryFiles:
         with pytest.raises(FileFormatError, match="non-finite"):
             read_query(path)
 
+    def test_rows_are_copied_out_of_the_file(self, rng, tmp_path):
+        # The payload is mapped, but the rows own a copy: the file may be
+        # rewritten, truncated or replaced while they are in use.
+        query = QueryEmbedding(rng.standard_normal((5, 7)).astype(np.float32))
+        path = tmp_path / "q.lvuq"
+        write_query(path, query)
+        back = read_query(path)
+        assert back.rows.flags.owndata and back.rows.base is None
+        with open(path, "r+b") as fh:  # the inode that was read
+            fh.seek(17)
+            fh.write(b"\0" * 5 * 7 * 4)
+            fh.truncate(17)
+        assert np.array_equal(back.rows, query.rows)
+        write_query(path, QueryEmbedding(rng.standard_normal((5, 7)).astype(np.float32)))
+        path.write_bytes(path.read_bytes()[:17])
+        assert np.array_equal(back.rows, query.rows)
+
 
 class TestCompressedFiles:
     def test_oversized_record_count_rejected_before_allocating(self, tmp_path):

@@ -1,9 +1,12 @@
-"""Every name a package module imports at module level is used there.
+"""Every name a package module imports at module level is used there, and
+every private name it defines at module level is read there.
 
-No linter runs on this repository, so this test stands in for the
-unused-import rule. ``__init__.py`` is skipped: its imports are the package's
-re-exports. A name counts as used when the module's code refers to it or
-lists it in ``__all__``.
+No linter runs on this repository, so these tests stand in for the
+unused-import and unused-private-name rules. ``__init__.py`` is skipped for
+imports: they are the package's re-exports. An import counts as used when
+the module's code refers to it or lists it in ``__all__``. A private name
+(one leading underscore, not a dunder) defined by a ``def``, ``class`` or
+assignment counts as used when the module's code reads it.
 """
 
 import ast
@@ -33,7 +36,30 @@ def unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+def unused_private_names(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.name}:{line} {name}" for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    ]
+
+
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def test_modules_are_found():
@@ -54,3 +80,21 @@ def test_an_unused_import_is_reported(tmp_path):
         "def f():\n    return np.zeros(1)\n"
     )
     assert unused_imports(module) == ["sample.py:2 os", "sample.py:4 A"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_every_private_module_level_name_is_read(path):
+    assert unused_private_names(path) == []
+
+
+def test_an_unused_private_name_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "__all__ = ['f']\n"
+        "_LIMIT = 4\n_SPARE: int = 5\n"
+        "def _read_array(fh):\n    return fh.read()\n"
+        "class _Used:\n    pass\n"
+        "def _helper():\n    return _Used()\n"
+        "def f():\n    return _helper(), _LIMIT\n"
+    )
+    assert unused_private_names(module) == ["sample.py:3 _SPARE", "sample.py:4 _read_array"]

@@ -163,7 +163,7 @@ class TestAdaptiveAvgPool:
 
     def test_batch_matches_single(self, rng):
         stack = rng.standard_normal((6, 12, 12, 4)).astype(np.float32)
-        batch = pool_batch(stack, 8, 8)
+        batch = pool_batch(stack, 8, 8, np.arange(6))
         for i in range(6):
             assert np.array_equal(batch[i], pool_frame(stack[i], 8, 8))
 
@@ -176,33 +176,35 @@ class TestPoolBatch:
     def test_matches_float64_bin_means(self, rng, grid, out):
         stack = rng.standard_normal((3, *grid, 6)).astype(np.float32)
         expected = np.stack([pool_oracle(frame, *out) for frame in stack])
-        assert np.array_equal(pool_batch(stack, *out), expected)
+        assert np.array_equal(pool_batch(stack, *out, np.arange(3)), expected)
 
     def test_longer_than_a_chunk_matches_single_frames(self, rng):
         stack = rng.standard_normal((2 * POOL_CHUNK_FRAMES + 3, 12, 12, 4)).astype(np.float32)
-        batch = pool_batch(stack, 8, 8)
+        batch = pool_batch(stack, 8, 8, np.arange(stack.shape[0]))
         for i in range(stack.shape[0]):
-            assert np.array_equal(batch[i], pool_batch(stack[i : i + 1], 8, 8)[0])
+            assert np.array_equal(batch[i], pool_batch(stack[i : i + 1], 8, 8, np.arange(1))[0])
 
     def test_empty_stack(self):
-        assert pool_batch(np.zeros((0, 12, 12, 4), dtype=np.float32), 8, 8).shape == (0, 8, 8, 4)
+        stack = np.zeros((0, 12, 12, 4), dtype=np.float32)
+        assert pool_batch(stack, 8, 8, np.arange(0)).shape == (0, 8, 8, 4)
 
     def test_peak_memory_below_twice_the_stack(self, rng):
         stack = rng.standard_normal((2000, 12, 12, 64), dtype=np.float32)
         tracemalloc.start()
         try:
-            pool_batch(stack, 8, 8)
+            pool_batch(stack, 8, 8, np.arange(2000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * stack.nbytes
 
     def test_working_set_is_eight_frames(self, rng):
-        # Through an index, so that each chunk is gathered: beyond its output,
-        # pooling holds 8 gathered float32 frames, their float64 row sums and
-        # their float64 bin sums. The slack covers the float64 (8, 8, 64) cell
-        # counts (32 KiB), numpy's buffers for the float32 -> float64 adds
-        # (up to three operands of 8,192 float64, 192 KiB) and small objects.
+        # Through a shuffled index, so that each chunk is gathered: beyond its
+        # output, pooling holds 8 gathered float32 frames, their float64 row
+        # sums and their float64 bin sums. The slack covers the float64
+        # (8, 8, 1) cell counts (512 bytes), numpy's buffers for the float32 ->
+        # float64 adds (up to three operands of 8,192 float64, 192 KiB) and
+        # small objects.
         stack = rng.standard_normal((2000, 12, 12, 64), dtype=np.float32)
         index = rng.permutation(2000)
         working_set = 8 * (12 * 12 * 64 * 4 + 8 * 12 * 64 * 8 + 8 * 8 * 64 * 8)
@@ -263,14 +265,15 @@ class TestPoolTokens:
     def test_pool_batch_adds_in_the_stated_order(self, case):
         stack, out_h, out_w, rng = case
         expected = np.stack([pool_in_order(frame, out_h, out_w) for frame in stack])
-        assert pool_batch(stack, out_h, out_w).tobytes() == expected.tobytes()
+        every = np.arange(stack.shape[0])
+        assert pool_batch(stack, out_h, out_w, every).tobytes() == expected.tobytes()
         # Any chunk size gives the same bits, also through an index that
         # repeats frames and takes them out of order.
         index = rng.integers(0, stack.shape[0], rng.integers(1, 12))
         for chunk_frames in (POOL_CHUNK_FRAMES, 1, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(numerics, "POOL_CHUNK_FRAMES", chunk_frames)
-                assert pool_batch(stack, out_h, out_w).tobytes() == expected.tobytes()
+                assert pool_batch(stack, out_h, out_w, every).tobytes() == expected.tobytes()
                 got = pool_batch(stack, out_h, out_w, index=index)
                 assert got.tobytes() == expected[index].tobytes()
 
@@ -282,7 +285,8 @@ class TestPoolTokens:
         rows, cols = rng.integers(0, out_h, m), rng.integers(0, out_w, m)
         got = pool_tokens(stack, out_h, out_w, frames, rows, cols)
         assert got.shape == (m, stack.shape[3]) and got.dtype == np.float32
-        assert got.tobytes() == pool_batch(stack, out_h, out_w)[frames, rows, cols].tobytes()
+        pooled = pool_batch(stack, out_h, out_w, np.arange(stack.shape[0]))
+        assert got.tobytes() == pooled[frames, rows, cols].tobytes()
 
     @pytest.mark.parametrize("grid,out", [((7, 9), (3, 4)), ((12, 12), (8, 8)), ((16, 5), (3, 5))])
     def test_more_tokens_than_a_chunk(self, rng, grid, out):
@@ -291,7 +295,7 @@ class TestPoolTokens:
         frames = np.sort(rng.integers(0, 40, m))
         rows, cols = rng.integers(0, out[0], m), rng.integers(0, out[1], m)
         got = pool_tokens(stack, *out, frames, rows, cols)
-        assert np.array_equal(got, pool_batch(stack, *out)[frames, rows, cols])
+        assert np.array_equal(got, pool_batch(stack, *out, np.arange(40))[frames, rows, cols])
 
     def test_upsampling_rejected(self, rng):
         # A grid with fewer tokens that does not fit inside the input is

@@ -9,7 +9,6 @@ from vtcompress import (
     AnchorStrategy,
     BudgetInfeasibleError,
     CompressionConfig,
-    EmptyVideoError,
     FramePositionConfig,
     FrameFeatureSequence,
     InvalidConfigError,
@@ -70,6 +69,14 @@ class TestConfigValidation:
             dict(tokens_low=(8,), match=r"pooled grid must be two integers, got \(8,\)"),
             dict(j=2.5, match="j must be an integer, got 2.5"),
             dict(grid=(4, 32), match=r"pooled grid \(8, 8\) must fit inside the input grid 4x32"),
+            # a setting of the wrong type; a bool is no integer here
+            dict(theta="0.8", match="theta must be a real number, got '0.8'"),
+            dict(tau_t=None, match="tau_t must be a real number, got None"),
+            dict(fpe=None, match="fpe must be a FramePositionConfig, got None"),
+            dict(stages=None, match="stages must be a StageToggles, got None"),
+            dict(j=True, match="j must be an integer, got True"),
+            dict(l_max=True, match="l_max must be an integer, got True"),
+            dict(tokens_low=(True, 8), match=r"pooled grid must be two integers, got \(True, 8\)"),
         ],
     )
     def test_invalid_values(self, rng, kw):
@@ -133,7 +140,7 @@ class TestCompressTraces:
         assert stats.tokens_final + 64 <= 8192
 
     def test_empty_input_rejected(self):
-        with pytest.raises(EmptyVideoError, match="frame sequence is empty"):
+        with pytest.raises(ValueError, match="frame sequence is empty"):
             FrameFeatureSequence(np.zeros((0, 4, 4, 2), dtype=np.float32))
 
     def test_wrong_input_resolution(self, rng):
@@ -810,7 +817,7 @@ class TestZeroMeanFrames:
     @pytest.mark.parametrize("kind", ["zero last", "balanced", "pooled zero", "zero tail"])
     def test_compresses_within_budget(self, rng, kind):
         seq = zero_mean_video(kind)
-        pooled = pool_batch(seq.frames, 8, 8)
+        pooled = pool_batch(seq.frames, 8, 8, np.arange(seq.n_frames))
         zero_pooled = np.flatnonzero(~pooled.mean(axis=(1, 2), dtype=np.float64).any(axis=1))
         zero_own = np.flatnonzero(~seq.means.any(axis=1))
         if kind == "pooled zero":

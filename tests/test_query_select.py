@@ -239,7 +239,7 @@ class TestSelectAndPool:
     def test_only_pooled_frames_are_pooled(self, rng, monkeypatch):
         pooled_counts = []
 
-        def counting_pool(stack, out_h, out_w, index=None):
+        def counting_pool(stack, out_h, out_w, index):
             pooled_counts.append(len(index))
             return pool_batch(stack, out_h, out_w, index=index)
 
@@ -251,7 +251,7 @@ class TestSelectAndPool:
     def test_no_full_frame_pools_the_stack_uncopied(self, rng, monkeypatch):
         stacks = []
 
-        def recording_pool(stack, out_h, out_w, index=None):
+        def recording_pool(stack, out_h, out_w, index):
             stacks.append((stack, index))
             return pool_batch(stack, out_h, out_w, index=index)
 

@@ -202,6 +202,15 @@ class TestPruneWindow:
         keep, _ = prune_single_window(window)
         assert keep[1].sum() == 2
 
+    def test_only_anchor_and_zero_norm_similarities_are_minus_inf(self):
+        window = np.ones((2, 1, 3, 2), dtype=np.float32)
+        window[1, 0, 0] = 0.0  # zero token in the non-anchor frame
+        window[0, 0, 1] = 0.0  # zero token in the anchor
+        window[1, 0, 2] = -1.0  # opposite the anchor token: a finite cosine of -1
+        sims = build_plan(window, 2).sims.reshape(2, 3)
+        assert np.isneginf(sims[0]).all()
+        assert np.isneginf(sims[1, :2]).all() and sims[1, 2] == pytest.approx(-1.0)
+
     def test_anchor_choice_respected(self, rng):
         window = rng.standard_normal((5, 3, 3, 4)).astype(np.float32)
         window[3] = window[2]  # a duplicate of the anchor is pruned, the anchor is not

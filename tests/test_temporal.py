@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vtcompress import (
     CompressionConfig,
-    EmptyVideoError,
     FrameFeatureSequence,
     InvalidConfigError,
     compress,
@@ -247,7 +246,7 @@ NON_FINITE = {"nan": [np.nan], "+inf": [np.inf], "-inf": [-np.inf], "+inf-inf": 
 
 class TestFrameFeatureSequence:
     def test_empty_rejected(self):
-        with pytest.raises(EmptyVideoError):
+        with pytest.raises(ValueError, match="frame sequence is empty"):
             FrameFeatureSequence(np.zeros((0, 2, 2, 3), dtype=np.float32))
 
     def test_non_finite_frame_rejected(self):
