@@ -1,7 +1,8 @@
 """Command-line surface: compress, synth, needle, and report subcommands.
 
 Exit codes: 0 success, 2 malformed input file (``FileFormatError``, an empty
-array in a file included) or a path that cannot be read or written (``OSError``),
+array in a file included), a path that cannot be read or written (``OSError``)
+or too little memory (``MemoryError``; like a full disk, a machine resource),
 3 invalid configuration, 4 budget infeasible (anchors alone exceed the context
 length). The configuration is checked before any input is read.
 """
@@ -309,8 +310,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FileFormatError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Exception types shared across the compression pipeline.
 
-The classes mirror the CLI's exit codes: ``FileFormatError`` and ``OSError``
-exit 2, ``InvalidConfigError`` and the base ``CompressionError`` exit 3, and
+The classes mirror the CLI's exit codes: ``FileFormatError``, ``OSError``
+and ``MemoryError`` (a machine resource, as a full disk is) exit 2,
+``InvalidConfigError`` and the base ``CompressionError`` exit 3, and
 ``BudgetInfeasibleError`` exits 4. A malformed array, an empty one included,
 is a ``ValueError``, which the file readers raise as ``FileFormatError``.
 """

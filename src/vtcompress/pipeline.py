@@ -9,10 +9,11 @@ every stage disabled the input is flattened as-is.
 
 The input is read once. Stage 1 works from the per-frame means taken when
 the sequence was built and returns the surviving frames as indices; no
-second sequence is built. Stage 2 reads those frames from the input through
-the indices. Token positions are rows of one frame-major table of every
-token of every surviving frame, and pruning, the threshold ladder and
-subsampling only rewrite a ``keep`` mask over those rows.
+second sequence is built. ``compress`` alone decides how many of them stay
+at full resolution, and stage 2 reads them from the input by index. Token
+positions are rows of one frame-major table of every token of every
+surviving frame, and pruning, the threshold ladder and subsampling only
+rewrite a ``keep`` mask over those rows.
 
 The table itself is built only when it is the output, and then it is
 returned as built, position-encoded in place: everything fits at full
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import BudgetInfeasibleError, InvalidConfigError
 from .framepos import FramePositionConfig, add_position_encoding
 from .numerics import pool_batch, pool_tokens
-from .query_select import MixedResolutionSequence, QueryEmbedding, select_and_pool, token_table
+from .query_select import MixedResolutionSequence, QueryEmbedding, num_full_res_frames, select_and_pool
 from .spatial import (
     AnchorStrategy,
     PruningPlan,
@@ -102,6 +103,14 @@ class CompressionConfig:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, types):
                     raise InvalidConfigError(f"{name} must be {kind}, got {value!r}")
+        for owner, name in (("stages", "temporal"), ("stages", "query"), ("stages", "stc"),
+                            ("fpe", "enabled")):
+            value = getattr(getattr(self, owner), name)
+            if not isinstance(value, bool):
+                raise InvalidConfigError(f"{owner}.{name} must be a bool, got {value!r}")
+        dim = self.fpe.dim
+        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, integer)):
+            raise InvalidConfigError(f"fpe.dim must be None or an integer, got {dim!r}")
         low = self.tokens_low
         if not (isinstance(low, (tuple, list)) and len(low) == 2
                 and all(isinstance(x, integer) and not isinstance(x, bool) for x in low)):
@@ -150,8 +159,8 @@ def _subsample_to_budget(result: SpatialCompressionResult, budget: int) -> Spati
 
 def enforce_budget(
     result: SpatialCompressionResult,
-    cfg: CompressionConfig,
-    query_len: int,
+    theta: float,
+    budget: int,
     plan: PruningPlan | None = None,
 ) -> tuple[SpatialCompressionResult, float, bool]:
     """Force a pruning result under the budget; returns (result, theta, fallback).
@@ -166,11 +175,10 @@ def enforce_budget(
     exactly. The caller has checked that the anchor tokens fit the budget;
     anchors keep every token at any threshold, so no step can change that.
     """
-    budget = cfg.l_max - query_len
     if result.tokens_after <= budget:
-        return result, cfg.theta, False
-    theta_eff = cfg.theta
-    steps = _theta_ladder(cfg.theta) if plan is not None else []
+        return result, theta, False
+    theta_eff = theta
+    steps = _theta_ladder(theta) if plan is not None else []
     if steps:
         for theta_eff in steps:
             if int(np.count_nonzero(plan.sims <= theta_eff)) <= budget:
@@ -309,12 +317,15 @@ def compress(
 ) -> tuple[CompressedTokenSequence, CompressionStats]:
     """Run the full pipeline on one video and return tokens plus statistics.
 
-    One flow, in stage order: stage 1 keeps t' frames, and every later
-    count follows from t'. Within the budget ``l_max - l_q``, stage 2's
-    token table is the output. Over it, the frames are pooled and planned in
-    blocks, and the ceil(t' / k) anchor frames of pooled tokens decide the
-    verdict: they fit and the budget is enforced, or the run is infeasible.
-    The output is position-encoded and counted at the one exit.
+    One flow, in stage order: stage 1 keeps t' frames, and every later count
+    follows from t'. Only here is the full-resolution count decided: t' when
+    the full frames fit the budget ``l_max - l_q`` or no stage is on, else
+    ``num_full_res_frames`` with the query stage on, else 0. Within the
+    budget, stage 2's token table is the output. Over it, the frames are
+    pooled and planned in blocks, and the ceil(t' / k) anchor frames of
+    pooled tokens decide the verdict: they fit and the budget is enforced,
+    or the run is infeasible. The output is position-encoded and counted at
+    the one exit.
 
     Raises BudgetInfeasibleError when the anchor tokens alone exceed the
     budget; its ``stats`` hold the accounting of every stage that ran.
@@ -367,31 +378,31 @@ def compress(
             ),
         )
 
+    if tokens_full <= budget or not cfg.stages.any_enabled:
+        n_full = t_after
+    elif cfg.stages.query:
+        n_full = num_full_res_frames(t_after, cfg.l_max, l_q, h_h * w_h, h_l * w_l)
+    else:
+        n_full = 0
+
     if tokens_pooled > budget and cfg.stages.any_enabled:
-        # Every frame is pooled and the table is still over budget: it is
-        # not built, and memory is bounded by the budget, not by t_after.
-        # Every window's anchor frame keeps all its pooled tokens.
+        # Every frame is pooled (n_full is 0) and the table is still over
+        # budget: it is not built, and memory is bounded by the budget, not by
+        # t_after. Every window's anchor frame keeps all its pooled tokens.
         anchor_tokens = -(-t_after // cfg.k) * h_l * w_l
         result, plan, store = _plan_in_blocks(seq, kept, cfg, budget, anchor_tokens)
-        n_full, tokens_query, tokens_spatial = 0, tokens_pooled, result.tokens_after
+        tokens_query, tokens_spatial = tokens_pooled, result.tokens_after
         if anchor_tokens > budget:
             stats = stage_stats(n_full, tokens_query, tokens_spatial, cfg.theta, True, None)
             raise BudgetInfeasibleError(anchor_tokens, budget, stats)
-        result, theta_eff, fallback = enforce_budget(result, cfg, l_q, plan=plan)
+        result, theta_eff, fallback = enforce_budget(result, cfg.theta, budget, plan)
         del plan
         compressed = _emit_kept(seq, kept, result.keep, store, cfg)
     else:
         # The token table, as built, is the output: under budget at full
         # resolution (or nothing enabled), with some frames at full
-        # resolution, or once every frame is pooled. Selection keeps all
-        # frames full exactly when all fit; without it they are pooled
-        # unless all fit.
-        if cfg.stages.query:
-            table, split = select_and_pool(seq, kept, query, cfg.l_max, cfg.tokens_low)
-            n_full = split.n_full_res
-        else:
-            n_full = t_after if tokens_full <= budget or not cfg.stages.any_enabled else 0
-            table = token_table(seq, kept, np.full(t_after, n_full == t_after), cfg.tokens_low)
+        # resolution, or once every frame is pooled.
+        table, _ = select_and_pool(seq, kept, query, n_full, cfg.tokens_low)
         compressed = table.tokens
         tokens_query = tokens_spatial = compressed.total_count
         theta_eff, fallback = cfg.theta, False

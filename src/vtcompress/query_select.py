@@ -5,9 +5,9 @@ text-query embedding rows (raw scores, no softmax); the rows must have the
 tokens' width. To score tokens seen through a projector ``W``, pass the rows
 ``rows @ W``: a score is the mean token dotted with the mean row, and
 ``(W @ m) . q = m . (W.T @ q)``. A bias would add the same amount to every
-frame's score, so it never changes the choice. The budget formula decides
-how many frames can stay at full resolution; everything else is
-average-pooled down to the low-resolution grid.
+frame's score, so it never changes the choice. ``select_and_pool`` takes how
+many frames stay at full resolution, a count ``compress`` decides from the
+budget; everything else is average-pooled down to the low-resolution grid.
 
 Stage 1's survivors are read from the input through their indices, and
 their scores from the input's cached per-frame means; they are never copied
@@ -158,25 +158,21 @@ def select_and_pool(
     seq: FrameFeatureSequence,
     kept: np.ndarray,
     query: QueryEmbedding,
-    l_max: int,
+    n_full: int,
     tokens_low: tuple[int, int],
 ) -> tuple[MixedResolutionSequence, BudgetPlan]:
-    """Choose which of the input frames ``kept`` keep full resolution, pool
+    """Keep ``n_full`` of the input frames ``kept`` at full resolution, pool
     the remainder, and return the token table with the budget split.
 
-    A full frame keeps the input's own grid. ``num_full_res_frames`` fixes
-    the full-resolution count; it is every frame exactly when everything
-    fits at full resolution. Frames are scored only when some but not all
-    of them stay full, and the highest-scoring frames stay (ties toward
-    earlier frames). A table holding any full frame therefore fits
-    ``l_max`` with the query; only an all-pooled table can exceed it.
+    ``compress`` decides ``n_full``. A full frame keeps the input's own grid.
+    Frames are scored only when some but not all of them stay full, and the
+    highest-scoring frames stay (ties toward earlier frames).
     """
     kept = np.asarray(kept, dtype=np.int64)
     t = kept.shape[0]
-    h_l, w_l = tokens_low
-    n_full = num_full_res_frames(t, l_max, query.n_tokens, seq.grid_h * seq.grid_w, h_l * w_l)
     full = np.full(t, n_full == t)
     if 0 < n_full < t:
         scores = frame_query_scores(seq.means[kept], query)
         full[np.argsort(-scores, kind="stable")[:n_full]] = True  # ties keep the earlier frame
+    # The pair and ``BudgetPlan`` stay only for bench/spans.py, which reads both.
     return token_table(seq, kept, full, tokens_low), BudgetPlan(n_full)

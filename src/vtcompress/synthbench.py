@@ -50,6 +50,23 @@ ADJACENT_COS_RANGE = (0.35, 0.7)
 NEEDLE_SCENE_LEN = 64
 NEEDLE_QUERY_TOKENS = 24  # rows of each needle cell's query
 CORPUS_SCENE_LEN = 128
+CORPUS_FRAMES = (768, 1280)  # each corpus video's frame count is drawn from this range
+
+
+def _is_integer(value) -> bool:
+    # Python counts a bool as an int, but no count, size or seed is one.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_frame_bytes(n_frames: int, grid, dim: int):
+    """Raise unless ``n_frames`` float32 frames of ``grid`` x ``dim`` fit in
+    one array, checked before anything is drawn or allocated."""
+    size = int(n_frames) * int(grid[0]) * int(grid[1]) * int(dim) * 4
+    if size > np.iinfo(np.intp).max:
+        raise InvalidConfigError(
+            f"{n_frames} frames of {grid[0]}x{grid[1]}x{dim} float32 features take "
+            f"{size} bytes, more than one array can hold"
+        )
 
 
 @dataclass
@@ -65,6 +82,13 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self):
+        for name in ("n_frames", "n_scenes", "dim", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        grid = self.grid
+        if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(map(_is_integer, grid))):
+            raise InvalidConfigError(f"grid must be two integers, got {grid!r}")
         if self.n_frames < 1:
             raise InvalidConfigError(f"n_frames must be positive, got {self.n_frames}")
         if not (1 <= self.n_scenes <= self.n_frames):
@@ -83,6 +107,7 @@ class SynthSpec:
             raise InvalidConfigError(f"dim and grid must be positive, got {self.dim}, {self.grid}")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_frame_bytes(self.n_frames, grid, self.dim)
 
 
 @dataclass
@@ -105,8 +130,12 @@ class NeedleSpec:
             raise InvalidConfigError("depths must be sorted ascending")
         if any(not (0.0 <= d <= 1.0) for d in self.depths):
             raise InvalidConfigError(f"depths must lie in [0, 1], got {self.depths}")
+        if not all(map(_is_integer, self.frame_counts)):
+            raise InvalidConfigError(f"frame counts must be integers, got {self.frame_counts}")
         if any(c < 1 for c in self.frame_counts):
             raise InvalidConfigError(f"frame counts must be positive, got {self.frame_counts}")
+        for count in self.frame_counts:  # each haystack, with the needle frame inserted
+            _check_frame_bytes(count + 1, self.haystack.grid, self.haystack.dim)
         if not (0.0 <= self.query_alignment <= 1.0):
             raise InvalidConfigError(f"alignment must be in [0, 1], got {self.query_alignment}")
 
@@ -125,14 +154,26 @@ def _scene_bases(rng: np.random.Generator, n_scenes: int, dim: int) -> np.ndarra
 def _scene_lengths(rng: np.random.Generator, n_frames: int, n_scenes: int) -> np.ndarray:
     weights = rng.dirichlet(np.full(n_scenes, 6.0))
     lengths = np.maximum(1, np.floor(weights * n_frames).astype(np.int64))
-    # Adjust the largest scenes until lengths sum to n_frames exactly.
-    while lengths.sum() > n_frames:
-        i = int(np.argmax(lengths))
-        lengths[i] -= 1
-    while lengths.sum() < n_frames:
-        i = int(np.argmin(lengths))
-        lengths[i] += 1
-    return lengths
+    # The lengths must sum to n_frames: each surplus frame comes off the
+    # longest scene and each missing frame goes onto the shortest, the
+    # earliest on ties. In closed form, on the lengths negated for a deficit:
+    # every scene is cut to the lowest ``level`` whose cut fits the surplus,
+    # then the earliest scenes at ``level`` give one frame each for the rest.
+    sign = 1 if lengths.sum() >= n_frames else -1
+    signed = sign * lengths
+    surplus = int(signed.sum()) - sign * n_frames
+
+    def cut(level):
+        return int(np.maximum(signed - level, 0).sum())
+
+    low, level = int(signed.max()) - surplus - 1, int(signed.max())  # cut(low) > surplus
+    while level - low > 1:
+        mid = (low + level) // 2
+        low, level = (low, mid) if cut(mid) <= surplus else (mid, level)
+    rest = surplus - cut(level)
+    signed = np.minimum(signed, level)
+    signed[np.flatnonzero(signed == level)[:rest]] -= 1
+    return sign * signed
 
 
 def _snapped_span(rng: np.random.Generator, size: int, snap: int) -> int:
@@ -356,9 +397,7 @@ def needle_study(spec: NeedleSpec, cfgs: list[CompressionConfig]) -> list[list[d
     return per_cfg
 
 
-def make_mixed_corpus(
-    n_videos: int, seed: int, n_frames_range: tuple[int, int] = (768, 1280)
-) -> list[SynthSpec]:
+def make_mixed_corpus(n_videos: int, seed: int) -> list[SynthSpec]:
     """Calibrated corpus mixing static and dynamic scenes across videos, at
     ``SynthSpec``'s default dim and grid.
 
@@ -376,7 +415,7 @@ def make_mixed_corpus(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     specs = []
     for _ in range(n_videos):
-        n_frames = int(rng.integers(n_frames_range[0], n_frames_range[1] + 1))
+        n_frames = int(rng.integers(CORPUS_FRAMES[0], CORPUS_FRAMES[1] + 1))
         specs.append(
             SynthSpec(
                 n_frames=n_frames,

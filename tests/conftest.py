@@ -32,6 +32,19 @@ def pool_frame(frame, out_h, out_w) -> np.ndarray:
     return pool_batch(np.asarray(frame, dtype=np.float32)[None], out_h, out_w, np.arange(1))[0]
 
 
+def scene_lengths_loop(rng, n_frames, n_scenes) -> np.ndarray:
+    """Scene lengths that sum to ``n_frames``, moving one frame per step:
+    off the longest scene while over, onto the shortest while under, the
+    earliest on ties. The reference for ``synthbench._scene_lengths``."""
+    weights = rng.dirichlet(np.full(n_scenes, 6.0))
+    lengths = np.maximum(1, np.floor(weights * n_frames).astype(np.int64))
+    while lengths.sum() > n_frames:
+        lengths[int(np.argmax(lengths))] -= 1
+    while lengths.sum() < n_frames:
+        lengths[int(np.argmin(lengths))] += 1
+    return lengths
+
+
 def window_average_similarity(summaries) -> np.ndarray:
     """Average cosine similarity of each frame to the others in one window
     of (frames, dim) summaries, as stage 1 scores it; a single-frame window

@@ -632,6 +632,12 @@ NO_EXIT_ONE = [
     pytest.param(["synth", "--noise", "inf"], 3, id="noise=inf"),
     pytest.param(["needle", "--depths", "nan"], 3, id="depths=nan"),
     pytest.param(["report", "--corpus-size", "0"], 3, id="corpus-size=0"),
+    # Frame arrays no array can hold are refused before anything is drawn.
+    pytest.param(["synth", "--frames", str(2**63)], 3, id="frames=2^63"),
+    pytest.param(["synth", "--frames", HUGE], 3, id="frames=1e22"),
+    pytest.param(["synth", "--dim", str(2**63)], 3, id="dim=2^63"),
+    pytest.param(["synth", "--dim", HUGE], 3, id="dim=1e22"),
+    pytest.param(["needle", "--frame-counts", HUGE], 3, id="frame-counts=1e22"),
 ]
 
 
@@ -661,6 +667,7 @@ def test_no_command_exits_one(tmp_path, video_file, query_file, capsys, argv, ex
     (InvalidConfigError("bad setting"), 3),
     (CompressionError("bad setting"), 3),
     (BudgetInfeasibleError(1, 0), 4),
+    (MemoryError(), 2),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
 def test_each_error_class_maps_to_its_exit_code(tmp_path, monkeypatch, capsys, error, expected):
     def read_features(path):

@@ -77,6 +77,14 @@ class TestConfigValidation:
             dict(j=True, match="j must be an integer, got True"),
             dict(l_max=True, match="l_max must be an integer, got True"),
             dict(tokens_low=(True, 8), match=r"pooled grid must be two integers, got \(True, 8\)"),
+            dict(stages=StageToggles(temporal="no"), match="stages.temporal must be a bool, got 'no'"),
+            dict(stages=StageToggles(stc=None), match="stages.stc must be a bool, got None"),
+            dict(stages=StageToggles(query=1), match="stages.query must be a bool, got 1"),
+            dict(fpe=FramePositionConfig(enabled="no"), match="fpe.enabled must be a bool, got 'no'"),
+            dict(fpe=FramePositionConfig(enabled=True, dim=2.5),
+                 match="fpe.dim must be None or an integer, got 2.5"),
+            dict(fpe=FramePositionConfig(enabled=True, dim=True),
+                 match="fpe.dim must be None or an integer, got True"),
         ],
     )
     def test_invalid_values(self, rng, kw):
@@ -220,10 +228,9 @@ class TestEnforceBudget:
     def test_under_budget_is_identity(self, rng):
         frames = rng.standard_normal((8, 2, 2, 3)).astype(np.float32)
         result = build_plan(frames, 4).apply(0.8)
-        cfg = small_config(l_max=1000)
-        out, theta, fallback = enforce_budget(result, cfg, 0)
+        out, theta, fallback = enforce_budget(result, 0.8, 1000)
         assert out is result
-        assert theta == cfg.theta and not fallback
+        assert theta == 0.8 and not fallback
 
     def test_identical_frames_already_maximally_pruned(self, rng):
         seq = sequence_from_vectors([[1.0, 1.0]] * 32, h=4, w=4)
@@ -335,9 +342,8 @@ class TestBudgetLadder:
 
     def run_case(self, frames, theta, budget, k=4):
         plan = build_plan(frames, k)
-        cfg = small_config(l_max=budget + 3, theta=theta)
         result = plan.apply(theta)
-        out, theta_eff, fallback = enforce_budget(result, cfg, 3, plan=plan)
+        out, theta_eff, fallback = enforce_budget(result, theta, budget, plan)
         ref_theta, ref_fallback, keep = stepwise_budget_oracle(plan, theta, budget)
         assert (theta_eff, fallback) == (ref_theta, ref_fallback)
         assert out.tokens_after == int(keep.sum()) <= budget
@@ -663,7 +669,7 @@ def whole_table_oracle(seq, query, cfg):
     # infeasible when the table's anchor tokens alone exceed the budget
     if int(np.count_nonzero(result.anchor)) > cfg.l_max - query.n_tokens:
         return None, dict(stats, theta_effective=cfg.theta, fallback_used=True, tokens_final=None)
-    result, theta_eff, fallback = enforce_budget(result, cfg, query.n_tokens, plan=plan)
+    result, theta_eff, fallback = enforce_budget(result, cfg.theta, cfg.l_max - query.n_tokens, plan)
     tokens = apply_position_encoding(flatten(table, result.keep), cfg.fpe)
     return tokens, dict(stats, theta_effective=theta_eff, fallback_used=fallback,
                         tokens_final=tokens.total_count)

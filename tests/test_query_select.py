@@ -6,10 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vtcompress import (
+    BudgetInfeasibleError,
     CompressionConfig,
     FrameFeatureSequence,
     InvalidConfigError,
     QueryEmbedding,
+    StageToggles,
     compress,
     frame_query_scores,
 )
@@ -132,33 +134,63 @@ def no_scoring(monkeypatch):
     monkeypatch.setattr(query_select, "frame_query_scores", refuse)
 
 
-def run_select(rng, t=30, l_max=900, l_q=10, h=4, w=4, low=(2, 2), dim=3, **kw):
+def run_select(rng, n_full, t=30, l_q=10, h=4, w=4, low=(2, 2), dim=3):
     frames = rng.standard_normal((t, h, w, dim)).astype(np.float32)
     query = random_query(rng, l_q, dim)
-    mixed, plan = select_and_pool(
-        FrameFeatureSequence(frames),
-        np.arange(t),
-        query,
-        l_max,
-        low,
-        **kw,
-    )
+    mixed, plan = select_and_pool(FrameFeatureSequence(frames), np.arange(t), query, n_full, low)
     return frames, query, mixed, plan
+
+
+def compress_whole(seq, query, l_max, low=(2, 2), stages=None):
+    """``compress`` with stage 1 off, so every input frame reaches stage 2,
+    and the other stages as ``stages`` sets them; an infeasible run gives no
+    output and the stats its error carries."""
+    cfg = CompressionConfig(l_max=l_max, tokens_low=low, j=4, k=4,
+                            stages=StageToggles(temporal=False, **(stages or {})))
+    try:
+        return compress(seq, query, cfg)
+    except BudgetInfeasibleError as exc:
+        return None, exc.stats
+
+
+class TestFullResCount:
+    """``compress`` decides how many frames stay at full resolution; the
+    budget formula gives the count only with the query stage on."""
+
+    # 30 frames of 4x4 pooled to 2x2 and a 10-token query: (l_max, stages,
+    # the count). At 300 the formula gives (300 - 10 - 120) // 12 = 14.
+    CASES = {
+        "all full": (490, {}, 30),
+        "partial": (300, {}, 14),
+        "query off": (300, {"query": False}, 0),
+        "query off, fits": (490, {"query": False}, 30),
+        "every stage off": (300, {"query": False, "stc": False}, 30),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_count_on_every_table_path(self, rng, case):
+        l_max, stages, n_full = self.CASES[case]
+        seq, query = random_sequence(rng, 30, 4, 4, 3), random_query(rng, 10, 3)
+        out, stats = compress_whole(seq, query, l_max, stages=stages)
+        assert stats.n_full_res == n_full
+        if case == "partial":
+            assert n_full == num_full_res_frames(30, l_max, 10, 16, 4)
+        assert np.count_nonzero(out.levels == 0) == n_full * 16
+        assert out.total_count == stats.tokens_after_query == n_full * 16 + (30 - n_full) * 4
 
 
 class TestSelectAndPool:
     def test_under_budget_passthrough(self, rng, monkeypatch):
         no_scoring(monkeypatch)
-        frames, _, mixed, plan = run_select(rng, t=10, l_max=8192, l_q=50)
+        frames, _, mixed, plan = run_select(rng, 10, t=10, l_q=50)
         assert plan.n_full_res == mixed.n_frames == 10
         assert frame_levels(mixed) == ["full"] * 10
         for i in range(10):
             assert np.array_equal(frame_tokens(mixed, i), frames[i])
 
     def test_all_pooled_when_no_room(self, rng, monkeypatch):
-        # 30 frames * 4 low tokens + 10 query tokens leaves no room for full frames
         no_scoring(monkeypatch)
-        _, _, mixed, plan = run_select(rng, t=30, l_max=140, l_q=10)
+        _, _, mixed, plan = run_select(rng, 0, t=30, l_q=10)
         assert plan.n_full_res == 0
         assert frame_levels(mixed) == ["pooled"] * 30
         assert mixed.tokens.total_count == 30 * 4
@@ -176,10 +208,10 @@ class TestSelectAndPool:
             return scored[-1]
 
         monkeypatch.setattr(query_select, "frame_query_scores", recording_scores)
-        mixed, plan = select_and_pool(
-            FrameFeatureSequence(frames), np.arange(t), query, 300, (2, 2),
-        )
-        assert plan.n_full_res == num_full_res_frames(t, 300, 4, 16, 4)
+        # the count compress gives 30 frames at 300 tokens with 4 query tokens
+        n_full = num_full_res_frames(t, 300, 4, 16, 4)
+        mixed, plan = select_and_pool(FrameFeatureSequence(frames), np.arange(t), query, n_full, (2, 2))
+        assert plan.n_full_res == n_full
         assert 17 in full_frames(mixed)
         oracle = scores_oracle(frames, query)
         expected = set(np.argsort(-oracle, kind="stable")[: plan.n_full_res])
@@ -194,9 +226,10 @@ class TestSelectAndPool:
         for _ in range(20):
             t = int(rng.integers(1, 50))
             l_max = int(rng.integers(20, 1200))
-            frames, query, mixed, plan = run_select(rng, t=t, l_max=l_max, l_q=5)
-            n_h = plan.n_full_res
-            assert mixed.tokens.total_count == n_h * 16 + (t - n_h) * 4
+            _, stats = compress_whole(random_sequence(rng, t, 4, 4, 3), random_query(rng, 5, 3), l_max)
+            n_h = stats.n_full_res
+            assert n_h == num_full_res_frames(t, l_max, 5, 16, 4)
+            assert stats.tokens_after_query == n_h * 16 + (t - n_h) * 4
 
     def test_budget_feasibility_when_unclamped(self, rng):
         for _ in range(200):
@@ -219,17 +252,17 @@ class TestSelectAndPool:
             rows = rng.standard_normal((3, dim_q))
             l_max = int(rng.integers(3 + 4 * t, 3 + 16 * t))
             oracle = scores_oracle(frames @ weight.T + bias, QueryEmbedding(rows))
+            n_full = num_full_res_frames(t, l_max, 3, 16, 4)
             mixed, plan = select_and_pool(
                 FrameFeatureSequence(frames), np.arange(t), QueryEmbedding(rows @ weight),
-                l_max, (2, 2),
+                n_full, (2, 2),
             )
-            n_full = num_full_res_frames(t, l_max, 3, 16, 4)
             assert plan.n_full_res == n_full
             expected = np.argsort(-oracle, kind="stable")[:n_full]
             assert full_frames(mixed) == sorted(expected.tolist())
 
     def test_pooled_frames_bitwise_match_pooling(self, rng):
-        frames, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
+        frames, _, mixed, plan = run_select(rng, 4, t=25, l_q=5)
         for i, level in enumerate(frame_levels(mixed)):
             if level == "pooled":
                 assert np.array_equal(frame_tokens(mixed, i), pool_frame(frames[i], 2, 2))
@@ -244,7 +277,7 @@ class TestSelectAndPool:
             return pool_batch(stack, out_h, out_w, index=index)
 
         monkeypatch.setattr(query_select, "pool_batch", counting_pool)
-        _, _, mixed, plan = run_select(rng, t=25, l_max=160, l_q=5)
+        _, _, mixed, plan = run_select(rng, 4, t=25, l_q=5)
         assert 0 < plan.n_full_res < 25
         assert pooled_counts == [frame_levels(mixed).count("pooled")] == [25 - plan.n_full_res]
 
@@ -258,9 +291,7 @@ class TestSelectAndPool:
         monkeypatch.setattr(query_select, "pool_batch", recording_pool)
         seq = random_sequence(rng, 30, 4, 4, 3)
         kept = np.array([0, 3, 4, 9, 12, 13, 17, 20, 22, 25, 26, 29])
-        mixed, plan = select_and_pool(
-            seq, kept, random_query(rng, 10, 3), 58, (2, 2),
-        )
+        mixed, plan = select_and_pool(seq, kept, random_query(rng, 10, 3), 0, (2, 2))
         assert plan.n_full_res == 0 and len(stacks) == 1
         # the kept frames are read from the input by index, not copied out first
         assert stacks[0][0] is seq.frames and stacks[0][1].tolist() == kept.tolist()
@@ -277,18 +308,19 @@ class TestSelectAndPool:
         l_q = data.draw(st.integers(1, 40))
         l_max = data.draw(st.integers(1, t * h * w + l_q + 50))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        _, _, mixed, plan = run_select(rng, t=t, l_max=l_max, l_q=l_q, h=h, w=w, low=low, dim=2)
-        if plan.n_full_res > 0:
-            assert mixed.tokens.total_count + l_q <= l_max
+        seq, query = random_sequence(rng, t, h, w, 2), random_query(rng, l_q, 2)
+        out, stats = compress_whole(seq, query, l_max, low)
+        if stats.n_full_res > 0:
+            assert out.total_count + l_q <= l_max
 
     def test_tie_break_earlier_frame(self):
         frames = np.broadcast_to(
             np.array([1.0, 0.0], dtype=np.float32), (10, 2, 2, 2)
         ).copy()
         query = QueryEmbedding(np.array([[1.0, 0.0]], dtype=np.float32))
-        mixed, plan = select_and_pool(
-            FrameFeatureSequence(frames), np.arange(10), query, 30, (1, 1),
-        )
+        # the count compress gives 10 frames at 30 tokens with 1 query token
+        n_full = num_full_res_frames(10, 30, 1, 4, 1)
+        mixed, plan = select_and_pool(FrameFeatureSequence(frames), np.arange(10), query, n_full, (1, 1))
         # all scores tie; capacity picks the earliest frames
         assert full_frames(mixed) == list(range(plan.n_full_res))
         assert plan.n_full_res > 0
