@@ -183,7 +183,10 @@ def _stats_blob(stats: CompressionStats) -> bytes:
 
 
 def _record_dtype(d: int) -> np.dtype:
-    # Packed layout, 13 + 4*d bytes per record, all little-endian.
+    # Packed layout, 13 + 4*d bytes per record, all little-endian. numpy
+    # holds a dtype's size in a C int, so a wider record cannot be built.
+    if 13 + 4 * d > np.iinfo(np.intc).max:
+        raise FileFormatError(f"vector dim {d} makes a record too large to hold")
     return np.dtype(
         [
             ("frame_index", "<u4"),

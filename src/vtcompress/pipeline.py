@@ -15,15 +15,15 @@ positions are rows of one frame-major table of every token of every
 surviving frame, and pruning, the threshold ladder and subsampling only
 rewrite a ``keep`` mask over those rows.
 
-The table itself is built only when it is the output, and then it is
-returned as built, position-encoded in place: everything fits at full
-resolution, the table holds a full frame, or it fits once pooled. Over
-budget, memory is bounded by the budget, not by the kept frames: the frames
-are pooled and planned in blocks of at most a budget of pooled tokens, and
-only the similarities, the anchor flags and a budget-sized store of pooled
-tokens (the anchors, then the first survivors) are kept. The kept rows are
-then emitted directly into the store's array, stored tokens moved into
-place and every other survivor pooled again from the input.
+``query_select.select_and_pool`` writes every output row, once, on every
+path. Within the budget it emits the whole token table, position-encoded in
+place: everything fits at full resolution, the table holds a full frame, or
+it fits once pooled. Over budget, memory is bounded by the budget, not by
+the kept frames: the frames are pooled and planned in blocks of at most a
+budget of pooled tokens, and only the similarities, the anchor flags and a
+budget-sized store of pooled tokens (the anchors, then the first survivors)
+are kept. ``select_and_pool`` then emits only the kept rows, into the
+store's array.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BudgetInfeasibleError, InvalidConfigError
 from .framepos import FramePositionConfig, add_position_encoding
-from .numerics import pool_batch, pool_tokens
+from .numerics import pool_batch
 from .query_select import MixedResolutionSequence, QueryEmbedding, num_full_res_frames, select_and_pool
 from .spatial import (
     AnchorStrategy,
@@ -44,7 +44,7 @@ from .spatial import (
     build_plan,
 )
 from .temporal import FrameFeatureSequence, reduce_frames
-from .tokens import LEVEL_CODE, CompressedTokenSequence, CompressionStats
+from .tokens import CompressedTokenSequence, CompressionStats
 
 __all__ = [
     "StageToggles",
@@ -194,10 +194,9 @@ def flatten(table: MixedResolutionSequence, keep: np.ndarray) -> CompressedToken
     (timestep, row-major grid) order, with their provenance fields. The
     gather always copies, so the result shares no memory with the table.
 
-    ``compress`` never calls it: its outputs are the table itself or rows
-    emitted straight into the over-budget store. It is the row gather of
-    the whole-table reference that the tests hold those outputs to, and
-    ``bench/spans.py`` still wraps it by name."""
+    ``compress`` never calls it: ``select_and_pool`` writes its output. It
+    is the row gather of the whole-table reference that the tests hold that
+    output to, and ``bench/spans.py`` still wraps it by name."""
     rows = np.flatnonzero(keep)
     tokens = table.tokens
     return CompressedTokenSequence(
@@ -276,42 +275,6 @@ def _plan_in_blocks(
     return result, None if sims is None else PruningPlan(sims, anchor), store
 
 
-def _emit_kept(
-    seq: FrameFeatureSequence,
-    kept: np.ndarray,
-    keep: np.ndarray,
-    store: tuple,
-    cfg: CompressionConfig,
-) -> CompressedTokenSequence:
-    """The rows ``keep`` of the pooled token table of ``kept``, as
-    ``flatten`` would emit them, built in the store's own array.
-
-    Stored tokens are moved to their output rows, all read before any is
-    written; every other kept token is pooled again from the input by
-    ``pool_tokens``, which gives the bits ``pool_batch`` gave it. At most
-    ``budget`` rows are kept, so the output fits the store's array.
-    """
-    h_l, w_l = cfg.tokens_low
-    stored_rows, vectors = store
-    rows = np.flatnonzero(keep)
-    frame, cell = np.divmod(rows, h_l * w_l)
-    at = np.minimum(np.searchsorted(stored_rows, rows), stored_rows.shape[0] - 1)
-    found = stored_rows[at] == rows
-    moved = np.flatnonzero(found & (at != np.arange(rows.shape[0])))
-    vectors[moved] = vectors[at[moved]]
-    again = np.flatnonzero(~found)
-    vectors[again] = pool_tokens(
-        seq.frames, h_l, w_l, kept[frame[again]], cell[again] // w_l, cell[again] % w_l
-    )
-    return CompressedTokenSequence(
-        frame_indices=kept[frame],
-        grid_rows=cell // w_l,
-        grid_cols=cell % w_l,
-        levels=np.full(rows.shape[0], LEVEL_CODE["pooled"], dtype=np.uint8),
-        vectors=vectors[: rows.shape[0]],
-    )
-
-
 def compress(
     seq: FrameFeatureSequence, query: QueryEmbedding, cfg: CompressionConfig
 ) -> tuple[CompressedTokenSequence, CompressionStats]:
@@ -324,8 +287,9 @@ def compress(
     budget, stage 2's token table is the output. Over it, the frames are
     pooled and planned in blocks, and the ceil(t' / k) anchor frames of
     pooled tokens decide the verdict: they fit and the budget is enforced,
-    or the run is infeasible. The output is position-encoded and counted at
-    the one exit.
+    or the run is infeasible. One ``select_and_pool`` call then emits the
+    output on either path, which is position-encoded and counted at the
+    one exit.
 
     Raises BudgetInfeasibleError when the anchor tokens alone exceed the
     budget; its ``stats`` hold the accounting of every stage that ran.
@@ -356,7 +320,6 @@ def compress(
 
     t_after = kept.shape[0]
     tokens_full = t_after * h_h * w_h
-    tokens_pooled = t_after * h_l * w_l
 
     def stage_stats(n_full, tokens_query, tokens_spatial, theta_eff, fallback, tokens_final):
         return CompressionStats(
@@ -385,27 +348,29 @@ def compress(
     else:
         n_full = 0
 
-    if tokens_pooled > budget and cfg.stages.any_enabled:
-        # Every frame is pooled (n_full is 0) and the table is still over
-        # budget: it is not built, and memory is bounded by the budget, not by
-        # t_after. Every window's anchor frame keeps all its pooled tokens.
+    tokens_query = n_full * h_h * w_h + (t_after - n_full) * h_l * w_l
+    if tokens_query > budget and cfg.stages.any_enabled:
+        # A table with a full frame fits, so every frame is pooled (n_full is
+        # 0) and the table is still over budget: it is not built, and memory
+        # is bounded by the budget, not by t_after. Every window's anchor
+        # frame keeps all its pooled tokens.
         anchor_tokens = -(-t_after // cfg.k) * h_l * w_l
         result, plan, store = _plan_in_blocks(seq, kept, cfg, budget, anchor_tokens)
-        tokens_query, tokens_spatial = tokens_pooled, result.tokens_after
+        tokens_spatial = result.tokens_after
         if anchor_tokens > budget:
             stats = stage_stats(n_full, tokens_query, tokens_spatial, cfg.theta, True, None)
             raise BudgetInfeasibleError(anchor_tokens, budget, stats)
         result, theta_eff, fallback = enforce_budget(result, cfg.theta, budget, plan)
         del plan
-        compressed = _emit_kept(seq, kept, result.keep, store, cfg)
+        rows = np.flatnonzero(result.keep)
     else:
         # The token table, as built, is the output: under budget at full
         # resolution (or nothing enabled), with some frames at full
         # resolution, or once every frame is pooled.
-        table, _ = select_and_pool(seq, kept, query, n_full, cfg.tokens_low)
-        compressed = table.tokens
-        tokens_query = tokens_spatial = compressed.total_count
-        theta_eff, fallback = cfg.theta, False
+        tokens_spatial, theta_eff, fallback = tokens_query, cfg.theta, False
+        rows = store = None
+    table, _ = select_and_pool(seq, kept, query, n_full, cfg.tokens_low, rows, store)
+    compressed = table.tokens
     add_position_encoding(compressed, cfg.fpe)
     return compressed, stage_stats(
         n_full, tokens_query, tokens_spatial, theta_eff, fallback, compressed.total_count

@@ -13,13 +13,14 @@ Stage 1's survivors are read from the input through their indices, and
 their scores from the input's cached per-frame means; they are never copied
 out as a stack of their own.
 
-The token table is one frame-major ``CompressedTokenSequence`` holding each
-frame's tokens in (timestep, row, col) order, in fresh arrays. It is built
-only where it is the pipeline's output, as it stands: everything fits at
-full resolution, the table holds a full frame, or it fits once pooled. When
-every frame is pooled and the table would still be over budget, the
-pipeline pools block by block instead (see ``pipeline``), so that memory is
-bounded by the budget and not by the kept frames.
+``select_and_pool`` writes every output row of ``compress``, on every
+path, as one frame-major ``CompressedTokenSequence`` in (timestep, row, col)
+order, in fresh arrays. Where the token table fits the budget it emits the
+whole table. When every frame is pooled and the table would still be over
+budget, the pipeline pools and plans block by block (see ``pipeline``) and
+hands over the kept rows and a budget-sized store of pooled tokens; only
+those rows are emitted, so memory is bounded by the budget, not by the kept
+frames.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .numerics import pool_batch
+from .numerics import pool_batch, pool_tokens
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
 
@@ -76,56 +77,12 @@ class BudgetPlan:
 
 @dataclass
 class MixedResolutionSequence:
-    """Stage 2's token table: every token of ``n_frames`` frames, each in
-    row-major grid order at its level (full or pooled), frame after frame,
-    so the table is already in (timestep, row, col) order."""
+    """The output of ``n_frames`` kept frames: rows of stage 2's token table,
+    each frame's tokens in row-major grid order at its level (full or
+    pooled), frame after frame, so in (timestep, row, col) order."""
 
     tokens: CompressedTokenSequence
     n_frames: int
-
-
-def token_table(
-    seq: FrameFeatureSequence,
-    kept: np.ndarray,
-    full: np.ndarray,
-    tokens_low: tuple[int, int],
-) -> MixedResolutionSequence:
-    """Lay out the input frames ``kept`` as a token table: table frame i is
-    input frame ``kept[i]``, with timestep ``kept[i]``, at full resolution
-    where ``full[i]``, otherwise average-pooled to ``tokens_low``.
-
-    Frames are read from ``seq.frames`` by index. Full frames are gathered
-    straight into the table; only the pooled frames are pooled, in frame
-    order, each chunk gathered inside the pooling. Every array of the table
-    is new, so it may be changed in place without reaching the input.
-    """
-    frames = seq.frames
-    kept = np.asarray(kept, dtype=np.int64)
-    _, h_h, w_h, dim = frames.shape
-    h_l, w_l = tokens_low
-    sizes = np.where(full, h_h * w_h, h_l * w_l)
-    offsets = np.cumsum(sizes) - sizes  # each frame's first row
-    n_rows = int(sizes.sum())
-    if full.all():
-        vectors = frames[kept].reshape(-1, dim)
-    elif not full.any():
-        vectors = pool_batch(frames, h_l, w_l, index=kept).reshape(-1, dim)
-    else:
-        vectors = np.empty((n_rows, dim), dtype=np.float32)
-        token_full = np.repeat(full, sizes)
-        vectors[token_full] = frames[kept[full]].reshape(-1, dim)
-        vectors[~token_full] = pool_batch(frames, h_l, w_l, index=kept[~full]).reshape(-1, dim)
-    local = np.arange(n_rows) - np.repeat(offsets, sizes)
-    width = np.repeat(np.where(full, w_h, w_l), sizes)
-    level = np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"])
-    tokens = CompressedTokenSequence(
-        frame_indices=np.repeat(kept, sizes),
-        grid_rows=local // width,
-        grid_cols=local % width,
-        levels=np.repeat(level, sizes),
-        vectors=vectors,
-    )
-    return MixedResolutionSequence(tokens, kept.shape[0])
 
 
 def num_full_res_frames(t: int, l_max: int, l_q: int, hw_high: int, hw_low: int) -> int:
@@ -155,24 +112,70 @@ def frame_query_scores(token_means, query: QueryEmbedding) -> np.ndarray:
 
 
 def select_and_pool(
-    seq: FrameFeatureSequence,
-    kept: np.ndarray,
-    query: QueryEmbedding,
-    n_full: int,
-    tokens_low: tuple[int, int],
+    seq: FrameFeatureSequence, kept: np.ndarray, query: QueryEmbedding, n_full: int,
+    tokens_low: tuple[int, int], rows: np.ndarray | None = None, store: tuple | None = None,
 ) -> tuple[MixedResolutionSequence, BudgetPlan]:
     """Keep ``n_full`` of the input frames ``kept`` at full resolution, pool
-    the remainder, and return the token table with the budget split.
+    the rest, and return the output tokens with the budget split.
 
-    ``compress`` decides ``n_full``. A full frame keeps the input's own grid.
-    Frames are scored only when some but not all of them stay full, and the
-    highest-scoring frames stay (ties toward earlier frames).
+    ``compress`` decides ``n_full``. Frames are scored only when some but not
+    all of them stay full, and the highest-scoring frames stay (ties toward
+    earlier frames). Table frame i is input frame ``kept[i]``, its tokens in
+    row-major order at its level. With ``rows`` None the output is the whole
+    table: full frames are gathered, the rest pooled in frame order.
+    Otherwise every frame is pooled and the output is the ascending table
+    ``rows``, written into the over-budget ``store`` (stored rows, vectors):
+    stored tokens move to their output rows, all read before any is written,
+    and the others are pooled again by ``pool_tokens``, with ``pool_batch``'s
+    bits. No output array shares memory with the input.
     """
+    frames = seq.frames
     kept = np.asarray(kept, dtype=np.int64)
     t = kept.shape[0]
+    _, h_h, w_h, dim = frames.shape
+    h_l, w_l = tokens_low
     full = np.full(t, n_full == t)
     if 0 < n_full < t:
         scores = frame_query_scores(seq.means[kept], query)
         full[np.argsort(-scores, kind="stable")[:n_full]] = True  # ties keep the earlier frame
+    if rows is None:
+        sizes = np.where(full, h_h * w_h, h_l * w_l)
+        offsets = np.cumsum(sizes) - sizes  # each frame's first row
+        n_rows = int(sizes.sum())
+        if full.all():
+            vectors = frames[kept].reshape(-1, dim)
+        elif not full.any():
+            vectors = pool_batch(frames, h_l, w_l, index=kept).reshape(-1, dim)
+        else:
+            vectors = np.empty((n_rows, dim), dtype=np.float32)
+            token_full = np.repeat(full, sizes)
+            vectors[token_full] = frames[kept[full]].reshape(-1, dim)
+            vectors[~token_full] = pool_batch(frames, h_l, w_l, index=kept[~full]).reshape(-1, dim)
+        frame_indices = np.repeat(kept, sizes)
+        local = np.arange(n_rows) - np.repeat(offsets, sizes)
+        width = np.repeat(np.where(full, w_h, w_l), sizes)
+        levels = np.repeat(np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"]), sizes)
+    else:
+        stored_rows, vectors = store
+        frame, local = np.divmod(rows, h_l * w_l)
+        at = np.minimum(np.searchsorted(stored_rows, rows), stored_rows.shape[0] - 1)
+        found = stored_rows[at] == rows
+        moved = np.flatnonzero(found & (at != np.arange(rows.shape[0])))
+        vectors[moved] = vectors[at[moved]]
+        again = np.flatnonzero(~found)
+        vectors[again] = pool_tokens(
+            frames, h_l, w_l, kept[frame[again]], local[again] // w_l, local[again] % w_l
+        )
+        vectors = vectors[: rows.shape[0]]
+        frame_indices = kept[frame]
+        width = w_l
+        levels = np.full(rows.shape[0], LEVEL_CODE["pooled"], dtype=np.uint8)
+    tokens = CompressedTokenSequence(
+        frame_indices=frame_indices,
+        grid_rows=local // width,
+        grid_cols=local % width,
+        levels=levels,
+        vectors=vectors,
+    )
     # The pair and ``BudgetPlan`` stay only for bench/spans.py, which reads both.
-    return token_table(seq, kept, full, tokens_low), BudgetPlan(n_full)
+    return MixedResolutionSequence(tokens, t), BudgetPlan(n_full)

@@ -58,6 +58,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    # Nor is any noise level, fraction or depth.
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def _check_frame_bytes(n_frames: int, grid, dim: int):
     """Raise unless ``n_frames`` float32 frames of ``grid`` x ``dim`` fit in
     one array, checked before anything is drawn or allocated."""
@@ -86,6 +91,10 @@ class SynthSpec:
             value = getattr(self, name)
             if not _is_integer(value):
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("intra_scene_noise", "drift_scenes_fraction"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
         grid = self.grid
         if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(map(_is_integer, grid))):
             raise InvalidConfigError(f"grid must be two integers, got {grid!r}")
@@ -120,24 +129,28 @@ class NeedleSpec:
     query_alignment: float = 1.0
 
     def validate(self):
+        if not isinstance(self.haystack, SynthSpec):
+            raise InvalidConfigError(f"haystack must be a SynthSpec, got {self.haystack!r}")
         self.haystack.validate()
         if not self.depths or not self.frame_counts:
             raise InvalidConfigError(
                 f"depths and frame counts must be non-empty, "
                 f"got {self.depths} and {self.frame_counts}"
             )
+        if not all(_is_real(d) and 0.0 <= d <= 1.0 for d in self.depths):
+            raise InvalidConfigError(f"depths must be real numbers in [0, 1], got {self.depths}")
         if sorted(self.depths) != list(self.depths):
             raise InvalidConfigError("depths must be sorted ascending")
-        if any(not (0.0 <= d <= 1.0) for d in self.depths):
-            raise InvalidConfigError(f"depths must lie in [0, 1], got {self.depths}")
         if not all(map(_is_integer, self.frame_counts)):
             raise InvalidConfigError(f"frame counts must be integers, got {self.frame_counts}")
         if any(c < 1 for c in self.frame_counts):
             raise InvalidConfigError(f"frame counts must be positive, got {self.frame_counts}")
         for count in self.frame_counts:  # each haystack, with the needle frame inserted
             _check_frame_bytes(count + 1, self.haystack.grid, self.haystack.dim)
-        if not (0.0 <= self.query_alignment <= 1.0):
-            raise InvalidConfigError(f"alignment must be in [0, 1], got {self.query_alignment}")
+        if not (_is_real(self.query_alignment) and 0.0 <= self.query_alignment <= 1.0):
+            raise InvalidConfigError(
+                f"alignment must be a real number in [0, 1], got {self.query_alignment!r}"
+            )
 
 
 def _scene_bases(rng: np.random.Generator, n_scenes: int, dim: int) -> np.ndarray:
@@ -334,8 +347,8 @@ def insert_needle(
 ) -> tuple[FrameFeatureSequence, int]:
     """Insert the needle frame at round(depth * n_frames). Timesteps are frame
     indices, so every frame after the needle moves one second later."""
-    if not (0.0 <= depth <= 1.0):
-        raise InvalidConfigError(f"depth must be in [0, 1], got {depth}")
+    if not (_is_real(depth) and 0.0 <= depth <= 1.0):
+        raise InvalidConfigError(f"depth must be a real number in [0, 1], got {depth!r}")
     if needle.shape != seq.frames.shape[1:]:
         raise InvalidConfigError(
             f"needle shape {needle.shape} does not match frames {seq.frames.shape[1:]}"
@@ -408,10 +421,10 @@ def make_mixed_corpus(n_videos: int, seed: int) -> list[SynthSpec]:
     query stage, and one with a high keep rate may be budget-infeasible.
     ``reduction_report`` reports both kinds.
     """
-    if n_videos < 1:
-        raise InvalidConfigError(f"corpus size must be positive, got {n_videos}")
-    if seed < 0:
-        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
+    if not (_is_integer(n_videos) and n_videos >= 1):
+        raise InvalidConfigError(f"corpus size must be a positive integer, got {n_videos!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise InvalidConfigError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     specs = []
     for _ in range(n_videos):

@@ -3,7 +3,9 @@ import pytest
 
 from vtcompress import FrameFeatureSequence, QueryEmbedding
 from vtcompress.numerics import pool_batch
+from vtcompress.query_select import MixedResolutionSequence
 from vtcompress.temporal import _window_sims
+from vtcompress.tokens import LEVEL_CODE, CompressedTokenSequence
 
 
 @pytest.fixture
@@ -88,3 +90,49 @@ def scores_oracle(frames, query):
                     count += 1
         out.append(total / count)
     return np.array(out)
+
+
+# The whole-table reference that ``select_and_pool``'s output is held to, kept
+# apart from the program; ``pipeline.flatten`` gathers its rows.
+def token_table(
+    seq: FrameFeatureSequence,
+    kept: np.ndarray,
+    full: np.ndarray,
+    tokens_low: tuple[int, int],
+) -> MixedResolutionSequence:
+    """Lay out the input frames ``kept`` as a token table: table frame i is
+    input frame ``kept[i]``, with timestep ``kept[i]``, at full resolution
+    where ``full[i]``, otherwise average-pooled to ``tokens_low``.
+
+    Frames are read from ``seq.frames`` by index. Full frames are gathered
+    straight into the table; only the pooled frames are pooled, in frame
+    order, each chunk gathered inside the pooling. Every array of the table
+    is new, so it may be changed in place without reaching the input.
+    """
+    frames = seq.frames
+    kept = np.asarray(kept, dtype=np.int64)
+    _, h_h, w_h, dim = frames.shape
+    h_l, w_l = tokens_low
+    sizes = np.where(full, h_h * w_h, h_l * w_l)
+    offsets = np.cumsum(sizes) - sizes  # each frame's first row
+    n_rows = int(sizes.sum())
+    if full.all():
+        vectors = frames[kept].reshape(-1, dim)
+    elif not full.any():
+        vectors = pool_batch(frames, h_l, w_l, index=kept).reshape(-1, dim)
+    else:
+        vectors = np.empty((n_rows, dim), dtype=np.float32)
+        token_full = np.repeat(full, sizes)
+        vectors[token_full] = frames[kept[full]].reshape(-1, dim)
+        vectors[~token_full] = pool_batch(frames, h_l, w_l, index=kept[~full]).reshape(-1, dim)
+    local = np.arange(n_rows) - np.repeat(offsets, sizes)
+    width = np.repeat(np.where(full, w_h, w_l), sizes)
+    level = np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"])
+    tokens = CompressedTokenSequence(
+        frame_indices=np.repeat(kept, sizes),
+        grid_rows=local // width,
+        grid_cols=local % width,
+        levels=np.repeat(level, sizes),
+        vectors=vectors,
+    )
+    return MixedResolutionSequence(tokens, kept.shape[0])

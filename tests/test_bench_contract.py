@@ -42,6 +42,13 @@ def test_hour_run_is_correct_and_byte_identical():
     assert record["digest"] == HOUR_SEED1_DIGEST
 
 
+def test_traced_hour_run_is_correct_and_byte_identical():
+    # the over-budget path, traced: its output is emitted by select_and_pool
+    record, result = run_bench("hour", trace=1)
+    assert record["digest"] == HOUR_SEED1_DIGEST
+    assert result["metrics"]["numerics.token_grids"]["value"] == 0
+
+
 def test_corpus_run_is_correct_and_byte_identical():
     # all three anchors, the budget fallback and one infeasible verdict
     record, _ = run_bench("corpus", trace=0)

@@ -687,3 +687,53 @@ def test_errors_module_defines_one_family_per_exit_code():
                if isinstance(obj, type) and issubclass(obj, Exception)}
     assert defined == {"CompressionError", "InvalidConfigError", "FileFormatError",
                        "BudgetInfeasibleError"}
+
+
+BOUNDARY_VALUES = ["0", "-1", str(2**31), str(2**63), str(10**22), "nan", "inf", "-inf", "abc", "1e"]
+COMPRESS_FLAGS = ["--context-length", "--tokens-low", "--window-j", "--window-k", "--theta",
+                  "--tau-t", "--anchor", "--fpe", "--disable-stage"]
+
+
+def exit_code(argv) -> int:
+    """``main``'s exit code, counting an argparse rejection (SystemExit) as its code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestCompressBoundarySweep:
+    """Every ``compress`` flag at the boundary values, and every header byte
+    of both inputs flipped or cut, end with a documented exit code and no
+    traceback."""
+
+    def run(self, tmp_path, capsys, video, query, extra=()):
+        code = exit_code(["compress", "--input", str(video), "--query", str(query),
+                          "--output", str(tmp_path / "out.lvuc"), "--context-length", "300",
+                          *extra])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (extra, code, err)
+        return code
+
+    @pytest.mark.parametrize("flag", COMPRESS_FLAGS)
+    def test_every_flag_at_every_boundary_value(self, tmp_path, video_file, query_file, capsys,
+                                                flag):
+        values = BOUNDARY_VALUES
+        if flag == "--tokens-low":  # also as one side of a grid
+            values = values + [f"{v}x2" for v in values] + [f"2x{v}" for v in values]
+        codes = {self.run(tmp_path, capsys, video_file, query_file, (flag, v)) for v in values}
+        assert codes - {0, 4}, codes  # the flag is checked: some value is refused
+
+    @pytest.mark.parametrize("which, header", [("input", 28), ("query", 17)])
+    def test_every_header_byte_flipped_or_cut(self, tmp_path, video_file, query_file, capsys,
+                                              which, header):
+        raw = (video_file if which == "input" else query_file).read_bytes()
+        cases = [raw[:cut] for cut in range(header)]
+        for i in range(header):
+            for value in {0x00, 0xFF, raw[i] ^ 0x80, raw[i] ^ 0x01} - {raw[i]}:
+                cases.append(raw[:i] + bytes([value]) + raw[i + 1 :])
+        bad = tmp_path / "bad"
+        for case in cases:
+            bad.write_bytes(case)
+            video, query = (bad, query_file) if which == "input" else (video_file, bad)
+            assert self.run(tmp_path, capsys, video, query) == 2

@@ -320,6 +320,41 @@ class TestCompressedFiles:
         path.write_bytes(bytes(raw))
         assert read_small(read_compressed, path) < 1 << 20
 
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("d", [536_870_909, 2**29, 2**32 - 1])
+    def test_record_too_wide_for_numpy_rejected(self, tmp_path, n, d):
+        # 13 + 4*d bytes exceeds the largest dtype numpy can build; at
+        # d = 536,870,908 the record still fits and a later check refuses it
+        path = tmp_path / "wide.lvuc"
+        path.write_bytes(struct.pack("<4sIII", b"LVUC", 1, n, d) + b"\0" * 84)
+        with pytest.raises(FileFormatError, match=f"vector dim {d} makes a record too large"):
+            read_compressed(path)
+        path.write_bytes(struct.pack("<4sIII", b"LVUC", 1, n, 536_870_908) + b"\0" * 84)
+        with pytest.raises(FileFormatError) as refused:
+            read_compressed(path)
+        assert "too large" not in str(refused.value)
+
+    def test_every_flipped_or_truncated_byte_reads_or_is_refused(self, rng, tmp_path):
+        # Each byte set to 0x00 and 0xFF and with its top and bottom bit
+        # flipped, and the file cut at every length: the reader returns or
+        # raises FileFormatError, nothing else.
+        path = tmp_path / "c.lvuc"
+        write_compressed(path, sample_compressed(rng, n=6, dim=3), sample_stats())
+        raw = path.read_bytes()
+        cases = [raw[:cut] for cut in range(len(raw))]
+        for i, byte in enumerate(raw):
+            for value in {0x00, 0xFF, byte ^ 0x80, byte ^ 0x01} - {byte}:
+                cases.append(raw[:i] + bytes([value]) + raw[i + 1 :])
+        read = 0
+        for case in cases:
+            path.write_bytes(case)
+            try:
+                read_compressed(path)
+                read += 1
+            except FileFormatError:
+                pass
+        assert 0 < read < len(cases)
+
     def test_round_trip_bitwise(self, rng, tmp_path):
         seq = sample_compressed(rng)
         stats = sample_stats()

@@ -23,7 +23,6 @@ from vtcompress import (
 from vtcompress import pipeline
 from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import enforce_budget, flatten
-from vtcompress.query_select import token_table
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
 from vtcompress.temporal import reduce_frames
 from vtcompress.tokens import LEVEL_CODE
@@ -34,6 +33,7 @@ from .conftest import (
     random_query,
     random_sequence,
     sequence_from_vectors,
+    token_table,
     window_average_similarity,
 )
 

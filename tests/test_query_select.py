@@ -17,9 +17,10 @@ from vtcompress import (
 )
 from vtcompress import query_select
 from vtcompress.numerics import pool_batch
+from vtcompress.pipeline import flatten
 from vtcompress.query_select import num_full_res_frames, select_and_pool
 
-from .conftest import pool_frame, random_query, random_sequence, scores_oracle
+from .conftest import pool_frame, random_query, random_sequence, scores_oracle, token_table
 
 
 class TestNumFullResFrames:
@@ -324,6 +325,59 @@ class TestSelectAndPool:
         # all scores tie; capacity picks the earliest frames
         assert full_frames(mixed) == list(range(plan.n_full_res))
         assert plan.n_full_res > 0
+
+
+def assert_same_bytes(got, expected):
+    """Every column of two token sequences holds the same bytes and dtype."""
+    for name in ("frame_indices", "grid_rows", "grid_cols", "levels", "vectors"):
+        x, y = getattr(got, name), getattr(expected, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestOneEmitter:
+    """``select_and_pool`` writes ``compress``'s output on every path: the
+    whole table, or the given rows of the pooled table built in a store.
+    Each output is the whole-table oracle's rows, byte for byte."""
+
+    GRIDS = [(8, 8), (5, 7)]  # from 12x12: the default pooled grid, and an uneven one
+    KEPT = np.array([1, 2, 4, 7, 8, 11])
+
+    def video(self, rng):
+        seq = random_sequence(rng, 12, 12, 12, 6)
+        return seq, random_query(rng, 3, 6)
+
+    @pytest.mark.parametrize("low", GRIDS)
+    @pytest.mark.parametrize("n_full", [6, 0, 2])  # a full, a pooled and a mixed table
+    def test_all_rows_of_a_table(self, rng, low, n_full):
+        seq, query = self.video(rng)
+        got, plan = select_and_pool(seq, self.KEPT, query, n_full, low)
+        scores = scores_oracle(seq.frames[self.KEPT], query)
+        full = np.zeros(self.KEPT.shape[0], dtype=bool)
+        full[np.argsort(-scores, kind="stable")[:n_full]] = True
+        table = token_table(seq, self.KEPT, full, low)
+        assert (got.n_frames, plan.n_full_res) == (6, n_full)
+        assert_same_bytes(got.tokens, flatten(table, np.ones(table.tokens.total_count, dtype=bool)))
+        assert not np.shares_memory(got.tokens.vectors, seq.frames)
+
+    @pytest.mark.parametrize("low", GRIDS)
+    @pytest.mark.parametrize("stored", ["none", "some", "all"])
+    def test_rows_from_a_store(self, rng, low, stored):
+        # The store holds none, some or all of the output rows, and other
+        # rows beside them; its spare rows start as NaN.
+        seq, query = self.video(rng)
+        table = token_table(seq, self.KEPT, np.zeros(6, dtype=bool), low)
+        n = table.tokens.total_count
+        keep = rng.random(n) < 0.4
+        rows = np.flatnonzero(keep)
+        held = {"none": ~keep, "some": rng.random(n) < 0.5, "all": keep | (rng.random(n) < 0.3)}[stored]
+        stored_rows = np.flatnonzero(held)
+        assert (keep & held).any() == (stored != "none")
+        assert (keep & ~held).any() == (stored != "all")
+        vectors = np.full((max(rows.shape[0], stored_rows.shape[0]) + 3, 6), np.nan, np.float32)
+        vectors[: stored_rows.shape[0]] = table.tokens.vectors[stored_rows]
+        got, plan = select_and_pool(seq, self.KEPT, query, 0, low, rows, (stored_rows, vectors))
+        assert (got.n_frames, plan.n_full_res) == (6, 0)
+        assert_same_bytes(got.tokens, flatten(table, keep))
 
 
 class TestQueryEmbedding:

@@ -9,10 +9,9 @@ from vtcompress import (
     compress,
 )
 from vtcompress.pipeline import flatten
-from vtcompress.query_select import token_table
 from vtcompress.spatial import anchor_frames, build_plan
 
-from .conftest import constant_grid, cosine, random_query, random_sequence
+from .conftest import constant_grid, cosine, random_query, random_sequence, token_table
 
 
 def prune_oracle(window, anchor_idx, theta):

@@ -95,6 +95,9 @@ class TestGenVideo:
         (dict(seed=None), "seed must be an integer, got None"),
         (dict(grid=(12,)), r"grid must be two integers, got \(12,\)"),
         (dict(grid=(12, 12.0)), r"grid must be two integers, got \(12, 12.0\)"),
+        (dict(intra_scene_noise="0.1"), "intra_scene_noise must be a real number, got '0.1'"),
+        (dict(intra_scene_noise=False), "intra_scene_noise must be a real number, got False"),
+        (dict(drift_scenes_fraction=None), "drift_scenes_fraction must be a real number, got None"),
     ])
     def test_malformed_or_oversized_spec(self, kw, match):
         spec = SynthSpec(**{"n_frames": 4, "n_scenes": 1, **kw})
@@ -243,6 +246,17 @@ class TestInsertNeedle:
         kept = np.delete(out.frames, idx, axis=0)
         assert np.array_equal(kept, video.frames)
 
+    @pytest.mark.parametrize("depth", ["0.5", True, None, math.nan])
+    def test_depth_must_be_a_real_number_in_range(self, depth):
+        video = gen_video(self.spec())
+        with pytest.raises(InvalidConfigError, match=r"depth must be a real number in \[0, 1\]"):
+            insert_needle(video, make_needle_grid(self.spec()), depth)
+
+    def test_integer_depth_is_accepted(self):
+        video = gen_video(self.spec())
+        out, idx = insert_needle(video, make_needle_grid(self.spec()), 1)
+        assert idx == 20 and out.n_frames == 21
+
     def test_shape_mismatch(self):
         video = gen_video(self.spec())
         wrong = make_needle_grid(SynthSpec(n_frames=4, n_scenes=1, grid=(6, 6), seed=1))
@@ -353,6 +367,23 @@ class TestNeedleGrid:
         with pytest.raises(InvalidConfigError, match=match):
             NeedleSpec(haystack=base, frame_counts=counts).validate()
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(depths=["0.5"]), r"depths must be real numbers in \[0, 1\], got \['0.5'\]"),
+        (dict(depths=[True]), r"depths must be real numbers in \[0, 1\], got \[True\]"),
+        (dict(depths=[0.0, None]), r"depths must be real numbers in \[0, 1\], got \[0.0, None\]"),
+        (dict(query_alignment="1"), r"alignment must be a real number in \[0, 1\], got '1'"),
+        (dict(query_alignment=True), r"alignment must be a real number in \[0, 1\], got True"),
+        (dict(haystack=None), "haystack must be a SynthSpec, got None"),
+    ])
+    def test_malformed_depths_alignment_or_haystack(self, kw, match):
+        spec = NeedleSpec(**{"haystack": SynthSpec(n_frames=10, n_scenes=1, seed=0), **kw})
+        with pytest.raises(InvalidConfigError, match=match):
+            spec.validate()
+
+    def test_integer_depths_and_alignment_are_accepted(self):
+        base = SynthSpec(n_frames=10, n_scenes=1, seed=0)
+        NeedleSpec(haystack=base, depths=[0, np.float32(0.5), 1], query_alignment=1).validate()
+
     def test_the_inserted_needle_frame_is_counted(self):
         # The largest haystack one array can hold has no room for the needle.
         most = np.iinfo(np.intp).max // (12 * 12 * 32 * 4)
@@ -432,6 +463,17 @@ class TestReductionReport:
         assert agg["mean_tokens_reduced"] == pytest.approx(
             np.mean([s.spatial_reduction_rate for s in per_video])
         )
+
+    @pytest.mark.parametrize("args, match", [
+        ((2.5, 0), "corpus size must be a positive integer, got 2.5"),
+        ((True, 0), "corpus size must be a positive integer, got True"),
+        ((0, 0), "corpus size must be a positive integer, got 0"),
+        ((2, "1"), "seed must be an integer >= 0, got '1'"),
+        ((2, -1), "seed must be an integer >= 0, got -1"),
+    ])
+    def test_malformed_corpus_arguments(self, args, match):
+        with pytest.raises(InvalidConfigError, match=match):
+            make_mixed_corpus(*args)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InvalidConfigError):
