@@ -137,7 +137,7 @@ def _write_all(*outputs: tuple[str | Path, bytes]):
     into place, so an output that cannot be written replaces none."""
     with ExitStack() as stack:
         for path, data in outputs:
-            stack.enter_context(staged_write(path, data))
+            stack.enter_context(staged_write(path, (data,)))
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -160,7 +160,7 @@ def cmd_compress(args) -> int:
     compressed, stats = compress(video, query, cfg)
     # The stats are staged first and renamed last, so a command that exits
     # non-zero has replaced neither file.
-    with staged_write(args.stats, _json_bytes(stats.to_dict())) if args.stats else nullcontext():
+    with staged_write(args.stats, (_json_bytes(stats.to_dict()),)) if args.stats else nullcontext():
         write_compressed(args.output, compressed, stats)
     return EXIT_OK
 

@@ -3,7 +3,8 @@
 All integers and floats are little-endian regardless of platform, so a file
 written anywhere parses anywhere. Writes stream their parts, in order, into a
 temp file and then rename it over the target; no part is joined to another
-first.
+first. LVUC token records are built and written in chunks of at most
+``RECORD_CHUNK_BYTES``, so no array of every record is built.
 
 Both float32 payloads are mapped read-only, after the header and the file
 size are checked, as exactly the header plus the payload. ``read_query``
@@ -51,16 +52,20 @@ _FEATURE_HEADER = struct.Struct("<4sIIIIIB3s")
 _QUERY_HEADER = struct.Struct("<4sIIIB")
 _COMPRESSED_HEADER = struct.Struct("<4sIII")
 _U32 = struct.Struct("<I")
+# Bytes of token records built per step of write_compressed; bounds its working memory.
+RECORD_CHUNK_BYTES = 2**20
 
 
 @contextmanager
-def staged_write(path, *parts):
-    """Write the bytes-like parts in order to a temp file of a fixed-length
-    name beside ``path`` now; rename it over ``path`` when the block exits
-    cleanly, and delete it when the block or the rename raises. A directory
-    at ``path`` is refused before anything is written, so that the rename
-    cannot fail on it. The temp file is created like any new file, 0o666
-    less the umask, and the rename keeps that mode."""
+def staged_write(path, parts):
+    """Write ``parts``, an iterable of bytes-like objects, in order to a temp
+    file of a fixed-length name beside ``path`` now; rename it over ``path``
+    when the block exits cleanly, and delete it when the block or the rename
+    raises. Each part is written before the next is drawn, so a generator
+    may reuse one buffer for every part it yields. A directory at ``path``
+    is refused before anything is written, so that the rename cannot fail
+    on it. The temp file is created like any new file, 0o666 less the umask,
+    and the rename keeps that mode."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(f"cannot replace directory {str(path)!r}")
@@ -78,8 +83,8 @@ def staged_write(path, *parts):
         raise
 
 
-def _atomic_write(path, *parts):
-    with staged_write(path, *parts):
+def _atomic_write(path, parts):
+    with staged_write(path, parts):
         pass
 
 
@@ -135,7 +140,7 @@ def write_features(path, seq: FrameFeatureSequence):
     timestep is its index (one frame per second from zero)."""
     t, h, w, d = seq.frames.shape
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, t, h, w, d, DTYPE_F32_LE, b"\0\0\0")
-    _atomic_write(path, header, _f32_bytes(seq.frames))
+    _atomic_write(path, (header, _f32_bytes(seq.frames)))
 
 
 def read_features(path) -> FrameFeatureSequence:
@@ -160,7 +165,7 @@ def read_features(path) -> FrameFeatureSequence:
 def write_query(path, query: QueryEmbedding):
     l_q, d_q = query.rows.shape
     header = _QUERY_HEADER.pack(QUERY_MAGIC, FORMAT_VERSION, l_q, d_q, DTYPE_F32_LE)
-    _atomic_write(path, header, _f32_bytes(query.rows))
+    _atomic_write(path, (header, _f32_bytes(query.rows)))
 
 
 def read_query(path) -> QueryEmbedding:
@@ -210,21 +215,31 @@ def write_compressed(path, seq: CompressedTokenSequence, stats: CompressionStats
             raise FileFormatError("grid coordinate does not fit in u16")
     if n and seq.levels.max() > 1:
         raise FileFormatError("record has unknown level code")
-    records = np.empty(n, dtype=_record_dtype(d))
-    records["frame_index"] = seq.frame_indices
-    records["timestep"] = seq.timesteps
-    records["grid_h"] = seq.grid_rows
-    records["grid_w"] = seq.grid_cols
-    records["level"] = seq.levels
-    records["vector"] = seq.vectors
+    _atomic_write(path, _compressed_parts(seq, stats, _record_dtype(d)))
+
+
+def _compressed_parts(seq: CompressedTokenSequence, stats: CompressionStats, dtype: np.dtype):
+    """The parts of an LVUC file, in order: the header, the token records in
+    chunks of at most ``RECORD_CHUNK_BYTES`` (at least one record each), the
+    stats length and the stats blob. Every chunk is built in one reused
+    buffer, so each must be written before the next is drawn."""
+    n, d = seq.vectors.shape
+    yield _COMPRESSED_HEADER.pack(COMPRESSED_MAGIC, FORMAT_VERSION, n, d)
+    step = max(1, RECORD_CHUNK_BYTES // dtype.itemsize)
+    buffer = np.empty(min(n, step), dtype=dtype)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        records = buffer[: hi - lo]
+        records["frame_index"] = seq.frame_indices[lo:hi]
+        records["timestep"] = seq.frame_indices[lo:hi].astype(np.float32)
+        records["grid_h"] = seq.grid_rows[lo:hi]
+        records["grid_w"] = seq.grid_cols[lo:hi]
+        records["level"] = seq.levels[lo:hi]
+        records["vector"] = seq.vectors[lo:hi]
+        yield memoryview(records).cast("B")
     blob = _stats_blob(stats)
-    _atomic_write(
-        path,
-        _COMPRESSED_HEADER.pack(COMPRESSED_MAGIC, FORMAT_VERSION, n, d),
-        memoryview(records).cast("B"),
-        _U32.pack(len(blob)),
-        blob,
-    )
+    yield _U32.pack(len(blob))
+    yield blob
 
 
 def read_compressed(path) -> tuple[CompressedTokenSequence, CompressionStats]:

@@ -18,12 +18,13 @@ rewrite a ``keep`` mask over those rows.
 ``query_select.select_and_pool`` writes every output row, once, on every
 path. Within the budget it emits the whole token table, position-encoded in
 place: everything fits at full resolution, the table holds a full frame, or
-it fits once pooled. Over budget, memory is bounded by the budget, not by
-the kept frames: the frames are pooled and planned in blocks of at most a
-budget of pooled tokens, and only the similarities, the anchor flags and a
-budget-sized store of pooled tokens (the anchors, then the first survivors)
-are kept. ``select_and_pool`` then emits only the kept rows, into the
-store's array.
+it fits once pooled. Over budget, the only buffer of the token width that
+grows with the budget is the output-sized store; every other one is bounded
+by a fixed size. The frames are pooled and planned in blocks of at most
+``PLAN_BLOCK_BYTES`` of pooled float32, and only the similarities, the
+anchor flags and a budget-sized store of pooled tokens (the anchors, then
+the first survivors) are kept. ``select_and_pool`` then emits only the kept
+rows, into the store's array, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ __all__ = [
 
 THETA_FLOOR = 0.5
 THETA_STEP = 0.05
+# Pooled float32 bytes per block of the over-budget plan; bounds its working memory.
+PLAN_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -218,15 +221,16 @@ def _plan_in_blocks(
     """Pool the input frames ``kept`` and plan their pruning block by block,
     without building the pooled token table.
 
-    A block is whole k-windows holding at most ``budget`` pooled tokens (at
-    least one window), so every window and its anchor are as over the whole
-    table. Kept are the float64 similarities (with stage 3 on), the anchor
-    flags and a store of at most ``budget`` pooled tokens in table order:
-    every anchor token, and as many of the first survivors at ``cfg.theta``
-    as fit beside them. Every output token is one of those survivors. The
-    caller passes ``anchor_tokens``, the pooled tokens of the anchor frames,
-    which it works out from the frame count; when they alone exceed the
-    budget the verdict is infeasible and nothing is stored.
+    A block is whole k-windows holding at most ``PLAN_BLOCK_BYTES`` of pooled
+    float32 and at most ``budget`` pooled tokens (at least one window), so
+    every window and its anchor are as over the whole table. Kept are the
+    float64 similarities (with stage 3 on), the anchor flags and a store of
+    at most ``budget`` pooled tokens in table order: every anchor token, and
+    as many of the first survivors at ``cfg.theta`` as fit beside them.
+    Every output token is one of those survivors. The caller passes
+    ``anchor_tokens``, the pooled tokens of the anchor frames, which it works
+    out from the frame count; when they alone exceed the budget the verdict
+    is infeasible and nothing is stored.
 
     Returns the pruning result at ``cfg.theta``, the plan (None with stage 3
     off) and the store as (its table rows, ascending; a ``budget``-row
@@ -243,7 +247,7 @@ def _plan_in_blocks(
     is_anchor = np.empty(t, dtype=bool)
     keep = np.ones(t * hw, dtype=bool)
     sims = np.empty(t * hw) if cfg.stages.stc else None
-    block = k * max(1, budget // (k * hw))
+    block = k * max(1, min(budget // (k * hw), PLAN_BLOCK_BYTES // (k * hw * dim * 4)))
     for lo in range(0, t, block):
         pooled = pool_batch(frames, h_l, w_l, index=kept[lo : lo + block])
         hi = lo + pooled.shape[0]

@@ -19,8 +19,9 @@ order, in fresh arrays. Where the token table fits the budget it emits the
 whole table. When every frame is pooled and the table would still be over
 budget, the pipeline pools and plans block by block (see ``pipeline``) and
 hands over the kept rows and a budget-sized store of pooled tokens; only
-those rows are emitted, so memory is bounded by the budget, not by the kept
-frames.
+those rows are emitted, into the store, ``POOL_CHUNK_TOKENS`` rows at a
+time, so no other array of the token width grows with the budget or the
+kept frames.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .numerics import pool_batch, pool_tokens
+from .numerics import POOL_CHUNK_TOKENS, pool_batch, pool_tokens
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
 
@@ -124,10 +125,13 @@ def select_and_pool(
     row-major order at its level. With ``rows`` None the output is the whole
     table: full frames are gathered, the rest pooled in frame order.
     Otherwise every frame is pooled and the output is the ascending table
-    ``rows``, written into the over-budget ``store`` (stored rows, vectors):
-    stored tokens move to their output rows, all read before any is written,
-    and the others are pooled again by ``pool_tokens``, with ``pool_batch``'s
-    bits. No output array shares memory with the input.
+    ``rows``, written into the over-budget ``store`` (stored rows, vectors).
+    Stored tokens move to their output rows in ascending chunks: the store
+    holds every anchor and the first survivors, so a token is stored at or
+    after its output row, and no chunk overwrites a row a later chunk reads.
+    Then the others are pooled again by ``pool_tokens``, with ``pool_batch``'s
+    bits, a chunk at a time straight into their rows. Chunks are
+    ``POOL_CHUNK_TOKENS`` rows. No output array shares memory with the input.
     """
     frames = seq.frames
     kept = np.asarray(kept, dtype=np.int64)
@@ -157,19 +161,25 @@ def select_and_pool(
         levels = np.repeat(np.where(full, LEVEL_CODE["full"], LEVEL_CODE["pooled"]), sizes)
     else:
         stored_rows, vectors = store
+        n = rows.shape[0]
         frame, local = np.divmod(rows, h_l * w_l)
         at = np.minimum(np.searchsorted(stored_rows, rows), stored_rows.shape[0] - 1)
         found = stored_rows[at] == rows
-        moved = np.flatnonzero(found & (at != np.arange(rows.shape[0])))
-        vectors[moved] = vectors[at[moved]]
+        moved = np.flatnonzero(found & (at != np.arange(n)))
         again = np.flatnonzero(~found)
-        vectors[again] = pool_tokens(
-            frames, h_l, w_l, kept[frame[again]], local[again] // w_l, local[again] % w_l
-        )
-        vectors = vectors[: rows.shape[0]]
+        # Ascending, which at[i] >= i makes safe (see above).
+        for lo in range(0, moved.shape[0], POOL_CHUNK_TOKENS):
+            dst = moved[lo : lo + POOL_CHUNK_TOKENS]
+            vectors[dst] = vectors[at[dst]]
+        for lo in range(0, again.shape[0], POOL_CHUNK_TOKENS):
+            dst = again[lo : lo + POOL_CHUNK_TOKENS]
+            vectors[dst] = pool_tokens(
+                frames, h_l, w_l, kept[frame[dst]], local[dst] // w_l, local[dst] % w_l
+            )
+        vectors = vectors[:n]
         frame_indices = kept[frame]
         width = w_l
-        levels = np.full(rows.shape[0], LEVEL_CODE["pooled"], dtype=np.uint8)
+        levels = np.full(n, LEVEL_CODE["pooled"], dtype=np.uint8)
     tokens = CompressedTokenSequence(
         frame_indices=frame_indices,
         grid_rows=local // width,

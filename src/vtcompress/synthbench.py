@@ -132,7 +132,8 @@ class NeedleSpec:
         if not isinstance(self.haystack, SynthSpec):
             raise InvalidConfigError(f"haystack must be a SynthSpec, got {self.haystack!r}")
         self.haystack.validate()
-        if not self.depths or not self.frame_counts:
+        # len(), not truth: a numpy array of depths or counts is taken as a tuple is.
+        if len(self.depths) == 0 or len(self.frame_counts) == 0:
             raise InvalidConfigError(
                 f"depths and frame counts must be non-empty, "
                 f"got {self.depths} and {self.frame_counts}"

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,21 @@ def assert_tokens_equal(a, b):
     for name in ("frame_indices", "timesteps", "grid_rows", "grid_cols", "levels", "vectors"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def packed_lvuc(seq: CompressedTokenSequence, stats) -> bytes:
+    """The LVUC file of ``seq`` and ``stats``, packed record by record with
+    ``struct``: the header, then each token's frame index (u32), timestep
+    (its frame index as f32), grid row and column (u16), level (u8) and
+    vector (f32), all little-endian, then the length-prefixed stats JSON."""
+    n, d = seq.vectors.shape
+    parts = [struct.pack("<4sIII", b"LVUC", 1, n, d)]
+    for i in range(n):
+        f = int(seq.frame_indices[i])
+        parts.append(struct.pack("<IfHHB", f, f, seq.grid_rows[i], seq.grid_cols[i], seq.levels[i]))
+        parts.append(struct.pack(f"<{d}f", *seq.vectors[i].tolist()))
+    blob = json.dumps(stats.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    return b"".join(parts) + struct.pack("<I", len(blob)) + blob
 
 
 def random_sequence(rng, n_frames, h, w, dim, scale=1.0) -> FrameFeatureSequence:

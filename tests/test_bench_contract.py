@@ -47,6 +47,8 @@ def test_traced_hour_run_is_correct_and_byte_identical():
     record, result = run_bench("hour", trace=1)
     assert record["digest"] == HOUR_SEED1_DIGEST
     assert result["metrics"]["numerics.token_grids"]["value"] == 0
+    # pooling works on one 1 MiB plan block at a time, not on a budget of tokens
+    assert result["metrics"]["numerics.pool_batch.peak_mb"]["value"] < 2.5
 
 
 def test_corpus_run_is_correct_and_byte_identical():

@@ -14,6 +14,7 @@ from vtcompress import (
     QueryEmbedding,
     SynthSpec,
     compress,
+    formats,
     gen_video,
     temporal,
 )
@@ -28,7 +29,7 @@ from vtcompress.formats import (
 )
 from vtcompress.tokens import CompressedTokenSequence, CompressionStats
 
-from .conftest import assert_tokens_equal, random_query, random_sequence
+from .conftest import assert_tokens_equal, packed_lvuc, random_query, random_sequence
 
 FEATURE_HEADER = struct.Struct("<4sIIIIIB3s")
 # 64 frames of 16 x 16 tokens of dim 256: a 16 MiB payload
@@ -373,6 +374,32 @@ class TestCompressedFiles:
         assert_tokens_equal(back_seq, seq)
         assert peak < 1.25 * path.stat().st_size
 
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bytes_match_the_packed_layout_at_every_chunk_edge(
+        self, rng, tmp_path, monkeypatch, chunk, offset
+    ):
+        # Records are written in chunks of ``chunk`` records (the default
+        # 1 MiB with None); n = 0, 1, chunk - 1, chunk and chunk + 1.
+        dim = 5
+        record = 13 + 4 * dim
+        if chunk is not None:
+            monkeypatch.setattr(formats, "RECORD_CHUNK_BYTES", chunk * record)
+        per_chunk = formats.RECORD_CHUNK_BYTES // record
+        for n in {0, 1, per_chunk + offset}:
+            seq = sample_compressed(rng, n=n, dim=dim)
+            path = tmp_path / "out.lvuc"
+            write_compressed(path, seq, sample_stats())
+            assert path.read_bytes() == packed_lvuc(seq, sample_stats()), n
+
+    def test_write_holds_one_chunk_of_records(self, rng, tmp_path):
+        # an hour-sized output: 16,360 tokens of dim 64, 4.4 MB of records
+        seq = sample_compressed(rng, n=16_360, dim=64)
+        path = tmp_path / "out.lvuc"
+        _, peak = traced_peak(write_compressed, path, seq, sample_stats())
+        assert path.read_bytes() == packed_lvuc(seq, sample_stats())
+        assert peak < 2 * 2**20, peak
+
     def test_record_layout_size(self, rng, tmp_path):
         seq = sample_compressed(rng, n=4, dim=3)
         path = tmp_path / "out.lvuc"
@@ -463,15 +490,28 @@ class TestAtomicity:
     def test_staged_write_replaces_only_after_the_block(self, tmp_path):
         target = tmp_path / "t.bin"
         target.write_bytes(b"old")
-        with staged_write(target, b"ne", b"w"):
+        with staged_write(target, [b"ne", b"w"]):
             assert target.read_bytes() == b"old"
             assert len(list(tmp_path.glob("*.tmp"))) == 1
         assert target.read_bytes() == b"new"
         with pytest.raises(RuntimeError):
-            with staged_write(target, b"newer"):
+            with staged_write(target, [b"newer"]):
                 raise RuntimeError("the block failed")
         assert target.read_bytes() == b"new"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
+
+    def test_staged_write_writes_each_part_before_drawing_the_next(self, tmp_path):
+        # A generator may reuse one buffer for every part it yields.
+        buffer = bytearray(2)
+
+        def parts():
+            for chunk in (b"ab", b"cd", b"ef"):
+                buffer[:] = chunk
+                yield buffer
+
+        with staged_write(tmp_path / "t.bin", parts()):
+            pass
+        assert (tmp_path / "t.bin").read_bytes() == b"abcdef"
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
         target = tmp_path / "t.bin"
@@ -482,7 +522,7 @@ class TestAtomicity:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(PermissionError):
-            with staged_write(target, b"new"):
+            with staged_write(target, [b"new"]):
                 assert len(list(tmp_path.glob("*.tmp"))) == 1
         assert target.read_bytes() == b"old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
@@ -491,7 +531,7 @@ class TestAtomicity:
         (tmp_path / "d").mkdir()
         ran = []
         with pytest.raises(IsADirectoryError):
-            with staged_write(tmp_path / "d", b"x"):
+            with staged_write(tmp_path / "d", [b"x"]):
                 ran.append(True)
         assert ran == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]

@@ -20,7 +20,8 @@ from vtcompress import (
     encoding_vector,
     gen_video,
 )
-from vtcompress import pipeline
+from vtcompress import formats, numerics, pipeline, query_select
+from vtcompress.formats import write_compressed
 from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import enforce_budget, flatten
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
@@ -29,6 +30,7 @@ from vtcompress.tokens import LEVEL_CODE
 
 from .conftest import (
     assert_tokens_equal,
+    packed_lvuc,
     pool_frame,
     random_query,
     random_sequence,
@@ -693,8 +695,33 @@ class TestOverBudgetPath:
     @pytest.mark.parametrize("stc", [True, False])
     @pytest.mark.parametrize("fpe", [True, False])
     @pytest.mark.parametrize("grid,pooled", [((4, 4), (2, 2)), ((5, 7), (3, 2))])
-    def test_matches_the_whole_table(self, rng, anchor, stc, fpe, grid, pooled):
-        # Small budgets take several blocks; the largest take one.
+    def test_matches_the_whole_table(self, rng, tmp_path, anchor, stc, fpe, grid, pooled):
+        self.check_against_the_whole_table(rng, tmp_path, anchor, stc, fpe, grid, pooled)
+
+    @pytest.mark.parametrize("chunks", ["one", "few"])
+    @pytest.mark.parametrize("anchor", list(AnchorStrategy))
+    @pytest.mark.parametrize("stc", [True, False])
+    @pytest.mark.parametrize("fpe", [True, False])
+    @pytest.mark.parametrize("grid,pooled", [((4, 4), (2, 2)), ((5, 7), (3, 2))])
+    def test_matches_the_whole_table_in_small_chunks(
+        self, rng, tmp_path, monkeypatch, anchor, stc, fpe, grid, pooled, chunks
+    ):
+        # At dim 6 the default plan blocks are limited by the budget, and the
+        # outputs are under one chunk of moves, re-pooling or records. Here
+        # each block is one window ("one") or two ("few"), rows are moved and
+        # re-pooled 1 or 3 at a time, and records are written 1 or 3 at a time.
+        window = 3 * pooled[0] * pooled[1] * 6 * 4  # pooled float32 bytes of a k = 3 window
+        block, rows = {"one": (1, 1), "few": (2 * window, 3)}[chunks]
+        monkeypatch.setattr(pipeline, "PLAN_BLOCK_BYTES", block)  # 1 byte takes one window
+        monkeypatch.setattr(query_select, "POOL_CHUNK_TOKENS", rows)
+        monkeypatch.setattr(numerics, "POOL_CHUNK_TOKENS", rows)
+        monkeypatch.setattr(formats, "RECORD_CHUNK_BYTES", rows * (13 + 4 * 6))
+        self.check_against_the_whole_table(rng, tmp_path, anchor, stc, fpe, grid, pooled)
+
+    @staticmethod
+    def check_against_the_whole_table(rng, tmp_path, anchor, stc, fpe, grid, pooled):
+        # Small budgets take several blocks; the largest take one. The
+        # output is also written, and its file held to the packed layout.
         seq = drifting_video(rng, grid)
         query = random_query(rng, 5, 6)
         outcomes = set()
@@ -719,6 +746,8 @@ class TestOverBudgetPath:
                 outcomes.add("infeasible")
                 continue
             assert_tokens_equal(out, expected)
+            write_compressed(tmp_path / "out.lvuc", out, stats)
+            assert (tmp_path / "out.lvuc").read_bytes() == packed_lvuc(expected, stats)
             assert stats.tokens_final + 5 <= l_max
             if stats.tokens_final + 5 == l_max:
                 outcomes.add("subsampled")
@@ -727,6 +756,24 @@ class TestOverBudgetPath:
         assert {"infeasible", "subsampled"} <= outcomes, outcomes
         if stc:
             assert "at theta" in outcomes, outcomes
+
+    def test_no_pooling_call_takes_more_than_a_block(self, rng, monkeypatch):
+        # 300 frames of 12x12 tokens of dim 64 pooled to 8x8: a k = 8 window
+        # pools to 128 KiB, so a 1 MiB block is 8 windows, 64 frames, where
+        # the 8,168-token budget would hold 15 windows.
+        calls = []
+
+        def spy(stack, out_h, out_w, index):
+            calls.append(len(index))
+            return pool_batch(stack, out_h, out_w, index=index)
+
+        monkeypatch.setattr(pipeline, "pool_batch", spy)
+        monkeypatch.setattr(query_select, "pool_batch", spy)
+        seq = random_sequence(rng, 300, 12, 12, 64)
+        cfg = CompressionConfig(stages=StageToggles(temporal=False))
+        _, stats = compress(seq, random_query(rng, 24, 64), cfg)
+        assert stats.tokens_after_query == 300 * 64 > 8192 - 24
+        assert calls == [64, 64, 64, 64, 44]
 
     @pytest.mark.parametrize("anchor", list(AnchorStrategy))
     @pytest.mark.parametrize("stc", [True, False])

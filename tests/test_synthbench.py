@@ -380,6 +380,27 @@ class TestNeedleGrid:
         with pytest.raises(InvalidConfigError, match=match):
             spec.validate()
 
+    # A numpy array of depths or counts is taken as a tuple is: the same
+    # checks and messages, not numpy's error on an array's truth value.
+    @pytest.mark.parametrize("kw, match", [
+        (dict(depths=np.array([0.5, 0.0])), "depths must be sorted ascending"),
+        (dict(depths=np.array([0.0, 1.5])), r"depths must be real numbers in \[0, 1\]"),
+        (dict(depths=np.array([])), "depths and frame counts must be non-empty"),
+        (dict(frame_counts=np.array([10, 0])), "frame counts must be positive"),
+        (dict(frame_counts=np.array([10, 2.5])), "frame counts must be integers"),
+        (dict(frame_counts=np.array([], dtype=np.int64)), "depths and frame counts must be non-empty"),
+    ])
+    def test_array_depths_and_counts_are_checked_as_tuples(self, kw, match):
+        spec = NeedleSpec(**{"haystack": SynthSpec(n_frames=10, n_scenes=1, seed=0), **kw})
+        with pytest.raises(InvalidConfigError, match=match):
+            spec.validate()
+
+    def test_array_depths_and_counts_are_accepted(self):
+        base = SynthSpec(n_frames=10, n_scenes=1, seed=0)
+        arrays = NeedleSpec(haystack=base, depths=np.array([0.0, 0.5]), frame_counts=np.array([10, 20]))
+        tuples = NeedleSpec(haystack=base, depths=(0.0, 0.5), frame_counts=(10, 20))
+        assert needle_study(arrays, [small_cfg()]) == needle_study(tuples, [small_cfg()])
+
     def test_integer_depths_and_alignment_are_accepted(self):
         base = SynthSpec(n_frames=10, n_scenes=1, seed=0)
         NeedleSpec(haystack=base, depths=[0, np.float32(0.5), 1], query_alignment=1).validate()
