@@ -19,7 +19,7 @@ from .tokens import CompressedTokenSequence
 
 __all__ = ["FramePositionConfig", "encoding_vector", "apply_position_encoding"]
 
-# Rows encoded per step of add_position_encoding; bounds its temporaries.
+# Rows encoded per step of apply_position_encoding; bounds its temporaries.
 ENCODE_CHUNK_ROWS = 1024
 # Wavelength base of the sinusoid: pair i turns at t / BASE^(2i/dim).
 BASE = 10000.0
@@ -66,33 +66,14 @@ def encoding_vector(t: float, dim: int) -> np.ndarray:
     return _offsets([t], dim)[0]
 
 
-def apply_position_encoding(
-    seq: CompressedTokenSequence, cfg: FramePositionConfig
-) -> CompressedTokenSequence:
-    """Add the frame's timestep encoding to every one of its tokens.
+def apply_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConfig) -> None:
+    """Add the frame's timestep encoding to every one of its tokens, in place.
 
-    Returns a new sequence and leaves ``seq`` unchanged. With the encoding
-    disabled the input sequence is returned unchanged.
+    The offsets are added straight into ``seq.vectors``, ``ENCODE_CHUNK_ROWS``
+    rows at a time, so no array the size of the sequence is built. Returns
+    None; with the encoding disabled ``seq`` is left unchanged.
     """
     cfg.validate(seq.dim)
-    if not cfg.enabled:
-        return seq
-    out = CompressedTokenSequence(
-        frame_indices=seq.frame_indices.copy(),
-        grid_rows=seq.grid_rows.copy(),
-        grid_cols=seq.grid_cols.copy(),
-        levels=seq.levels.copy(),
-        vectors=seq.vectors.copy(),
-    )
-    add_position_encoding(out, cfg)
-    return out
-
-
-def add_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConfig):
-    """``apply_position_encoding`` in place: the offsets are added straight
-    into ``seq.vectors``, ``ENCODE_CHUNK_ROWS`` rows at a time, so no array
-    the size of the sequence is built. Does nothing when disabled. The
-    caller has validated ``cfg`` against the tokens' width."""
     if not cfg.enabled:
         return
     # Tokens sharing a timestep share one offset; encode each distinct value once.

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetInfeasibleError, InvalidConfigError
-from .framepos import FramePositionConfig, add_position_encoding
+from .framepos import FramePositionConfig, apply_position_encoding
 from .numerics import pool_batch
 from .query_select import MixedResolutionSequence, QueryEmbedding, num_full_res_frames, select_and_pool
 from .spatial import (
@@ -79,8 +79,9 @@ class CompressionConfig:
     input. ``tokens_low`` is the pooled grid; ``compress`` checks that it
     fits inside the input's grid and holds fewer tokens.
 
-    ``validate`` is where every setting is checked. ``compress`` calls it
-    first, and the stages below ``compress`` trust what it let through.
+    ``validate`` is where every setting is checked, and where a numpy number
+    becomes the Python number of equal value. ``compress`` calls it first,
+    and the stages below ``compress`` trust what it let through.
     """
 
     l_max: int = 8192
@@ -118,6 +119,15 @@ class CompressionConfig:
         if not (isinstance(low, (tuple, list)) and len(low) == 2
                 and all(isinstance(x, integer) and not isinstance(x, bool) for x in low)):
             raise InvalidConfigError(f"pooled grid must be two integers, got {low!r}")
+        # Numpy numbers pass the checks above; store Python ones, so that no
+        # later arithmetic wraps and the stats serialize. A Python grid is
+        # kept as given.
+        self.l_max, self.j, self.k = int(self.l_max), int(self.j), int(self.k)
+        self.theta, self.tau_t = float(self.theta), float(self.tau_t)
+        if not all(type(x) is int for x in low):
+            self.tokens_low = low = (int(low[0]), int(low[1]))
+        if dim is not None:
+            self.fpe.dim = int(dim)
         if min(low) < 1:
             raise InvalidConfigError(f"pooled grid must be positive, got {low}")
         if not (0.0 < self.theta < 1.0):
@@ -375,7 +385,7 @@ def compress(
         rows = store = None
     table, _ = select_and_pool(seq, kept, query, n_full, cfg.tokens_low, rows, store)
     compressed = table.tokens
-    add_position_encoding(compressed, cfg.fpe)
+    apply_position_encoding(compressed, cfg.fpe)
     return compressed, stage_stats(
         n_full, tokens_query, tokens_spatial, theta_eff, fallback, compressed.total_count
     )

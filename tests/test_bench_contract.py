@@ -49,6 +49,8 @@ def test_traced_hour_run_is_correct_and_byte_identical():
     assert result["metrics"]["numerics.token_grids"]["value"] == 0
     # pooling works on one 1 MiB plan block at a time, not on a budget of tokens
     assert result["metrics"]["numerics.pool_batch.peak_mb"]["value"] < 2.5
+    # FPE is on only in hour: the encoding compress runs is the one timed
+    assert result["metrics"]["framepos.apply_position_encoding.s"]["value"] > 0
 
 
 def test_corpus_run_is_correct_and_byte_identical():

@@ -737,3 +737,40 @@ class TestCompressBoundarySweep:
             bad.write_bytes(case)
             video, query = (bad, query_file) if which == "input" else (video_file, bad)
             assert self.run(tmp_path, capsys, video, query) == 2
+
+
+# Sizes among these are all refused before anything is allocated: a size
+# that validation accepts (2^31, say) could exhaust the machine's memory.
+GENERATOR_VALUES = ["0", "-1", "nan", "inf", "-inf", "abc", "1e", "2.5", "1e308", "-1e308"]
+GENERATOR_RUNS = {
+    "synth": (["--frames", "8", "--scenes", "2", "--dim", "4", "--grid", "4x4"], "--out",
+              ["--frames", "--scenes", "--noise", "--drift-fraction", "--dim", "--grid",
+               "--seed"]),
+    "needle": (["--frame-counts", "8"], "--report",
+               ["--frame-counts", "--depths", "--alignment", "--seed", "--dim", "--grid",
+                *COMPRESS_FLAGS]),
+    "report": (["--corpus-size", "1"], "--out", ["--corpus-size", "--seed", *COMPRESS_FLAGS]),
+}
+
+
+class TestGeneratorBoundarySweep:
+    """Every flag of ``synth``, ``needle`` and ``report``, on a tiny run, at
+    the boundary values ends with a documented exit code and no traceback."""
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, _, flags) in GENERATOR_RUNS.items() for flag in flags
+    ])
+    def test_every_flag_at_every_boundary_value(self, tmp_path, capsys, command, flag):
+        base, out_flag, _ = GENERATOR_RUNS[command]
+        values = GENERATOR_VALUES
+        if flag in ("--grid", "--tokens-low"):  # also as one side of a grid
+            values = values + [f"{v}x4" for v in values] + [f"4x{v}" for v in values]
+        codes = set()
+        for value in values:
+            # flag=value hands "-inf" and "-1e308" to the flag, not to argparse as options
+            code = exit_code([command, *base, out_flag, str(tmp_path / "out"),
+                              f"{flag}={value}"])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4) and "Traceback" not in err, (value, code, err)
+            codes.add(code)
+        assert codes - {0, 4}, codes  # the flag is checked: some value is refused

@@ -11,7 +11,7 @@ from vtcompress import (
     apply_position_encoding,
     encoding_vector,
 )
-from vtcompress.framepos import ENCODE_CHUNK_ROWS, add_position_encoding
+from vtcompress.framepos import ENCODE_CHUNK_ROWS
 from vtcompress.tokens import CompressedTokenSequence
 
 
@@ -72,26 +72,30 @@ class TestEncodingVector:
 class TestApplyPositionEncoding:
     def test_disabled_is_identity(self):
         seq = small_sequence()
-        assert apply_position_encoding(seq, FramePositionConfig()) is seq
+        before = seq.vectors.tobytes()
+        assert apply_position_encoding(seq, FramePositionConfig()) is None
+        assert seq.vectors.tobytes() == before
 
     def test_time_zero_offsets(self):
         seq = small_sequence(n=2, dim=4)
-        out = apply_position_encoding(seq, FramePositionConfig(enabled=True))
-        np.testing.assert_allclose(out.vectors[0], [1.0, 2.0, 1.0, 2.0])
+        assert apply_position_encoding(seq, FramePositionConfig(enabled=True)) is None
+        np.testing.assert_allclose(seq.vectors[0], [1.0, 2.0, 1.0, 2.0])
 
     def test_same_timestep_same_offset(self):
         seq = small_sequence(n=4, dim=4)  # timesteps 0,0,1,1
-        out = apply_position_encoding(seq, FramePositionConfig(enabled=True))
-        assert np.array_equal(out.vectors[0], out.vectors[1])
-        assert np.array_equal(out.vectors[2], out.vectors[3])
-        assert not np.array_equal(out.vectors[0], out.vectors[2])
+        apply_position_encoding(seq, FramePositionConfig(enabled=True))
+        assert np.array_equal(seq.vectors[0], seq.vectors[1])
+        assert np.array_equal(seq.vectors[2], seq.vectors[3])
+        assert not np.array_equal(seq.vectors[0], seq.vectors[2])
 
     def test_double_application_is_linear(self):
         seq = small_sequence(n=4, dim=6)
+        before = seq.vectors.copy()
         cfg = FramePositionConfig(enabled=True)
-        twice = apply_position_encoding(apply_position_encoding(seq, cfg), cfg)
+        apply_position_encoding(seq, cfg)
+        apply_position_encoding(seq, cfg)
         offsets = np.stack([2.0 * encoding_vector(t, 6) for t in seq.timesteps])
-        np.testing.assert_allclose(twice.vectors, seq.vectors + offsets, atol=1e-5)
+        np.testing.assert_allclose(seq.vectors, before + offsets, atol=1e-5)
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 64, 65])
     def test_matches_encoding_vector_per_timestep(self, rng, dim):
@@ -105,12 +109,12 @@ class TestApplyPositionEncoding:
             levels=np.ones(n, dtype=np.uint8),
             vectors=rng.standard_normal((n, dim)).astype(np.float32),
         )
-        out = apply_position_encoding(seq, FramePositionConfig(enabled=True))
         expected = np.stack([
             (v.astype(np.float64) + encoding_vector(float(t), dim)).astype(np.float32)
             for t, v in zip(seq.timesteps, seq.vectors)
         ])
-        assert out.vectors.tobytes() == expected.tobytes()
+        apply_position_encoding(seq, FramePositionConfig(enabled=True))
+        assert seq.vectors.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -129,15 +133,15 @@ class TestApplyPositionEncoding:
             grid_rows=np.zeros(n, dtype=np.int32),
             grid_cols=np.zeros(n, dtype=np.int32),
             levels=np.ones(n, dtype=np.uint8),
-            vectors=vectors,
+            vectors=vectors.copy(),
         )
-        out = apply_position_encoding(seq, FramePositionConfig(enabled=True))
+        apply_position_encoding(seq, FramePositionConfig(enabled=True))
         offsets = np.stack([encoding_vector(float(t), dim) for t in seq.timesteps])
         expected = (vectors.astype(np.float64) + offsets.astype(np.float64)).astype(np.float32)
-        assert out.vectors.dtype == np.float32
-        assert out.vectors.tobytes() == expected.tobytes()
+        assert seq.vectors.dtype == np.float32
+        assert seq.vectors.tobytes() == expected.tobytes()
 
-    def test_in_place_has_the_bits_of_the_copy(self, rng):
+    def test_in_place_across_encoding_steps_matches_the_float64_oracle(self, rng):
         # more rows than one encoding step, timesteps repeating in runs
         n, dim = 2 * ENCODE_CHUNK_ROWS + 5, 6
         seq = CompressedTokenSequence(
@@ -148,11 +152,12 @@ class TestApplyPositionEncoding:
             vectors=rng.standard_normal((n, dim)).astype(np.float32),
         )
         before = seq.vectors.copy()
-        cfg = FramePositionConfig(enabled=True)
-        out = apply_position_encoding(seq, cfg)
-        assert np.array_equal(seq.vectors, before)
-        add_position_encoding(seq, cfg)
-        assert seq.vectors.tobytes() == out.vectors.tobytes()
+        offsets = np.stack([encoding_vector(float(t), dim) for t in seq.timesteps])
+        expected = (before.astype(np.float64) + offsets.astype(np.float64)).astype(np.float32)
+        vectors = seq.vectors
+        assert apply_position_encoding(seq, FramePositionConfig(enabled=True)) is None
+        assert seq.vectors is vectors
+        assert seq.vectors.tobytes() == expected.tobytes()
         assert not np.array_equal(seq.vectors, before)
 
     def test_dim_mismatch(self):

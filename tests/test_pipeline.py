@@ -106,6 +106,78 @@ class TestConfigValidation:
                 compress(seq, query, small_config(fpe=FramePositionConfig(enabled=True, dim=dim)))
 
 
+def python_number(value):
+    """``value`` with each numpy number in it replaced by the Python number
+    of equal value."""
+    if isinstance(value, tuple):
+        return tuple(python_number(x) for x in value)
+    return value.item() if isinstance(value, np.generic) else value
+
+
+class TestNumpyNumberSettings:
+    """A numpy number that ``validate`` accepts acts as the Python number of
+    equal value: the same written bytes or the same refusal, and no numpy
+    warning on the way."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(l_max=np.int64(1500)),
+            dict(l_max=np.int32(1500), fpe_dim=np.int64(4)),
+            dict(theta=np.float32(0.75)),
+            dict(theta=np.float32(0.7), l_max=1500),  # no float32 sum is a float64 one
+            dict(tau_t=np.float32(0.85)),
+            dict(tokens_low=(np.int64(4), np.int64(4))),
+            dict(tokens_low=(np.uint8(5), np.int16(7)), l_max=1500),
+            dict(j=np.int64(4), k=np.uint64(3), l_max=1500),
+            dict(k=np.int64(2**62), l_max=1500),  # a block of 2^62 windows overflows int64
+            # refused, with the message the Python number gives
+            dict(tokens_low=(np.int64(2**32),) * 2),  # h_l * w_l wraps to 0 in int64
+            dict(tokens_low=(np.int64(0), np.int64(4))),
+            dict(theta=np.float32(1.1)),
+            dict(tau_t=np.float64(0.0)),
+            dict(l_max=np.int64(0)),
+            dict(j=np.int8(-1)),
+            dict(fpe_dim=np.int64(5)),
+            dict(l_max=np.int64(200)),  # infeasible
+        ],
+    )
+    def test_same_bytes_and_messages_as_python_numbers(self, rng, tmp_path, kw):
+        seq = random_sequence(rng, 30, 12, 12, 4)
+        query = random_query(rng, 2, 4)
+
+        def outcome(settings, name):
+            settings = dict(settings)
+            dim = settings.pop("fpe_dim", None)
+            cfg = CompressionConfig(fpe=FramePositionConfig(enabled=True, dim=dim), **settings)
+            try:
+                out, stats = compress(seq, query, cfg)
+            except InvalidConfigError as exc:
+                return "refused", str(exc)
+            except BudgetInfeasibleError as exc:
+                return "infeasible", str(exc), exc.stats.to_dict()
+            write_compressed(tmp_path / name, out, stats)
+            return "written", (tmp_path / name).read_bytes()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            numpy_run = outcome(kw, "numpy.lvuc")
+            python_run = outcome({name: python_number(v) for name, v in kw.items()}, "python.lvuc")
+        assert numpy_run == python_run
+
+    def test_validate_stores_python_numbers(self):
+        cfg = CompressionConfig(
+            l_max=np.int64(1500), tokens_low=(np.int32(4), np.uint16(4)), j=np.int8(4),
+            k=np.uint64(3), theta=np.float32(0.7), tau_t=np.float16(0.85),
+            fpe=FramePositionConfig(enabled=True, dim=np.int64(4)),
+        )
+        cfg.validate()
+        assert [type(v) for v in (cfg.l_max, cfg.j, cfg.k, cfg.fpe.dim)] == [int] * 4
+        assert cfg.tokens_low == (4, 4) and [type(v) for v in cfg.tokens_low] == [int, int]
+        assert (type(cfg.theta), type(cfg.tau_t)) == (float, float)
+        assert cfg.theta == float(np.float32(0.7)) and cfg.tau_t == float(np.float16(0.85))
+
+
 class TestCompressTraces:
     def test_identical_frames_generous_budget(self, rng):
         # ten identical frames: two windows of (8, 2), one survivor each
@@ -672,7 +744,8 @@ def whole_table_oracle(seq, query, cfg):
     if int(np.count_nonzero(result.anchor)) > cfg.l_max - query.n_tokens:
         return None, dict(stats, theta_effective=cfg.theta, fallback_used=True, tokens_final=None)
     result, theta_eff, fallback = enforce_budget(result, cfg.theta, cfg.l_max - query.n_tokens, plan)
-    tokens = apply_position_encoding(flatten(table, result.keep), cfg.fpe)
+    tokens = flatten(table, result.keep)
+    apply_position_encoding(tokens, cfg.fpe)
     return tokens, dict(stats, theta_effective=theta_eff, fallback_used=fallback,
                         tokens_final=tokens.total_count)
 
