@@ -31,7 +31,7 @@ import numpy as np
 from .errors import FileFormatError
 from .query_select import QueryEmbedding
 from .temporal import FrameFeatureSequence
-from .tokens import CompressedTokenSequence, CompressionStats
+from .tokens import LEVEL_CODE, CompressedTokenSequence, CompressionStats
 
 __all__ = [
     "write_features",
@@ -213,7 +213,7 @@ def write_compressed(path, seq: CompressedTokenSequence, stats: CompressionStats
     for coords in (seq.grid_rows, seq.grid_cols):
         if n and (coords.max() >= 2**16 or coords.min() < 0):
             raise FileFormatError("grid coordinate does not fit in u16")
-    if n and seq.levels.max() > 1:
+    if n and seq.levels.max() > max(LEVEL_CODE.values()):
         raise FileFormatError("record has unknown level code")
     _atomic_write(path, _compressed_parts(seq, stats, _record_dtype(d)))
 
@@ -259,7 +259,7 @@ def read_compressed(path) -> tuple[CompressedTokenSequence, CompressionStats]:
         blob = _read_exact(fh, blob_len, "stats blob")
         if fh.read(1):
             raise FileFormatError("trailing bytes after stats blob")
-    if n and records["level"].max() > 1:
+    if n and records["level"].max() > max(LEVEL_CODE.values()):
         raise FileFormatError("record has unknown level code")
     timestep_bits = records["frame_index"].astype("<f4").view("<u4")
     if not np.array_equal(records["timestep"].view("<u4"), timestep_bits):

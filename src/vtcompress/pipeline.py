@@ -16,15 +16,15 @@ surviving frame, and pruning, the threshold ladder and subsampling only
 rewrite a ``keep`` mask over those rows.
 
 ``query_select.select_and_pool`` writes every output row, once, on every
-path. Within the budget it emits the whole token table, position-encoded in
-place: everything fits at full resolution, the table holds a full frame, or
-it fits once pooled. Over budget, the only buffer of the token width that
-grows with the budget is the output-sized store; every other one is bounded
-by a fixed size. The frames are pooled and planned in blocks of at most
-``PLAN_BLOCK_BYTES`` of pooled float32, and only the similarities, the
-anchor flags and a budget-sized store of pooled tokens (the anchors, then
-the first survivors) are kept. ``select_and_pool`` then emits only the kept
-rows, into the store's array, a chunk at a time.
+path, and ``compress`` then position-encodes them in place. Within the
+budget it emits the whole token table: everything fits at full resolution,
+the table holds a full frame, or it fits once pooled. Over budget, the only
+buffer of the token width that grows with the budget is the output-sized
+store; every other one is bounded by a fixed size. The frames are pooled and
+planned in blocks of at most ``PLAN_BLOCK_BYTES`` of pooled float32, and
+only the similarities, the anchor flags and a budget-sized store of pooled
+tokens (the anchors, then the first survivors) are kept. ``select_and_pool``
+then emits only the kept rows, into the store's array, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, InvalidConfigError
+from .errors import BudgetInfeasibleError, InvalidConfigError, integer, numbers, real
 from .framepos import FramePositionConfig, apply_position_encoding
 from .numerics import pool_batch
 from .query_select import MixedResolutionSequence, QueryEmbedding, num_full_res_frames, select_and_pool
@@ -95,39 +95,24 @@ class CompressionConfig:
     stages: StageToggles = field(default_factory=StageToggles)
 
     def validate(self):
-        # Python counts a bool as an int, but no setting takes one.
-        integer = (int, np.integer)
-        for names, kind, types in (
-            (("l_max", "j", "k"), "an integer", integer),
-            (("theta", "tau_t"), "a real number", integer + (float, np.floating)),
-            (("fpe",), "a FramePositionConfig", FramePositionConfig),
-            (("stages",), "a StageToggles", StageToggles),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, types):
-                    raise InvalidConfigError(f"{name} must be {kind}, got {value!r}")
+        for name, number in (("l_max", integer), ("j", integer), ("k", integer),
+                             ("theta", real), ("tau_t", real)):
+            setattr(self, name, number(getattr(self, name), name))
+        for name, kind in (("fpe", FramePositionConfig), ("stages", StageToggles)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise InvalidConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
         for owner, name in (("stages", "temporal"), ("stages", "query"), ("stages", "stc"),
                             ("fpe", "enabled")):
             value = getattr(getattr(self, owner), name)
             if not isinstance(value, bool):
                 raise InvalidConfigError(f"{owner}.{name} must be a bool, got {value!r}")
-        dim = self.fpe.dim
-        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, integer)):
-            raise InvalidConfigError(f"fpe.dim must be None or an integer, got {dim!r}")
+        if self.fpe.dim is not None:
+            self.fpe.dim = integer(self.fpe.dim, "fpe.dim", "None or an integer")
         low = self.tokens_low
-        if not (isinstance(low, (tuple, list)) and len(low) == 2
-                and all(isinstance(x, integer) and not isinstance(x, bool) for x in low)):
+        if not (isinstance(low, (tuple, list)) and len(low) == 2):
             raise InvalidConfigError(f"pooled grid must be two integers, got {low!r}")
-        # Numpy numbers pass the checks above; store Python ones, so that no
-        # later arithmetic wraps and the stats serialize. A Python grid is
-        # kept as given.
-        self.l_max, self.j, self.k = int(self.l_max), int(self.j), int(self.k)
-        self.theta, self.tau_t = float(self.theta), float(self.tau_t)
-        if not all(type(x) is int for x in low):
-            self.tokens_low = low = (int(low[0]), int(low[1]))
-        if dim is not None:
-            self.fpe.dim = int(dim)
+        self.tokens_low = low = numbers(low, integer, "pooled grid", "two integers")
         if min(low) < 1:
             raise InvalidConfigError(f"pooled grid must be positive, got {low}")
         if not (0.0 < self.theta < 1.0):

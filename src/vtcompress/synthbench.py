@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, InvalidConfigError
+from .errors import BudgetInfeasibleError, InvalidConfigError, integer, numbers, real
 from .pipeline import CompressionConfig, compress
 from .query_select import QueryEmbedding
 from .spatial import AnchorStrategy
@@ -53,20 +53,14 @@ CORPUS_SCENE_LEN = 128
 CORPUS_FRAMES = (768, 1280)  # each corpus video's frame count is drawn from this range
 
 
-def _is_integer(value) -> bool:
-    # Python counts a bool as an int, but no count, size or seed is one.
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # Nor is any noise level, fraction or depth.
-    return _is_integer(value) or isinstance(value, (float, np.floating))
+def _in_unit(x) -> bool:
+    return 0.0 <= x <= 1.0
 
 
 def _check_frame_bytes(n_frames: int, grid, dim: int):
     """Raise unless ``n_frames`` float32 frames of ``grid`` x ``dim`` fit in
     one array, checked before anything is drawn or allocated."""
-    size = int(n_frames) * int(grid[0]) * int(grid[1]) * int(dim) * 4
+    size = n_frames * grid[0] * grid[1] * dim * 4
     if size > np.iinfo(np.intp).max:
         raise InvalidConfigError(
             f"{n_frames} frames of {grid[0]}x{grid[1]}x{dim} float32 features take "
@@ -88,16 +82,13 @@ class SynthSpec:
 
     def validate(self):
         for name in ("n_frames", "n_scenes", "dim", "seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, integer(getattr(self, name), name))
         for name in ("intra_scene_noise", "drift_scenes_fraction"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+            setattr(self, name, real(getattr(self, name), name))
         grid = self.grid
-        if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(map(_is_integer, grid))):
+        if not (isinstance(grid, (tuple, list)) and len(grid) == 2):
             raise InvalidConfigError(f"grid must be two integers, got {grid!r}")
+        self.grid = grid = numbers(grid, integer, "grid", "two integers")
         if self.n_frames < 1:
             raise InvalidConfigError(f"n_frames must be positive, got {self.n_frames}")
         if not (1 <= self.n_scenes <= self.n_frames):
@@ -138,20 +129,16 @@ class NeedleSpec:
                 f"depths and frame counts must be non-empty, "
                 f"got {self.depths} and {self.frame_counts}"
             )
-        if not all(_is_real(d) and 0.0 <= d <= 1.0 for d in self.depths):
-            raise InvalidConfigError(f"depths must be real numbers in [0, 1], got {self.depths}")
+        self.depths = numbers(self.depths, real, "depths", "real numbers in [0, 1]", _in_unit)
         if sorted(self.depths) != list(self.depths):
             raise InvalidConfigError("depths must be sorted ascending")
-        if not all(map(_is_integer, self.frame_counts)):
-            raise InvalidConfigError(f"frame counts must be integers, got {self.frame_counts}")
+        self.frame_counts = numbers(self.frame_counts, integer, "frame counts", "integers")
         if any(c < 1 for c in self.frame_counts):
             raise InvalidConfigError(f"frame counts must be positive, got {self.frame_counts}")
         for count in self.frame_counts:  # each haystack, with the needle frame inserted
             _check_frame_bytes(count + 1, self.haystack.grid, self.haystack.dim)
-        if not (_is_real(self.query_alignment) and 0.0 <= self.query_alignment <= 1.0):
-            raise InvalidConfigError(
-                f"alignment must be a real number in [0, 1], got {self.query_alignment!r}"
-            )
+        alignment = real(self.query_alignment, "alignment", "a real number in [0, 1]", _in_unit)
+        self.query_alignment = alignment
 
 
 def _scene_bases(rng: np.random.Generator, n_scenes: int, dim: int) -> np.ndarray:
@@ -271,15 +258,19 @@ def _scene_into(
         out[...] = scene
 
 
+def _structure(spec: SynthSpec) -> tuple[np.ndarray, np.random.Generator, list]:
+    """The scene bases, first drawn from the structure stream, that stream and
+    one seed per scene; the needle is orthogonal to ``gen_video``'s bases here."""
+    structure, *scenes = np.random.SeedSequence(spec.seed).spawn(spec.n_scenes + 1)
+    rng = np.random.default_rng(structure)
+    return _scene_bases(rng, spec.n_scenes, spec.dim), rng, scenes
+
+
 def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
     """Generate a deterministic scene-structured feature video."""
     spec.validate()
     h, w = spec.grid
-    root = np.random.SeedSequence(spec.seed)
-    seeds = root.spawn(spec.n_scenes + 1)
-    struct_rng = np.random.default_rng(seeds[0])
-
-    bases = _scene_bases(struct_rng, spec.n_scenes, spec.dim)
+    bases, struct_rng, seeds = _structure(spec)
     lengths = _scene_lengths(struct_rng, spec.n_frames, spec.n_scenes)
     is_drift = struct_rng.random(spec.n_scenes) < spec.drift_scenes_fraction
     alphas = struct_rng.uniform(*ADJACENT_COS_RANGE, size=spec.n_scenes)
@@ -289,7 +280,7 @@ def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
     jobs = [
         (
             frames[end - length : end],
-            seeds[s + 1],
+            seeds[s],
             bases[s],
             alphas[s] if is_drift[s] else None,
             spec.intra_scene_noise,
@@ -305,18 +296,13 @@ def gen_video(spec: SynthSpec) -> FrameFeatureSequence:
         raise InvalidConfigError(f"noise {spec.intra_scene_noise} overflows the float32 features") from None
 
 
-def _haystack_bases(spec: SynthSpec) -> np.ndarray:
-    root = np.random.SeedSequence(spec.seed)
-    seeds = root.spawn(spec.n_scenes + 1)
-    return _scene_bases(np.random.default_rng(seeds[0]), spec.n_scenes, spec.dim)
-
-
 def make_needle_grid(spec: SynthSpec) -> np.ndarray:
     """A needle frame, an (h, w, dim) float32 array whose single direction is
     orthogonalized against every scene base of the haystack spec (as far as
-    the dimension allows)."""
+    the dimension allows), from a spec checked as ``gen_video`` checks it."""
+    spec.validate()
     h, w = spec.grid
-    bases = _haystack_bases(spec)
+    bases = _structure(spec)[0]
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x6E65]))
     v = rng.standard_normal(spec.dim)
     for b in bases[: spec.dim - 1]:
@@ -348,8 +334,7 @@ def insert_needle(
 ) -> tuple[FrameFeatureSequence, int]:
     """Insert the needle frame at round(depth * n_frames). Timesteps are frame
     indices, so every frame after the needle moves one second later."""
-    if not (_is_real(depth) and 0.0 <= depth <= 1.0):
-        raise InvalidConfigError(f"depth must be a real number in [0, 1], got {depth!r}")
+    depth = real(depth, "depth", "a real number in [0, 1]", _in_unit)
     if needle.shape != seq.frames.shape[1:]:
         raise InvalidConfigError(
             f"needle shape {needle.shape} does not match frames {seq.frames.shape[1:]}"
@@ -422,10 +407,8 @@ def make_mixed_corpus(n_videos: int, seed: int) -> list[SynthSpec]:
     query stage, and one with a high keep rate may be budget-infeasible.
     ``reduction_report`` reports both kinds.
     """
-    if not (_is_integer(n_videos) and n_videos >= 1):
-        raise InvalidConfigError(f"corpus size must be a positive integer, got {n_videos!r}")
-    if not (_is_integer(seed) and seed >= 0):
-        raise InvalidConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    n_videos = integer(n_videos, "corpus size", "a positive integer", lambda n: n >= 1)
+    seed = integer(seed, "seed", "an integer >= 0", lambda s: s >= 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     specs = []
     for _ in range(n_videos):

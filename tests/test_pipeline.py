@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from vtcompress import (
     FramePositionConfig,
     FrameFeatureSequence,
     InvalidConfigError,
+    NeedleSpec,
     QueryEmbedding,
     StageToggles,
     SynthSpec,
@@ -19,12 +22,16 @@ from vtcompress import (
     compress,
     encoding_vector,
     gen_video,
+    insert_needle,
+    make_mixed_corpus,
+    make_needle_grid,
 )
 from vtcompress import formats, numerics, pipeline, query_select
 from vtcompress.formats import write_compressed
 from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import enforce_budget, flatten
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
+from vtcompress.synthbench import needle_study
 from vtcompress.temporal import reduce_frames
 from vtcompress.tokens import LEVEL_CODE
 
@@ -58,6 +65,9 @@ class TestConfigValidation:
             dict(theta=1.0, match=r"theta must be in \(0, 1\), got 1.0"),
             dict(tau_t=0.0, match=r"tau_t must be in \(0, 1\], got 0.0"),
             dict(tau_t=1.2, match=r"tau_t must be in \(0, 1\], got 1.2"),
+            # an integer too large for a float is compared as it is
+            dict(theta=10**400, match=r"theta must be in \(0, 1\), got 1000000"),
+            dict(tau_t=-(10**400), match=r"tau_t must be in \(0, 1\], got -1000000"),
             dict(j=0, match="j must be >= 1, got 0"),
             dict(k=0, match="k must be >= 1, got 0"),
             dict(l_max=0, match="context length must be positive, got 0"),
@@ -108,16 +118,54 @@ class TestConfigValidation:
 
 def python_number(value):
     """``value`` with each numpy number in it replaced by the Python number
-    of equal value."""
+    of equal value, and a numpy array by a list of them."""
+    if isinstance(value, dict):
+        return {name: python_number(x) for name, x in value.items()}
     if isinstance(value, tuple):
         return tuple(python_number(x) for x in value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value.item() if isinstance(value, np.generic) else value
 
 
+def spec_numbers(spec):
+    """Every numeric field of a SynthSpec, the grid's two entries included."""
+    return [spec.n_frames, spec.n_scenes, spec.intra_scene_noise,
+            spec.drift_scenes_fraction, spec.dim, spec.seed, *spec.grid]
+
+
+# Each runner takes the keyword arguments under test and returns the run's
+# output, as bytes or JSON, and every setting it stored or returned.
+def synth_run(kw):
+    spec = SynthSpec(**{"n_frames": 40, "n_scenes": 3, "dim": 8, "grid": (4, 4), "seed": 5, **kw})
+    return gen_video(spec).frames.tobytes(), spec_numbers(spec)
+
+
+def needle_run(kw):
+    kw = dict(kw)
+    haystack = SynthSpec(**{"n_frames": 1, "n_scenes": 1, "dim": 16, **kw.pop("haystack", {})})
+    spec = NeedleSpec(**{"haystack": haystack, "depths": (0.5,), "frame_counts": (8,), **kw})
+    cells = needle_study(spec, [CompressionConfig(l_max=2000)])
+    stored = [*spec.depths, *spec.frame_counts, spec.query_alignment, *spec_numbers(haystack)]
+    return json.dumps(cells), stored
+
+
+def corpus_run(kw):
+    specs = make_mixed_corpus(**kw)
+    return json.dumps([asdict(spec) for spec in specs]), [x for s in specs for x in spec_numbers(s)]
+
+
+def insert_run(kw):
+    spec = SynthSpec(n_frames=5, n_scenes=1, dim=4, grid=(2, 2), seed=3)
+    out, index = insert_needle(gen_video(spec), make_needle_grid(spec), **kw)
+    return (out.frames.tobytes(), index), [index]
+
+
 class TestNumpyNumberSettings:
-    """A numpy number that ``validate`` accepts acts as the Python number of
-    equal value: the same written bytes or the same refusal, and no numpy
-    warning on the way."""
+    """A numpy number that a config, a spec or a generator accepts acts as
+    the Python number of equal value: the same written bytes, frames or JSON,
+    or the same refusal, with no numpy warning on the way, and what is stored
+    is the Python number."""
 
     @pytest.mark.parametrize(
         "kw",
@@ -130,6 +178,8 @@ class TestNumpyNumberSettings:
             dict(tokens_low=(np.int64(4), np.int64(4))),
             dict(tokens_low=(np.uint8(5), np.int16(7)), l_max=1500),
             dict(j=np.int64(4), k=np.uint64(3), l_max=1500),
+            dict(l_max=np.uint32(1500), j=np.uint8(4), fpe_dim=np.uint8(4)),
+            dict(tau_t=np.uint8(1)),  # an integer is a real number
             dict(k=np.int64(2**62), l_max=1500),  # a block of 2^62 windows overflows int64
             # refused, with the message the Python number gives
             dict(tokens_low=(np.int64(2**32),) * 2),  # h_l * w_l wraps to 0 in int64
@@ -176,6 +226,59 @@ class TestNumpyNumberSettings:
         assert cfg.tokens_low == (4, 4) and [type(v) for v in cfg.tokens_low] == [int, int]
         assert (type(cfg.theta), type(cfg.tau_t)) == (float, float)
         assert cfg.theta == float(np.float32(0.7)) and cfg.tau_t == float(np.float16(0.85))
+
+    @pytest.mark.parametrize(
+        "run, kw",
+        [
+            # SynthSpec: the generated frames
+            (synth_run, dict(n_frames=np.uint64(100), n_scenes=7, dim=32, grid=(12, 12))),
+            (synth_run, dict(n_frames=np.uint32(100), n_scenes=7)),
+            (synth_run, dict(n_frames=np.uint8(100), n_scenes=7)),
+            (synth_run, dict(n_frames=np.int64(40), n_scenes=np.int16(3))),
+            (synth_run, dict(n_scenes=np.uint8(3), dim=np.int32(8))),
+            (synth_run, dict(dim=np.uint16(8), grid=(np.int64(4), np.uint8(4)))),
+            (synth_run, dict(seed=np.int64(5))),
+            (synth_run, dict(seed=np.uint64(2**64 - 1))),
+            (synth_run, dict(intra_scene_noise=np.float32(0.05), drift_scenes_fraction=np.float32(0.5))),
+            (synth_run, dict(intra_scene_noise=np.uint8(0), drift_scenes_fraction=np.int64(1))),
+            # NeedleSpec: the cells' JSON
+            (needle_run, dict(frame_counts=(np.int64(8),))),
+            (needle_run, dict(depths=(np.float32(0.5),))),
+            (needle_run, dict(frame_counts=(np.uint8(200),))),
+            (needle_run, dict(frame_counts=(np.int8(127),))),  # count + 1 overflows int8
+            (needle_run, dict(frame_counts=np.array([8, 16]),
+                              depths=np.array([0.0, 0.3], dtype=np.float32))),
+            (needle_run, dict(depths=(np.uint8(0), np.int64(1)))),
+            (needle_run, dict(query_alignment=np.float32(0.75))),
+            (needle_run, dict(query_alignment=np.uint8(1))),
+            (needle_run, dict(haystack=dict(dim=np.uint8(16), grid=(np.int32(12), np.uint16(12)),
+                                            seed=np.int64(3)))),
+            # make_mixed_corpus: the specs' JSON, or the refusal
+            (corpus_run, dict(n_videos=np.int64(2), seed=np.int64(7))),
+            (corpus_run, dict(n_videos=np.uint8(1), seed=np.uint64(2**64 - 1))),
+            (corpus_run, dict(n_videos=np.int64(0), seed=1)),
+            (corpus_run, dict(n_videos=1, seed=np.int8(-1))),
+            # insert_needle: the frames and the index, or the refusal
+            (insert_run, dict(depth=np.float32(0.1))),  # 5 * float32(0.1) rounds to 0.5 in float32
+            (insert_run, dict(depth=np.float32(0.7))),
+            (insert_run, dict(depth=np.uint8(1))),
+            (insert_run, dict(depth=np.int64(0))),
+            (insert_run, dict(depth=np.float64(1.5))),
+        ],
+    )
+    def test_synthbench_settings_act_as_python_numbers(self, run, kw):
+        def outcome(settings):
+            try:
+                return run(settings)
+            except InvalidConfigError as exc:
+                return str(exc), []
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            numpy_out, stored = outcome(kw)
+            python_out, _ = outcome(python_number(kw))
+        assert numpy_out == python_out
+        assert all(type(x) in (int, float) for x in stored)
 
 
 class TestCompressTraces:

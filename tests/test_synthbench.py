@@ -23,7 +23,7 @@ from vtcompress import (
     reduction_report,
 )
 from vtcompress import synthbench
-from vtcompress.synthbench import _haystack_bases, needle_study
+from vtcompress.synthbench import _structure, needle_study
 
 from .conftest import cosine, scene_lengths_loop
 
@@ -265,12 +265,23 @@ class TestInsertNeedle:
 
 
 class TestNeedleConstruction:
+    # The spec is checked before anything is drawn, as gen_video checks it.
+    @pytest.mark.parametrize("kw, match", [
+        (dict(n_scenes=-1), r"n_scenes must be in \[1, n_frames\], got -1 for 10 frames"),
+        (dict(dim="8"), "dim must be an integer, got '8'"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(grid=(0, 3)), r"dim and grid must be positive, got 32, \(0, 3\)"),
+    ])
+    def test_spec_is_checked_first(self, kw, match):
+        with pytest.raises(InvalidConfigError, match=match):
+            make_needle_grid(SynthSpec(**{"n_frames": 10, "n_scenes": 1, **kw}))
+
     def test_needle_orthogonal_to_scene_bases(self):
         spec = SynthSpec(n_frames=64, n_scenes=6, seed=9)
         needle = make_needle_grid(spec)
         assert needle.shape == (12, 12, spec.dim) and needle.dtype == np.float32
         direction = needle[0, 0].astype(np.float64)
-        for base in _haystack_bases(spec):
+        for base in _structure(spec)[0]:
             assert abs(direction @ base) < 1e-6
 
     def test_aligned_query_tops_every_haystack_frame(self):
