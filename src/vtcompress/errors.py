@@ -45,28 +45,35 @@ class BudgetInfeasibleError(CompressionError):
         )
 
 
-def integer(value, name: str, kind: str = "an integer", ok=None, got=None) -> int:
+def integer(value, name: str, kind: str = "an integer", ok=None) -> int:
     """``value``, an int or numpy integer, as the Python int of equal value. Else,
-    or if ``ok`` refuses it, raises "{name} must be {kind}, got {got or value!r}"."""
-    return _number(value, name, kind, ok, got, (int, np.integer))
+    or if ``ok`` refuses it, raises "{name} must be {kind}, got {value!r}"."""
+    return _number(value, name, kind, ok, (int, np.integer))
 
 
-def real(value, name: str, kind: str = "a real number", ok=None, got=None) -> int | float:
+def real(value, name: str, kind: str = "a real number", ok=None) -> int | float:
     """As ``integer``; a float or numpy floating passes too, as a Python float."""
-    return _number(value, name, kind, ok, got, (int, float, np.integer, np.floating))
+    return _number(value, name, kind, ok, (int, float, np.integer, np.floating))
 
 
-def _number(value, name, kind, ok, got, types):
+def _number(value, name, kind, ok, types):
     # Python counts a bool as an int, but no setting takes one.
     if isinstance(value, types) and not isinstance(value, bool):
         value = float(value) if isinstance(value, (float, np.floating)) else int(value)
         if ok is None or ok(value):
             return value
-    raise InvalidConfigError(f"{name} must be {kind}, got {value if got is None else got!r}")
+    raise InvalidConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def numbers(values, number, name: str, kind: str, ok=None):
-    """Each of ``values`` through ``number``, all of them shown in a message; as
-    given when each comes back as itself (a Python number does), else a tuple."""
-    python = tuple(number(v, name, kind, ok, values) for v in values)
+    """Each of ``values`` through ``number``; as given when each comes back as
+    itself (a Python number does), else a tuple. A refusal shows the whole
+    sequence, with its numpy numbers as Python numbers: a tuple as a tuple,
+    any other sequence as a list."""
+    try:
+        python = tuple(number(v, name, kind, ok) for v in values)
+    except InvalidConfigError:
+        shown = [v.item() if isinstance(v, np.generic) else v for v in values]
+        shown = tuple(shown) if isinstance(values, tuple) else shown
+        raise InvalidConfigError(f"{name} must be {kind}, got {shown!r}") from None
     return values if all(p is v for p, v in zip(python, values)) else python

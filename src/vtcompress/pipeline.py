@@ -21,10 +21,12 @@ budget it emits the whole token table: everything fits at full resolution,
 the table holds a full frame, or it fits once pooled. Over budget, the only
 buffer of the token width that grows with the budget is the output-sized
 store; every other one is bounded by a fixed size. The frames are pooled and
-planned in blocks of at most ``PLAN_BLOCK_BYTES`` of pooled float32, and
-only the similarities, the anchor flags and a budget-sized store of pooled
-tokens (the anchors, then the first survivors) are kept. ``select_and_pool``
-then emits only the kept rows, into the store's array, a chunk at a time.
+planned in blocks of at most ``PLAN_BLOCK_BYTES`` of pooled float32. Kept are
+only one byte of plan state per pooled token (its rung: the ladder's
+thresholds its similarity is at or below), the anchor flags and a
+budget-sized store of pooled tokens (the anchors, then the first survivors).
+``select_and_pool`` then emits only the kept rows, into the store's array, a
+chunk at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .spatial import (
     anchor_frames,
     build_plan,
 )
+from .temporal import BLOCK_BYTES as PLAN_BLOCK_BYTES  # pooled float32 bytes per plan block
 from .temporal import FrameFeatureSequence, reduce_frames
 from .tokens import CompressedTokenSequence, CompressionStats
 
@@ -55,8 +58,6 @@ __all__ = [
 
 THETA_FLOOR = 0.5
 THETA_STEP = 0.05
-# Pooled float32 bytes per block of the over-budget plan; bounds its working memory.
-PLAN_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -164,22 +165,22 @@ def enforce_budget(
     """Force a pruning result under the budget; returns (result, theta, fallback).
 
     The threshold drops in 0.05 steps toward 0.5 while ``plan`` (when given)
-    can still prune more. Similarities do not depend on the threshold, so
-    the survivors at each step are counted straight from ``plan.sims``; the
-    first step whose count fits is taken, or the last step when none fits,
-    and the plan is applied once at that threshold. Anything still over
-    budget then has its non-anchor tokens uniformly subsampled by table
-    rank, which is (timestep, position) rank, until the budget is met
-    exactly. The caller has checked that the anchor tokens fit the budget;
-    anchors keep every token at any threshold, so no step can change that.
+    can still prune more: its thresholds are ``theta`` and then the steps.
+    The survivors at step s are counted straight from the plan's rungs, as
+    the rungs above s; the first step whose count fits is taken, or the last
+    step when none fits, and the plan is applied once at that threshold.
+    Anything still over budget then has its non-anchor tokens uniformly
+    subsampled by table rank, which is (timestep, position) rank, until the
+    budget is met exactly. The caller has checked that the anchor tokens fit
+    the budget; anchors keep every token at any threshold, so no step can
+    change that.
     """
     if result.tokens_after <= budget:
         return result, theta, False
     theta_eff = theta
-    steps = _theta_ladder(theta) if plan is not None else []
-    if steps:
-        for theta_eff in steps:
-            if int(np.count_nonzero(plan.sims <= theta_eff)) <= budget:
+    if plan is not None and len(plan.thresholds) > 1:
+        for step, theta_eff in enumerate(plan.thresholds[1:], 1):
+            if int(np.count_nonzero(plan.rungs > step)) <= budget:
                 break
         result = plan.apply(theta_eff)
         if result.tokens_after <= budget:
@@ -218,10 +219,11 @@ def _plan_in_blocks(
 
     A block is whole k-windows holding at most ``PLAN_BLOCK_BYTES`` of pooled
     float32 and at most ``budget`` pooled tokens (at least one window), so
-    every window and its anchor are as over the whole table. Kept are the
-    float64 similarities (with stage 3 on), the anchor flags and a store of
-    at most ``budget`` pooled tokens in table order: every anchor token, and
-    as many of the first survivors at ``cfg.theta`` as fit beside them.
+    every window and its anchor are as over the whole table. Kept are each
+    token's rung for ``cfg.theta`` and its ladder (with stage 3 on), the
+    anchor flags and a store of at most ``budget`` pooled tokens in table
+    order: every anchor token, and as many of the first survivors at
+    ``cfg.theta`` as fit beside them.
     Every output token is one of those survivors. The caller passes
     ``anchor_tokens``, the pooled tokens of the anchor frames, which it works
     out from the frame count; when they alone exceed the budget the verdict
@@ -240,22 +242,23 @@ def _plan_in_blocks(
         vectors = np.empty((budget, dim), dtype=np.float32)
     stored = 0
     is_anchor = np.empty(t, dtype=bool)
-    keep = np.ones(t * hw, dtype=bool)
-    sims = np.empty(t * hw) if cfg.stages.stc else None
+    if cfg.stages.stc:
+        thresholds = (cfg.theta, *_theta_ladder(cfg.theta))
+        rungs = np.empty(t * hw, dtype=np.uint8)
     block = k * max(1, min(budget // (k * hw), PLAN_BLOCK_BYTES // (k * hw * dim * 4)))
     for lo in range(0, t, block):
         pooled = pool_batch(frames, h_l, w_l, index=kept[lo : lo + block])
         hi = lo + pooled.shape[0]
-        if sims is None:
-            is_anchor[lo:hi] = anchor_frames(pooled.reshape(hi - lo, hw, dim), k, cfg.anchor)
-        else:
-            plan = build_plan(pooled, k, cfg.anchor)
-            sims[lo * hw : hi * hw] = plan.sims
-            np.less_equal(plan.sims, cfg.theta, out=keep[lo * hw : hi * hw])
+        if cfg.stages.stc:
+            plan = build_plan(pooled, k, cfg.anchor, thresholds)
+            rungs[lo * hw : hi * hw] = plan.rungs
             is_anchor[lo:hi] = plan.anchor[::hw]
+        else:
+            is_anchor[lo:hi] = anchor_frames(pooled.reshape(hi - lo, hw, dim), k, cfg.anchor)
         if room >= 0:
             # Anchor tokens always survive; the others take the room left.
-            local = np.flatnonzero(keep[lo * hw : hi * hw])
+            # ``cfg.theta`` keeps the tokens above rung 0.
+            local = np.flatnonzero(plan.rungs) if cfg.stages.stc else np.arange((hi - lo) * hw)
             anchor_rows = int(np.count_nonzero(is_anchor[lo:hi])) * hw
             if local.shape[0] - anchor_rows > room:
                 beside = ~is_anchor[lo + local // hw]
@@ -270,8 +273,10 @@ def _plan_in_blocks(
         del pooled  # not alive while the next block is pooled
     store = (stored_rows[:stored], vectors) if room >= 0 else None
     anchor = np.repeat(is_anchor, hw)
-    result = SpatialCompressionResult(keep, anchor)
-    return result, None if sims is None else PruningPlan(sims, anchor), store
+    if not cfg.stages.stc:
+        return SpatialCompressionResult(np.ones(t * hw, dtype=bool), anchor), None, store
+    plan = PruningPlan(rungs, anchor, thresholds)
+    return plan.apply(cfg.theta), plan, store
 
 
 def compress(

@@ -8,9 +8,13 @@ below the threshold. Token values are never modified, only dropped.
 The stage works on stage 2's token table and never copies it: a pruning
 result is a ``keep`` mask and an ``anchor`` mask over the table's tokens.
 Similarities depend on the frames and the anchor choice but not on the
-threshold, so they are computed once into a ``PruningPlan``; applying it at
-a threshold is one comparison, and the budget enforcement can count the
-survivors at each threshold without applying it.
+threshold, so a ``PruningPlan`` is built once for every threshold the budget
+enforcement may try. Each window's float64 similarities live only while the
+window is planned: the plan keeps one byte per token, its rung, the count of
+those thresholds the similarity is at or below. Applying the plan at a
+threshold is one comparison of the rungs, the same decision as comparing the
+similarity, so the budget enforcement can count the survivors at each
+threshold without applying it.
 """
 
 from __future__ import annotations
@@ -104,24 +108,36 @@ def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
 
 @dataclass
 class PruningPlan:
-    """Anchor similarity and anchor flag of every token of a frame stack,
-    flat in frame-major, row-major order. Anchor tokens have similarity
-    -inf, so every threshold keeps them."""
+    """Rung and anchor flag of every token of a frame stack, flat in
+    frame-major, row-major order, for the strictly descending ``thresholds``.
 
-    sims: np.ndarray  # (tokens,) float64
+    A token's rung counts the thresholds its float64 similarity to the
+    anchor is at or below, so a threshold ``thresholds[s]`` keeps exactly
+    the tokens whose rung exceeds s. Anchor tokens and zero-norm positions
+    have similarity -inf and the top rung: every threshold keeps them.
+    """
+
+    rungs: np.ndarray  # (tokens,) uint8
     anchor: np.ndarray  # (tokens,) bool
+    thresholds: tuple[float, ...]
 
     def apply(self, theta: float) -> SpatialCompressionResult:
-        return SpatialCompressionResult(self.sims <= theta, self.anchor)
+        """The tokens kept at ``theta``, which is one of ``thresholds``."""
+        return SpatialCompressionResult(self.rungs > self.thresholds.index(theta), self.anchor)
 
 
-def build_plan(frames, k: int, strategy: AnchorStrategy = AnchorStrategy.FIRST) -> PruningPlan:
+def build_plan(frames, k: int, strategy: AnchorStrategy, thresholds) -> PruningPlan:
     """Partition a (frames, h, w, dim) float32 stack, as ``pool_batch``
-    returns it, into windows of length k, pick each window's anchor and
-    compute every token's similarity to it."""
+    returns it, into windows of length k, pick each window's anchor and rank
+    every token's similarity to it against the strictly descending
+    ``thresholds`` (at most 255 of them)."""
     n, h, w, dim = frames.shape
+    thresholds = tuple(thresholds)
+    ascending = np.array(thresholds[::-1], dtype=np.float64)
     is_anchor = anchor_frames(frames.reshape(n, h * w, dim), k, strategy)
-    sims = np.empty((n, h, w))
+    rungs = np.empty((n, h, w), dtype=np.uint8)
     for start, a in zip(range(0, n, k), np.flatnonzero(is_anchor)):
-        sims[start : start + k] = _anchor_sims(frames[start : start + k], a - start)
-    return PruningPlan(sims.reshape(-1), np.repeat(is_anchor, h * w))
+        sims = _anchor_sims(frames[start : start + k], a - start)
+        # thresholds at or above a similarity: all but those below it
+        rungs[start : start + k] = len(thresholds) - np.searchsorted(ascending, sims)
+    return PruningPlan(rungs.reshape(-1), np.repeat(is_anchor, h * w), thresholds)

@@ -317,7 +317,17 @@ def make_needle_grid(spec: SynthSpec) -> np.ndarray:
 def make_aligned_query(
     needle: np.ndarray, alignment: float, n_tokens: int, seed: int
 ) -> QueryEmbedding:
-    """Query rows mixing the needle frame's direction with random noise directions."""
+    """Query rows mixing the needle frame's direction with random noise directions.
+
+    ``needle`` is an (h, w, dim) frame, ``alignment`` a real number in
+    [0, 1], ``n_tokens`` an integer >= 1 and ``seed`` an integer >= 0.
+    """
+    if not (isinstance(needle, np.ndarray) and needle.ndim == 3):
+        got = f"shape {needle.shape}" if isinstance(needle, np.ndarray) else type(needle).__name__
+        raise InvalidConfigError(f"needle must be a 3-d array, got {got}")
+    alignment = real(alignment, "alignment", "a real number in [0, 1]", _in_unit)
+    n_tokens = integer(n_tokens, "n_tokens", "an integer >= 1", lambda n: n >= 1)
+    seed = integer(seed, "seed", "an integer >= 0", lambda s: s >= 0)
     dim = needle.shape[-1]
     direction = needle.reshape(-1, dim).mean(axis=0).astype(np.float64)
     direction /= np.linalg.norm(direction)

@@ -11,7 +11,10 @@ from those means. That pass is split by contiguous frame ranges over the
 usable CPUs, one thread each, when every thread gets at least
 ``MEANS_VALUES_PER_WORKER`` values; a smaller input is reduced on the calling
 thread. A frame's mean does not depend on the split, so the bytes do not
-either. Survivors are handed on as indices into the input.
+either. Nothing else is kept beside the means: stage 1 derives the unit-norm
+mean tokens it scores from them, whole windows at a time in blocks of at most
+``BLOCK_BYTES``, so its working memory does not grow with the video.
+Survivors are handed on as indices into the input.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -29,6 +31,11 @@ __all__ = ["FrameFeatureSequence"]
 # The fewest float32 values a thread of the means pass is given. Below about
 # this many, starting the thread costs more than its share of the pass saves.
 MEANS_VALUES_PER_WORKER = 1 << 20
+# Bytes per block of a pass that works through whole windows a block at a
+# time: stage 1's float64 summaries here, and the over-budget plan's pooled
+# float32 frames in ``pipeline``. Bounds each pass's working memory, whatever
+# the video's length.
+BLOCK_BYTES = 1 << 20
 
 
 def usable_cpus() -> int:
@@ -107,15 +114,13 @@ class FrameFeatureSequence:
     rejects the input when a mean is not finite. A float64 sum of finite
     float32 values cannot overflow, so a frame's mean is finite exactly when
     all of its tokens are. A zero mean is valid: the frame repeats every
-    other (``cosines``). The unit-norm summaries are derived from ``means``
-    on first use and cached. ``frames`` is a read-only view, so the cached
-    means always describe it. It may view a read-only mapping of a feature
-    file (``formats.read_features``) rather than memory of its own.
+    other (``cosines``). ``frames`` is a read-only view, so the stored means
+    always describe it. It may view a read-only mapping of a feature file
+    (``formats.read_features``) rather than memory of its own.
     """
 
     frames: np.ndarray
     means: np.ndarray = field(init=False, repr=False, compare=False)
-    _summaries: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float32).view()
@@ -149,23 +154,15 @@ class FrameFeatureSequence:
     def dim(self) -> int:
         return self.frames.shape[3]
 
-    def summaries(self) -> np.ndarray:
-        """Unit-norm mean tokens, (n_frames, dim) float32; a zero mean stays zero (``cosines``)."""
-        if self._summaries is None:
-            self._summaries = unit_rows(self.means)[0].astype(np.float32)
-        return self._summaries
-
     # Unused by the package; kept because bench/spans.py patches it.
     def subset(self, indices) -> "FrameFeatureSequence":
-        """A copy holding only the given frames. Their means and summaries
-        are taken from this sequence, not recomputed."""
+        """A copy holding only the given frames. Their means are taken from
+        this sequence, not recomputed."""
         idx = np.asarray(indices, dtype=np.int64)
         sub = copy.copy(self)
         sub.frames, sub.means = self.frames[idx], self.means[idx]
         sub.frames.flags.writeable = False
         sub._check_layout()
-        if self._summaries is not None:
-            sub._summaries = self._summaries[idx]
         return sub
 
 
@@ -198,16 +195,24 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
 
     The frame with the minimum average similarity in each window is always
     kept (earliest index on ties), so every window contributes at least one
-    survivor and temporal order is preserved. The full windows are scored
-    together in one batched product, and the short last window through the
-    same routine on its own. ``compress`` has checked j >= 1 and tau_t in (0, 1].
+    survivor and temporal order is preserved. A frame is scored by its
+    unit-norm mean token rounded to float32; a zero mean stays zero
+    (``cosines``). The full windows are scored in blocks of whole windows
+    holding at most ``BLOCK_BYTES`` of float64 summaries, each block in one
+    batched product, and the short last window through the same routine on
+    its own. ``compress`` has checked j >= 1 and tau_t in (0, 1].
     """
-    j = min(j, seq.n_frames)  # a window longer than the video holds all of it
-    summaries = seq.summaries().astype(np.float64)
-    body = seq.n_frames // j * j  # frames in full windows
-    per_frame = _window_sims(summaries[:body].reshape(-1, j, seq.dim)).ravel()
-    if body < seq.n_frames:
-        per_frame = np.concatenate([per_frame, _window_sims(summaries[body:][None])[0]])
+    n, dim = seq.n_frames, seq.dim
+    j = min(j, n)  # a window longer than the video holds all of it
+    per_frame = np.empty(n)
+    step = j * max(1, BLOCK_BYTES // (j * dim * 8))
+    for lo in range(0, n, step):
+        summaries = unit_rows(seq.means[lo : lo + step])[0].astype(np.float32).astype(np.float64)
+        hi = lo + summaries.shape[0]
+        body = summaries.shape[0] // j * j  # frames in full windows
+        per_frame[lo : lo + body] = _window_sims(summaries[:body].reshape(-1, j, dim)).ravel()
+        if lo + body < hi:
+            per_frame[lo + body : hi] = _window_sims(summaries[body:][None])[0]
     keep = per_frame <= tau_t
     keep[window_minima(per_frame, j)] = True
     return TemporalReduction(np.flatnonzero(keep))

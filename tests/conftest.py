@@ -7,7 +7,7 @@ import pytest
 from vtcompress import FrameFeatureSequence, QueryEmbedding
 from vtcompress.numerics import pool_batch
 from vtcompress.query_select import MixedResolutionSequence
-from vtcompress.temporal import _window_sims
+from vtcompress.temporal import _window_sims, unit_rows
 from vtcompress.tokens import LEVEL_CODE, CompressedTokenSequence
 
 
@@ -48,6 +48,13 @@ def scene_lengths_loop(rng, n_frames, n_scenes) -> np.ndarray:
     while lengths.sum() < n_frames:
         lengths[int(np.argmin(lengths))] += 1
     return lengths
+
+
+def frame_summaries(seq: FrameFeatureSequence) -> np.ndarray:
+    """Each frame's unit-norm mean token, (n_frames, dim) float32, as stage 1
+    scores it: ``seq.means`` at unit norm, rounded to float32. A zero mean
+    stays zero (``temporal.cosines``)."""
+    return unit_rows(seq.means)[0].astype(np.float32)
 
 
 def window_average_similarity(summaries) -> np.ndarray:

@@ -38,8 +38,11 @@ def test_traced_needle_run_is_correct_and_byte_identical():
 
 def test_hour_run_is_correct_and_byte_identical():
     # the file-to-file CLI path: feature read, compress, LVUC write
-    record, _ = run_bench("hour", trace=0)
+    record, result = run_bench("hour", trace=0)
     assert record["digest"] == HOUR_SEED1_DIGEST
+    # one byte of plan state per pooled token and no cached frame summaries;
+    # a traced peak, which repeats within 0.01 MB (9.81 MB with both)
+    assert result["metrics"]["peak_alloc_mb"]["value"] < 8.6
 
 
 def test_traced_hour_run_is_correct_and_byte_identical():
@@ -55,6 +58,7 @@ def test_traced_hour_run_is_correct_and_byte_identical():
 
 def test_corpus_run_is_correct_and_byte_identical():
     # all three anchors, the budget fallback and one infeasible verdict
-    record, _ = run_bench("corpus", trace=0)
+    record, result = run_bench("corpus", trace=0)
     assert record["digest"] == CORPUS_DIGEST
     assert record["n_infeasible"] == 1
+    assert result["metrics"]["peak_alloc_mb"]["value"] < 2.0  # 2.26 MB with both

@@ -19,6 +19,7 @@ from vtcompress.numerics import POOL_CHUNK_FRAMES, TokenGrid, pool_batch, pool_t
 
 from .conftest import (
     constant_grid,
+    frame_summaries,
     pool_frame,
     random_query,
     scores_oracle,
@@ -307,27 +308,27 @@ class TestPoolTokens:
 
 
 class TestFrameSummary:
-    """The unit-norm mean token of a frame, as ``FrameFeatureSequence.summaries``."""
+    """The unit-norm mean token of a frame, as stage 1 scores it (``frame_summaries``)."""
 
     def test_constant_grid_normalizes(self):
-        out = sequence_from_vectors([[2.0, 0.0]]).summaries()[0]
+        out = frame_summaries(sequence_from_vectors([[2.0, 0.0]]))[0]
         assert np.allclose(out, [1.0, 0.0])
 
     def test_two_token_mean(self):
         frame = np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=np.float32)
-        out = FrameFeatureSequence(frame[None]).summaries()[0]
+        out = frame_summaries(FrameFeatureSequence(frame[None]))[0]
         assert np.allclose(out, [1 / math.sqrt(2)] * 2, atol=1e-7)
 
     def test_zero_grid_gives_a_zero_row(self):
         seq = sequence_from_vectors([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
-        out = seq.summaries()
+        out = frame_summaries(seq)
         assert out.dtype == np.float32
         assert out[1].tolist() == [0.0, 0.0]
         assert np.allclose(out[[0, 2]], [[0.6, 0.8], [0.0, 1.0]])
 
     def test_unit_norm(self, rng):
         seq = FrameFeatureSequence(rng.standard_normal((100, 3, 4, 6)).astype(np.float32))
-        summaries = seq.summaries()
+        summaries = frame_summaries(seq)
         assert summaries.shape == (100, 6)
         for row in summaries:
             assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-6)

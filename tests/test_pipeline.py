@@ -29,7 +29,7 @@ from vtcompress import (
 from vtcompress import formats, numerics, pipeline, query_select
 from vtcompress.formats import write_compressed
 from vtcompress.numerics import pool_batch
-from vtcompress.pipeline import enforce_budget, flatten
+from vtcompress.pipeline import _theta_ladder, enforce_budget, flatten
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
 from vtcompress.synthbench import needle_study
 from vtcompress.temporal import reduce_frames
@@ -37,6 +37,7 @@ from vtcompress.tokens import LEVEL_CODE
 
 from .conftest import (
     assert_tokens_equal,
+    frame_summaries,
     packed_lvuc,
     pool_frame,
     random_query,
@@ -121,8 +122,8 @@ def python_number(value):
     of equal value, and a numpy array by a list of them."""
     if isinstance(value, dict):
         return {name: python_number(x) for name, x in value.items()}
-    if isinstance(value, tuple):
-        return tuple(python_number(x) for x in value)
+    if isinstance(value, (tuple, list)):
+        return type(value)(python_number(x) for x in value)
     if isinstance(value, np.ndarray):
         return value.tolist()
     return value.item() if isinstance(value, np.generic) else value
@@ -184,6 +185,7 @@ class TestNumpyNumberSettings:
             # refused, with the message the Python number gives
             dict(tokens_low=(np.int64(2**32),) * 2),  # h_l * w_l wraps to 0 in int64
             dict(tokens_low=(np.int64(0), np.int64(4))),
+            dict(tokens_low=(np.int64(4), np.float32(4.0))),
             dict(theta=np.float32(1.1)),
             dict(tau_t=np.float64(0.0)),
             dict(l_max=np.int64(0)),
@@ -253,6 +255,14 @@ class TestNumpyNumberSettings:
             (needle_run, dict(query_alignment=np.uint8(1))),
             (needle_run, dict(haystack=dict(dim=np.uint8(16), grid=(np.int32(12), np.uint16(12)),
                                             seed=np.int64(3)))),
+            # NeedleSpec and SynthSpec sequences: the refusal shows Python numbers
+            (needle_run, dict(depths=[np.float32(1.5)])),
+            (needle_run, dict(depths=(np.float64(0.5), np.float32(1.5)))),
+            (needle_run, dict(depths=np.array([0.0, 1.5], dtype=np.float32))),
+            (needle_run, dict(frame_counts=np.array([10, 2.5]))),
+            (needle_run, dict(frame_counts=[np.int64(8), np.float32(2.5)])),
+            (needle_run, dict(frame_counts=(np.uint8(8), True))),
+            (synth_run, dict(grid=(np.int64(4), np.float32(4.5)))),
             # make_mixed_corpus: the specs' JSON, or the refusal
             (corpus_run, dict(n_videos=np.int64(2), seed=np.int64(7))),
             (corpus_run, dict(n_videos=np.uint8(1), seed=np.uint64(2**64 - 1))),
@@ -404,7 +414,7 @@ class TestStageToggles:
 class TestEnforceBudget:
     def test_under_budget_is_identity(self, rng):
         frames = rng.standard_normal((8, 2, 2, 3)).astype(np.float32)
-        result = build_plan(frames, 4).apply(0.8)
+        result = build_plan(frames, 4, AnchorStrategy.FIRST, (0.8,)).apply(0.8)
         out, theta, fallback = enforce_budget(result, 0.8, 1000)
         assert out is result
         assert theta == 0.8 and not fallback
@@ -493,19 +503,38 @@ class TestEnforceBudget:
         assert stats.tokens_final < stats.tokens_after_spatial
 
 
-def stepwise_budget_oracle(plan, theta: float, budget: int):
-    """Reference budget enforcement: apply each theta step in turn, then keep
-    the anchors plus a uniform-by-rank subset of the remaining survivors.
-    Returns (theta, fallback, keep mask over the plan's tokens)."""
-    keep = plan.sims <= theta
+def first_anchor_similarities(frames, k):
+    """Each token's float64 cosine to the token at its grid position in the
+    first frame of its k-window, flat in table order, and a flag per token
+    on those first frames, the anchors. Anchor tokens and positions where
+    either token has zero norm are at -inf. Worked out here, apart from the
+    program's plan."""
+    f = frames.astype(np.float64)
+    anchor_of = np.arange(f.shape[0]) // k * k
+    a = f[anchor_of]
+    dots = (f * a).sum(axis=-1)
+    denom = np.sqrt((f * f).sum(axis=-1)) * np.sqrt((a * a).sum(axis=-1))
+    sims = np.full(dots.shape, -np.inf)
+    ok = denom > 0
+    sims[ok] = np.clip(dots[ok] / denom[ok], -1.0, 1.0)
+    is_anchor = anchor_of == np.arange(f.shape[0])
+    sims[is_anchor] = -np.inf
+    tokens = f.shape[1] * f.shape[2]
+    return sims.reshape(-1), np.repeat(is_anchor, tokens)
+
+
+def stepwise_budget_oracle(sims, anchors, theta: float, budget: int):
+    """Reference budget enforcement on similarities: keep those at or below
+    each theta step in turn, then the anchors plus a uniform-by-rank subset
+    of the remaining survivors. Returns (theta, fallback, keep mask)."""
+    keep = sims <= theta
     if keep.sum() <= budget:
         return theta, False, keep
     while theta > 0.5 + 1e-12:
         theta = max(0.5, round(theta - 0.05, 10))
-        keep = plan.sims <= theta
+        keep = sims <= theta
         if keep.sum() <= budget:
             return theta, True, keep
-    anchors = plan.anchor
     quota = budget - int(keep[anchors].sum())
     rest = np.flatnonzero(keep & ~anchors)
     out = keep & anchors
@@ -518,10 +547,12 @@ class TestBudgetLadder:
     the plan at each one; its output must equal the stepwise reference."""
 
     def run_case(self, frames, theta, budget, k=4):
-        plan = build_plan(frames, k)
+        plan = build_plan(frames, k, AnchorStrategy.FIRST, (theta, *_theta_ladder(theta)))
         result = plan.apply(theta)
         out, theta_eff, fallback = enforce_budget(result, theta, budget, plan)
-        ref_theta, ref_fallback, keep = stepwise_budget_oracle(plan, theta, budget)
+        sims, anchors = first_anchor_similarities(frames, k)
+        assert np.array_equal(plan.anchor, anchors)
+        ref_theta, ref_fallback, keep = stepwise_budget_oracle(sims, anchors, theta, budget)
         assert (theta_eff, fallback) == (ref_theta, ref_fallback)
         assert out.tokens_after == int(keep.sum()) <= budget
         n, h, w, _ = frames.shape
@@ -791,6 +822,29 @@ class TestPipelineInvariants:
         assert stats.tokens_after_query * 64 * 4 == table_bytes
         assert peak < table_bytes, (peak, table_bytes)
 
+    def test_over_budget_peak_grows_by_a_few_bytes_a_pooled_token(self, rng):
+        # A synthetic clip at dim 64 and its first half share a 6k budget;
+        # the clip keeps about twice the frames of its half. Beside the
+        # budget-sized store and the fixed-size blocks, compress holds a
+        # byte of plan state and a few flags per pooled token, so its peak
+        # grows by at most 4 B per extra pooled token. A float64 similarity
+        # per token would be 8 B alone.
+        video = gen_video(SynthSpec(n_frames=1024, n_scenes=16, dim=64, grid=(8, 9), seed=0))
+        query = random_query(rng, 24, 64)
+        peaks, pooled = [], []
+        for seq in (FrameFeatureSequence(video.frames[:512]), video):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _, stats = compress(seq, query, CompressionConfig(l_max=6000))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert stats.n_full_res == 0 and stats.fallback_used
+            pooled.append(stats.tokens_after_query)
+        assert 1.8 < pooled[1] / pooled[0] < 2.2, pooled
+        assert (peaks[1] - peaks[0]) / (pooled[1] - pooled[0]) <= 4, (peaks, pooled)
+
 
 def expected_record(seq, query, cfg, out, **counts):
     """The whole ``stats.to_dict()`` of a run that output ``out`` (None when
@@ -833,7 +887,7 @@ def whole_table_oracle(seq, query, cfg):
     stack = table.tokens.vectors.reshape(t, h_l, w_l, -1)
     plan = None
     if cfg.stages.stc:
-        plan = build_plan(stack, cfg.k, cfg.anchor)
+        plan = build_plan(stack, cfg.k, cfg.anchor, (cfg.theta, *_theta_ladder(cfg.theta)))
         result = plan.apply(cfg.theta)
     else:
         anchor = anchor_frames(stack.reshape(t, h_l * w_l, -1), cfg.k, cfg.anchor)
@@ -1062,7 +1116,7 @@ class TestZeroMeanFrames:
         j = CompressionConfig().j
         minima = set()
         for start in range(0, seq.n_frames, j):
-            scores = window_average_similarity(seq.summaries()[start : start + j])
+            scores = window_average_similarity(frame_summaries(seq)[start : start + j])
             minima.add(start + int(np.argmin(scores)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcompress import (
     AnchorStrategy,
@@ -8,7 +10,8 @@ from vtcompress import (
     InvalidConfigError,
     compress,
 )
-from vtcompress.pipeline import flatten
+from vtcompress import spatial
+from vtcompress.pipeline import _theta_ladder, flatten
 from vtcompress.spatial import anchor_frames, build_plan
 
 from .conftest import constant_grid, cosine, random_query, random_sequence, token_table
@@ -39,7 +42,7 @@ def prune_single_window(window, strategy=AnchorStrategy.FIRST, theta=0.8):
     """One window pruned as stage 3 prunes it: (keep mask of shape
     (frames, h, w), the anchor that ``strategy`` chose)."""
     n, h, w, _ = window.shape
-    plan = build_plan(window, n, strategy)
+    plan = build_plan(window, n, strategy, (theta,))
     (anchor,) = np.flatnonzero(plan.anchor[:: h * w])
     return plan.apply(theta).keep.reshape(n, h, w), int(anchor)
 
@@ -84,7 +87,7 @@ def high_change_oracle(stack, k) -> list[int]:
 
 
 def spatial_compress(frames, k, theta, strategy=AnchorStrategy.FIRST):
-    return build_plan(frames, k, strategy).apply(theta)
+    return build_plan(frames, k, strategy, (theta,)).apply(theta)
 
 
 def anchors_of(result, tokens_per_frame):
@@ -206,9 +209,22 @@ class TestPruneWindow:
         window[1, 0, 0] = 0.0  # zero token in the non-anchor frame
         window[0, 0, 1] = 0.0  # zero token in the anchor
         window[1, 0, 2] = -1.0  # opposite the anchor token: a finite cosine of -1
-        sims = build_plan(window, 2).sims.reshape(2, 3)
+        # Each token's similarity to the anchor token at its position, worked
+        # out here: -inf on the anchor and wherever either token is zero.
+        sims = np.full((2, 3), -np.inf)
+        for c in range(3):
+            a, b = window[0, 0, c], window[1, 0, c]
+            if a.any() and b.any():
+                sims[1, c] = cosine(a, b)
         assert np.isneginf(sims[0]).all()
         assert np.isneginf(sims[1, :2]).all() and sims[1, 2] == pytest.approx(-1.0)
+        # Only a threshold below -1 tells a cosine of -1 from -inf: there the
+        # plan keeps the anchor and the zero-norm positions alone.
+        thresholds = (0.8, -0.99, -2.0)
+        plan = build_plan(window, 2, AnchorStrategy.FIRST, thresholds)
+        expected = sum((sims <= t).astype(np.uint8) for t in thresholds)
+        assert plan.rungs.tolist() == expected.ravel().tolist() == [3, 3, 3, 3, 3, 2]
+        assert plan.apply(-2.0).keep.tolist() == [True] * 5 + [False]
 
     def test_anchor_choice_respected(self, rng):
         window = rng.standard_normal((5, 3, 3, 4)).astype(np.float32)
@@ -318,3 +334,28 @@ class TestSpatialCompress:
         assert out.frame_indices.tolist() == np.repeat([10, 20, 30, 40], kept).tolist()
         assert out.timesteps.tolist() == np.repeat([10.0, 20.0, 30.0, 40.0], kept).tolist()
         assert (out.levels == 0).all()
+
+
+class TestRungs:
+    """A plan keeps each token's rung, not its float64 similarity. At every
+    threshold of the ladder the rungs must keep and count exactly the
+    tokens whose similarity is at or below it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.one_of(st.sampled_from([0.8, 0.55, 0.5, 0.3]), st.floats(0.01, 0.99)),
+        drawn=st.lists(st.floats(-1.0, 1.0), max_size=60),
+    )
+    def test_rungs_decide_as_the_similarities(self, theta, drawn):
+        thresholds = (theta, *_theta_ladder(theta))
+        edges = [np.nextafter(t, d) for t in thresholds for d in (-np.inf, np.inf)]
+        sims = np.array(drawn + list(thresholds) + edges + [-np.inf, -1.0, 1.0])
+        frames = np.zeros((1, 1, sims.shape[0], 1), dtype=np.float32)
+        with pytest.MonkeyPatch.context() as mp:
+            # the plan ranks these similarities in place of computed ones
+            mp.setattr(spatial, "_anchor_sims", lambda window, a: sims.reshape(1, 1, -1))
+            plan = build_plan(frames, 1, AnchorStrategy.FIRST, thresholds)
+        assert plan.rungs.dtype == np.uint8
+        for step, t in enumerate(thresholds):
+            assert np.array_equal(plan.apply(t).keep, sims <= t)
+            assert np.count_nonzero(plan.rungs > step) == np.count_nonzero(sims <= t)

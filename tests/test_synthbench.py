@@ -25,7 +25,7 @@ from vtcompress import (
 from vtcompress import synthbench
 from vtcompress.synthbench import _structure, needle_study
 
-from .conftest import cosine, scene_lengths_loop
+from .conftest import cosine, frame_summaries, scene_lengths_loop
 
 
 def small_cfg(**kw):
@@ -54,12 +54,12 @@ class TestGenVideo:
     def test_cross_scene_summaries_nearly_orthogonal(self):
         video = gen_video(SynthSpec(n_frames=40, n_scenes=2, intra_scene_noise=0.01,
                                     drift_scenes_fraction=0.0, seed=5))
-        summaries = video.summaries()
+        summaries = frame_summaries(video)
         assert abs(cosine(summaries[0], summaries[39])) < 0.05
 
     def test_within_scene_summaries_similar(self):
         video = gen_video(SynthSpec(n_frames=16, n_scenes=1, drift_scenes_fraction=0.0, seed=5))
-        summaries = video.summaries()
+        summaries = frame_summaries(video)
         sims = [cosine(summaries[0], summaries[i]) for i in range(1, 16)]
         assert min(sims) > 0.95
 
@@ -302,6 +302,22 @@ class TestNeedleConstruction:
         direction = needle[0, 0].astype(np.float64)
         sims = [abs(cosine(row, direction)) for row in query.rows]
         assert max(sims) < 0.9
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(alignment=2.0), r"alignment must be a real number in \[0, 1\], got 2.0"),
+        (dict(alignment=-1.0), r"alignment must be a real number in \[0, 1\], got -1.0"),
+        (dict(n_tokens=0), "n_tokens must be an integer >= 1, got 0"),
+        (dict(n_tokens=True), "n_tokens must be an integer >= 1, got True"),
+        (dict(n_tokens=2.5), "n_tokens must be an integer >= 1, got 2.5"),
+        (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+        (dict(needle=[[[1.0]]]), "needle must be a 3-d array, got list"),
+        (dict(needle=np.ones((12, 16), dtype=np.float32)), r"needle must be a 3-d array, got shape \(12, 16\)"),
+    ])
+    def test_aligned_query_arguments_are_checked(self, kw, match):
+        spec = SynthSpec(n_frames=24, n_scenes=2, dim=16, seed=3)
+        args = {"needle": make_needle_grid(spec), "alignment": 1.0, "n_tokens": 8, "seed": 3, **kw}
+        with pytest.raises(InvalidConfigError, match=match):
+            make_aligned_query(**args)
 
 
 class TestNeedleGrid:

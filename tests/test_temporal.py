@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from vtcompress import (
 from vtcompress.temporal import reduce_frames
 
 from .conftest import (
+    frame_summaries,
     partition_windows,
     random_query,
     random_sequence,
@@ -95,7 +97,7 @@ class TestWindowAverageSimilarity:
 def reduce_oracle(seq, j, tau_t):
     """Window-by-window reference for ``reduce_frames``: per-frame average
     similarities and the kept indices."""
-    summaries = seq.summaries()
+    summaries = frame_summaries(seq)
     per_frame = np.empty(seq.n_frames, dtype=np.float64)
     kept = []
     for start, end in partition_windows(seq.n_frames, j):
@@ -143,6 +145,44 @@ class TestReduceFrames:
                     assert set(np.flatnonzero(per_frame == tau)) <= set(kept)
                     cases += 1
         assert cases > 50
+
+    @pytest.mark.parametrize("windows", [1, 3, None])
+    def test_blocks_of_whole_windows_match_the_oracle(self, rng, monkeypatch, windows):
+        # Frames are scored a block of whole windows at a time: one window or
+        # three a block here, or the default 1 MiB. The block never changes a
+        # score's bits, so the window loop's survivors are kept, ties too.
+        for _ in range(100):
+            n, dim, j = int(rng.integers(1, 70)), int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            if windows is not None:
+                monkeypatch.setattr(temporal, "BLOCK_BYTES", windows * min(j, n) * dim * 8)
+            seq = random_sequence(rng, n, 2, 2, dim)
+            for tau in (float(rng.uniform(0.05, 1.0)), None):
+                per_frame, kept = reduce_oracle(seq, j, tau or 1.0)
+                if tau is None:  # a similarity exactly at the threshold
+                    ties = per_frame[(per_frame > 0.0) & (per_frame <= 1.0)]
+                    if not ties.size:
+                        continue
+                    tau = float(rng.choice(ties))
+                    per_frame, kept = reduce_oracle(seq, j, tau)
+                assert reduce_frames(seq, j, tau).kept_indices.tolist() == kept
+
+    def test_working_memory_grows_by_a_few_bytes_a_frame(self, rng):
+        # At dim 256 a frame's summary alone is 1 KiB in float32. Stage 1
+        # works through blocks of whole windows of a fixed size, so a video
+        # four times as long needs at most 64 B more a frame: its score, its
+        # flag and its index.
+        peaks = []
+        for n in (1024, 4096):
+            seq = random_sequence(rng, n, 1, 1, 256)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kept = reduce_frames(seq, 8, 0.85).kept_indices
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert kept.shape[0] > n // 2
+        assert (peaks[1] - peaks[0]) / (4096 - 1024) <= 64, peaks
 
     def test_short_tail_window_matches_oracle(self, rng):
         # 8 + 8 + 3 frames: two full windows and a 3-frame tail, with repeats
@@ -213,7 +253,7 @@ class TestReduceFrames:
         # each frame is judged by its own window's similarities, the short
         # tail window's included
         seq = random_sequence(rng, 20, 2, 2, 4)
-        summaries = seq.summaries()
+        summaries = frame_summaries(seq)
         per_frame = np.concatenate([window_average_similarity(summaries[s:e])
                                     for s, e in partition_windows(20, 8)])
         assert assert_decided_by(seq, 8, per_frame) > 0
@@ -300,11 +340,10 @@ class TestFrameFeatureSequence:
         sub = seq.subset([1, 4, 7])
         assert np.array_equal(sub.frames, seq.frames[[1, 4, 7]])
 
-    def test_subset_preserves_summaries(self, rng):
+    def test_subset_carries_the_means(self, rng):
         seq = random_sequence(rng, 10, 2, 2, 4)
-        full = seq.summaries()
         sub = seq.subset([1, 4, 7])
-        assert np.array_equal(sub.summaries(), full[[1, 4, 7]])
+        assert sub.means.tobytes() == seq.means[[1, 4, 7]].tobytes()
 
 
 def random_stack(seed, n, h, w, dim) -> np.ndarray:
