@@ -3,11 +3,14 @@
 Both kernels sum each bin separably (rows, then columns) in float64 straight off the
 float32 input, divide in float64, cast to float32 and only then add 0.0, so repeated
 runs produce identical bytes. ``pool_batch`` pools the frames its required index picks,
-8 at a time, one phase of bins per ufunc call, dividing by cell counts broadcast over
-the channels; ``pool_tokens`` pools single tokens. Both add a bin's values in the same
-order, so a token pooled alone has the bits it has in its pooled frame. ``compress``
-checks the pooled grid. Pooled to its own size, a grid follows the same rule and comes
-back as it was, each -0.0 made +0.0.
+one phase of bins per ufunc call, dividing by cell counts broadcast over the channels,
+into a fresh array or the caller's ``out``; ``pool_tokens`` pools single tokens. Both
+add a bin's values in the same order, so a token pooled alone has the bits it has in its
+pooled frame. Both work a chunk at a time, and a chunk's working buffers (the gathered
+float32 cells and their float64 sums) hold at most ``WORK_BYTES``, or one item where one
+item needs more, so pooling's working memory is the same at any token width and any
+count. ``compress`` checks the pooled grid. Pooled to its own size, a grid follows the
+same rule and comes back as it was, each -0.0 made +0.0.
 """
 
 from __future__ import annotations
@@ -18,10 +21,19 @@ import numpy as np
 
 __all__ = ["pool_batch", "pool_tokens"]
 
-# Frames pooled per working block; bounds pooling's working memory.
+# Working bytes of one chunk of a pooling kernel (and of the other passes that
+# work through token-width rows a chunk at a time): bounds their working memory.
+WORK_BYTES = 1 << 20
+# Caps on a chunk where the rows are narrow: frames of pool_batch, and tokens
+# of pool_tokens and of the passes that move or re-pool output rows.
 POOL_CHUNK_FRAMES = 8
-# Tokens pooled per working block of pool_tokens, for the same reason.
 POOL_CHUNK_TOKENS = 512
+
+
+def per_chunk(item_bytes: int, cap: int) -> int:
+    """Items per chunk of working memory: as many as ``WORK_BYTES`` holds at
+    ``item_bytes`` each, at most ``cap`` and at least one."""
+    return max(1, min(cap, WORK_BYTES // item_bytes))
 
 
 # Unused by the package; kept because bench/spans.py patches its __post_init__.
@@ -86,9 +98,11 @@ def _add_bins(src: np.ndarray, dst: np.ndarray, axis: int, start, end):
         _add_in_order([src[at + (r,)] for r in range(start[p], end[p])], dst[at + (p,)])
 
 
-def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index) -> np.ndarray:
+def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None) -> np.ndarray:
     """Adaptive average pooling of the frames ``stack[index]`` of a
-    (frames, h, w, dim) float32 stack; the index array is required.
+    (frames, h, w, dim) float32 stack; the index array is required. The
+    frames are written into ``out``, a (len(index), out_h, out_w, dim)
+    float32 array that is returned, or into a fresh one when it is None.
 
     Each bin is summed separably: first the rows of its row bin, then the
     columns of its column bin, adding one cell at a time in float64 straight
@@ -99,8 +113,10 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index) -> np.ndarray:
     the cells it covers. Each axis is viewed as gcd(size, bins) periods, so
     one ufunc call per cell adds a phase of bins (4 add calls for 12 -> 8,
     not 16). The 0.0 settling the sign of a zero mean is added after the cast.
-    Frames are pooled independently, ``POOL_CHUNK_FRAMES`` (8) at a time, so
-    the stack is never copied whole to float64, and pooling a batch is
+    Frames are pooled independently, a chunk at a time: as many as the
+    chunk's gathered frames and float64 row and bin sums fit in
+    ``WORK_BYTES``, at most ``POOL_CHUNK_FRAMES`` (8) and at least one. So the
+    stack is never copied whole to float64, and pooling a batch is
     bitwise-identical to pooling each frame alone. Each chunk is gathered by
     fancy indexing, so a bad index raises IndexError. A same-size grid takes
     the general path (see the module docstring).
@@ -110,19 +126,20 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index) -> np.ndarray:
     r0, r1 = _pool_edges(h, out_h)
     c0, c1 = _pool_edges(w, out_w)
     counts = ((r1 - r0)[:, None] * (c1 - c0))[:, :, None].astype(float)
-    out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
+    if out is None:
+        out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
+    step = per_chunk((h * w * 4 + out_h * w * 8 + out_h * out_w * 8) * dim, POOL_CHUNK_FRAMES)
     # One pair of float64 buffers serves every chunk, and each gathered
     # chunk is let go before the column pass.
-    m = min(n, POOL_CHUNK_FRAMES)
+    m = min(n, step)
     rows_buf, sums_buf = np.empty((m, out_h, w, dim)), np.empty((m, out_h, out_w, dim))
-    for lo in range(0, n, POOL_CHUNK_FRAMES):
-        hi = lo + POOL_CHUNK_FRAMES
-        chunk = stack[index[lo:hi]]
+    for lo in range(0, n, step):
+        chunk = stack[index[lo : lo + step]]
         rows, sums = rows_buf[: chunk.shape[0]], sums_buf[: chunk.shape[0]]
         _add_bins(chunk, rows, 1, r0, r1)
         del chunk
         _add_bins(rows, sums, 2, c0, c1)
-        _mean_to_float32(sums, counts, out[lo:hi])
+        _mean_to_float32(sums, counts, out[lo : lo + step])
     return out
 
 
@@ -134,9 +151,10 @@ def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, frames, rows, cols) -
     adds them: down each column of the bin, then across the column sums.
     Bins of one grid can differ in size by a cell; a token's cells beyond
     its bin are set to zero, which changes at most the sign of a zero sum,
-    and that sign is settled as in ``pool_batch``. Tokens are pooled
-    ``POOL_CHUNK_TOKENS`` at a time, which bounds the working memory. A
-    same-size grid takes the general path, as in ``pool_batch``.
+    and that sign is settled as in ``pool_batch``. Tokens are pooled a chunk
+    at a time, as many as ``WORK_BYTES`` of working buffers hold, at most
+    ``POOL_CHUNK_TOKENS`` (512) and at least one. A same-size grid takes the
+    general path, as in ``pool_batch``.
     """
     _, h, w, dim = stack.shape
     frames, rows, cols = (np.asarray(a, dtype=np.int64) for a in (frames, rows, cols))
@@ -148,7 +166,13 @@ def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, frames, rows, cols) -
     cell_c = np.tile(np.arange(bin_w), bin_h)[:, None]
     n = frames.shape[0]
     out = np.empty((n, dim), dtype=np.float32)
-    step = POOL_CHUNK_TOKENS
+    # a token's float32 cells and their int64 rows, columns and flags; its
+    # float64 column sums and bin sum
+    step = per_chunk(bin_h * bin_w * (dim * 4 + 17) + (bin_w + 1) * dim * 8, POOL_CHUNK_TOKENS)
+    # One pair of float64 buffers serves every chunk, as in pool_batch, and
+    # each chunk's cells are let go before the next chunk's are gathered.
+    m = min(n, step)
+    columns_buf, sums_buf = np.empty((bin_w, m, dim)), np.empty((m, dim))
     for lo in range(0, n, step):
         p, q = rows[lo : lo + step], cols[lo : lo + step]
         r = r0[p] + cell_r  # (cells per bin, tokens)
@@ -160,10 +184,10 @@ def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, frames, rows, cols) -
         vals = stack[frames[lo : lo + step], r, c]
         if uneven:
             vals[outside] = 0.0
-        columns = np.empty((bin_w, p.shape[0], dim))
+        columns, sums = columns_buf[:, : p.shape[0]], sums_buf[: p.shape[0]]
         for j in range(bin_w):
             _add_in_order([vals[i * bin_w + j] for i in range(bin_h)], columns[j])
-        sums = np.empty((p.shape[0], dim))
+        del vals
         _add_in_order(columns, sums)
         _mean_to_float32(sums, ((r1[p] - r0[p]) * (c1[q] - c0[q]))[:, None], out[lo : lo + step])
     return out

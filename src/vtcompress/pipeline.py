@@ -21,12 +21,13 @@ budget it emits the whole token table: everything fits at full resolution,
 the table holds a full frame, or it fits once pooled. Over budget, the only
 buffer of the token width that grows with the budget is the output-sized
 store; every other one is bounded by a fixed size. The frames are pooled and
-planned in blocks of at most ``PLAN_BLOCK_BYTES`` of pooled float32. Kept are
-only one byte of plan state per pooled token (its rung: the ladder's
-thresholds its similarity is at or below), the anchor flags and a
-budget-sized store of pooled tokens (the anchors, then the first survivors).
-``select_and_pool`` then emits only the kept rows, into the store's array, a
-chunk at a time.
+planned in blocks of at most ``PLAN_BLOCK_BYTES`` (512 KiB) of pooled
+float32, each pooled into one reused block buffer. Kept are only one byte of
+plan state per pooled token (its rung: the ladder's thresholds its
+similarity is at or below), the anchor flags and a budget-sized store of
+pooled tokens (the anchors, then the first survivors). Subsampling scans the
+plan's masks in fixed-size pieces. ``select_and_pool`` then emits only the
+kept rows, into the store's array, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ __all__ = [
 
 THETA_FLOOR = 0.5
 THETA_STEP = 0.05
+# Tokens per piece of the subsampling scan. A piece's survivors, its picks
+# and their rows are int64 arrays of at most 128 KiB each.
+SUBSAMPLE_PIECE = 1 << 14
 
 
 @dataclass
@@ -148,11 +152,27 @@ def _subsample_to_budget(result: SpatialCompressionResult, budget: int) -> Spati
     """Keep all anchor tokens and a uniform-by-rank subset of the other
     survivors so the total token count equals the budget exactly. The
     caller has checked that the anchor tokens fit and that the survivors
-    do not."""
+    do not.
+
+    Of the n non-anchor survivors, those of rank floor(i * n / quota), for i
+    below the quota, stay. The ranks are found by scanning the masks in
+    pieces of ``SUBSAMPLE_PIECE`` tokens, so beside the result's mask the
+    working memory is one piece's survivors and the picks in it."""
     keep = result.keep & result.anchor
-    rest = np.flatnonzero(result.keep & ~result.anchor)
-    quota = budget - int(np.count_nonzero(keep))
-    keep[rest[(np.arange(quota, dtype=np.int64) * rest.shape[0]) // quota]] = True
+    anchors = int(np.count_nonzero(keep))
+    quota, n = budget - anchors, result.tokens_after - anchors
+    seen = 0  # non-anchor survivors before the piece
+    for lo in range(0, keep.shape[0], SUBSAMPLE_PIECE):
+        piece = slice(lo, lo + SUBSAMPLE_PIECE)
+        # kept and not anchor, without a negated copy of the anchor flags
+        rest = np.flatnonzero(np.greater(result.keep[piece], result.anchor[piece]))
+        # the picks i whose rank floor(i * n / quota) falls in this piece
+        picks = np.arange(-(-seen * quota // n), -(-(seen + rest.shape[0]) * quota // n))
+        picks *= n
+        picks //= quota
+        picks -= seen
+        keep[piece][rest[picks]] = True
+        seen += rest.shape[0]
     return SpatialCompressionResult(keep, result.anchor)
 
 
@@ -246,9 +266,10 @@ def _plan_in_blocks(
         thresholds = (cfg.theta, *_theta_ladder(cfg.theta))
         rungs = np.empty(t * hw, dtype=np.uint8)
     block = k * max(1, min(budget // (k * hw), PLAN_BLOCK_BYTES // (k * hw * dim * 4)))
+    block_buf = np.empty((min(block, t), h_l, w_l, dim), dtype=np.float32)
     for lo in range(0, t, block):
-        pooled = pool_batch(frames, h_l, w_l, index=kept[lo : lo + block])
-        hi = lo + pooled.shape[0]
+        hi = min(lo + block, t)
+        pooled = pool_batch(frames, h_l, w_l, kept[lo:hi], out=block_buf[: hi - lo])
         if cfg.stages.stc:
             plan = build_plan(pooled, k, cfg.anchor, thresholds)
             rungs[lo * hw : hi * hw] = plan.rungs
@@ -270,7 +291,7 @@ def _plan_in_blocks(
             # The rows are in range by construction.
             np.take(pooled.reshape(-1, dim), local, axis=0, out=vectors[stored:end], mode="clip")
             stored = end
-        del pooled  # not alive while the next block is pooled
+    del block_buf, pooled
     store = (stored_rows[:stored], vectors) if room >= 0 else None
     anchor = np.repeat(is_anchor, hw)
     if not cfg.stages.stc:

@@ -16,12 +16,14 @@ out as a stack of their own.
 ``select_and_pool`` writes every output row of ``compress``, on every
 path, as one frame-major ``CompressedTokenSequence`` in (timestep, row, col)
 order, in fresh arrays. Where the token table fits the budget it emits the
-whole table. When every frame is pooled and the table would still be over
-budget, the pipeline pools and plans block by block (see ``pipeline``) and
-hands over the kept rows and a budget-sized store of pooled tokens; only
-those rows are emitted, into the store, ``POOL_CHUNK_TOKENS`` rows at a
-time, so no other array of the token width grows with the budget or the
-kept frames.
+whole table, every frame at its level pooled or gathered straight into the
+output array: full, pooled and mixed tables take one path. When every frame
+is pooled and the table would still be over budget, the pipeline pools and
+plans block by block (see ``pipeline``) and hands over the kept rows and a
+budget-sized store of pooled tokens; only those rows are emitted, into the
+store. Rows move and are pooled again a chunk at a time, each chunk at most
+``POOL_CHUNK_TOKENS`` rows and ``numerics.WORK_BYTES``, so on either path no
+other array of the token width grows with the budget or the kept frames.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .numerics import POOL_CHUNK_TOKENS, pool_batch, pool_tokens
+from .numerics import POOL_CHUNK_TOKENS, per_chunk, pool_batch, pool_tokens
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
 
@@ -112,6 +114,17 @@ def frame_query_scores(token_means, query: QueryEmbedding) -> np.ndarray:
     return token_means @ query.rows.astype(np.float64).mean(axis=0)
 
 
+def _move_down(vectors: np.ndarray, dst: np.ndarray, src: np.ndarray):
+    """``vectors[dst] = vectors[src]`` for strictly ascending rows ``dst``
+    with ``src >= dst`` row by row, in ascending chunks of ``POOL_CHUNK_TOKENS``
+    rows, fewer where the rows are wide (``numerics.per_chunk``). A chunk
+    reads rows after every row an earlier chunk wrote, so none overwrites a
+    row a later chunk reads, and the working copy is one chunk."""
+    step = per_chunk(vectors.shape[1] * 4 + 16, POOL_CHUNK_TOKENS)
+    for lo in range(0, dst.shape[0], step):
+        vectors[dst[lo : lo + step]] = vectors[src[lo : lo + step]]
+
+
 def select_and_pool(
     seq: FrameFeatureSequence, kept: np.ndarray, query: QueryEmbedding, n_full: int,
     tokens_low: tuple[int, int], rows: np.ndarray | None = None, store: tuple | None = None,
@@ -123,38 +136,52 @@ def select_and_pool(
     all of them stay full, and the highest-scoring frames stay (ties toward
     earlier frames). Table frame i is input frame ``kept[i]``, its tokens in
     row-major order at its level. With ``rows`` None the output is the whole
-    table: full frames are gathered, the rest pooled in frame order.
-    Otherwise every frame is pooled and the output is the ascending table
-    ``rows``, written into the over-budget ``store`` (stored rows, vectors).
-    Stored tokens move to their output rows in ascending chunks: the store
-    holds every anchor and the first survivors, so a token is stored at or
-    after its output row, and no chunk overwrites a row a later chunk reads.
-    Then the others are pooled again by ``pool_tokens``, with ``pool_batch``'s
-    bits, a chunk at a time straight into their rows. Chunks are
-    ``POOL_CHUNK_TOKENS`` rows. No output array shares memory with the input.
+    table, written straight into the output array: the pooled frames by one
+    ``pool_batch`` call into its tail, each at or after its own rows, where
+    ``_move_down`` moves those a full frame follows; then each run of full
+    frames is gathered into its rows. Otherwise every frame is pooled and the
+    output is the ascending table ``rows``, written into the over-budget
+    ``store`` (stored rows, vectors). The store holds every anchor and the
+    first survivors, so a token is stored at or after its output row, and
+    ``_move_down`` moves it there; the others are pooled again by
+    ``pool_tokens``, with ``pool_batch``'s bits, a chunk at a time straight
+    into their rows. No output array shares memory with the input.
     """
     frames = seq.frames
     kept = np.asarray(kept, dtype=np.int64)
     t = kept.shape[0]
     _, h_h, w_h, dim = frames.shape
     h_l, w_l = tokens_low
+    hw_l = h_l * w_l
     full = np.full(t, n_full == t)
     if 0 < n_full < t:
         scores = frame_query_scores(seq.means[kept], query)
         full[np.argsort(-scores, kind="stable")[:n_full]] = True  # ties keep the earlier frame
     if rows is None:
-        sizes = np.where(full, h_h * w_h, h_l * w_l)
+        sizes = np.where(full, h_h * w_h, hw_l)
         offsets = np.cumsum(sizes) - sizes  # each frame's first row
         n_rows = int(sizes.sum())
-        if full.all():
-            vectors = frames[kept].reshape(-1, dim)
-        elif not full.any():
-            vectors = pool_batch(frames, h_l, w_l, index=kept).reshape(-1, dim)
-        else:
-            vectors = np.empty((n_rows, dim), dtype=np.float32)
-            token_full = np.repeat(full, sizes)
-            vectors[token_full] = frames[kept[full]].reshape(-1, dim)
-            vectors[~token_full] = pool_batch(frames, h_l, w_l, index=kept[~full]).reshape(-1, dim)
+        vectors = np.empty((n_rows, dim), dtype=np.float32)
+        n_pooled = t - n_full
+        if n_pooled:
+            tail = n_rows - n_pooled * hw_l
+            pool_batch(frames, h_l, w_l, kept[~full], out=vectors[tail:].reshape(-1, h_l, w_l, dim))
+        if n_full:
+            # Runs of frames at one level, from cuts[i] to cuts[i + 1].
+            cuts = [0, t]
+            if n_pooled:
+                cuts[1:1] = (np.flatnonzero(full[1:] != full[:-1]) + 1).tolist()
+                # Pooled frames before the last run move down; those in it are in place.
+                before = offsets[: cuts[-2]][~full[: cuts[-2]]]
+                _move_down(vectors, (before[:, None] + np.arange(hw_l)).reshape(-1),
+                           np.arange(tail, tail + before.shape[0] * hw_l))
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                if full[lo]:
+                    at = int(offsets[lo])
+                    run = vectors[at : at + (hi - lo) * h_h * w_h].reshape(-1, h_h, w_h, dim)
+                    # mode="clip" writes straight into ``out``; "raise" buffers
+                    # it. The frames are in range: stage 1 picked them.
+                    np.take(frames, kept[lo:hi], axis=0, out=run, mode="clip")
         frame_indices = np.repeat(kept, sizes)
         local = np.arange(n_rows) - np.repeat(offsets, sizes)
         width = np.repeat(np.where(full, w_h, w_l), sizes)
@@ -162,17 +189,15 @@ def select_and_pool(
     else:
         stored_rows, vectors = store
         n = rows.shape[0]
-        frame, local = np.divmod(rows, h_l * w_l)
+        frame, local = np.divmod(rows, hw_l)
         at = np.minimum(np.searchsorted(stored_rows, rows), stored_rows.shape[0] - 1)
         found = stored_rows[at] == rows
         moved = np.flatnonzero(found & (at != np.arange(n)))
         again = np.flatnonzero(~found)
-        # Ascending, which at[i] >= i makes safe (see above).
-        for lo in range(0, moved.shape[0], POOL_CHUNK_TOKENS):
-            dst = moved[lo : lo + POOL_CHUNK_TOKENS]
-            vectors[dst] = vectors[at[dst]]
-        for lo in range(0, again.shape[0], POOL_CHUNK_TOKENS):
-            dst = again[lo : lo + POOL_CHUNK_TOKENS]
+        _move_down(vectors, moved, at[moved])  # at[i] >= i: see above
+        step = per_chunk(dim * 4 + 16, POOL_CHUNK_TOKENS)
+        for lo in range(0, again.shape[0], step):
+            dst = again[lo : lo + step]
             vectors[dst] = pool_tokens(
                 frames, h_l, w_l, kept[frame[dst]], local[dst] // w_l, local[dst] % w_l
             )

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import per_chunk
 from .temporal import cosines, unit_rows, window_minima
 
 __all__ = [
@@ -92,16 +93,32 @@ def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
     """Per-position similarity of every frame to the anchor, (n, h, w) float64.
 
     Entries that must survive any threshold (the anchor's own tokens and
-    positions where either vector has zero norm) are set to -inf.
+    positions where either vector has zero norm) are set to -inf. The frames
+    are converted to float64 a group at a time: as many as
+    ``numerics.WORK_BYTES`` holds, at least one, which at small widths is the
+    whole window. The anchor's group goes first, and its float64 anchor and
+    the anchor's norms serve every group. Each position's dot product and norm
+    are sums over its own vector, so a group gives the bits the whole window
+    gives.
     """
-    w64 = window.astype(np.float64)
-    anchor = w64[anchor_idx]
-    dots = np.einsum("fhwd,hwd->fhw", w64, anchor)
-    norms = np.sqrt(np.add.reduce(np.square(w64, out=w64), axis=3))  # w64 is squared now
-    denom = norms * norms[anchor_idx][None, :, :]
-    sims = np.full(dots.shape, -np.inf)
-    np.divide(dots, denom, out=sims, where=denom > 0.0)
-    np.clip(sims, -1.0, 1.0, out=sims, where=denom > 0.0)
+    n, h, w, dim = window.shape
+    step = per_chunk(h * w * dim * 8, n)
+    first = anchor_idx - anchor_idx % step
+    sims = np.full((n, h, w), -np.inf)
+    for lo in (first, *range(0, first, step), *range(first + step, n, step)):
+        g64 = window[lo : lo + step].astype(np.float64)
+        if lo == first:
+            anchor = g64[anchor_idx - lo]
+            if step < n:  # later groups read it after this one is squared
+                anchor = anchor.copy()
+        dots = np.einsum("fhwd,hwd->fhw", g64, anchor)
+        norms = np.sqrt(np.add.reduce(np.square(g64, out=g64), axis=3))  # g64 is squared now
+        if lo == first:
+            anchor_norms = norms[anchor_idx - lo]
+        denom = norms * anchor_norms[None, :, :]
+        part = sims[lo : lo + step]
+        np.divide(dots, denom, out=part, where=denom > 0.0)
+        np.clip(part, -1.0, 1.0, out=part, where=denom > 0.0)
     sims[anchor_idx] = -np.inf
     return sims
 

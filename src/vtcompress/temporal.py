@@ -31,11 +31,12 @@ __all__ = ["FrameFeatureSequence"]
 # The fewest float32 values a thread of the means pass is given. Below about
 # this many, starting the thread costs more than its share of the pass saves.
 MEANS_VALUES_PER_WORKER = 1 << 20
-# Bytes per block of a pass that works through whole windows a block at a
-# time: stage 1's float64 summaries here, and the over-budget plan's pooled
-# float32 frames in ``pipeline``. Bounds each pass's working memory, whatever
-# the video's length.
-BLOCK_BYTES = 1 << 20
+# Bytes per block (512 KiB) of a pass that works through whole windows a
+# block at a time: stage 1's float64 summaries here, and the over-budget
+# plan's pooled float32 frames in ``pipeline``, which sit beside pooling's
+# own working chunk. Bounds each pass's working memory, whatever the video's
+# length.
+BLOCK_BYTES = 1 << 19
 
 
 def usable_cpus() -> int:

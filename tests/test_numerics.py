@@ -15,7 +15,14 @@ from vtcompress import (
     frame_query_scores,
 )
 from vtcompress import numerics
-from vtcompress.numerics import POOL_CHUNK_FRAMES, TokenGrid, pool_batch, pool_tokens
+from vtcompress.numerics import (
+    POOL_CHUNK_FRAMES,
+    POOL_CHUNK_TOKENS,
+    WORK_BYTES,
+    TokenGrid,
+    pool_batch,
+    pool_tokens,
+)
 
 from .conftest import (
     constant_grid,
@@ -179,11 +186,30 @@ class TestPoolBatch:
         expected = np.stack([pool_oracle(frame, *out) for frame in stack])
         assert np.array_equal(pool_batch(stack, *out, np.arange(3)), expected)
 
-    def test_longer_than_a_chunk_matches_single_frames(self, rng):
+    @pytest.mark.parametrize("work_bytes", [WORK_BYTES, 3 * 12 * 12 * 4 * 20, 1])
+    def test_longer_than_a_chunk_matches_single_frames(self, rng, monkeypatch, work_bytes):
+        # A chunk is the 8 frames of the cap at the default working bytes,
+        # 3 frames (of 12x12x4 float32 and 8x12 + 8x8 float64 sums) at the
+        # middle setting, and one frame when a frame alone is over the bytes.
+        monkeypatch.setattr(numerics, "WORK_BYTES", work_bytes)
         stack = rng.standard_normal((2 * POOL_CHUNK_FRAMES + 3, 12, 12, 4)).astype(np.float32)
         batch = pool_batch(stack, 8, 8, np.arange(stack.shape[0]))
         for i in range(stack.shape[0]):
             assert np.array_equal(batch[i], pool_batch(stack[i : i + 1], 8, 8, np.arange(1))[0])
+
+    @pytest.mark.parametrize("index", ["all", "shuffled", "none"])
+    def test_out_has_the_bits_and_nothing_else_is_written(self, rng, index):
+        stack = rng.standard_normal((2 * POOL_CHUNK_FRAMES + 3, 12, 12, 5)).astype(np.float32)
+        n = stack.shape[0]
+        index = {"all": np.arange(n), "shuffled": rng.permutation(n), "none": np.arange(0)}[index]
+        expected = pool_batch(stack, 5, 7, index)
+        # a view into the middle of a larger array, which starts as NaN
+        whole = np.full((n + 4, 5, 7, 5), np.nan, dtype=np.float32)
+        view = whole[2 : 2 + len(index)]
+        got = pool_batch(stack, 5, 7, index, out=view)
+        assert got is view
+        assert view.tobytes() == expected.tobytes()
+        assert np.isnan(whole[:2]).all() and np.isnan(whole[2 + len(index) :]).all()
 
     def test_empty_stack(self):
         stack = np.zeros((0, 12, 12, 4), dtype=np.float32)
@@ -217,6 +243,22 @@ class TestPoolBatch:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes <= working_set + slack
+
+    def test_a_wide_frame_is_pooled_alone(self, rng):
+        # At dim 1,152 one frame's working buffers (its float32 cells and
+        # float64 row and bin sums) are over WORK_BYTES, so a chunk is one
+        # frame: pooling holds about 2 MiB beside its output, where 8-frame
+        # chunks held 17 MiB. The slack is as above.
+        stack = rng.standard_normal((12, 12, 12, 1152), dtype=np.float32)
+        frame = 12 * 12 * 1152 * 4 + 8 * 12 * 1152 * 8 + 8 * 8 * 1152 * 8
+        assert frame > WORK_BYTES
+        tracemalloc.start()
+        try:
+            out = pool_batch(stack, 8, 8, index=rng.permutation(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= frame + 256 * 1024
 
 
 def pool_in_order(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -271,9 +313,12 @@ class TestPoolTokens:
         # Any chunk size gives the same bits, also through an index that
         # repeats frames and takes them out of order.
         index = rng.integers(0, stack.shape[0], rng.integers(1, 12))
-        for chunk_frames in (POOL_CHUNK_FRAMES, 1, 3):
+        # The cap sets the chunk, or the working bytes do (1 byte: one frame).
+        for chunk_frames, work_bytes in ((POOL_CHUNK_FRAMES, WORK_BYTES), (1, WORK_BYTES),
+                                         (3, WORK_BYTES), (POOL_CHUNK_FRAMES, 1)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(numerics, "POOL_CHUNK_FRAMES", chunk_frames)
+                mp.setattr(numerics, "WORK_BYTES", work_bytes)
                 assert pool_batch(stack, out_h, out_w, every).tobytes() == expected.tobytes()
                 got = pool_batch(stack, out_h, out_w, index=index)
                 assert got.tobytes() == expected[index].tobytes()
@@ -292,11 +337,34 @@ class TestPoolTokens:
     @pytest.mark.parametrize("grid,out", [((7, 9), (3, 4)), ((12, 12), (8, 8)), ((16, 5), (3, 5))])
     def test_more_tokens_than_a_chunk(self, rng, grid, out):
         stack = rng.standard_normal((40, *grid, 3)).astype(np.float32)
-        m = 2 * POOL_CHUNK_FRAMES * out[0] * out[1] + 7
+        m = 2 * POOL_CHUNK_TOKENS + 7
         frames = np.sort(rng.integers(0, 40, m))
         rows, cols = rng.integers(0, out[0], m), rng.integers(0, out[1], m)
         got = pool_tokens(stack, *out, frames, rows, cols)
         assert np.array_equal(got, pool_batch(stack, *out, np.arange(40))[frames, rows, cols])
+
+    @pytest.mark.parametrize("dim,work_bytes", [(64, WORK_BYTES), (1152, WORK_BYTES), (3, 1)])
+    def test_working_set_is_bounded_in_bytes(self, rng, monkeypatch, dim, work_bytes):
+        # 12x12 -> 8x8 bins are 2x2 cells. A token's working bytes are its 4
+        # float32 cells with their int64 row and column and a flag, and its
+        # 2 float64 column sums and bin sum: 399 tokens a chunk at dim 64,
+        # 22 at dim 1,152, one where one token is over the working bytes.
+        # The chunk's float32 means go into the output. The slack covers
+        # numpy's cast buffers (192 KiB) and small objects.
+        monkeypatch.setattr(numerics, "WORK_BYTES", work_bytes)
+        stack = rng.standard_normal((6, 12, 12, dim), dtype=np.float32)
+        m = 1500
+        frames, rows, cols = rng.integers(0, 6, m), rng.integers(0, 8, m), rng.integers(0, 8, m)
+        token = 4 * (dim * 4 + 17) + 3 * dim * 8
+        chunk = max(1, min(POOL_CHUNK_TOKENS, work_bytes // token))
+        tracemalloc.start()
+        try:
+            out = pool_tokens(stack, 8, 8, frames, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= chunk * token + 256 * 1024
+        assert np.array_equal(out, pool_batch(stack, 8, 8, np.arange(6))[frames, rows, cols])
 
     def test_upsampling_rejected(self, rng):
         # A grid with fewer tokens that does not fit inside the input is

@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcompress import (
     AnchorStrategy,
@@ -29,7 +31,7 @@ from vtcompress import (
 from vtcompress import formats, numerics, pipeline, query_select
 from vtcompress.formats import write_compressed
 from vtcompress.numerics import pool_batch
-from vtcompress.pipeline import _theta_ladder, enforce_budget, flatten
+from vtcompress.pipeline import _subsample_to_budget, _theta_ladder, enforce_budget, flatten
 from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
 from vtcompress.synthbench import needle_study
 from vtcompress.temporal import reduce_frames
@@ -542,6 +544,34 @@ def stepwise_budget_oracle(sims, anchors, theta: float, budget: int):
     return theta, True, out
 
 
+class TestSubsample:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_picks_the_ranks_of_the_whole_mask_formula(self, data):
+        # Scanned in pieces of any size, the kept rows are those of the
+        # formula on the whole mask: every anchor survivor, and of the n
+        # other survivors those of rank floor(i * n / quota).
+        m = data.draw(st.integers(1, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        keep = rng.random(m) < data.draw(st.floats(0.05, 1.0))
+        anchor = rng.random(m) < data.draw(st.floats(0.0, 0.6))
+        anchors, survivors = int(np.count_nonzero(keep & anchor)), int(np.count_nonzero(keep))
+        if survivors == anchors:
+            return  # nothing to subsample
+        budget = data.draw(st.integers(anchors, survivors - 1))
+        piece = data.draw(st.sampled_from([1, 2, 7, 64, pipeline.SUBSAMPLE_PIECE]))
+        rest = np.flatnonzero(keep & ~anchor)
+        quota = budget - anchors
+        expected = keep & anchor
+        expected[rest[(np.arange(quota, dtype=np.int64) * rest.shape[0]) // quota]] = True
+        result = SpatialCompressionResult(keep.copy(), anchor.copy())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "SUBSAMPLE_PIECE", piece)
+            got = _subsample_to_budget(result, budget)
+        assert np.array_equal(got.keep, expected) and got.tokens_after == budget
+        assert np.array_equal(result.keep, keep)  # the input is left as it was
+
+
 class TestBudgetLadder:
     """``enforce_budget`` counts survivors per theta step instead of applying
     the plan at each one; its output must equal the stepwise reference."""
@@ -846,6 +876,54 @@ class TestPipelineInvariants:
         assert (peaks[1] - peaks[0]) / (pooled[1] - pooled[0]) <= 4, (peaks, pooled)
 
 
+class TestPeakAboveTheOutput:
+    """``compress`` holds its output and fixed-size working pieces: its
+    traced peak above the output's bytes does not grow with the token
+    width."""
+
+    @staticmethod
+    def peak_above_the_output(seq, query, cfg):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, stats = compress(seq, query, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        fields = ("frame_indices", "grid_rows", "grid_cols", "levels", "vectors")
+        return peak - sum(getattr(out, name).nbytes for name in fields), stats
+
+    @pytest.fixture(scope="class")
+    def wide_clip(self):
+        # 120 frames of 12x12 tokens at the paper's width, 1,152: stage 1
+        # keeps 71 of them.
+        video = gen_video(SynthSpec(n_frames=120, n_scenes=4, dim=1152, seed=3))
+        query = random_query(np.random.default_rng(0), 24, 1152)
+        return video, query
+
+    @pytest.mark.parametrize("l_max,path", [(2048, "over budget"), (8192, "mixed table")])
+    def test_at_the_paper_width(self, wide_clip, l_max, path):
+        # Over budget, a plan block is one k = 8 window of pooled frames
+        # (2.25 MiB) beside one frame's pooling buffers (2 MiB); in the
+        # table, the pooled frames are pooled into the output. Pooling 8
+        # frames at a time, and 512 tokens, held 21 and 29 MiB here.
+        seq, query = wide_clip
+        above, stats = self.peak_above_the_output(seq, query, CompressionConfig(l_max=l_max))
+        assert stats.frames_after_temporal == 71
+        assert (0 < stats.n_full_res < 71) == (path == "mixed table")
+        assert above <= 5 * 2**20, above / 2**20
+
+    def test_a_mixed_table_at_dim_64(self, rng):
+        # 124 frames, stage 1 off: at 8k two stay full and 122 are pooled,
+        # as in the needle benchmark's largest clips. The pooled frames are
+        # not held beside the output (1.65 MiB above it when they were).
+        seq = random_sequence(rng, 124, 12, 12, 64)
+        cfg = CompressionConfig(stages=StageToggles(temporal=False))
+        above, stats = self.peak_above_the_output(seq, random_query(rng, 24, 64), cfg)
+        assert stats.n_full_res == 2 and stats.tokens_final == 2 * 144 + 122 * 64
+        assert above <= 1.25 * 2**20, above / 2**20
+
+
 def expected_record(seq, query, cfg, out, **counts):
     """The whole ``stats.to_dict()`` of a run that output ``out`` (None when
     infeasible). The stage counts are ``counts`` or, on the table paths,
@@ -989,13 +1067,14 @@ class TestOverBudgetPath:
 
     def test_no_pooling_call_takes_more_than_a_block(self, rng, monkeypatch):
         # 300 frames of 12x12 tokens of dim 64 pooled to 8x8: a k = 8 window
-        # pools to 128 KiB, so a 1 MiB block is 8 windows, 64 frames, where
-        # the 8,168-token budget would hold 15 windows.
+        # pools to 128 KiB, so a block is as many whole windows as
+        # PLAN_BLOCK_BYTES holds, fewer than the 8,168-token budget would
+        # hold (15 windows), and every block is pooled into one buffer.
         calls = []
 
-        def spy(stack, out_h, out_w, index):
-            calls.append(len(index))
-            return pool_batch(stack, out_h, out_w, index=index)
+        def spy(stack, out_h, out_w, index, out=None):
+            calls.append((len(index), None if out is None else out.nbytes))
+            return pool_batch(stack, out_h, out_w, index=index, out=out)
 
         monkeypatch.setattr(pipeline, "pool_batch", spy)
         monkeypatch.setattr(query_select, "pool_batch", spy)
@@ -1003,7 +1082,11 @@ class TestOverBudgetPath:
         cfg = CompressionConfig(stages=StageToggles(temporal=False))
         _, stats = compress(seq, random_query(rng, 24, 64), cfg)
         assert stats.tokens_after_query == 300 * 64 > 8192 - 24
-        assert calls == [64, 64, 64, 64, 44]
+        frame_bytes = 8 * 8 * 64 * 4
+        block = 8 * (pipeline.PLAN_BLOCK_BYTES // (8 * frame_bytes))
+        assert 8 <= block < 15 * 8
+        sizes = [block] * (300 // block) + [300 % block]
+        assert calls == [(n, n * frame_bytes) for n in sizes]
 
     @pytest.mark.parametrize("anchor", list(AnchorStrategy))
     @pytest.mark.parametrize("stc", [True, False])

@@ -18,7 +18,7 @@ from vtcompress import (
 from vtcompress import query_select
 from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import flatten
-from vtcompress.query_select import num_full_res_frames, select_and_pool
+from vtcompress.query_select import _move_down, num_full_res_frames, select_and_pool
 
 from .conftest import pool_frame, random_query, random_sequence, scores_oracle, token_table
 
@@ -273,9 +273,9 @@ class TestSelectAndPool:
     def test_only_pooled_frames_are_pooled(self, rng, monkeypatch):
         pooled_counts = []
 
-        def counting_pool(stack, out_h, out_w, index):
+        def counting_pool(stack, out_h, out_w, index, out=None):
             pooled_counts.append(len(index))
-            return pool_batch(stack, out_h, out_w, index=index)
+            return pool_batch(stack, out_h, out_w, index=index, out=out)
 
         monkeypatch.setattr(query_select, "pool_batch", counting_pool)
         _, _, mixed, plan = run_select(rng, 4, t=25, l_q=5)
@@ -285,9 +285,9 @@ class TestSelectAndPool:
     def test_no_full_frame_pools_the_stack_uncopied(self, rng, monkeypatch):
         stacks = []
 
-        def recording_pool(stack, out_h, out_w, index):
-            stacks.append((stack, index))
-            return pool_batch(stack, out_h, out_w, index=index)
+        def recording_pool(stack, out_h, out_w, index, out=None):
+            stacks.append((stack, index, out))
+            return pool_batch(stack, out_h, out_w, index=index, out=out)
 
         monkeypatch.setattr(query_select, "pool_batch", recording_pool)
         seq = random_sequence(rng, 30, 4, 4, 3)
@@ -297,6 +297,8 @@ class TestSelectAndPool:
         # the kept frames are read from the input by index, not copied out first
         assert stacks[0][0] is seq.frames and stacks[0][1].tolist() == kept.tolist()
         assert mixed.tokens.frame_indices[::4].tolist() == kept.tolist()
+        # and pooled straight into the output's vectors
+        assert np.shares_memory(stacks[0][2], mixed.tokens.vectors)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -378,6 +380,48 @@ class TestOneEmitter:
         got, plan = select_and_pool(seq, self.KEPT, query, 0, low, rows, (stored_rows, vectors))
         assert (got.n_frames, plan.n_full_res) == (6, 0)
         assert_same_bytes(got.tokens, flatten(table, keep))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_layout_of_a_table(self, data):
+        # Full frames first, last, in runs or alone, and chunks of 1 to 4
+        # rows or the default: the pooled frames are pooled into the tail of
+        # the output, moved down and the full frames gathered around them.
+        t, n_full = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 9))
+        low = data.draw(st.sampled_from(self.GRIDS))
+        chunk = data.draw(st.sampled_from([1, 2, 4, query_select.POOL_CHUNK_TOKENS]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        seq, query = self.video(rng)
+        kept = np.sort(rng.choice(12, t, replace=False))
+        n_full = min(n_full, t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(query_select, "POOL_CHUNK_TOKENS", chunk)
+            got, _ = select_and_pool(seq, kept, query, n_full, low)
+        scores = scores_oracle(seq.frames[kept], query)
+        full = np.zeros(t, dtype=bool)
+        full[np.argsort(-scores, kind="stable")[:n_full]] = True
+        table = token_table(seq, kept, full, low)
+        assert_same_bytes(got.tokens, flatten(table, np.ones(table.tokens.total_count, dtype=bool)))
+
+
+class TestMoveDown:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_stored_at_or_after_their_place_arrive_intact(self, data):
+        # Each of the ascending destination rows takes a row at or after it,
+        # for any chunk size: every row it reads is still as it was.
+        n = data.draw(st.integers(1, 40))
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+        src = np.array([data.draw(st.integers(d, n - 1)) for d in rows], dtype=np.int64)
+        chunk = data.draw(st.integers(1, 45))
+        vectors = np.arange(n * 3, dtype=np.float32).reshape(n, 3)
+        expected = vectors.copy()
+        expected[rows] = vectors[src]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(query_select, "POOL_CHUNK_TOKENS", chunk)
+            _move_down(vectors, rows, src)
+        assert vectors.tobytes() == expected.tobytes()
 
 
 class TestQueryEmbedding:

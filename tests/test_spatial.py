@@ -10,7 +10,7 @@ from vtcompress import (
     InvalidConfigError,
     compress,
 )
-from vtcompress import spatial
+from vtcompress import numerics, spatial
 from vtcompress.pipeline import _theta_ladder, flatten
 from vtcompress.spatial import anchor_frames, build_plan
 
@@ -225,6 +225,22 @@ class TestPruneWindow:
         expected = sum((sims <= t).astype(np.uint8) for t in thresholds)
         assert plan.rungs.tolist() == expected.ravel().tolist() == [3, 3, 3, 3, 3, 2]
         assert plan.apply(-2.0).keep.tolist() == [True] * 5 + [False]
+
+    @pytest.mark.parametrize("dim", [3, 64, 1152])
+    def test_similarities_in_groups_have_the_window_bits(self, rng, monkeypatch, dim):
+        # Groups of one frame, of two, and the whole window give the same
+        # bits; at dim 1,152 the default group is one 8x8 frame.
+        window = rng.standard_normal((7, 8, 8, dim)).astype(np.float32)
+        window[2, 1] = 0.0  # zero tokens in a frame and in the anchor
+        window[4, 0, 3] = 0.0
+        frame = 8 * 8 * dim * 8
+        assert (numerics.per_chunk(frame, 7) == 1) == (dim == 1152)
+        sims = {}
+        for group, work_bytes in ((None, numerics.WORK_BYTES), (7, 8 * frame), (2, 2 * frame),
+                                  (1, 1)):
+            monkeypatch.setattr(numerics, "WORK_BYTES", work_bytes)
+            sims[group] = spatial._anchor_sims(window, 4).tobytes()
+        assert len(set(sims.values())) == 1
 
     def test_anchor_choice_respected(self, rng):
         window = rng.standard_normal((5, 3, 3, 4)).astype(np.float32)
