@@ -4,7 +4,7 @@ All integers and floats are little-endian regardless of platform, so a file
 written anywhere parses anywhere. Writes stream their parts, in order, into a
 temp file and then rename it over the target; no part is joined to another
 first. LVUC token records are built and written in chunks of at most
-``RECORD_CHUNK_BYTES``, so no array of every record is built.
+``numerics.WORK_BYTES``, so no array of every record is built.
 
 Both float32 payloads are mapped read-only, after the header and the file
 size are checked, as exactly the header plus the payload. ``read_query``
@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
+from .numerics import per_chunk
 from .query_select import QueryEmbedding
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence, CompressionStats
@@ -52,8 +53,6 @@ _FEATURE_HEADER = struct.Struct("<4sIIIIIB3s")
 _QUERY_HEADER = struct.Struct("<4sIIIB")
 _COMPRESSED_HEADER = struct.Struct("<4sIII")
 _U32 = struct.Struct("<I")
-# Bytes of token records built per step of write_compressed; bounds its working memory.
-RECORD_CHUNK_BYTES = 2**20
 
 
 @contextmanager
@@ -220,12 +219,12 @@ def write_compressed(path, seq: CompressedTokenSequence, stats: CompressionStats
 
 def _compressed_parts(seq: CompressedTokenSequence, stats: CompressionStats, dtype: np.dtype):
     """The parts of an LVUC file, in order: the header, the token records in
-    chunks of at most ``RECORD_CHUNK_BYTES`` (at least one record each), the
+    chunks of as many as ``numerics.WORK_BYTES`` holds (``per_chunk``), the
     stats length and the stats blob. Every chunk is built in one reused
     buffer, so each must be written before the next is drawn."""
     n, d = seq.vectors.shape
     yield _COMPRESSED_HEADER.pack(COMPRESSED_MAGIC, FORMAT_VERSION, n, d)
-    step = max(1, RECORD_CHUNK_BYTES // dtype.itemsize)
+    step = per_chunk(dtype.itemsize, n)
     buffer = np.empty(min(n, step), dtype=dtype)
     for lo in range(0, n, step):
         hi = min(lo + step, n)

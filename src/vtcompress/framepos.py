@@ -15,12 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError
+from .numerics import POOL_CHUNK_TOKENS, per_chunk
 from .tokens import CompressedTokenSequence
 
 __all__ = ["FramePositionConfig", "encoding_vector", "apply_position_encoding"]
 
-# Rows encoded per step of apply_position_encoding; bounds its temporaries.
-ENCODE_CHUNK_ROWS = 1024
 # Wavelength base of the sinusoid: pair i turns at t / BASE^(2i/dim).
 BASE = 10000.0
 
@@ -69,9 +68,9 @@ def encoding_vector(t: float, dim: int) -> np.ndarray:
 def apply_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConfig) -> None:
     """Add the frame's timestep encoding to every one of its tokens, in place.
 
-    The offsets are added straight into ``seq.vectors``, ``ENCODE_CHUNK_ROWS``
-    rows at a time, so no array the size of the sequence is built. Returns
-    None; with the encoding disabled ``seq`` is left unchanged.
+    The offsets are added straight into ``seq.vectors`` a chunk of rows at a
+    time (``numerics.per_chunk``), so no array the size of the sequence is
+    built. Returns None; with the encoding disabled ``seq`` is left unchanged.
     """
     cfg.validate(seq.dim)
     if not cfg.enabled:
@@ -82,5 +81,6 @@ def apply_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConf
     # One float32 addition has the bits of the float64 sum rounded to
     # float32: 53 >= 2 * 24 + 2 makes the double rounding innocuous.
     vectors = seq.vectors
-    for lo in range(0, vectors.shape[0], ENCODE_CHUNK_ROWS):
-        vectors[lo : lo + ENCODE_CHUNK_ROWS] += offsets[inverse[lo : lo + ENCODE_CHUNK_ROWS]]
+    step = per_chunk(seq.dim * 4, POOL_CHUNK_TOKENS)
+    for lo in range(0, vectors.shape[0], step):
+        vectors[lo : lo + step] += offsets[inverse[lo : lo + step]]

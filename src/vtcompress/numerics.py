@@ -21,11 +21,12 @@ import numpy as np
 
 __all__ = ["pool_batch", "pool_tokens"]
 
-# Working bytes of one chunk of a pooling kernel (and of the other passes that
-# work through token-width rows a chunk at a time): bounds their working memory.
+# Working bytes of one chunk of every chunked pass, from pooling to LVUC
+# records: each sizes its chunk with per_chunk, so its working memory does
+# not grow with the video or the token width.
 WORK_BYTES = 1 << 20
 # Caps on a chunk where the rows are narrow: frames of pool_batch, and tokens
-# of pool_tokens and of the passes that move or re-pool output rows.
+# of pool_tokens and of the passes over output rows.
 POOL_CHUNK_FRAMES = 8
 POOL_CHUNK_TOKENS = 512
 

@@ -20,9 +20,9 @@ path, and ``compress`` then position-encodes them in place. Within the
 budget it emits the whole token table: everything fits at full resolution,
 the table holds a full frame, or it fits once pooled. Over budget, the only
 buffer of the token width that grows with the budget is the output-sized
-store; every other one is bounded by a fixed size. The frames are pooled and
-planned in blocks of at most ``PLAN_BLOCK_BYTES`` (512 KiB) of pooled
-float32, each pooled into one reused block buffer. Kept are only one byte of
+store; every other one is bounded by ``numerics.WORK_BYTES`` through
+``numerics.per_chunk``. The frames are pooled and planned in blocks of whole
+windows, each pooled into one reused block buffer. Kept are only one byte of
 plan state per pooled token (its rung: the ladder's thresholds its
 similarity is at or below), the anchor flags and a budget-sized store of
 pooled tokens (the anchors, then the first survivors). Subsampling scans the
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BudgetInfeasibleError, InvalidConfigError, integer, numbers, real
 from .framepos import FramePositionConfig, apply_position_encoding
-from .numerics import pool_batch
+from .numerics import per_chunk, pool_batch
 from .query_select import MixedResolutionSequence, QueryEmbedding, num_full_res_frames, select_and_pool
 from .spatial import (
     AnchorStrategy,
@@ -47,7 +47,6 @@ from .spatial import (
     anchor_frames,
     build_plan,
 )
-from .temporal import BLOCK_BYTES as PLAN_BLOCK_BYTES  # pooled float32 bytes per plan block
 from .temporal import FrameFeatureSequence, reduce_frames
 from .tokens import CompressedTokenSequence, CompressionStats
 
@@ -59,9 +58,6 @@ __all__ = [
 
 THETA_FLOOR = 0.5
 THETA_STEP = 0.05
-# Tokens per piece of the subsampling scan. A piece's survivors, its picks
-# and their rows are int64 arrays of at most 128 KiB each.
-SUBSAMPLE_PIECE = 1 << 14
 
 
 @dataclass
@@ -155,15 +151,16 @@ def _subsample_to_budget(result: SpatialCompressionResult, budget: int) -> Spati
     do not.
 
     Of the n non-anchor survivors, those of rank floor(i * n / quota), for i
-    below the quota, stay. The ranks are found by scanning the masks in
-    pieces of ``SUBSAMPLE_PIECE`` tokens, so beside the result's mask the
-    working memory is one piece's survivors and the picks in it."""
+    below the quota, stay. The masks are scanned in pieces, so beside the
+    result's mask the working memory is one piece's bool temporary and int64
+    survivors, picks and their rows, 25 bytes a token (``numerics.per_chunk``)."""
     keep = result.keep & result.anchor
     anchors = int(np.count_nonzero(keep))
     quota, n = budget - anchors, result.tokens_after - anchors
     seen = 0  # non-anchor survivors before the piece
-    for lo in range(0, keep.shape[0], SUBSAMPLE_PIECE):
-        piece = slice(lo, lo + SUBSAMPLE_PIECE)
+    step = per_chunk(25, keep.shape[0])
+    for lo in range(0, keep.shape[0], step):
+        piece = slice(lo, lo + step)
         # kept and not anchor, without a negated copy of the anchor flags
         rest = np.flatnonzero(np.greater(result.keep[piece], result.anchor[piece]))
         # the picks i whose rank floor(i * n / quota) falls in this piece
@@ -237,13 +234,12 @@ def _plan_in_blocks(
     """Pool the input frames ``kept`` and plan their pruning block by block,
     without building the pooled token table.
 
-    A block is whole k-windows holding at most ``PLAN_BLOCK_BYTES`` of pooled
-    float32 and at most ``budget`` pooled tokens (at least one window), so
-    every window and its anchor are as over the whole table. Kept are each
-    token's rung for ``cfg.theta`` and its ladder (with stage 3 on), the
-    anchor flags and a store of at most ``budget`` pooled tokens in table
-    order: every anchor token, and as many of the first survivors at
-    ``cfg.theta`` as fit beside them.
+    A block is as many whole k-windows as ``numerics.per_chunk`` gives, at
+    least one, so every window and its anchor are as over the whole table.
+    Kept are each token's rung for ``cfg.theta`` and its ladder (with stage
+    3 on), the anchor flags and a store of at most ``budget`` pooled tokens
+    in table order: every anchor token, and as many of the first survivors
+    at ``cfg.theta`` as fit beside them.
     Every output token is one of those survivors. The caller passes
     ``anchor_tokens``, the pooled tokens of the anchor frames, which it works
     out from the frame count; when they alone exceed the budget the verdict
@@ -265,7 +261,9 @@ def _plan_in_blocks(
     if cfg.stages.stc:
         thresholds = (cfg.theta, *_theta_ladder(cfg.theta))
         rungs = np.empty(t * hw, dtype=np.uint8)
-    block = k * max(1, min(budget // (k * hw), PLAN_BLOCK_BYTES // (k * hw * dim * 4)))
+    # A window of pooled float32 is counted twice: pooling's own chunk, of up
+    # to ``WORK_BYTES``, is alive beside the block.
+    block = k * per_chunk(2 * k * hw * dim * 4, t)
     block_buf = np.empty((min(block, t), h_l, w_l, dim), dtype=np.float32)
     for lo in range(0, t, block):
         hi = min(lo + block, t)

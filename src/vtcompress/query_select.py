@@ -21,9 +21,9 @@ output array: full, pooled and mixed tables take one path. When every frame
 is pooled and the table would still be over budget, the pipeline pools and
 plans block by block (see ``pipeline``) and hands over the kept rows and a
 budget-sized store of pooled tokens; only those rows are emitted, into the
-store. Rows move and are pooled again a chunk at a time, each chunk at most
-``POOL_CHUNK_TOKENS`` rows and ``numerics.WORK_BYTES``, so on either path no
-other array of the token width grows with the budget or the kept frames.
+store. Rows move and are pooled again in chunks sized by ``numerics.per_chunk``,
+so on either path no other array of the token width grows with the budget or
+the kept frames.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ usable CPUs, one thread each, when every thread gets at least
 thread. A frame's mean does not depend on the split, so the bytes do not
 either. Nothing else is kept beside the means: stage 1 derives the unit-norm
 mean tokens it scores from them, whole windows at a time in blocks of at most
-``BLOCK_BYTES``, so its working memory does not grow with the video.
+``numerics.WORK_BYTES``, so its working memory does not grow with the video.
 Survivors are handed on as indices into the input.
 """
 
@@ -26,17 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import per_chunk
+
 __all__ = ["FrameFeatureSequence"]
 
 # The fewest float32 values a thread of the means pass is given. Below about
 # this many, starting the thread costs more than its share of the pass saves.
 MEANS_VALUES_PER_WORKER = 1 << 20
-# Bytes per block (512 KiB) of a pass that works through whole windows a
-# block at a time: stage 1's float64 summaries here, and the over-budget
-# plan's pooled float32 frames in ``pipeline``, which sit beside pooling's
-# own working chunk. Bounds each pass's working memory, whatever the video's
-# length.
-BLOCK_BYTES = 1 << 19
 
 
 def usable_cpus() -> int:
@@ -198,15 +194,15 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
     kept (earliest index on ties), so every window contributes at least one
     survivor and temporal order is preserved. A frame is scored by its
     unit-norm mean token rounded to float32; a zero mean stays zero
-    (``cosines``). The full windows are scored in blocks of whole windows
-    holding at most ``BLOCK_BYTES`` of float64 summaries, each block in one
-    batched product, and the short last window through the same routine on
-    its own. ``compress`` has checked j >= 1 and tau_t in (0, 1].
+    (``cosines``). The full windows are scored in blocks of whole windows,
+    as many as ``numerics.per_chunk`` gives for their float64 summaries, each
+    block in one batched product, and the short last window through the same
+    routine on its own. ``compress`` has checked j >= 1 and tau_t in (0, 1].
     """
     n, dim = seq.n_frames, seq.dim
     j = min(j, n)  # a window longer than the video holds all of it
     per_frame = np.empty(n)
-    step = j * max(1, BLOCK_BYTES // (j * dim * 8))
+    step = j * per_chunk(j * dim * 8, n)
     for lo in range(0, n, step):
         summaries = unit_rows(seq.means[lo : lo + step])[0].astype(np.float32).astype(np.float64)
         hi = lo + summaries.shape[0]

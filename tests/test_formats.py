@@ -14,8 +14,8 @@ from vtcompress import (
     QueryEmbedding,
     SynthSpec,
     compress,
-    formats,
     gen_video,
+    numerics,
     temporal,
 )
 from vtcompress.formats import (
@@ -380,13 +380,14 @@ class TestCompressedFiles:
         self, rng, tmp_path, monkeypatch, chunk, offset
     ):
         # Records are written in chunks of ``chunk`` records (the default
-        # 1 MiB with None); n = 0, 1, chunk - 1, chunk and chunk + 1.
+        # 1 MiB of working bytes with None); n = 0, 1, chunk - 1, chunk and
+        # chunk + 1.
         dim = 5
         record = 13 + 4 * dim
         if chunk is not None:
-            monkeypatch.setattr(formats, "RECORD_CHUNK_BYTES", chunk * record)
-        per_chunk = formats.RECORD_CHUNK_BYTES // record
-        for n in {0, 1, per_chunk + offset}:
+            monkeypatch.setattr(numerics, "WORK_BYTES", chunk * record)
+        records = numerics.WORK_BYTES // record
+        for n in {0, 1, records + offset}:
             seq = sample_compressed(rng, n=n, dim=dim)
             path = tmp_path / "out.lvuc"
             write_compressed(path, seq, sample_stats())

@@ -11,7 +11,7 @@ from vtcompress import (
     apply_position_encoding,
     encoding_vector,
 )
-from vtcompress.framepos import ENCODE_CHUNK_ROWS
+from vtcompress.numerics import POOL_CHUNK_TOKENS, per_chunk
 from vtcompress.tokens import CompressedTokenSequence
 
 
@@ -142,8 +142,9 @@ class TestApplyPositionEncoding:
         assert seq.vectors.tobytes() == expected.tobytes()
 
     def test_in_place_across_encoding_steps_matches_the_float64_oracle(self, rng):
-        # more rows than one encoding step, timesteps repeating in runs
-        n, dim = 2 * ENCODE_CHUNK_ROWS + 5, 6
+        # more rows than two encoding steps, timesteps repeating in runs
+        dim = 6
+        n = 2 * per_chunk(dim * 4, POOL_CHUNK_TOKENS) + 5
         seq = CompressedTokenSequence(
             frame_indices=np.arange(n) // 7,
             grid_rows=np.zeros(n, dtype=np.int32),

@@ -28,7 +28,7 @@ from vtcompress import (
     make_mixed_corpus,
     make_needle_grid,
 )
-from vtcompress import formats, numerics, pipeline, query_select
+from vtcompress import numerics, pipeline, query_select
 from vtcompress.formats import write_compressed
 from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import _subsample_to_budget, _theta_ladder, enforce_budget, flatten
@@ -559,14 +559,15 @@ class TestSubsample:
         if survivors == anchors:
             return  # nothing to subsample
         budget = data.draw(st.integers(anchors, survivors - 1))
-        piece = data.draw(st.sampled_from([1, 2, 7, 64, pipeline.SUBSAMPLE_PIECE]))
+        piece = data.draw(st.sampled_from([1, 2, 7, 64, None]))  # None: the default
         rest = np.flatnonzero(keep & ~anchor)
         quota = budget - anchors
         expected = keep & anchor
         expected[rest[(np.arange(quota, dtype=np.int64) * rest.shape[0]) // quota]] = True
         result = SpatialCompressionResult(keep.copy(), anchor.copy())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "SUBSAMPLE_PIECE", piece)
+            if piece is not None:  # a piece holds 25 working bytes a token
+                mp.setattr(numerics, "WORK_BYTES", 25 * piece)
             got = _subsample_to_budget(result, budget)
         assert np.array_equal(got.keep, expected) and got.tokens_after == budget
         assert np.array_equal(result.keep, keep)  # the input is left as it was
@@ -1014,16 +1015,20 @@ class TestOverBudgetPath:
     def test_matches_the_whole_table_in_small_chunks(
         self, rng, tmp_path, monkeypatch, anchor, stc, fpe, grid, pooled, chunks
     ):
-        # At dim 6 the default plan blocks are limited by the budget, and the
-        # outputs are under one chunk of moves, re-pooling or records. Here
-        # each block is one window ("one") or two ("few"), rows are moved and
-        # re-pooled 1 or 3 at a time, and records are written 1 or 3 at a time.
+        # At dim 6 the default plan block holds the whole video, and the
+        # outputs are under one chunk of moves, re-pooling, encoding or
+        # records. With 1 working byte ("one") every chunked pass takes one
+        # item at a time: a window a plan block, a row a move, re-pooling or
+        # encoding step, a record a write. With "few" the working bytes are
+        # four windows', so a plan block is two windows (each counted twice),
+        # rows are moved and re-pooled 3 at a time, and the bytes hold 48 to
+        # 72 rows an encoding step and 31 to 46 records a write.
         window = 3 * pooled[0] * pooled[1] * 6 * 4  # pooled float32 bytes of a k = 3 window
-        block, rows = {"one": (1, 1), "few": (2 * window, 3)}[chunks]
-        monkeypatch.setattr(pipeline, "PLAN_BLOCK_BYTES", block)  # 1 byte takes one window
-        monkeypatch.setattr(query_select, "POOL_CHUNK_TOKENS", rows)
-        monkeypatch.setattr(numerics, "POOL_CHUNK_TOKENS", rows)
-        monkeypatch.setattr(formats, "RECORD_CHUNK_BYTES", rows * (13 + 4 * 6))
+        work, rows = {"one": (1, None), "few": (2 * 2 * window, 3)}[chunks]
+        monkeypatch.setattr(numerics, "WORK_BYTES", work)
+        if rows is not None:
+            monkeypatch.setattr(query_select, "POOL_CHUNK_TOKENS", rows)
+            monkeypatch.setattr(numerics, "POOL_CHUNK_TOKENS", rows)
         self.check_against_the_whole_table(rng, tmp_path, anchor, stc, fpe, grid, pooled)
 
     @staticmethod
@@ -1065,11 +1070,13 @@ class TestOverBudgetPath:
         if stc:
             assert "at theta" in outcomes, outcomes
 
-    def test_no_pooling_call_takes_more_than_a_block(self, rng, monkeypatch):
-        # 300 frames of 12x12 tokens of dim 64 pooled to 8x8: a k = 8 window
-        # pools to 128 KiB, so a block is as many whole windows as
-        # PLAN_BLOCK_BYTES holds, fewer than the 8,168-token budget would
-        # hold (15 windows), and every block is pooled into one buffer.
+    @pytest.mark.parametrize("dim,block", [(32, 64), (64, 32)])
+    def test_no_pooling_call_takes_more_than_a_block(self, rng, monkeypatch, dim, block):
+        # 300 frames of 12x12 tokens pooled to 8x8: a k = 8 window pools to
+        # 64 KiB at dim 32 and 128 KiB at dim 64. A window is counted twice,
+        # since pooling's own chunk is alive beside the block, so a block is
+        # as many whole windows as half of the 1 MiB of working bytes holds
+        # (64 and 32 frames), and every block is pooled into one buffer.
         calls = []
 
         def spy(stack, out_h, out_w, index, out=None):
@@ -1078,13 +1085,12 @@ class TestOverBudgetPath:
 
         monkeypatch.setattr(pipeline, "pool_batch", spy)
         monkeypatch.setattr(query_select, "pool_batch", spy)
-        seq = random_sequence(rng, 300, 12, 12, 64)
+        seq = random_sequence(rng, 300, 12, 12, dim)
         cfg = CompressionConfig(stages=StageToggles(temporal=False))
-        _, stats = compress(seq, random_query(rng, 24, 64), cfg)
+        _, stats = compress(seq, random_query(rng, 24, dim), cfg)
         assert stats.tokens_after_query == 300 * 64 > 8192 - 24
-        frame_bytes = 8 * 8 * 64 * 4
-        block = 8 * (pipeline.PLAN_BLOCK_BYTES // (8 * frame_bytes))
-        assert 8 <= block < 15 * 8
+        frame_bytes = 8 * 8 * dim * 4
+        assert block == 8 * (numerics.WORK_BYTES // (2 * 8 * frame_bytes))
         sizes = [block] * (300 // block) + [300 % block]
         assert calls == [(n, n * frame_bytes) for n in sizes]
 

@@ -12,6 +12,7 @@ from vtcompress import (
     FrameFeatureSequence,
     InvalidConfigError,
     compress,
+    numerics,
     temporal,
 )
 from vtcompress.temporal import reduce_frames
@@ -154,7 +155,7 @@ class TestReduceFrames:
         for _ in range(100):
             n, dim, j = int(rng.integers(1, 70)), int(rng.integers(1, 9)), int(rng.integers(1, 12))
             if windows is not None:
-                monkeypatch.setattr(temporal, "BLOCK_BYTES", windows * min(j, n) * dim * 8)
+                monkeypatch.setattr(numerics, "WORK_BYTES", windows * min(j, n) * dim * 8)
             seq = random_sequence(rng, n, 2, 2, dim)
             for tau in (float(rng.uniform(0.05, 1.0)), None):
                 per_frame, kept = reduce_oracle(seq, j, tau or 1.0)
