@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError
-from .numerics import POOL_CHUNK_TOKENS, per_chunk
+from . import numerics
+from .numerics import per_chunk
 from .tokens import CompressedTokenSequence
 
 __all__ = ["FramePositionConfig", "encoding_vector", "apply_position_encoding"]
@@ -81,6 +82,6 @@ def apply_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConf
     # One float32 addition has the bits of the float64 sum rounded to
     # float32: 53 >= 2 * 24 + 2 makes the double rounding innocuous.
     vectors = seq.vectors
-    step = per_chunk(seq.dim * 4, POOL_CHUNK_TOKENS)
+    step = per_chunk(seq.dim * 4, numerics.POOL_CHUNK_TOKENS)
     for lo in range(0, vectors.shape[0], step):
         vectors[lo : lo + step] += offsets[inverse[lo : lo + step]]

@@ -22,9 +22,10 @@ the table holds a full frame, or it fits once pooled. Over budget, the only
 buffer of the token width that grows with the budget is the output-sized
 store; every other one is bounded by ``numerics.WORK_BYTES`` through
 ``numerics.per_chunk``. The frames are pooled and planned in blocks of whole
-windows, each pooled into one reused block buffer. Kept are only one byte of
-plan state per pooled token (its rung: the ladder's thresholds its
-similarity is at or below), the anchor flags and a budget-sized store of
+windows, each pooled into one reused block buffer. Kept are only a
+``PruningPlan`` (per pooled token an anchor flag and one byte, its rung: the
+count of the ladder's thresholds its similarity is at or below, or with
+stage 3 off rung 1 of the one threshold theta) and a budget-sized store of
 pooled tokens (the anchors, then the first survivors). Subsampling scans the
 plan's masks in fixed-size pieces. ``select_and_pool`` then emits only the
 kept rows, into the store's array, a chunk at a time.
@@ -177,25 +178,25 @@ def enforce_budget(
     result: SpatialCompressionResult,
     theta: float,
     budget: int,
-    plan: PruningPlan | None = None,
+    plan: PruningPlan,
 ) -> tuple[SpatialCompressionResult, float, bool]:
     """Force a pruning result under the budget; returns (result, theta, fallback).
 
-    The threshold drops in 0.05 steps toward 0.5 while ``plan`` (when given)
-    can still prune more: its thresholds are ``theta`` and then the steps.
-    The survivors at step s are counted straight from the plan's rungs, as
-    the rungs above s; the first step whose count fits is taken, or the last
+    The threshold drops in 0.05 steps toward 0.5 while ``plan`` can still
+    prune more: its thresholds are ``theta`` and then the steps, none in a
+    one-threshold plan (stage 3 off, or ``theta`` at the floor). The
+    survivors at step s are counted straight from the plan's rungs, as the
+    rungs above s; the first step whose count fits is taken, or the last
     step when none fits, and the plan is applied once at that threshold.
     Anything still over budget then has its non-anchor tokens uniformly
     subsampled by table rank, which is (timestep, position) rank, until the
-    budget is met exactly. The caller has checked that the anchor tokens fit
-    the budget; anchors keep every token at any threshold, so no step can
-    change that.
+    budget is met exactly. The caller has checked that the anchor tokens fit;
+    anchors keep every token at any threshold, so no step can change that.
     """
     if result.tokens_after <= budget:
         return result, theta, False
     theta_eff = theta
-    if plan is not None and len(plan.thresholds) > 1:
+    if len(plan.thresholds) > 1:
         for step, theta_eff in enumerate(plan.thresholds[1:], 1):
             if int(np.count_nonzero(plan.rungs > step)) <= budget:
                 break
@@ -230,24 +231,23 @@ def _plan_in_blocks(
     cfg: CompressionConfig,
     budget: int,
     anchor_tokens: int,
-) -> tuple[SpatialCompressionResult, PruningPlan | None, tuple | None]:
+) -> tuple[PruningPlan, tuple | None]:
     """Pool the input frames ``kept`` and plan their pruning block by block,
     without building the pooled token table.
 
     A block is as many whole k-windows as ``numerics.per_chunk`` gives, at
     least one, so every window and its anchor are as over the whole table.
     Kept are each token's rung for ``cfg.theta`` and its ladder (with stage
-    3 on), the anchor flags and a store of at most ``budget`` pooled tokens
-    in table order: every anchor token, and as many of the first survivors
-    at ``cfg.theta`` as fit beside them.
-    Every output token is one of those survivors. The caller passes
+    3 off, rung 1 of the one threshold ``cfg.theta``), the anchor flags and a
+    store of at most ``budget`` pooled tokens in table order: every anchor
+    token, and as many of the first survivors at ``cfg.theta`` as fit beside
+    them. Every output token is one of those survivors. The caller passes
     ``anchor_tokens``, the pooled tokens of the anchor frames, which it works
     out from the frame count; when they alone exceed the budget the verdict
     is infeasible and nothing is stored.
 
-    Returns the pruning result at ``cfg.theta``, the plan (None with stage 3
-    off) and the store as (its table rows, ascending; a ``budget``-row
-    float32 array whose leading rows hold their vectors), or None.
+    Returns the plan and the store as (its table rows, ascending; a
+    ``budget``-row float32 array whose leading rows hold their vectors), or None.
     """
     frames = seq.frames
     h_l, w_l = cfg.tokens_low
@@ -258,9 +258,8 @@ def _plan_in_blocks(
         vectors = np.empty((budget, dim), dtype=np.float32)
     stored = 0
     is_anchor = np.empty(t, dtype=bool)
-    if cfg.stages.stc:
-        thresholds = (cfg.theta, *_theta_ladder(cfg.theta))
-        rungs = np.empty(t * hw, dtype=np.uint8)
+    thresholds = (cfg.theta, *_theta_ladder(cfg.theta))
+    rungs = np.ones(t * hw, dtype=np.uint8)
     # A window of pooled float32 is counted twice: pooling's own chunk, of up
     # to ``WORK_BYTES``, is alive beside the block.
     block = k * per_chunk(2 * k * hw * dim * 4, t)
@@ -272,12 +271,13 @@ def _plan_in_blocks(
             plan = build_plan(pooled, k, cfg.anchor, thresholds)
             rungs[lo * hw : hi * hw] = plan.rungs
             is_anchor[lo:hi] = plan.anchor[::hw]
-        else:
+        else:  # one threshold, and every token at rung 1
+            thresholds = (cfg.theta,)
             is_anchor[lo:hi] = anchor_frames(pooled.reshape(hi - lo, hw, dim), k, cfg.anchor)
         if room >= 0:
             # Anchor tokens always survive; the others take the room left.
             # ``cfg.theta`` keeps the tokens above rung 0.
-            local = np.flatnonzero(plan.rungs) if cfg.stages.stc else np.arange((hi - lo) * hw)
+            local = np.flatnonzero(rungs[lo * hw : hi * hw])
             anchor_rows = int(np.count_nonzero(is_anchor[lo:hi])) * hw
             if local.shape[0] - anchor_rows > room:
                 beside = ~is_anchor[lo + local // hw]
@@ -291,11 +291,7 @@ def _plan_in_blocks(
             stored = end
     del block_buf, pooled
     store = (stored_rows[:stored], vectors) if room >= 0 else None
-    anchor = np.repeat(is_anchor, hw)
-    if not cfg.stages.stc:
-        return SpatialCompressionResult(np.ones(t * hw, dtype=bool), anchor), None, store
-    plan = PruningPlan(rungs, anchor, thresholds)
-    return plan.apply(cfg.theta), plan, store
+    return PruningPlan(rungs, np.repeat(is_anchor, hw), thresholds), store
 
 
 def compress(
@@ -378,7 +374,8 @@ def compress(
         # is bounded by the budget, not by t_after. Every window's anchor
         # frame keeps all its pooled tokens.
         anchor_tokens = -(-t_after // cfg.k) * h_l * w_l
-        result, plan, store = _plan_in_blocks(seq, kept, cfg, budget, anchor_tokens)
+        plan, store = _plan_in_blocks(seq, kept, cfg, budget, anchor_tokens)
+        result = plan.apply(cfg.theta)
         tokens_spatial = result.tokens_after
         if anchor_tokens > budget:
             stats = stage_stats(n_full, tokens_query, tokens_spatial, cfg.theta, True, None)

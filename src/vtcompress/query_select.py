@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError
-from .numerics import POOL_CHUNK_TOKENS, per_chunk, pool_batch, pool_tokens
+from . import numerics
+from .numerics import per_chunk, pool_batch, pool_tokens
 from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressedTokenSequence
 
@@ -47,7 +48,8 @@ class QueryEmbedding:
     rows: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+            self.rows = np.asarray(self.rows, dtype=np.float32)
         if self.rows.ndim != 2:
             raise ValueError(f"query embedding must be 2-d, got shape {self.rows.shape}")
         if self.rows.shape[0] < 1 or self.rows.shape[1] < 1:
@@ -116,11 +118,12 @@ def frame_query_scores(token_means, query: QueryEmbedding) -> np.ndarray:
 
 def _move_down(vectors: np.ndarray, dst: np.ndarray, src: np.ndarray):
     """``vectors[dst] = vectors[src]`` for strictly ascending rows ``dst``
-    with ``src >= dst`` row by row, in ascending chunks of ``POOL_CHUNK_TOKENS``
-    rows, fewer where the rows are wide (``numerics.per_chunk``). A chunk
-    reads rows after every row an earlier chunk wrote, so none overwrites a
-    row a later chunk reads, and the working copy is one chunk."""
-    step = per_chunk(vectors.shape[1] * 4 + 16, POOL_CHUNK_TOKENS)
+    with ``src >= dst`` row by row, in ascending chunks of
+    ``numerics.POOL_CHUNK_TOKENS`` rows, fewer where the rows are wide
+    (``numerics.per_chunk``). A chunk reads rows after every row an earlier
+    chunk wrote, so none overwrites a row a later chunk reads, and the
+    working copy is one chunk."""
+    step = per_chunk(vectors.shape[1] * 4 + 16, numerics.POOL_CHUNK_TOKENS)
     for lo in range(0, dst.shape[0], step):
         vectors[dst[lo : lo + step]] = vectors[src[lo : lo + step]]
 
@@ -195,7 +198,7 @@ def select_and_pool(
         moved = np.flatnonzero(found & (at != np.arange(n)))
         again = np.flatnonzero(~found)
         _move_down(vectors, moved, at[moved])  # at[i] >= i: see above
-        step = per_chunk(dim * 4 + 16, POOL_CHUNK_TOKENS)
+        step = per_chunk(dim * 4 + 16, numerics.POOL_CHUNK_TOKENS)
         for lo in range(0, again.shape[0], step):
             dst = again[lo : lo + step]
             vectors[dst] = pool_tokens(

@@ -132,6 +132,8 @@ class PruningPlan:
     anchor is at or below, so a threshold ``thresholds[s]`` keeps exactly
     the tokens whose rung exceeds s. Anchor tokens and zero-norm positions
     have similarity -inf and the top rung: every threshold keeps them.
+    Stage 3 off is the plan of one threshold with every token at rung 1:
+    it keeps every token and only marks the anchors.
     """
 
     rungs: np.ndarray  # (tokens,) uint8

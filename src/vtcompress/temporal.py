@@ -120,7 +120,8 @@ class FrameFeatureSequence:
     means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float32).view()
+        with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+            self.frames = np.asarray(self.frames, dtype=np.float32).view()
         self.frames.flags.writeable = False
         self._check_layout()
         self.means = _frame_means(self.frames)
@@ -134,6 +135,8 @@ class FrameFeatureSequence:
             )
         if self.frames.shape[0] == 0:
             raise ValueError("frame sequence is empty")
+        if 0 in self.frames.shape:
+            raise ValueError(f"frame grid and width must be nonzero, got shape {self.frames.shape}")
 
     @property
     def n_frames(self) -> int:
@@ -195,14 +198,17 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
     survivor and temporal order is preserved. A frame is scored by its
     unit-norm mean token rounded to float32; a zero mean stays zero
     (``cosines``). The full windows are scored in blocks of whole windows,
-    as many as ``numerics.per_chunk`` gives for their float64 summaries, each
-    block in one batched product, and the short last window through the same
-    routine on its own. ``compress`` has checked j >= 1 and tau_t in (0, 1].
+    as many as ``numerics.per_chunk`` gives, each block in one batched
+    product, and the short last window through the same routine on its own.
+    A window counts what scoring holds of it at once: its float64 summaries
+    twice (beside them, their unit-norm copy or the squares behind its
+    norms) and its j-by-j float64 products, their clipped copy, the cosines
+    and the zero flags. ``compress`` has checked j >= 1 and tau_t in (0, 1].
     """
     n, dim = seq.n_frames, seq.dim
     j = min(j, n)  # a window longer than the video holds all of it
     per_frame = np.empty(n)
-    step = j * per_chunk(j * dim * 8, n)
+    step = j * per_chunk(j * (16 * dim + 25 * j), n)
     for lo in range(0, n, step):
         summaries = unit_rows(seq.means[lo : lo + step])[0].astype(np.float32).astype(np.float64)
         hi = lo + summaries.shape[0]
@@ -210,6 +216,7 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
         per_frame[lo : lo + body] = _window_sims(summaries[:body].reshape(-1, j, dim)).ravel()
         if lo + body < hi:
             per_frame[lo + body : hi] = _window_sims(summaries[body:][None])[0]
+        del summaries  # before the next block's are made
     keep = per_frame <= tau_t
     keep[window_minima(per_frame, j)] = True
     return TemporalReduction(np.flatnonzero(keep))

@@ -6,7 +6,9 @@ unused-import and unused-private-name rules. ``__init__.py`` is skipped for
 imports: they are the package's re-exports. An import counts as used when
 the module's code refers to it or lists it in ``__all__``. A private name
 (one leading underscore, not a dunder) defined by a ``def``, ``class`` or
-assignment counts as used when the module's code reads it.
+assignment counts as used when the module's code reads it. The chunk caps
+of ``numerics`` are read through that module, never imported by name: a
+name bound at import does not follow a patch of ``numerics``.
 """
 
 import ast
@@ -98,3 +100,34 @@ def test_an_unused_private_name_is_reported(tmp_path):
         "def f():\n    return _helper(), _LIMIT\n"
     )
     assert unused_private_names(module) == ["sample.py:3 _SPARE", "sample.py:4 _read_array"]
+
+
+CHUNK_CAPS = {"WORK_BYTES", "POOL_CHUNK_FRAMES", "POOL_CHUNK_TOKENS"}
+
+
+def chunk_caps_imported_by_name(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in CHUNK_CAPS
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "numerics.py"], ids=lambda p: p.name
+)
+def test_no_module_but_numerics_imports_a_chunk_cap_by_name(path):
+    assert chunk_caps_imported_by_name(path) == []
+
+
+def test_a_chunk_cap_imported_by_name_is_reported(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from . import numerics\nfrom .numerics import WORK_BYTES, per_chunk\n"
+        "def f():\n    from .numerics import POOL_CHUNK_TOKENS as cap\n"
+        "    return numerics.POOL_CHUNK_FRAMES, WORK_BYTES, cap\n"
+    )
+    assert chunk_caps_imported_by_name(module) == [
+        "sample.py:2 WORK_BYTES", "sample.py:4 POOL_CHUNK_TOKENS"
+    ]

@@ -32,7 +32,7 @@ from vtcompress import numerics, pipeline, query_select
 from vtcompress.formats import write_compressed
 from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import _subsample_to_budget, _theta_ladder, enforce_budget, flatten
-from vtcompress.spatial import SpatialCompressionResult, anchor_frames, build_plan
+from vtcompress.spatial import PruningPlan, SpatialCompressionResult, anchor_frames, build_plan
 from vtcompress.synthbench import needle_study
 from vtcompress.temporal import reduce_frames
 from vtcompress.tokens import LEVEL_CODE
@@ -416,8 +416,9 @@ class TestStageToggles:
 class TestEnforceBudget:
     def test_under_budget_is_identity(self, rng):
         frames = rng.standard_normal((8, 2, 2, 3)).astype(np.float32)
-        result = build_plan(frames, 4, AnchorStrategy.FIRST, (0.8,)).apply(0.8)
-        out, theta, fallback = enforce_budget(result, 0.8, 1000)
+        plan = build_plan(frames, 4, AnchorStrategy.FIRST, (0.8,))
+        result = plan.apply(0.8)
+        out, theta, fallback = enforce_budget(result, 0.8, 1000, plan)
         assert out is result
         assert theta == 0.8 and not fallback
 
@@ -953,9 +954,10 @@ def expected_record(seq, query, cfg, out, **counts):
 
 def whole_table_oracle(seq, query, cfg):
     """What compress returns for a video whose pooled table is over budget,
-    worked out on the whole pooled table: token_table, build_plan (or the
-    anchors alone with stage 3 off), a count of the table's anchor tokens
-    against the budget, enforce_budget, flatten and position encoding.
+    worked out on the whole pooled table: token_table, build_plan (or, with
+    stage 3 off, the one-threshold plan of the anchors and every token at
+    rung 1), a count of the table's anchor tokens against the budget,
+    enforce_budget, flatten and position encoding.
     Returns (tokens or None, the stats fields the stages set)."""
     kept = np.arange(seq.n_frames)
     if cfg.stages.temporal:
@@ -964,15 +966,13 @@ def whole_table_oracle(seq, query, cfg):
     table = token_table(seq, kept, np.zeros(t, dtype=bool), cfg.tokens_low)
     assert table.tokens.total_count + query.n_tokens > cfg.l_max  # the over-budget case
     stack = table.tokens.vectors.reshape(t, h_l, w_l, -1)
-    plan = None
     if cfg.stages.stc:
         plan = build_plan(stack, cfg.k, cfg.anchor, (cfg.theta, *_theta_ladder(cfg.theta)))
-        result = plan.apply(cfg.theta)
     else:
         anchor = anchor_frames(stack.reshape(t, h_l * w_l, -1), cfg.k, cfg.anchor)
-        result = SpatialCompressionResult(
-            np.ones(table.tokens.total_count, dtype=bool), np.repeat(anchor, h_l * w_l)
-        )
+        plan = PruningPlan(np.ones(table.tokens.total_count, dtype=np.uint8),
+                           np.repeat(anchor, h_l * w_l), (cfg.theta,))
+    result = plan.apply(cfg.theta)
     stats = dict(frames_after_temporal=t, n_full_res=0,
                  tokens_after_query=table.tokens.total_count,
                  tokens_after_spatial=result.tokens_after)
@@ -1004,8 +1004,13 @@ class TestOverBudgetPath:
     @pytest.mark.parametrize("stc", [True, False])
     @pytest.mark.parametrize("fpe", [True, False])
     @pytest.mark.parametrize("grid,pooled", [((4, 4), (2, 2)), ((5, 7), (3, 2))])
-    def test_matches_the_whole_table(self, rng, tmp_path, anchor, stc, fpe, grid, pooled):
+    def test_matches_the_whole_table(self, rng, tmp_path, monkeypatch, anchor, stc, fpe, grid, pooled):
+        # With stage 3 off the plan has the one threshold theta: no
+        # similarity is taken, and theta is never lowered.
+        calls = []
+        monkeypatch.setattr(pipeline, "build_plan", lambda *a: calls.append(a) or build_plan(*a))
         self.check_against_the_whole_table(rng, tmp_path, anchor, stc, fpe, grid, pooled)
+        assert bool(calls) == stc
 
     @pytest.mark.parametrize("chunks", ["one", "few"])
     @pytest.mark.parametrize("anchor", list(AnchorStrategy))
@@ -1021,13 +1026,13 @@ class TestOverBudgetPath:
         # item at a time: a window a plan block, a row a move, re-pooling or
         # encoding step, a record a write. With "few" the working bytes are
         # four windows', so a plan block is two windows (each counted twice),
-        # rows are moved and re-pooled 3 at a time, and the bytes hold 48 to
-        # 72 rows an encoding step and 31 to 46 records a write.
+        # rows are moved, re-pooled and encoded 3 at a time, and the bytes
+        # hold 31 to 46 records a write. Only ``numerics`` is patched: every
+        # pass reads its caps there when it runs.
         window = 3 * pooled[0] * pooled[1] * 6 * 4  # pooled float32 bytes of a k = 3 window
         work, rows = {"one": (1, None), "few": (2 * 2 * window, 3)}[chunks]
         monkeypatch.setattr(numerics, "WORK_BYTES", work)
         if rows is not None:
-            monkeypatch.setattr(query_select, "POOL_CHUNK_TOKENS", rows)
             monkeypatch.setattr(numerics, "POOL_CHUNK_TOKENS", rows)
         self.check_against_the_whole_table(rng, tmp_path, anchor, stc, fpe, grid, pooled)
 
@@ -1053,6 +1058,7 @@ class TestOverBudgetPath:
                 assert exc.anchor_tokens == math.ceil(61 / 3) * pooled[0] * pooled[1]
                 assert exc.budget == l_max - 5
             assert stats.frames_after_temporal == 61
+            assert stc or stats.theta_effective == cfg.theta
             assert stats.to_dict() == expected_record(seq, query, cfg, out, **expected_stats), l_max
             if expected is None:
                 assert out is None

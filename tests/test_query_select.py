@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from vtcompress import (
     compress,
     frame_query_scores,
 )
-from vtcompress import query_select
+from vtcompress import numerics, query_select
 from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import flatten
 from vtcompress.query_select import _move_down, num_full_res_frames, select_and_pool
@@ -390,13 +391,13 @@ class TestOneEmitter:
         # the output, moved down and the full frames gathered around them.
         t, n_full = data.draw(st.integers(1, 9)), data.draw(st.integers(0, 9))
         low = data.draw(st.sampled_from(self.GRIDS))
-        chunk = data.draw(st.sampled_from([1, 2, 4, query_select.POOL_CHUNK_TOKENS]))
+        chunk = data.draw(st.sampled_from([1, 2, 4, numerics.POOL_CHUNK_TOKENS]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         seq, query = self.video(rng)
         kept = np.sort(rng.choice(12, t, replace=False))
         n_full = min(n_full, t)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(query_select, "POOL_CHUNK_TOKENS", chunk)
+            mp.setattr(numerics, "POOL_CHUNK_TOKENS", chunk)
             got, _ = select_and_pool(seq, kept, query, n_full, low)
         scores = scores_oracle(seq.frames[kept], query)
         full = np.zeros(t, dtype=bool)
@@ -419,7 +420,7 @@ class TestMoveDown:
         expected = vectors.copy()
         expected[rows] = vectors[src]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(query_select, "POOL_CHUNK_TOKENS", chunk)
+            mp.setattr(numerics, "POOL_CHUNK_TOKENS", chunk)
             _move_down(vectors, rows, src)
         assert vectors.tobytes() == expected.tobytes()
 
@@ -428,6 +429,14 @@ class TestQueryEmbedding:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             QueryEmbedding(np.zeros((0, 4), dtype=np.float32))
+
+    def test_float64_beyond_float32_rejected_without_a_warning(self):
+        rows = np.ones((2, 3))
+        rows[1, 2] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                QueryEmbedding(rows)
 
     def test_rejects_non_finite(self):
         rows = np.ones((2, 2), dtype=np.float32)

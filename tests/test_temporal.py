@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 import warnings
@@ -155,7 +156,8 @@ class TestReduceFrames:
         for _ in range(100):
             n, dim, j = int(rng.integers(1, 70)), int(rng.integers(1, 9)), int(rng.integers(1, 12))
             if windows is not None:
-                monkeypatch.setattr(numerics, "WORK_BYTES", windows * min(j, n) * dim * 8)
+                w = min(j, n)  # a window's count: two float64 summaries and three products
+                monkeypatch.setattr(numerics, "WORK_BYTES", windows * w * (16 * dim + 25 * w))
             seq = random_sequence(rng, n, 2, 2, dim)
             for tau in (float(rng.uniform(0.05, 1.0)), None):
                 per_frame, kept = reduce_oracle(seq, j, tau or 1.0)
@@ -184,6 +186,25 @@ class TestReduceFrames:
                 tracemalloc.stop()
             assert kept.shape[0] > n // 2
         assert (peaks[1] - peaks[0]) / (4096 - 1024) <= 64, peaks
+
+    @pytest.mark.parametrize("n,dim,work_bytes", [
+        (3600, 64, 1 << 20), (3600, 64, 1 << 19), (900, 1152, 1 << 20), (3600, 2, 1 << 16)
+    ])
+    def test_working_memory_is_held_to_the_working_bytes(self, rng, monkeypatch, n, dim, work_bytes):
+        # The block counts all that scoring holds of a window, so the traced
+        # peak is WORK_BYTES plus a fixed allowance: numpy's 64 KiB reduction
+        # buffer, and the scores, flags and indices of these clips' frames.
+        allowance = 128 << 10
+        monkeypatch.setattr(numerics, "WORK_BYTES", work_bytes)
+        seq = random_sequence(rng, n, 1, 1, dim)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reduce_frames(seq, 8, 0.85)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= work_bytes + allowance, peak
 
     def test_short_tail_window_matches_oracle(self, rng):
         # 8 + 8 + 3 frames: two full windows and a 3-frame tail, with repeats
@@ -289,6 +310,23 @@ class TestFrameFeatureSequence:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="frame sequence is empty"):
             FrameFeatureSequence(np.zeros((0, 2, 2, 3), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3, 0), (2, 0, 3, 4), (2, 3, 0, 4), (1, 0, 0, 0)])
+    def test_zero_grid_or_width_rejected_naming_the_shape(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                FrameFeatureSequence(np.zeros(shape, dtype=np.float32))
+            with pytest.raises(ValueError, match="frame sequence is empty"):
+                FrameFeatureSequence(np.zeros((0, *shape[1:]), dtype=np.float32))
+
+    def test_float64_beyond_float32_rejected_without_a_warning(self):
+        frames = np.ones((2, 2, 2, 3))
+        frames[1, 0, 1, 2] = -1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                FrameFeatureSequence(frames)
 
     def test_non_finite_frame_rejected(self):
         # frame 5 repeats its window's frames, so stage 1 would drop it
