@@ -21,8 +21,9 @@ budget it emits the whole token table: everything fits at full resolution,
 the table holds a full frame, or it fits once pooled. Over budget, the only
 buffer of the token width that grows with the budget is the output-sized
 store; every other one is bounded by ``numerics.WORK_BYTES`` through
-``numerics.per_chunk``. The frames are pooled and planned in blocks of whole
-windows, each pooled into one reused block buffer. Kept are only a
+``numerics.per_chunk``, or is one k-window of pooled frames. The frames are
+pooled and planned one k-window at a time, each pooled into one reused window
+buffer through one pooling set-up made once per call. Kept are only a
 ``PruningPlan`` (per pooled token an anchor flag and one byte, its rung: the
 count of the ladder's thresholds its similarity is at or below, or with
 stage 3 off rung 1 of the one threshold theta) and a budget-sized store of
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import BudgetInfeasibleError, InvalidConfigError, integer, numbers, real
 from .framepos import FramePositionConfig, apply_position_encoding
-from .numerics import per_chunk, pool_batch
+from .numerics import Pooling, per_chunk, pool_batch
 from .query_select import MixedResolutionSequence, QueryEmbedding, num_full_res_frames, select_and_pool
 from .spatial import (
     AnchorStrategy,
@@ -225,23 +226,24 @@ def flatten(table: MixedResolutionSequence, keep: np.ndarray) -> CompressedToken
     )
 
 
-def _plan_in_blocks(
+def _plan_by_window(
     seq: FrameFeatureSequence,
     kept: np.ndarray,
     cfg: CompressionConfig,
     budget: int,
     anchor_tokens: int,
 ) -> tuple[PruningPlan, tuple | None]:
-    """Pool the input frames ``kept`` and plan their pruning block by block,
-    without building the pooled token table.
+    """Pool the input frames ``kept`` and plan their pruning one k-window at a
+    time, without building the pooled token table.
 
-    A block is as many whole k-windows as ``numerics.per_chunk`` gives, at
-    least one, so every window and its anchor are as over the whole table.
-    Kept are each token's rung for ``cfg.theta`` and its ladder (with stage
-    3 off, rung 1 of the one threshold ``cfg.theta``), the anchor flags and a
-    store of at most ``budget`` pooled tokens in table order: every anchor
-    token, and as many of the first survivors at ``cfg.theta`` as fit beside
-    them. Every output token is one of those survivors. The caller passes
+    Each window is pooled into one reused window buffer, through one pooling
+    set-up (``numerics.Pooling``) made here for every window, and planned on
+    its own: its anchor and similarities are as over the whole table. Kept
+    are each token's rung for ``cfg.theta`` and its ladder (with stage 3 off,
+    rung 1 of the one threshold ``cfg.theta``), the anchor flags and a store
+    of at most ``budget`` pooled tokens in table order: every anchor token,
+    and as many of the first survivors at ``cfg.theta`` as fit beside them.
+    Every output token is one of those survivors. The caller passes
     ``anchor_tokens``, the pooled tokens of the anchor frames, which it works
     out from the frame count; when they alone exceed the budget the verdict
     is infeasible and nothing is stored.
@@ -258,38 +260,36 @@ def _plan_in_blocks(
         vectors = np.empty((budget, dim), dtype=np.float32)
     stored = 0
     is_anchor = np.empty(t, dtype=bool)
-    thresholds = (cfg.theta, *_theta_ladder(cfg.theta))
+    thresholds = (cfg.theta, *_theta_ladder(cfg.theta)) if cfg.stages.stc else (cfg.theta,)
     rungs = np.ones(t * hw, dtype=np.uint8)
-    # A window of pooled float32 is counted twice: pooling's own chunk, of up
-    # to ``WORK_BYTES``, is alive beside the block.
-    block = k * per_chunk(2 * k * hw * dim * 4, t)
-    block_buf = np.empty((min(block, t), h_l, w_l, dim), dtype=np.float32)
-    for lo in range(0, t, block):
-        hi = min(lo + block, t)
-        pooled = pool_batch(frames, h_l, w_l, kept[lo:hi], out=block_buf[: hi - lo])
+    pooling = Pooling(seq.grid_h, seq.grid_w, dim, h_l, w_l, min(k, t))
+    window_buf = np.empty((min(k, t), h_l, w_l, dim), dtype=np.float32)
+    for lo in range(0, t, k):
+        hi = min(lo + k, t)
+        pooled = pool_batch(frames, h_l, w_l, kept[lo:hi], out=window_buf[: hi - lo], pooling=pooling)
         if cfg.stages.stc:
             plan = build_plan(pooled, k, cfg.anchor, thresholds)
             rungs[lo * hw : hi * hw] = plan.rungs
             is_anchor[lo:hi] = plan.anchor[::hw]
-        else:  # one threshold, and every token at rung 1
-            thresholds = (cfg.theta,)
+        else:  # every token at rung 1
             is_anchor[lo:hi] = anchor_frames(pooled.reshape(hi - lo, hw, dim), k, cfg.anchor)
         if room >= 0:
-            # Anchor tokens always survive; the others take the room left.
-            # ``cfg.theta`` keeps the tokens above rung 0.
-            local = np.flatnonzero(rungs[lo * hw : hi * hw])
-            anchor_rows = int(np.count_nonzero(is_anchor[lo:hi])) * hw
-            if local.shape[0] - anchor_rows > room:
-                beside = ~is_anchor[lo + local // hw]
-                local = local[~beside | (np.cumsum(beside) <= room)]
-            room -= local.shape[0] - anchor_rows
+            # The window's survivors at ``cfg.theta`` (its tokens above rung
+            # 0): its anchor frame's hw rows, which always survive and so sit
+            # together, and as many of the others, in order, as there is room.
+            local = rungs[lo * hw : hi * hw].nonzero()[0]
+            if local.shape[0] - hw > room:
+                first = int(local.searchsorted(is_anchor[lo:hi].argmax() * hw))
+                before = min(room, first)  # the others before the anchor frame
+                local = np.concatenate((local[:before], local[first : first + hw + room - before]))
+            room -= local.shape[0] - hw
             end = stored + local.shape[0]
             stored_rows[stored:end] = local + lo * hw
             # mode="clip" writes straight into ``out``; "raise" buffers it.
             # The rows are in range by construction.
             np.take(pooled.reshape(-1, dim), local, axis=0, out=vectors[stored:end], mode="clip")
             stored = end
-    del block_buf, pooled
+    del pooling, window_buf, pooled
     store = (stored_rows[:stored], vectors) if room >= 0 else None
     return PruningPlan(rungs, np.repeat(is_anchor, hw), thresholds), store
 
@@ -304,11 +304,11 @@ def compress(
     the full frames fit the budget ``l_max - l_q`` or no stage is on, else
     ``num_full_res_frames`` with the query stage on, else 0. Within the
     budget, stage 2's token table is the output. Over it, the frames are
-    pooled and planned in blocks, and the ceil(t' / k) anchor frames of
-    pooled tokens decide the verdict: they fit and the budget is enforced,
-    or the run is infeasible. One ``select_and_pool`` call then emits the
-    output on either path, which is position-encoded and counted at the
-    one exit.
+    pooled and planned one k-window at a time, and the ceil(t' / k) anchor
+    frames of pooled tokens decide the verdict: they fit and the budget is
+    enforced, or the run is infeasible. One ``select_and_pool`` call then
+    emits the output on either path, which is position-encoded and counted
+    at the one exit.
 
     Raises BudgetInfeasibleError when the anchor tokens alone exceed the
     budget; its ``stats`` hold the accounting of every stage that ran.
@@ -374,7 +374,7 @@ def compress(
         # is bounded by the budget, not by t_after. Every window's anchor
         # frame keeps all its pooled tokens.
         anchor_tokens = -(-t_after // cfg.k) * h_l * w_l
-        plan, store = _plan_in_blocks(seq, kept, cfg, budget, anchor_tokens)
+        plan, store = _plan_by_window(seq, kept, cfg, budget, anchor_tokens)
         result = plan.apply(cfg.theta)
         tokens_spatial = result.tokens_after
         if anchor_tokens > budget:

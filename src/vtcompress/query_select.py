@@ -19,11 +19,11 @@ order, in fresh arrays. Where the token table fits the budget it emits the
 whole table, every frame at its level pooled or gathered straight into the
 output array: full, pooled and mixed tables take one path. When every frame
 is pooled and the table would still be over budget, the pipeline pools and
-plans block by block (see ``pipeline``) and hands over the kept rows and a
-budget-sized store of pooled tokens; only those rows are emitted, into the
-store. Rows move and are pooled again in chunks sized by ``numerics.per_chunk``,
-so on either path no other array of the token width grows with the budget or
-the kept frames.
+plans one k-window at a time, with pooling set up once (see ``pipeline``),
+and hands over the kept rows and a budget-sized store of pooled tokens; only
+those rows are emitted, into the store. Rows move and are pooled again in
+chunks sized by ``numerics.per_chunk``, so on either path no other array of
+the token width grows with the budget or the kept frames.
 """
 
 from __future__ import annotations

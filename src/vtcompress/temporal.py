@@ -178,15 +178,36 @@ class TemporalReduction:
         return self.kept_indices.shape[0]
 
 
+def _unit_rows_in_place(x: np.ndarray) -> np.ndarray:
+    """``unit_rows`` of a contiguous float64 array, written over it; returns the
+    zero-row flags. The norms are taken as ``np.linalg.norm`` takes them, the
+    square root of the sum of the squares, a few rows at a time: a sixteenth of
+    ``numerics.WORK_BYTES`` of squares a piece. Each row is reduced and divided
+    on its own, so the bits are ``unit_rows``' without its copies."""
+    rows = x.reshape(-1, x.shape[-1], copy=False)
+    n, dim = rows.shape
+    step = per_chunk(16 * 8 * dim, n)
+    squares, norms = np.empty((step, dim)), np.empty(n)
+    for lo in range(0, n, step):
+        piece = rows[lo : lo + step]
+        np.add.reduce(np.square(piece, out=squares[: piece.shape[0]]), axis=1, out=norms[lo : lo + step])
+    np.sqrt(norms, out=norms)
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    rows /= norms[:, None]
+    return zero.reshape(x.shape[:-1])
+
+
 def _window_sims(s: np.ndarray) -> np.ndarray:
     """Average cosine similarity of each frame to the others in its window,
     for a (windows, w, dim) float64 stack of equal windows; shape (windows, w).
+    The stack is brought to unit norm in place.
 
     A single-frame window scores 0.0: the frame is trivially non-redundant.
     A zero row repeats every frame (``cosines``), so it scores 1.0.
     """
-    unit, zero = unit_rows(s)
-    sims = cosines(unit @ unit.transpose(0, 2, 1), zero[:, :, None], zero[:, None])
+    zero = _unit_rows_in_place(s)
+    sims = cosines(s @ s.transpose(0, 2, 1), zero[:, :, None], zero[:, None])
     return (sims.sum(axis=2) - sims.diagonal(axis1=1, axis2=2)) / max(s.shape[1] - 1, 1)
 
 
@@ -200,17 +221,20 @@ def reduce_frames(seq: FrameFeatureSequence, j: int, tau_t: float) -> TemporalRe
     (``cosines``). The full windows are scored in blocks of whole windows,
     as many as ``numerics.per_chunk`` gives, each block in one batched
     product, and the short last window through the same routine on its own.
-    A window counts what scoring holds of it at once: its float64 summaries
-    twice (beside them, their unit-norm copy or the squares behind its
-    norms) and its j-by-j float64 products, their clipped copy, the cosines
-    and the zero flags. ``compress`` has checked j >= 1 and tau_t in (0, 1].
+    A window counts what scoring holds of it at once: its float64 summaries,
+    which are made and scored in place, and its j-by-j float64 products,
+    their clipped copy, the cosines and the zero flags. ``compress`` has
+    checked j >= 1 and tau_t in (0, 1].
     """
     n, dim = seq.n_frames, seq.dim
     j = min(j, n)  # a window longer than the video holds all of it
     per_frame = np.empty(n)
-    step = j * per_chunk(j * (16 * dim + 25 * j), n)
+    step = j * per_chunk(j * (8 * dim + 25 * j), n)
     for lo in range(0, n, step):
-        summaries = unit_rows(seq.means[lo : lo + step])[0].astype(np.float32).astype(np.float64)
+        summaries = seq.means[lo : lo + step].copy()
+        _unit_rows_in_place(summaries)
+        # rounded to float32 in place, through numpy's fixed-size cast buffers
+        np.positive(summaries, out=summaries, dtype=np.float32)
         hi = lo + summaries.shape[0]
         body = summaries.shape[0] // j * j  # frames in full windows
         per_frame[lo : lo + body] = _window_sims(summaries[:body].reshape(-1, j, dim)).ravel()

@@ -847,8 +847,8 @@ class TestPipelineInvariants:
 
     def test_over_budget_peak_is_below_the_pooled_table(self, rng):
         # The 288 kept frames pool to 18,432 tokens against a 4,088 budget.
-        # Pooling block by block keeps compress's peak below the bytes of
-        # the pooled table alone.
+        # Pooling one k-window at a time keeps compress's peak below the
+        # bytes of the pooled table alone.
         _, stats, peak = self.half_static_peak(rng)
         table_bytes = 288 * 64 * 64 * 4
         assert stats.tokens_after_query * 64 * 4 == table_bytes
@@ -857,7 +857,7 @@ class TestPipelineInvariants:
     def test_over_budget_peak_grows_by_a_few_bytes_a_pooled_token(self, rng):
         # A synthetic clip at dim 64 and its first half share a 6k budget;
         # the clip keeps about twice the frames of its half. Beside the
-        # budget-sized store and the fixed-size blocks, compress holds a
+        # budget-sized store and the fixed-size windows, compress holds a
         # byte of plan state and a few flags per pooled token, so its peak
         # grows by at most 4 B per extra pooled token. A float64 similarity
         # per token would be 8 B alone.
@@ -878,6 +878,12 @@ class TestPipelineInvariants:
         assert (peaks[1] - peaks[0]) / (pooled[1] - pooled[0]) <= 4, (peaks, pooled)
 
 
+OUTPUT_FIELDS = ("frame_indices", "grid_rows", "grid_cols", "levels", "vectors")
+# What a call may leave traced: objects the interpreter keeps on its free
+# lists (about 2 KiB here). The pooling set-up alone is 0.3 MiB at dim 32.
+LEFT_SLACK = 16 << 10
+
+
 class TestPeakAboveTheOutput:
     """``compress`` holds its output and fixed-size working pieces: its
     traced peak above the output's bytes does not grow with the token
@@ -892,8 +898,7 @@ class TestPeakAboveTheOutput:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        fields = ("frame_indices", "grid_rows", "grid_cols", "levels", "vectors")
-        return peak - sum(getattr(out, name).nbytes for name in fields), stats
+        return peak - sum(getattr(out, name).nbytes for name in OUTPUT_FIELDS), stats
 
     @pytest.fixture(scope="class")
     def wide_clip(self):
@@ -905,8 +910,10 @@ class TestPeakAboveTheOutput:
 
     @pytest.mark.parametrize("l_max,path", [(2048, "over budget"), (8192, "mixed table")])
     def test_at_the_paper_width(self, wide_clip, l_max, path):
-        # Over budget, a plan block is one k = 8 window of pooled frames
-        # (2.25 MiB) beside one frame's pooling buffers (2 MiB); in the
+        # Over budget, one k = 8 window of pooled frames (2.25 MiB) is held
+        # beside pooling's set-up, one frame's float64 row and bin sums (1.41
+        # MiB), while the window is pooled (and a frame gathered, 0.63 MiB)
+        # and while it is planned (two frames in float64, 1.13 MiB). In the
         # table, the pooled frames are pooled into the output. Pooling 8
         # frames at a time, and 512 tokens, held 21 and 29 MiB here.
         seq, query = wide_clip
@@ -924,6 +931,78 @@ class TestPeakAboveTheOutput:
         above, stats = self.peak_above_the_output(seq, random_query(rng, 24, 64), cfg)
         assert stats.n_full_res == 2 and stats.tokens_final == 2 * 144 + 122 * 64
         assert above <= 1.25 * 2**20, above / 2**20
+
+
+class TestOverBudgetWorkingMemory:
+    """Over budget, ``compress`` pools and plans one k-window at a time: its
+    traced peak is its output, one window of pooled frames, one pooling
+    chunk's buffers and a fixed allowance, and nothing outlives the call."""
+
+    # dim 32, 12x12 grids pooled to 8x8, k = 8: one window of pooled float32,
+    # and one chunk of 8 frames' gathered float32 cells and float64 row and
+    # bin sums, as pool_batch sizes it
+    WINDOW = 8 * 8 * 8 * 32 * 4
+    CHUNK = 8 * (12 * 12 * 32 * 4 + 8 * 12 * 32 * 8 + 8 * 8 * 32 * 8)
+    # numpy's buffers for pooling's float32 -> float64 adds (up to 192 KiB),
+    # the plan's byte a pooled token (69 KB on the infeasible clip), the
+    # store's rows beyond the output's and small objects
+    ALLOWANCE = 384 << 10
+
+    @pytest.fixture(scope="class", params=["infeasible", "feasible"])
+    def clip(self, request):
+        # Shaped like the benchmark corpus's videos 37 and 0, at the default
+        # 8k: the first keeps 1,077 frames, whose 135 anchor frames hold
+        # 8,640 pooled tokens, more than the budget; the second keeps 259
+        # frames and meets the budget on the threshold ladder.
+        spec = {
+            "infeasible": SynthSpec(n_frames=1175, n_scenes=9, drift_scenes_fraction=0.4073349580938158,
+                                    seed=4889740869022819944),
+            "feasible": SynthSpec(n_frames=835, n_scenes=6, drift_scenes_fraction=0.37094545969412207,
+                                  seed=508922993831601215),
+        }[request.param]
+        video = gen_video(spec)
+        query = random_query(np.random.default_rng(0), 8, 32)
+        output_or_verdict(video, query)  # numpy's first-call set-up is not the call's
+        return request.param, video, query
+
+    def test_peak_is_a_window_and_a_pooling_chunk(self, clip):
+        kind, video, query = clip
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, stats = output_or_verdict(video, query)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (out is None) == (kind == "infeasible")
+        assert stats.tokens_after_query > 8192 - 8 and stats.n_full_res == 0
+        assert stats.frames_after_temporal == {"infeasible": 1077, "feasible": 259}[kind]
+        output = 0 if out is None else sum(getattr(out, name).nbytes for name in OUTPUT_FIELDS)
+        assert peak - output <= self.WINDOW + self.CHUNK + self.ALLOWANCE, (peak - output) / 2**20
+
+    def test_nothing_outlives_the_call(self, clip):
+        # Once the output is dropped, the traced memory is back where it
+        # started: no pooling set-up or buffer is kept for a later call,
+        # where it would be missing from that call's peak.
+        _, video, query = clip
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, stats = output_or_verdict(video, query)
+            del out, stats
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert left <= LEFT_SLACK, left
+
+
+def output_or_verdict(video, query):
+    """(output, stats) of ``compress`` at the default config, or (None, the
+    error's stats) when the video is infeasible."""
+    try:
+        return compress(video, query, CompressionConfig())
+    except BudgetInfeasibleError as exc:
+        return None, exc.stats
 
 
 def expected_record(seq, query, cfg, out, **counts):
@@ -996,7 +1075,7 @@ def drifting_video(rng, grid) -> FrameFeatureSequence:
 
 
 class TestOverBudgetPath:
-    """compress pools an over-budget video block by block and emits its kept
+    """compress pools an over-budget video window by window and emits its kept
     tokens from a budget-sized store and by pooling tokens again; every
     output must be what the whole pooled table gives."""
 
@@ -1020,15 +1099,16 @@ class TestOverBudgetPath:
     def test_matches_the_whole_table_in_small_chunks(
         self, rng, tmp_path, monkeypatch, anchor, stc, fpe, grid, pooled, chunks
     ):
-        # At dim 6 the default plan block holds the whole video, and the
-        # outputs are under one chunk of moves, re-pooling, encoding or
-        # records. With 1 working byte ("one") every chunked pass takes one
-        # item at a time: a window a plan block, a row a move, re-pooling or
-        # encoding step, a record a write. With "few" the working bytes are
-        # four windows', so a plan block is two windows (each counted twice),
-        # rows are moved, re-pooled and encoded 3 at a time, and the bytes
-        # hold 31 to 46 records a write. Only ``numerics`` is patched: every
-        # pass reads its caps there when it runs.
+        # At dim 6 a window is pooled in one chunk and its similarities taken
+        # in one group, and the outputs are under one chunk of moves,
+        # re-pooling, encoding or records. With 1 working byte ("one") every
+        # chunked pass takes one item at a time: a frame a pooling chunk or
+        # similarity group, a row a move, re-pooling or encoding step, a
+        # record a write. With "few" the working bytes are four windows' of
+        # pooled float32, so a frame is pooled alone, a window's similarities
+        # are taken whole, rows are moved, re-pooled and encoded 3 at a time,
+        # and the bytes hold 31 to 46 records a write. Only ``numerics`` is
+        # patched: every pass reads its caps there when it runs.
         window = 3 * pooled[0] * pooled[1] * 6 * 4  # pooled float32 bytes of a k = 3 window
         work, rows = {"one": (1, None), "few": (2 * 2 * window, 3)}[chunks]
         monkeypatch.setattr(numerics, "WORK_BYTES", work)
@@ -1038,8 +1118,8 @@ class TestOverBudgetPath:
 
     @staticmethod
     def check_against_the_whole_table(rng, tmp_path, anchor, stc, fpe, grid, pooled):
-        # Small budgets take several blocks; the largest take one. The
-        # output is also written, and its file held to the packed layout.
+        # The budgets run from infeasible to just under the pooled table.
+        # The output is also written, and its file held to the packed layout.
         seq = drifting_video(rng, grid)
         query = random_query(rng, 5, 6)
         outcomes = set()
@@ -1076,18 +1156,18 @@ class TestOverBudgetPath:
         if stc:
             assert "at theta" in outcomes, outcomes
 
-    @pytest.mark.parametrize("dim,block", [(32, 64), (64, 32)])
-    def test_no_pooling_call_takes_more_than_a_block(self, rng, monkeypatch, dim, block):
+    @pytest.mark.parametrize("dim", [32, 64])
+    def test_each_pooling_call_takes_one_window(self, rng, monkeypatch, dim):
         # 300 frames of 12x12 tokens pooled to 8x8: a k = 8 window pools to
-        # 64 KiB at dim 32 and 128 KiB at dim 64. A window is counted twice,
-        # since pooling's own chunk is alive beside the block, so a block is
-        # as many whole windows as half of the 1 MiB of working bytes holds
-        # (64 and 32 frames), and every block is pooled into one buffer.
+        # 64 KiB at dim 32 and 128 KiB at dim 64. Over budget, each call
+        # pools one window (the last holds 300 % 8 = 4 frames) into the start
+        # of one reused window buffer, through the one pooling set-up made
+        # for the call to compress.
         calls = []
 
-        def spy(stack, out_h, out_w, index, out=None):
-            calls.append((len(index), None if out is None else out.nbytes))
-            return pool_batch(stack, out_h, out_w, index=index, out=out)
+        def spy(stack, out_h, out_w, index, out=None, pooling=None):
+            calls.append((len(index), out.nbytes, out.__array_interface__["data"][0], pooling))
+            return pool_batch(stack, out_h, out_w, index=index, out=out, pooling=pooling)
 
         monkeypatch.setattr(pipeline, "pool_batch", spy)
         monkeypatch.setattr(query_select, "pool_batch", spy)
@@ -1096,9 +1176,9 @@ class TestOverBudgetPath:
         _, stats = compress(seq, random_query(rng, 24, dim), cfg)
         assert stats.tokens_after_query == 300 * 64 > 8192 - 24
         frame_bytes = 8 * 8 * dim * 4
-        assert block == 8 * (numerics.WORK_BYTES // (2 * 8 * frame_bytes))
-        sizes = [block] * (300 // block) + [300 % block]
-        assert calls == [(n, n * frame_bytes) for n in sizes]
+        assert [(n, size) for n, size, _, _ in calls] == [(8, 8 * frame_bytes)] * 37 + [(4, 4 * frame_bytes)]
+        assert len({address for _, _, address, _ in calls}) == 1
+        assert calls[0][3] is not None and all(pooling is calls[0][3] for *_, pooling in calls)
 
     @pytest.mark.parametrize("anchor", list(AnchorStrategy))
     @pytest.mark.parametrize("stc", [True, False])

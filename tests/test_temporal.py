@@ -156,8 +156,8 @@ class TestReduceFrames:
         for _ in range(100):
             n, dim, j = int(rng.integers(1, 70)), int(rng.integers(1, 9)), int(rng.integers(1, 12))
             if windows is not None:
-                w = min(j, n)  # a window's count: two float64 summaries and three products
-                monkeypatch.setattr(numerics, "WORK_BYTES", windows * w * (16 * dim + 25 * w))
+                w = min(j, n)  # a window's count: its float64 summaries and three products
+                monkeypatch.setattr(numerics, "WORK_BYTES", windows * w * (8 * dim + 25 * w))
             seq = random_sequence(rng, n, 2, 2, dim)
             for tau in (float(rng.uniform(0.05, 1.0)), None):
                 per_frame, kept = reduce_oracle(seq, j, tau or 1.0)
