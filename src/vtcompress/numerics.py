@@ -4,16 +4,16 @@ Both kernels sum each bin separably (rows, then columns) in float64 straight off
 float32 input, divide in float64, cast to float32 and only then add 0.0, so repeated
 runs produce identical bytes. ``pool_batch`` pools the frames its required index picks,
 one phase of bins per ufunc call, dividing by cell counts broadcast over the channels,
-into a fresh array or the caller's ``out``. What it sets up for a shape (bin edges, cell
-counts, a chunk's float64 sums and the column pass's views) is a ``Pooling``, which a caller
-pooling one k-window at a time makes once and hands to every call. ``pool_tokens``
-pools single tokens. Both add a bin's values in the same order, so a token pooled alone
-has the bits it has in its pooled frame. Both work a chunk at a time, and a chunk's
-working buffers (the gathered float32 cells and their float64 sums) hold at most
-``WORK_BYTES``, or one item where one item needs more, so pooling's working memory is
-the same at any token width and any count. ``compress`` checks the pooled grid. Pooled
-to its own size, a grid follows the same rule and comes back as it was, each -0.0 made
-+0.0.
+into a fresh array or the caller's ``out``. What it works out for a shape before it
+pools (bin edges, cell counts and chunk size) is a ``Pooling``; the over-budget path,
+which pools one k-window a call, makes one per ``compress`` and hands it to every call.
+``pool_tokens`` pools single tokens. Both add a bin's values in the same order, so a
+token pooled alone has the bits it has in its pooled frame. Both work a chunk at a time,
+and a chunk's working buffers (the gathered float32 cells and their float64 sums) hold
+at most ``WORK_BYTES``, or one item where one item needs more, so pooling's working
+memory is the same at any token width and any count. ``compress`` checks the pooled
+grid. Pooled to its own size, a grid follows the same rule and comes back as it was,
+each -0.0 made +0.0.
 """
 
 from __future__ import annotations
@@ -90,46 +90,31 @@ def _mean_to_float32(sums: np.ndarray, counts: np.ndarray, out: np.ndarray):
     out += 0.0
 
 
-def _phases(src: np.ndarray, dst: np.ndarray, axis: int, start, end) -> list[tuple]:
-    """Per phase of bins, the views of ``src`` whose sum along ``axis`` is bin p of
-    ``dst`` (cells [start[p], end[p])) and the view of those bins, as (terms, bins):
-    with g = gcd(size, bins), bin p + bins/g starts size/g cells after bin p, so both
-    arrays are viewed as g periods and each phase's g bins share every term."""
+def _add_bins(src: np.ndarray, dst: np.ndarray, axis: int, start, end):
+    """Sum cells [start[p], end[p]) of ``src`` along ``axis`` into bin p of ``dst``:
+    with g = gcd(size, bins), bin p + bins/g starts size/g cells after bin p, so
+    both arrays are viewed as g periods and each phase's g bins share every call."""
     g = int(np.gcd(src.shape[axis], dst.shape[axis]))
     src, dst = (a.reshape(a.shape[:axis] + (g, a.shape[axis] // g) + a.shape[axis + 1 :])
                 for a in (src, dst))
     at = (slice(None),) * (axis + 1)
-    return [([src[at + (r,)] for r in range(start[p], end[p])], dst[at + (p,)])
-            for p in range(dst.shape[axis + 1])]
-
-
-def _add_phases(phases):
-    """Add each phase's terms into its bins, as ``_phases`` lists them."""
-    for terms, bins in phases:
-        _add_in_order(terms, bins)
+    for p in range(dst.shape[axis + 1]):
+        _add_in_order([src[at + (r,)] for r in range(start[p], end[p])], dst[at + (p,)])
 
 
 class Pooling:
-    """What ``pool_batch`` sets up to pool (h, w) grids of width ``dim`` to
-    (out_h, out_w) in chunks of at most ``frames`` frames: the bin edges, the
-    cell counts, one chunk's float64 row and bin sums, and the column pass's
-    views of them (``_phases``). A caller that pools many small batches of one
-    shape makes one and hands it to every call, so the set-up is built once; it
-    lives as long as the caller keeps it. A chunk's gathered frames, and the row
-    pass's views of them, are made for each chunk and let go before its column
-    pass, so they are not held while the caller works between calls.
+    """What ``pool_batch`` works out before it pools (h, w) grids of width
+    ``dim`` to (out_h, out_w): the row and column bin edges, the cell counts
+    and the frames a chunk holds. A caller that pools many small batches of
+    one shape makes one and hands it to every call. It holds no buffer.
     """
 
-    def __init__(self, h: int, w: int, dim: int, out_h: int, out_w: int, frames: int):
+    def __init__(self, h: int, w: int, dim: int, out_h: int, out_w: int):
         self.row_edges, self.col_edges = _pool_edges(h, out_h), _pool_edges(w, out_w)
         (r0, r1), (c0, c1) = self.row_edges, self.col_edges
         self.counts = ((r1 - r0)[:, None] * (c1 - c0))[:, :, None].astype(float)
         # a frame's gathered cells and float64 row and bin sums
-        step = per_chunk((h * w * 4 + out_h * w * 8 + out_h * out_w * 8) * dim, POOL_CHUNK_FRAMES)
-        self.chunk = max(1, min(frames, step))
-        self.rows = np.empty((self.chunk, out_h, w, dim))
-        self.sums = np.empty((self.chunk, out_h, out_w, dim))
-        self.columns = _phases(self.rows, self.sums, 2, *self.col_edges)
+        self.step = per_chunk((h * w * 4 + out_h * w * 8 + out_h * out_w * 8) * dim, POOL_CHUNK_FRAMES)
 
 
 def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None,
@@ -138,8 +123,7 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None,
     (frames, h, w, dim) float32 stack; the index array is required. The
     frames are written into ``out``, a (len(index), out_h, out_w, dim)
     float32 array that is returned, or into a fresh one when it is None.
-    ``pooling`` is the set-up for this shape (``Pooling``), made here when it
-    is None.
+    ``pooling`` is this shape's ``Pooling``, worked out here when it is None.
 
     Each bin is summed separably: first the rows of its row bin, then the
     columns of its column bin, adding one cell at a time in float64 straight
@@ -152,28 +136,30 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None,
     not 16). The 0.0 settling the sign of a zero mean is added after the cast.
     Frames are pooled independently, a chunk at a time: as many as the
     chunk's gathered frames and float64 row and bin sums fit in
-    ``WORK_BYTES``, at most ``POOL_CHUNK_FRAMES`` (8) and the set-up's
-    ``frames``, and at least one. So the stack is never copied whole to
-    float64, and pooling a batch is bitwise-identical to pooling each frame
-    alone. Each chunk is gathered by fancy indexing, so a bad index raises
-    IndexError. A same-size grid takes the general path (see the module
-    docstring).
+    ``WORK_BYTES``, at most ``POOL_CHUNK_FRAMES`` (8) and at least one. So the
+    stack is never copied whole to float64, and pooling a batch is
+    bitwise-identical to pooling each frame alone. Each chunk is gathered by
+    fancy indexing, so a bad index raises IndexError. A same-size grid takes
+    the general path (see the module docstring).
     """
     _, h, w, dim = stack.shape
     n = len(index)
     if pooling is None:
-        pooling = Pooling(h, w, dim, out_h, out_w, n)
+        pooling = Pooling(h, w, dim, out_h, out_w)
+    (r0, r1), (c0, c1), step = pooling.row_edges, pooling.col_edges, pooling.step
     if out is None:
         out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
-    step = pooling.chunk
+    # One pair of float64 buffers serves every chunk, and each gathered
+    # chunk is let go before the column pass.
+    m = min(n, step)
+    rows_buf, sums_buf = np.empty((m, out_h, w, dim)), np.empty((m, out_h, out_w, dim))
     for lo in range(0, n, step):
         chunk = stack[index[lo : lo + step]]
-        m = chunk.shape[0]
-        rows, sums = pooling.rows[:m], pooling.sums[:m]
-        _add_phases(_phases(chunk, rows, 1, *pooling.row_edges))
-        del chunk  # before the column pass
-        _add_phases(pooling.columns if m == step else _phases(rows, sums, 2, *pooling.col_edges))
-        _mean_to_float32(sums, pooling.counts, out[lo : lo + m])
+        rows, sums = rows_buf[: chunk.shape[0]], sums_buf[: chunk.shape[0]]
+        _add_bins(chunk, rows, 1, r0, r1)
+        del chunk
+        _add_bins(rows, sums, 2, c0, c1)
+        _mean_to_float32(sums, pooling.counts, out[lo : lo + step])
     return out
 
 

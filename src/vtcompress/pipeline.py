@@ -23,7 +23,7 @@ buffer of the token width that grows with the budget is the output-sized
 store; every other one is bounded by ``numerics.WORK_BYTES`` through
 ``numerics.per_chunk``, or is one k-window of pooled frames. The frames are
 pooled and planned one k-window at a time, each pooled into one reused window
-buffer through one pooling set-up made once per call. Kept are only a
+buffer with one pooling set-up made once per call. Kept are only a
 ``PruningPlan`` (per pooled token an anchor flag and one byte, its rung: the
 count of the ladder's thresholds its similarity is at or below, or with
 stage 3 off rung 1 of the one threshold theta) and a budget-sized store of
@@ -236,7 +236,7 @@ def _plan_by_window(
     """Pool the input frames ``kept`` and plan their pruning one k-window at a
     time, without building the pooled token table.
 
-    Each window is pooled into one reused window buffer, through one pooling
+    Each window is pooled into one reused window buffer, with one pooling
     set-up (``numerics.Pooling``) made here for every window, and planned on
     its own: its anchor and similarities are as over the whole table. Kept
     are each token's rung for ``cfg.theta`` and its ladder (with stage 3 off,
@@ -262,7 +262,7 @@ def _plan_by_window(
     is_anchor = np.empty(t, dtype=bool)
     thresholds = (cfg.theta, *_theta_ladder(cfg.theta)) if cfg.stages.stc else (cfg.theta,)
     rungs = np.ones(t * hw, dtype=np.uint8)
-    pooling = Pooling(seq.grid_h, seq.grid_w, dim, h_l, w_l, min(k, t))
+    pooling = Pooling(seq.grid_h, seq.grid_w, dim, h_l, w_l)
     window_buf = np.empty((min(k, t), h_l, w_l, dim), dtype=np.float32)
     for lo in range(0, t, k):
         hi = min(lo + k, t)
@@ -277,7 +277,7 @@ def _plan_by_window(
             # The window's survivors at ``cfg.theta`` (its tokens above rung
             # 0): its anchor frame's hw rows, which always survive and so sit
             # together, and as many of the others, in order, as there is room.
-            local = rungs[lo * hw : hi * hw].nonzero()[0]
+            local = np.flatnonzero(rungs[lo * hw : hi * hw])
             if local.shape[0] - hw > room:
                 first = int(local.searchsorted(is_anchor[lo:hi].argmax() * hw))
                 before = min(room, first)  # the others before the anchor frame
@@ -289,7 +289,7 @@ def _plan_by_window(
             # The rows are in range by construction.
             np.take(pooled.reshape(-1, dim), local, axis=0, out=vectors[stored:end], mode="clip")
             stored = end
-    del pooling, window_buf, pooled
+    del window_buf, pooled
     store = (stored_rows[:stored], vectors) if room >= 0 else None
     return PruningPlan(rungs, np.repeat(is_anchor, hw), thresholds), store
 

@@ -116,9 +116,9 @@ def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
         if lo == first:
             anchor_norms = norms[anchor_idx - lo]
         denom = norms * anchor_norms[None, :, :]
-        part, nonzero = sims[lo : lo + step], denom > 0.0
-        np.divide(dots, denom, out=part, where=nonzero)
-        np.clip(part, -1.0, 1.0, out=part, where=nonzero)
+        part = sims[lo : lo + step]
+        np.divide(dots, denom, out=part, where=denom > 0.0)
+        np.clip(part, -1.0, 1.0, out=part, where=denom > 0.0)
         del g64  # before the next group's is made
     sims[anchor_idx] = -np.inf
     return sims
@@ -156,7 +156,7 @@ def build_plan(frames, k: int, strategy: AnchorStrategy, thresholds) -> PruningP
     ascending = np.array(thresholds[::-1], dtype=np.float64)
     is_anchor = anchor_frames(frames.reshape(n, h * w, dim), k, strategy)
     rungs = np.empty((n, h, w), dtype=np.uint8)
-    for start, a in zip(range(0, n, k), is_anchor.nonzero()[0]):
+    for start, a in zip(range(0, n, k), np.flatnonzero(is_anchor)):
         sims = _anchor_sims(frames[start : start + k], a - start)
         # thresholds at or above a similarity: all but those below it
         rungs[start : start + k] = len(thresholds) - np.searchsorted(ascending, sims)

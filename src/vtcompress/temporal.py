@@ -184,7 +184,7 @@ def _unit_rows_in_place(x: np.ndarray) -> np.ndarray:
     square root of the sum of the squares, a few rows at a time: a sixteenth of
     ``numerics.WORK_BYTES`` of squares a piece. Each row is reduced and divided
     on its own, so the bits are ``unit_rows``' without its copies."""
-    rows = x.reshape(-1, x.shape[-1], copy=False)
+    rows = x.reshape(-1, x.shape[-1])
     n, dim = rows.shape
     step = per_chunk(16 * 8 * dim, n)
     squares, norms = np.empty((step, dim)), np.empty(n)

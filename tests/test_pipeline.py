@@ -880,7 +880,8 @@ class TestPipelineInvariants:
 
 OUTPUT_FIELDS = ("frame_indices", "grid_rows", "grid_cols", "levels", "vectors")
 # What a call may leave traced: objects the interpreter keeps on its free
-# lists (about 2 KiB here). The pooling set-up alone is 0.3 MiB at dim 32.
+# lists (about 2 KiB here). One pooling chunk's buffers are 0.45 MiB at
+# dim 32.
 LEFT_SLACK = 16 << 10
 
 
@@ -911,9 +912,8 @@ class TestPeakAboveTheOutput:
     @pytest.mark.parametrize("l_max,path", [(2048, "over budget"), (8192, "mixed table")])
     def test_at_the_paper_width(self, wide_clip, l_max, path):
         # Over budget, one k = 8 window of pooled frames (2.25 MiB) is held
-        # beside pooling's set-up, one frame's float64 row and bin sums (1.41
-        # MiB), while the window is pooled (and a frame gathered, 0.63 MiB)
-        # and while it is planned (two frames in float64, 1.13 MiB). In the
+        # beside one frame's pooling buffers (2 MiB) while it is pooled, and
+        # beside two frames in float64 (1.13 MiB) while it is planned. In the
         # table, the pooled frames are pooled into the output. Pooling 8
         # frames at a time, and 512 tokens, held 21 and 29 MiB here.
         seq, query = wide_clip
