@@ -1,19 +1,19 @@
 """Adaptive average pooling of token grids, for stage 2 and the over-budget path.
 
 Both kernels sum each bin separably (rows, then columns) in float64 straight off the
-float32 input, divide in float64, cast to float32 and only then add 0.0, so repeated
-runs produce identical bytes. ``pool_batch`` pools the frames its required index picks,
-one phase of bins per ufunc call, dividing by cell counts broadcast over the channels,
-into a fresh array or the caller's ``out``. What it works out for a shape before it
-pools (bin edges, cell counts and chunk size) is a ``Pooling``; the over-budget path,
-which pools one k-window a call, makes one per ``compress`` and hands it to every call.
-``pool_tokens`` pools single tokens. Both add a bin's values in the same order, so a
-token pooled alone has the bits it has in its pooled frame. Both work a chunk at a time,
-and a chunk's working buffers (the gathered float32 cells and their float64 sums) hold
-at most ``WORK_BYTES``, or one item where one item needs more, so pooling's working
-memory is the same at any token width and any count. ``compress`` checks the pooled
-grid. Pooled to its own size, a grid follows the same rule and comes back as it was,
-each -0.0 made +0.0.
+float32 input, divide in float64 (or multiply by a power-of-two count's exact
+reciprocal, which gives the same bits), cast to float32 and only then add 0.0, so
+repeated runs produce identical bytes. ``pool_batch`` pools the frames its required
+index picks, one phase of bins per ufunc call, into a fresh array or the caller's
+``out``. What it works out for a shape before it pools (bin edges, cell counts, the mean
+step and chunk size) is a ``Pooling``; the over-budget path, which pools one k-window a
+call, makes one per ``compress`` and hands it to every call. ``pool_tokens`` pools
+single tokens. Both add a bin's values in the same order, so a token pooled alone has
+the bits it has in its pooled frame. Both work a chunk at a time, and a chunk's working
+buffers (the gathered float32 cells and their float64 sums) hold at most ``WORK_BYTES``,
+or one item where one item needs more, so pooling's working memory is the same at any
+token width and any count. ``compress`` checks the pooled grid. Pooled to its own size,
+a grid follows the same rule and comes back as it was, each -0.0 made +0.0.
 """
 
 from __future__ import annotations
@@ -77,15 +77,21 @@ def _add_in_order(terms, out: np.ndarray):
         np.add(out, term, out=out)
 
 
-def _mean_to_float32(sums: np.ndarray, counts: np.ndarray, out: np.ndarray):
-    """Divide float64 bin sums by their cell counts in place, rounding into float32 ``out``.
+def _mean_to_float32(sums: np.ndarray, counts, out: np.ndarray, reciprocal: float | None = None):
+    """Divide float64 bin sums by their cell counts in place, or multiply them by
+    ``reciprocal`` when it is given, and round them into float32 ``out``.
 
+    The reciprocal of a power of two is exact in float64, so the product is
+    the quotient's real value rounded once: the same bits, subnormals included.
     Adding 0.0 after the cast (where a tiny negative quotient becomes -0.0)
     turns a -0.0 mean into +0.0 and leaves every other value alone, so the
     result is that of sums started from +0.0: those never end at -0.0, and
     otherwise only the sign of a zero can depend on the start.
     """
-    sums /= counts
+    if reciprocal is None:
+        sums /= counts
+    else:
+        sums *= reciprocal
     out[...] = sums
     out += 0.0
 
@@ -104,15 +110,19 @@ def _add_bins(src: np.ndarray, dst: np.ndarray, axis: int, start, end):
 
 class Pooling:
     """What ``pool_batch`` works out before it pools (h, w) grids of width
-    ``dim`` to (out_h, out_w): the row and column bin edges, the cell counts
-    and the frames a chunk holds. A caller that pools many small batches of
-    one shape makes one and hands it to every call. It holds no buffer.
+    ``dim`` to (out_h, out_w): the row and column bin edges, the cell counts,
+    their ``reciprocal`` 1 / c where every bin holds the same power-of-two
+    count c (else None) and the frames a chunk holds. A caller that pools many
+    small batches of one shape makes one and hands it to every call. It holds
+    no buffer.
     """
 
     def __init__(self, h: int, w: int, dim: int, out_h: int, out_w: int):
         self.row_edges, self.col_edges = _pool_edges(h, out_h), _pool_edges(w, out_w)
         (r0, r1), (c0, c1) = self.row_edges, self.col_edges
         self.counts = ((r1 - r0)[:, None] * (c1 - c0))[:, :, None].astype(float)
+        c = int(self.counts.flat[0])
+        self.reciprocal = 1.0 / c if (self.counts == c).all() and c & (c - 1) == 0 else None
         # a frame's gathered cells and float64 row and bin sums
         self.step = per_chunk((h * w * 4 + out_h * w * 8 + out_h * out_w * 8) * dim, POOL_CHUNK_FRAMES)
 
@@ -128,7 +138,8 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None,
     Each bin is summed separably: first the rows of its row bin, then the
     columns of its column bin, adding one cell at a time in float64 straight
     off the float32 input, and divided by its integer cell count (one
-    (out_h, out_w, 1) array, broadcast over ``dim``). A float64 sum of float32
+    (out_h, out_w, 1) array, broadcast over ``dim``) or, where every bin holds
+    the same power-of-two count, multiplied by its reciprocal. A float64 sum of float32
     values is exact whenever the bin's nonzero values lie within a factor of
     about 2**20 of each other, and every mean stays inside the [min, max] of
     the cells it covers. Each axis is viewed as gcd(size, bins) periods, so
@@ -159,7 +170,7 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None,
         _add_bins(chunk, rows, 1, r0, r1)
         del chunk
         _add_bins(rows, sums, 2, c0, c1)
-        _mean_to_float32(sums, pooling.counts, out[lo : lo + step])
+        _mean_to_float32(sums, pooling.counts, out[lo : lo + step], pooling.reciprocal)
     return out
 
 

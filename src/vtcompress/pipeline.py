@@ -46,8 +46,8 @@ from .spatial import (
     AnchorStrategy,
     PruningPlan,
     SpatialCompressionResult,
-    anchor_frames,
     build_plan,
+    window_anchor,
 )
 from .temporal import FrameFeatureSequence, reduce_frames
 from .tokens import CompressedTokenSequence, CompressionStats
@@ -259,7 +259,7 @@ def _plan_by_window(
         stored_rows = np.empty(budget, dtype=np.int64)
         vectors = np.empty((budget, dim), dtype=np.float32)
     stored = 0
-    is_anchor = np.empty(t, dtype=bool)
+    is_anchor = np.zeros(t, dtype=bool)
     thresholds = (cfg.theta, *_theta_ladder(cfg.theta)) if cfg.stages.stc else (cfg.theta,)
     rungs = np.ones(t * hw, dtype=np.uint8)
     pooling = Pooling(seq.grid_h, seq.grid_w, dim, h_l, w_l)
@@ -272,7 +272,7 @@ def _plan_by_window(
             rungs[lo * hw : hi * hw] = plan.rungs
             is_anchor[lo:hi] = plan.anchor[::hw]
         else:  # every token at rung 1
-            is_anchor[lo:hi] = anchor_frames(pooled.reshape(hi - lo, hw, dim), k, cfg.anchor)
+            is_anchor[lo + window_anchor(pooled, cfg.anchor)] = True
         if room >= 0:
             # The window's survivors at ``cfg.theta`` (its tokens above rung
             # 0): its anchor frame's hw rows, which always survive and so sit

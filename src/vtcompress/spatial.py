@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import per_chunk
-from .temporal import cosines, unit_rows, window_minima
+from .temporal import _unit_rows_in_place, cosines
 
 __all__ = [
     "AnchorStrategy",
     "PruningPlan",
-    "anchor_frames",
     "build_plan",
 ]
 
@@ -59,34 +58,26 @@ class SpatialCompressionResult:
         return int(np.count_nonzero(self.keep))
 
 
-def anchor_frames(stack: np.ndarray, k: int, strategy: AnchorStrategy) -> np.ndarray:
-    """One flag per frame of a (frames, tokens, dim) stack, set on each
-    window's anchor.
+def window_anchor(window: np.ndarray, strategy: AnchorStrategy) -> int:
+    """Index of the anchor frame of one (n, h, w, dim) float32 window.
 
-    Windows are k consecutive frames, the last possibly shorter. ``first``
-    and ``middle`` are positional; ``middle`` is floor(length / 2).
-    ``high_change`` picks the frame whose mean-token cosine to its
-    predecessor in the window is minimal (ties toward the earliest frame; a
-    one-frame window's only frame). A zero mean token has cosine 1 to its
-    neighbours (``temporal.cosines``). The cosines are taken once per stack.
+    ``first`` is frame 0 and ``middle`` frame n // 2. ``high_change`` is the
+    frame, after the first, whose mean token has the least cosine to its
+    predecessor's, the earliest on ties; a one-frame window anchors on its
+    frame. The mean tokens are taken in float64 with the bits of
+    ``ndarray.mean`` and brought to unit norm in place. A zero mean token has
+    cosine 1 to its neighbours (``temporal.cosines``).
     """
-    strategy = AnchorStrategy(strategy)
-    n = stack.shape[0]
-    k = min(k, n)  # a window longer than the stack holds all of it
-    starts = np.arange(0, n, k)
-    if strategy is AnchorStrategy.FIRST:
-        anchors = starts
-    elif strategy is AnchorStrategy.MIDDLE:
-        anchors = starts + np.minimum(n - starts, k) // 2
-    else:
-        unit, zero = unit_rows(stack.mean(axis=1, dtype=np.float64))
-        change = np.empty(n)
-        change[1:] = cosines(np.einsum("id,id->i", unit[1:], unit[:-1]), zero[1:], zero[:-1])
-        change[starts] = np.inf  # no predecessor in the window
-        anchors = window_minima(change, k)
-    is_anchor = np.zeros(n, dtype=bool)
-    is_anchor[anchors] = True
-    return is_anchor
+    n, h, w, dim = window.shape
+    if strategy is AnchorStrategy.FIRST or n == 1:
+        return 0
+    if strategy is AnchorStrategy.MIDDLE:
+        return n // 2
+    means = np.add.reduce(window, axis=(1, 2), dtype=np.float64)
+    means /= h * w
+    zero = _unit_rows_in_place(means)
+    change = cosines(np.einsum("id,id->i", means[1:], means[:-1]), zero[1:], zero[:-1])
+    return 1 + int(change.argmin())
 
 
 def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
@@ -104,21 +95,24 @@ def _anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
     n, h, w, dim = window.shape
     step = per_chunk(h * w * dim * 8, n)
     first = anchor_idx - anchor_idx % step
-    sims = np.full((n, h, w), -np.inf)
+    sims = np.empty((n, h, w))
     for lo in (first, *range(0, first, step), *range(first + step, n, step)):
         g64 = window[lo : lo + step].astype(np.float64)
         if lo == first:
             anchor = g64[anchor_idx - lo]
             if step < n:  # later groups read it after this one is squared
                 anchor = anchor.copy()
-        dots = np.einsum("fhwd,hwd->fhw", g64, anchor)
+        part = sims[lo : lo + step]
+        np.einsum("fhwd,hwd->fhw", g64, anchor, out=part)
         norms = np.sqrt(np.add.reduce(np.square(g64, out=g64), axis=3))  # g64 is squared now
         if lo == first:
             anchor_norms = norms[anchor_idx - lo]
-        denom = norms * anchor_norms[None, :, :]
-        part = sims[lo : lo + step]
-        np.divide(dots, denom, out=part, where=denom > 0.0)
-        np.clip(part, -1.0, 1.0, out=part, where=denom > 0.0)
+        denom = norms * anchor_norms
+        zero = denom == 0.0
+        denom[zero] = 1.0  # over a dot product of 0: no 0 / 0
+        part /= denom
+        np.clip(part, -1.0, 1.0, out=part)
+        part[zero] = -np.inf
         del g64  # before the next group's is made
     sims[anchor_idx] = -np.inf
     return sims
@@ -150,14 +144,17 @@ def build_plan(frames, k: int, strategy: AnchorStrategy, thresholds) -> PruningP
     """Partition a (frames, h, w, dim) float32 stack, as ``pool_batch``
     returns it, into windows of length k, pick each window's anchor and rank
     every token's similarity to it against the strictly descending
-    ``thresholds`` (at most 255 of them)."""
+    ``thresholds`` (at most 255 of them). Each window is planned on its own."""
     n, h, w, dim = frames.shape
+    strategy = AnchorStrategy(strategy)
     thresholds = tuple(thresholds)
     ascending = np.array(thresholds[::-1], dtype=np.float64)
-    is_anchor = anchor_frames(frames.reshape(n, h * w, dim), k, strategy)
+    is_anchor = np.zeros(n, dtype=bool)
     rungs = np.empty((n, h, w), dtype=np.uint8)
-    for start, a in zip(range(0, n, k), np.flatnonzero(is_anchor)):
-        sims = _anchor_sims(frames[start : start + k], a - start)
+    for start in range(0, n, k):
+        window = frames[start : start + k]
+        a = window_anchor(window, strategy)
+        is_anchor[start + a] = True
         # thresholds at or above a similarity: all but those below it
-        rungs[start : start + k] = len(thresholds) - np.searchsorted(ascending, sims)
+        rungs[start : start + k] = len(thresholds) - np.searchsorted(ascending, _anchor_sims(window, a))
     return PruningPlan(rungs.reshape(-1), np.repeat(is_anchor, h * w), thresholds)

@@ -77,18 +77,10 @@ def _frame_means(frames: np.ndarray) -> np.ndarray:
     return sums
 
 
-def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row (last axis) of ``x`` at unit norm, in a new array, where a zero row stays
-    zero; and a flag per row, set on the zero rows."""
-    norms = np.linalg.norm(x, axis=-1)
-    zero = norms == 0.0
-    return x / np.where(zero, 1.0, norms)[..., None], zero
-
-
 def cosines(dots: np.ndarray, zero_a: np.ndarray, zero_b: np.ndarray) -> np.ndarray:
-    """Cosines from dot products of ``unit_rows`` rows, clipped to [-1, 1], under the one
-    rule for a frame with a zero mean token: it repeats every frame it is compared with,
-    so a pair where ``zero_a`` or ``zero_b`` (broadcast) marks a zero row has cosine 1."""
+    """Cosines from dot products of ``_unit_rows_in_place`` rows, clipped to [-1, 1], under
+    the one rule for a frame with a zero mean token: it repeats every frame it is compared
+    with, so a pair where ``zero_a`` or ``zero_b`` (broadcast) marks a zero row has cosine 1."""
     return np.where(zero_a | zero_b, 1.0, np.clip(dots, -1.0, 1.0))
 
 
@@ -179,11 +171,11 @@ class TemporalReduction:
 
 
 def _unit_rows_in_place(x: np.ndarray) -> np.ndarray:
-    """``unit_rows`` of a contiguous float64 array, written over it; returns the
-    zero-row flags. The norms are taken as ``np.linalg.norm`` takes them, the
-    square root of the sum of the squares, a few rows at a time: a sixteenth of
-    ``numerics.WORK_BYTES`` of squares a piece. Each row is reduced and divided
-    on its own, so the bits are ``unit_rows``' without its copies."""
+    """Each row of a contiguous float64 array at unit norm, in place, a zero row staying
+    zero; returns the zero-row flags. The norms are taken as ``np.linalg.norm`` takes
+    them, the square root of the sum of the squares, a few rows at a time: a sixteenth of
+    ``numerics.WORK_BYTES`` of squares a piece. Each row is reduced and divided on its
+    own, so the bits are those of ``x / np.linalg.norm(x, axis=-1)[..., None]``."""
     rows = x.reshape(-1, x.shape[-1])
     n, dim = rows.shape
     step = per_chunk(16 * 8 * dim, n)

@@ -7,7 +7,8 @@ import pytest
 from vtcompress import FrameFeatureSequence, QueryEmbedding
 from vtcompress.numerics import pool_batch
 from vtcompress.query_select import MixedResolutionSequence
-from vtcompress.temporal import _window_sims, unit_rows
+from vtcompress.spatial import AnchorStrategy, PruningPlan
+from vtcompress.temporal import _window_sims, cosines, window_minima
 from vtcompress.tokens import LEVEL_CODE, CompressedTokenSequence
 
 
@@ -48,6 +49,15 @@ def scene_lengths_loop(rng, n_frames, n_scenes) -> np.ndarray:
     while lengths.sum() < n_frames:
         lengths[int(np.argmin(lengths))] += 1
     return lengths
+
+
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row (last axis) of ``x`` at unit norm, in a new array, where a zero row stays
+    zero; and a flag per row, set on the zero rows. The reference for
+    ``temporal._unit_rows_in_place``."""
+    norms = np.linalg.norm(x, axis=-1)
+    zero = norms == 0.0
+    return x / np.where(zero, 1.0, norms)[..., None], zero
 
 
 def frame_summaries(seq: FrameFeatureSequence) -> np.ndarray:
@@ -161,3 +171,62 @@ def token_table(
         vectors=vectors,
     )
     return MixedResolutionSequence(tokens, kept.shape[0])
+
+
+# Stage 3 worked out over a whole stack at once, kept apart from the program:
+# the reference that ``spatial.build_plan``, which plans one window at a time,
+# is held to.
+def anchor_frames(stack: np.ndarray, k: int, strategy) -> np.ndarray:
+    """One flag per frame of a (frames, tokens, dim) stack, set on each
+    window's anchor. Windows are k consecutive frames, the last possibly
+    shorter. ``first`` and ``middle`` are positional; ``middle`` is
+    floor(length / 2). ``high_change`` picks the frame whose mean-token
+    cosine to its predecessor in the window is minimal (ties toward the
+    earliest frame; a one-frame window's only frame), with the cosines of
+    the whole stack taken at once."""
+    strategy = AnchorStrategy(strategy)
+    n = stack.shape[0]
+    k = min(k, n)
+    starts = np.arange(0, n, k)
+    if strategy is AnchorStrategy.FIRST:
+        anchors = starts
+    elif strategy is AnchorStrategy.MIDDLE:
+        anchors = starts + np.minimum(n - starts, k) // 2
+    else:
+        unit, zero = unit_rows(stack.mean(axis=1, dtype=np.float64))
+        change = np.empty(n)
+        change[1:] = cosines(np.einsum("id,id->i", unit[1:], unit[:-1]), zero[1:], zero[:-1])
+        change[starts] = np.inf  # no predecessor in the window
+        anchors = window_minima(change, k)
+    is_anchor = np.zeros(n, dtype=bool)
+    is_anchor[anchors] = True
+    return is_anchor
+
+
+def anchor_sims(window: np.ndarray, anchor_idx: int) -> np.ndarray:
+    """Per-position float64 similarity of every frame of a (n, h, w, dim)
+    window to the anchor, -inf on the anchor's tokens and wherever either
+    vector has zero norm; the whole window taken to float64 at once."""
+    g64 = window.astype(np.float64)
+    dots = np.einsum("fhwd,hwd->fhw", g64, g64[anchor_idx])
+    norms = np.sqrt(np.add.reduce(np.square(g64), axis=3))
+    denom = norms * norms[anchor_idx][None, :, :]
+    sims = np.full(dots.shape, -np.inf)
+    np.divide(dots, denom, out=sims, where=denom > 0.0)
+    np.clip(sims, -1.0, 1.0, out=sims, where=denom > 0.0)
+    sims[anchor_idx] = -np.inf
+    return sims
+
+
+def plan_oracle(frames: np.ndarray, k: int, strategy, thresholds) -> PruningPlan:
+    """The ``PruningPlan`` of a (frames, h, w, dim) float32 stack: the anchors
+    of ``anchor_frames`` over the whole stack, and each token's rung, the
+    count of ``thresholds`` at or above its ``anchor_sims`` similarity."""
+    n, h, w, dim = frames.shape
+    thresholds = tuple(thresholds)
+    is_anchor = anchor_frames(frames.reshape(n, h * w, dim), k, strategy)
+    rungs = np.empty((n, h, w), dtype=np.uint8)
+    for start, a in zip(range(0, n, k), np.flatnonzero(is_anchor)):
+        sims = anchor_sims(frames[start : start + k], a - start)
+        rungs[start : start + k] = sum((sims <= t).astype(np.uint8) for t in thresholds)
+    return PruningPlan(rungs.reshape(-1), np.repeat(is_anchor, h * w), thresholds)

@@ -375,6 +375,63 @@ class TestPoolTokens:
             compress(seq, random_query(rng, 1, 1), CompressionConfig(tokens_low=(3, 2)))
 
 
+class TestMeanStep:
+    """Where every bin holds the same power-of-two count, ``pool_batch``
+    multiplies its bin sums by the count's reciprocal instead of dividing
+    them; the bits must be ``pool_in_order``'s, and the dividing path's,
+    on every kind of value a mean can take."""
+
+    GRIDS = [  # (h, w), (out_h, out_w), the reciprocal, or None where it divides
+        ((12, 12), (8, 8), 0.25),
+        ((16, 16), (8, 8), 0.25),
+        ((8, 8), (2, 2), 1 / 16),
+        ((12, 12), (4, 4), None),  # 9 cells a bin
+        ((5, 7), (3, 2), None),  # bins of 2 to 12 cells
+        ((6, 6), (6, 6), 1.0),  # a same-size grid
+    ]
+
+    @staticmethod
+    def stacks(rng, h, w):
+        """(kind, a (3, h, w, 4) float32 stack) for each kind of mean."""
+        shape = (3, h, w, 4)
+        signs = rng.choice([-1.0, 1.0], shape)
+        tiny = np.finfo(np.float32).smallest_subnormal
+        big = np.finfo(np.float32).max
+        yield "normal", rng.standard_normal(shape).astype(np.float32)
+        # multiples of the least float32 subnormal: means are float32
+        # subnormals, and many fall between two of them
+        yield "subnormal", (signs * rng.integers(0, 40, shape) * tiny).astype(np.float32)
+        zeros = np.zeros(shape, dtype=np.float32)  # +0.0, -0.0 and +x, -x bins
+        zeros[0] = -0.0
+        zeros[1, ::2] = rng.standard_normal((1, w, 4)).astype(np.float32)
+        zeros[1, 1::2] = -zeros[1, ::2][: zeros[1, 1::2].shape[0]]
+        yield "signed zeros", zeros
+        yield "near the maximum", (signs * rng.uniform(0.5, 1.0, shape) * big).astype(np.float32)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}->{g[1]}")
+    def test_has_the_bits_of_the_division(self, rng, grid):
+        (h, w), (out_h, out_w), reciprocal = grid
+        pooling = numerics.Pooling(h, w, 4, out_h, out_w)
+        assert pooling.reciprocal == reciprocal
+        dividing = numerics.Pooling(h, w, 4, out_h, out_w)
+        dividing.reciprocal = None
+        every = np.arange(3)
+        for kind, stack in self.stacks(rng, h, w):
+            expected = np.stack([pool_in_order(frame, out_h, out_w) for frame in stack])
+            assert np.isfinite(expected).all(), kind
+            # a negative mean that rounds to -0.0 in float32 is +0.0 in the
+            # pooled grid (``_mean_to_float32``); pool_in_order keeps its sign
+            expected += 0.0
+            got = pool_batch(stack, out_h, out_w, every, pooling=pooling)
+            assert got.tobytes() == expected.tobytes(), kind
+            assert pool_batch(stack, out_h, out_w, every, pooling=dividing).tobytes() == got.tobytes()
+            if kind == "subnormal":
+                assert (got != 0).any()
+                assert (np.abs(got) < np.finfo(np.float32).smallest_normal).all()
+            if kind == "signed zeros":
+                assert not np.signbit(got[got == 0]).any()  # every zero mean is +0.0
+
+
 class TestFrameSummary:
     """The unit-norm mean token of a frame, as stage 1 scores it (``frame_summaries``)."""
 

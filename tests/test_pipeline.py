@@ -32,12 +32,13 @@ from vtcompress import numerics, pipeline, query_select
 from vtcompress.formats import write_compressed
 from vtcompress.numerics import pool_batch
 from vtcompress.pipeline import _subsample_to_budget, _theta_ladder, enforce_budget, flatten
-from vtcompress.spatial import PruningPlan, SpatialCompressionResult, anchor_frames, build_plan
+from vtcompress.spatial import PruningPlan, SpatialCompressionResult, build_plan
 from vtcompress.synthbench import needle_study
 from vtcompress.temporal import reduce_frames
 from vtcompress.tokens import LEVEL_CODE
 
 from .conftest import (
+    anchor_frames,
     assert_tokens_equal,
     frame_summaries,
     packed_lvuc,
@@ -1282,7 +1283,7 @@ class TestZeroMeanFrames:
             assert zero_own.size == 0 and zero_pooled.tolist() == [13]
         else:
             assert zero_own.size > 0 and set(zero_own) <= set(zero_pooled)
-        flags = anchor_frames(pooled.reshape(40, 64, 16), 8, AnchorStrategy.HIGH_CHANGE)
+        flags = build_plan(pooled, 8, AnchorStrategy.HIGH_CHANGE, (0.5,)).anchor[::64]
         if kind == "zero tail":  # a window of repeats takes its earliest candidate
             assert np.flatnonzero(flags)[-1] == 33
         else:

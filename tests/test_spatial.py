@@ -12,9 +12,17 @@ from vtcompress import (
 )
 from vtcompress import numerics, spatial
 from vtcompress.pipeline import _theta_ladder, flatten
-from vtcompress.spatial import anchor_frames, build_plan
+from vtcompress.spatial import build_plan, window_anchor
 
-from .conftest import constant_grid, cosine, random_query, random_sequence, token_table
+from .conftest import (
+    anchor_frames,
+    constant_grid,
+    cosine,
+    plan_oracle,
+    random_query,
+    random_sequence,
+    token_table,
+)
 
 
 def prune_oracle(window, anchor_idx, theta):
@@ -56,12 +64,16 @@ def oracle_mismatches(window, strategy, theta) -> tuple[int, int]:
 
 
 def select_anchor(window, strategy) -> int:
-    """Anchor index of one window of frames, through the stack-wide anchor
-    routine."""
-    window = np.stack(window)
-    n, h, w, d = window.shape
-    (anchor,) = np.flatnonzero(anchor_frames(window.reshape(n, h * w, d), n, strategy))
-    return int(anchor)
+    """Anchor index of one window of frames, as ``build_plan`` picks it."""
+    return prune_single_window(np.stack(window), strategy)[1]
+
+
+def plan_anchors(stack, k, strategy) -> list[int]:
+    """The anchor frames ``build_plan`` picks in a (frames, tokens, dim)
+    stack, as a grid of one column."""
+    n, tokens, dim = stack.shape
+    plan = build_plan(stack.reshape(n, tokens, 1, dim), k, strategy, (0.5,))
+    return np.flatnonzero(plan.anchor[::tokens]).tolist()
 
 
 def high_change_oracle(stack, k) -> list[int]:
@@ -139,8 +151,8 @@ class TestSelectAnchor:
 
 
 class TestHighChangeAnchors:
-    """``anchor_frames`` scores a whole stack at once; each window's anchor
-    must be the one the window-by-window oracle picks."""
+    """``build_plan`` picks each window's anchor on its own; each must be
+    the one the frame-by-frame oracle picks."""
 
     def test_matches_the_per_window_oracle(self, rng):
         for trial in range(200):
@@ -156,8 +168,7 @@ class TestHighChangeAnchors:
                 stack[i] = 0.0
                 stack[i, 0:pairs:2], stack[i, 1:pairs:2] = v, -v
             expected = high_change_oracle(stack, k)
-            got = np.flatnonzero(anchor_frames(stack, k, AnchorStrategy.HIGH_CHANGE))
-            assert got.tolist() == expected, (trial, n, k)
+            assert plan_anchors(stack, k, AnchorStrategy.HIGH_CHANGE) == expected, (trial, n, k)
 
     def test_ties_and_zero_means_take_the_earliest_candidate(self):
         a, b = [1.0, 0.0], [0.0, 1.0]
@@ -166,8 +177,63 @@ class TestHighChangeAnchors:
         frames = [a, b, a, b, a, zero, zero, zero]
         stack = np.stack([constant_grid(f) for f in frames]).reshape(8, 4, 2)
         assert high_change_oracle(stack, 3) == [1, 4, 7]
-        flags = anchor_frames(stack, 3, AnchorStrategy.HIGH_CHANGE)
-        assert np.flatnonzero(flags).tolist() == [1, 4, 7]
+        assert plan_anchors(stack, 3, AnchorStrategy.HIGH_CHANGE) == [1, 4, 7]
+
+
+class TestOneWindowPlan:
+    """``build_plan`` plans one window at a time, and the stage-3-off path
+    takes each window's anchor from ``window_anchor`` alone; every anchor and
+    rung must be those of the whole-stack rule (``conftest.plan_oracle``)."""
+
+    # the two below 0 tell -inf from every cosine but -1
+    THRESHOLDS = (0.8, *_theta_ladder(0.8), -0.5, -2.0)
+
+    @staticmethod
+    def sweep(rng, dim):
+        """(frames, k) for n from 1 to 20 and k from 1 to 9, most with a short
+        last window. Where there are frames enough, one frame is all zero,
+        one has a zero mean over nonzero tokens and two neighbours are equal;
+        every other stack alternates between two frames, so every window's
+        ``high_change`` cosines tie."""
+        for n in range(1, 21):
+            for k in range(1, 10):
+                frames = rng.standard_normal((n, 2, 3, dim)).astype(np.float32)
+                if (n + k) % 2:
+                    frames[2::2], frames[1::2] = frames[0], frames[min(1, n - 1)]
+                if n >= 4:
+                    zero, balanced, repeat = rng.choice(n - 1, 3, replace=False)
+                    frames[repeat + 1] = frames[repeat]
+                    frames[zero] = 0.0
+                    tokens = frames[balanced].reshape(6, dim)
+                    tokens[1::2] = -tokens[0::2]
+                yield frames, k
+
+    def check(self, frames, k, work_bytes):
+        n = frames.shape[0]
+        for strategy in AnchorStrategy:
+            expected = plan_oracle(frames, k, strategy, self.THRESHOLDS)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numerics, "WORK_BYTES", work_bytes)
+                plan = build_plan(frames, k, strategy, self.THRESHOLDS)
+                anchors = [s + window_anchor(frames[s : s + k], strategy) for s in range(0, n, k)]
+            assert np.array_equal(plan.anchor, expected.anchor), (n, k, strategy)
+            assert np.array_equal(plan.rungs, expected.rungs), (n, k, strategy)
+            assert anchors == np.flatnonzero(expected.anchor[::6]).tolist(), (n, k, strategy)
+
+    def test_matches_the_whole_stack_rule(self, rng):
+        for frames, k in self.sweep(rng, 3):
+            self.check(frames, k, numerics.WORK_BYTES)
+
+    @pytest.mark.parametrize("group", [1, 2, 7])
+    def test_matches_the_whole_stack_rule_in_groups(self, rng, group):
+        # the similarities take group frames to float64 at a time
+        frame = 2 * 3 * 1152 * 8
+        work_bytes = group * frame
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "WORK_BYTES", work_bytes)
+            assert numerics.per_chunk(frame, 20) == group
+        for frames, k in self.sweep(rng, 1152):
+            self.check(frames, k, work_bytes)
 
 
 class TestPruneWindow:
