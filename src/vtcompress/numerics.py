@@ -1,23 +1,23 @@
 """Adaptive average pooling of token grids, for stage 2 and the over-budget path.
 
-Both kernels sum each bin separably (rows, then columns) in float64 straight off the
-float32 input, divide in float64 (or multiply by a power-of-two count's exact
-reciprocal, which gives the same bits), cast to float32 and only then add 0.0, so
+Both kernels sum each bin separably (rows, then columns) in float64 over the float32
+input's exact float64 values, divide in float64 (or multiply by a power-of-two count's
+exact reciprocal, which gives the same bits), cast to float32 and only then add 0.0, so
 repeated runs produce identical bytes. ``pool_batch`` pools the frames its required
-index picks, one phase of bins per ufunc call, into a fresh array or the caller's
-``out``. What it works out for a shape before it pools (bin edges, cell counts, the mean
-step and chunk size) is a ``Pooling``; the over-budget path, which pools one k-window a
-call, makes one per ``compress`` and hands it to every call. ``pool_tokens`` pools
-single tokens. Both add a bin's values in the same order, so a token pooled alone has
-the bits it has in its pooled frame. Both work a chunk at a time, and a chunk's working
-buffers (the gathered float32 cells and their float64 sums) hold at most ``WORK_BYTES``,
-or one item where one item needs more, so pooling's working memory is the same at any
-token width and any count. ``compress`` checks the pooled grid. Pooled to its own size,
-a grid follows the same rule and comes back as it was, each -0.0 made +0.0.
+index picks in one phase-major float64 block a chunk, in place, into a fresh array or
+the caller's ``out``; what it works out for a shape first is a ``Pooling``, which the
+over-budget path makes once per ``compress`` and hands to every k-window's call.
+``pool_tokens`` pools single tokens. Both add a bin's values in the same order, so a
+token pooled alone has the bits it has in its pooled frame. A chunk's working buffers
+(``pool_batch``'s block; ``pool_tokens``' float32 cells and float64 sums) hold at most
+``WORK_BYTES``, or one item where one item needs more, so pooling's working memory is
+the same at any token width and any count. ``compress`` checks the pooled grid. Pooled
+to its own size, a grid follows the same rule and comes back as it was, -0.0 as +0.0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,100 +77,100 @@ def _add_in_order(terms, out: np.ndarray):
         np.add(out, term, out=out)
 
 
-def _mean_to_float32(sums: np.ndarray, counts, out: np.ndarray, reciprocal: float | None = None):
-    """Divide float64 bin sums by their cell counts in place, or multiply them by
-    ``reciprocal`` when it is given, and round them into float32 ``out``.
+def _mean_to_float32(sums: np.ndarray, counts, out: np.ndarray):
+    """Divide float64 bin sums by their cell counts in place and round them
+    into float32 ``out``.
 
-    The reciprocal of a power of two is exact in float64, so the product is
-    the quotient's real value rounded once: the same bits, subnormals included.
     Adding 0.0 after the cast (where a tiny negative quotient becomes -0.0)
     turns a -0.0 mean into +0.0 and leaves every other value alone, so the
     result is that of sums started from +0.0: those never end at -0.0, and
     otherwise only the sign of a zero can depend on the start.
     """
-    if reciprocal is None:
-        sums /= counts
-    else:
-        sums *= reciprocal
+    sums /= counts
     out[...] = sums
     out += 0.0
 
 
-def _add_bins(src: np.ndarray, dst: np.ndarray, axis: int, start, end):
-    """Sum cells [start[p], end[p]) of ``src`` along ``axis`` into bin p of ``dst``:
-    with g = gcd(size, bins), bin p + bins/g starts size/g cells after bin p, so
-    both arrays are viewed as g periods and each phase's g bins share every call."""
-    g = int(np.gcd(src.shape[axis], dst.shape[axis]))
-    src, dst = (a.reshape(a.shape[:axis] + (g, a.shape[axis] // g) + a.shape[axis + 1 :])
-                for a in (src, dst))
-    at = (slice(None),) * (axis + 1)
-    for p in range(dst.shape[axis + 1]):
-        _add_in_order([src[at + (r,)] for r in range(start[p], end[p])], dst[at + (p,)])
-
-
 class Pooling:
     """What ``pool_batch`` works out before it pools (h, w) grids of width
-    ``dim`` to (out_h, out_w): the row and column bin edges, the cell counts,
-    their ``reciprocal`` 1 / c where every bin holds the same power-of-two
-    count c (else None) and the frames a chunk holds. A caller that pools many
-    small batches of one shape makes one and hands it to every call. It holds
-    no buffer.
+    ``dim`` to (out_h, out_w), no larger on either side. An axis of size s in
+    b bins is g = gcd(s, b) ``periods``, as bin p + b/g starts s/g cells after
+    bin p; so one period's row and column bin edges and cell counts hold for
+    all. ``reciprocal`` is 1 / c where every bin holds the same power-of-two
+    count c, else None: such a reciprocal is exact, so its product is the
+    quotient's bits. ``step`` is the frames a chunk holds. A caller pooling
+    many batches of one shape hands one to every call. It holds no buffer.
     """
 
     def __init__(self, h: int, w: int, dim: int, out_h: int, out_w: int):
-        self.row_edges, self.col_edges = _pool_edges(h, out_h), _pool_edges(w, out_w)
+        if not (0 < out_h <= h and 0 < out_w <= w):
+            raise ValueError(f"cannot pool a {h}x{w} grid to {out_h}x{out_w}")
+        self.periods = gr, gc = math.gcd(h, out_h), math.gcd(w, out_w)
+        self.row_edges, self.col_edges = _pool_edges(h // gr, out_h // gr), _pool_edges(w // gc, out_w // gc)
         (r0, r1), (c0, c1) = self.row_edges, self.col_edges
-        self.counts = ((r1 - r0)[:, None] * (c1 - c0))[:, :, None].astype(float)
+        self.counts = ((r1 - r0)[:, None] * (c1 - c0)).astype(float)
         c = int(self.counts.flat[0])
         self.reciprocal = 1.0 / c if (self.counts == c).all() and c & (c - 1) == 0 else None
-        # a frame's gathered cells and float64 row and bin sums
-        self.step = per_chunk((h * w * 4 + out_h * w * 8 + out_h * out_w * 8) * dim, POOL_CHUNK_FRAMES)
+        # a frame's cells in float64: a chunk's block
+        self.step = per_chunk(h * w * dim * 8, POOL_CHUNK_FRAMES)
 
 
 def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None,
                pooling: Pooling | None = None) -> np.ndarray:
     """Adaptive average pooling of the frames ``stack[index]`` of a
     (frames, h, w, dim) float32 stack; the index array is required. The
-    frames are written into ``out``, a (len(index), out_h, out_w, dim)
-    float32 array that is returned, or into a fresh one when it is None.
-    ``pooling`` is this shape's ``Pooling``, worked out here when it is None.
+    frames are written into ``out``, a C-contiguous (len(index), out_h,
+    out_w, dim) float32 array that is returned (another layout raises
+    ValueError), or into a fresh one. ``pooling`` is this shape's
+    ``Pooling``, worked out here when it is None.
 
-    Each bin is summed separably: first the rows of its row bin, then the
-    columns of its column bin, adding one cell at a time in float64 straight
-    off the float32 input, and divided by its integer cell count (one
-    (out_h, out_w, 1) array, broadcast over ``dim``) or, where every bin holds
-    the same power-of-two count, multiplied by its reciprocal. A float64 sum of float32
-    values is exact whenever the bin's nonzero values lie within a factor of
-    about 2**20 of each other, and every mean stays inside the [min, max] of
-    the cells it covers. Each axis is viewed as gcd(size, bins) periods, so
-    one ufunc call per cell adds a phase of bins (4 add calls for 12 -> 8,
-    not 16). The 0.0 settling the sign of a zero mean is added after the cast.
-    Frames are pooled independently, a chunk at a time: as many as the
-    chunk's gathered frames and float64 row and bin sums fit in
-    ``WORK_BYTES``, at most ``POOL_CHUNK_FRAMES`` (8) and at least one. So the
-    stack is never copied whole to float64, and pooling a batch is
-    bitwise-identical to pooling each frame alone. Each chunk is gathered by
-    fancy indexing, so a bad index raises IndexError. A same-size grid takes
-    the general path (see the module docstring).
+    Frames are pooled independently, a chunk at a time: as many as fit in
+    ``WORK_BYTES`` in float64, at most ``POOL_CHUNK_FRAMES`` (8), at least
+    one. Each frame is cast by one assignment into the chunk's float64
+    block, laid out phase-major as (h/gr, w/gc, frames, gr, gc, dim) for the
+    periods (gr, gc); a bad index raises IndexError. Each cell phase is one
+    contiguous block, so each add is one in-place call on whole blocks: a
+    row bin's rows into its first row, then a column bin's cells of that row
+    into its first cell. Bin starts strictly increase, so no cell is written
+    before its last read. The sum is divided by its cell count, or
+    multiplied by the ``reciprocal``, cast into ``out`` and given its 0.0
+    (see ``_mean_to_float32``). A float64 sum of float32 values is exact
+    whenever the bin's nonzero values lie within a factor of about 2**20 of
+    each other, and every mean stays inside the [min, max] of its cells.
+    Pooling a batch is bitwise-identical to pooling each frame alone.
     """
     _, h, w, dim = stack.shape
     n = len(index)
     if pooling is None:
         pooling = Pooling(h, w, dim, out_h, out_w)
-    (r0, r1), (c0, c1), step = pooling.row_edges, pooling.col_edges, pooling.step
+    (gr, gc), step, counts = pooling.periods, pooling.step, pooling.counts
+    (r0, r1), (c0, c1) = pooling.row_edges, pooling.col_edges
     if out is None:
         out = np.empty((n, out_h, out_w, dim), dtype=np.float32)
-    # One pair of float64 buffers serves every chunk, and each gathered
-    # chunk is let go before the column pass.
-    m = min(n, step)
-    rows_buf, sums_buf = np.empty((m, out_h, w, dim)), np.empty((m, out_h, out_w, dim))
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    bins = out.reshape(n, gr, out_h // gr, gc, out_w // gc, dim)
+    # One float64 buffer serves every chunk; a short chunk takes its head.
+    cells = np.empty(min(n, step) * h * w * dim)
     for lo in range(0, n, step):
-        chunk = stack[index[lo : lo + step]]
-        rows, sums = rows_buf[: chunk.shape[0]], sums_buf[: chunk.shape[0]]
-        _add_bins(chunk, rows, 1, r0, r1)
-        del chunk
-        _add_bins(rows, sums, 2, c0, c1)
-        _mean_to_float32(sums, pooling.counts, out[lo : lo + step], pooling.reciprocal)
+        frames = index[lo : lo + step]
+        k = len(frames)
+        block = cells[: k * h * w * dim].reshape(h // gr, w // gc, k, gr, gc, dim)
+        for i, f in enumerate(frames):
+            block.transpose(2, 3, 0, 4, 1, 5)[i] = stack[f].reshape(gr, h // gr, gc, w // gc, dim)
+        for p, s in enumerate(r0):
+            for r in range(s + 1, r1[p]):
+                np.add(block[s], block[r], out=block[s])
+            row = block[s]
+            for q, t in enumerate(c0):
+                for c in range(t + 1, c1[q]):
+                    np.add(row[t], row[c], out=row[t])
+                if pooling.reciprocal is None:
+                    row[t] /= counts[p, q]
+                else:
+                    row[t] *= pooling.reciprocal
+                bins[lo : lo + k, :, p, :, q] = row[t]
+        out[lo : lo + k] += 0.0
     return out
 
 
@@ -200,8 +200,8 @@ def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, frames, rows, cols) -
     # a token's float32 cells and their int64 rows, columns and flags; its
     # float64 column sums and bin sum
     step = per_chunk(bin_h * bin_w * (dim * 4 + 17) + (bin_w + 1) * dim * 8, POOL_CHUNK_TOKENS)
-    # One pair of float64 buffers serves every chunk, as in pool_batch, and
-    # each chunk's cells are let go before the next chunk's are gathered.
+    # One pair of float64 buffers serves every chunk, and each chunk's cells
+    # are let go before the next chunk's are gathered.
     m = min(n, step)
     columns_buf, sums_buf = np.empty((bin_w, m, dim)), np.empty((m, dim))
     for lo in range(0, n, step):

@@ -72,5 +72,6 @@ def test_corpus_run_is_correct_and_byte_identical():
     assert record["n_infeasible"] == 1
     # 2.26 MB with the plan's float64 similarities and cached summaries, 1.68
     # MB while the mixed tables' pooled frames were held beside the output,
-    # 1.24 MB with plan blocks of several windows beside pooling's chunk
-    assert result["metrics"]["peak_alloc_mb"]["value"] < 0.9
+    # 1.24 MB with plan blocks of several windows beside pooling's chunk,
+    # 0.79 MB with pooling's float32 gather, float64 sums and numpy's buffers
+    assert result["metrics"]["peak_alloc_mb"]["value"] < 0.6

@@ -226,16 +226,16 @@ class TestPoolBatch:
         assert peak < 2 * stack.nbytes
 
     def test_working_set_is_eight_frames(self, rng):
-        # Through a shuffled index, so that each chunk is gathered: beyond its
-        # output, pooling holds 8 gathered float32 frames, their float64 row
-        # sums and their float64 bin sums. The slack covers the float64
-        # (8, 8, 1) cell counts (512 bytes), numpy's buffers for the float32 ->
-        # float64 adds (up to three operands of 8,192 float64, 192 KiB) and
-        # small objects.
+        # Through a shuffled index, so that each frame is cast from its own
+        # place: beyond its output, pooling holds one block of 8 frames'
+        # cells in float64. The slack covers the bin edges and counts and
+        # small objects: every add and mean runs in place on contiguous
+        # blocks, so numpy allocates no iterator buffer (up to 192 KiB a
+        # call on strided operands).
         stack = rng.standard_normal((2000, 12, 12, 64), dtype=np.float32)
         index = rng.permutation(2000)
-        working_set = 8 * (12 * 12 * 64 * 4 + 8 * 12 * 64 * 8 + 8 * 8 * 64 * 8)
-        slack = 256 * 1024
+        working_set = 8 * 12 * 12 * 64 * 8
+        slack = 16 * 1024
         tracemalloc.start()
         try:
             out = pool_batch(stack, 8, 8, index=index)
@@ -245,12 +245,11 @@ class TestPoolBatch:
         assert peak - out.nbytes <= working_set + slack
 
     def test_a_wide_frame_is_pooled_alone(self, rng):
-        # At dim 1,152 one frame's working buffers (its float32 cells and
-        # float64 row and bin sums) are over WORK_BYTES, so a chunk is one
-        # frame: pooling holds about 2 MiB beside its output, where 8-frame
-        # chunks held 17 MiB. The slack is as above.
+        # At dim 1,152 one frame's cells in float64 are over WORK_BYTES, so a
+        # chunk is one frame: pooling holds 1.27 MiB beside its output, where
+        # 8-frame chunks held 17 MiB. The slack is as above.
         stack = rng.standard_normal((12, 12, 12, 1152), dtype=np.float32)
-        frame = 12 * 12 * 1152 * 4 + 8 * 12 * 1152 * 8 + 8 * 8 * 1152 * 8
+        frame = 12 * 12 * 1152 * 8
         assert frame > WORK_BYTES
         tracemalloc.start()
         try:
@@ -258,14 +257,16 @@ class TestPoolBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= frame + 256 * 1024
+        assert peak - out.nbytes <= frame + 16 * 1024
 
 
 def pool_in_order(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Reference pooling that fixes the order of addition: each bin's
     columns are summed down from a float64 zero, then the column sums are
     added across, also from zero, and the sum is divided by the cell count.
-    A grid pooled to its own size follows the same rule."""
+    A mean that rounds to -0.0 in float32 is +0.0, as a sum started from
+    +0.0 never ends at -0.0. A grid pooled to its own size follows the same
+    rule."""
     h, w, d = frame.shape
     out = np.empty((out_h, out_w, d), dtype=np.float32)
     for p in range(out_h):
@@ -279,14 +280,17 @@ def pool_in_order(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
                     column += frame[r, c].astype(np.float64)
                 total += column
             out[p, q] = total / ((r1 - r0) * (c1 - c0))
+    out += 0.0
     return out
 
 
 @st.composite
 def wide_range_stacks(draw, max_frames=4):
-    """A float32 (frames, h, w, dim) stack of both signs with magnitudes from
-    e^-20 to e^20, and some cells +0.0 or -0.0; plus a pooled grid no larger
-    than it on either side. Each stack draws its cells from three
+    """A float32 (frames, h, w, dim) stack of both signs with magnitudes
+    within e^20 of 1, of float32's subnormals (e^-110 to e^-70: some cells
+    underflow to 0.0, and many bins hold subnormal or zero means) or of its
+    maximum (up to e^88), and some cells +0.0 or -0.0; plus a pooled grid no
+    larger than it on either side. Each stack draws its cells from three
     magnitudes, so bins often hold a value and its negation: float64 sums
     of such cells round, and the bits of a mean depend on the order of
     addition."""
@@ -295,7 +299,7 @@ def wide_range_stacks(draw, max_frames=4):
     n, dim = draw(st.integers(1, max_frames)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (n, h, w, dim)
-    magnitudes = np.exp(rng.uniform(-20.0, 20.0, 3))
+    magnitudes = np.exp(draw(st.sampled_from([0.0, -90.0, 68.0])) + rng.uniform(-20.0, 20.0, 3))
     stack = (rng.choice([-1.0, 1.0], shape) * rng.choice(magnitudes, shape)).astype(np.float32)
     stack[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
     stack[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
@@ -391,9 +395,9 @@ class TestMeanStep:
     ]
 
     @staticmethod
-    def stacks(rng, h, w):
-        """(kind, a (3, h, w, 4) float32 stack) for each kind of mean."""
-        shape = (3, h, w, 4)
+    def stacks(rng, h, w, n=3, dim=4):
+        """(kind, an (n, h, w, dim) float32 stack) for each kind of mean."""
+        shape = (n, h, w, dim)
         signs = rng.choice([-1.0, 1.0], shape)
         tiny = np.finfo(np.float32).smallest_subnormal
         big = np.finfo(np.float32).max
@@ -403,7 +407,7 @@ class TestMeanStep:
         yield "subnormal", (signs * rng.integers(0, 40, shape) * tiny).astype(np.float32)
         zeros = np.zeros(shape, dtype=np.float32)  # +0.0, -0.0 and +x, -x bins
         zeros[0] = -0.0
-        zeros[1, ::2] = rng.standard_normal((1, w, 4)).astype(np.float32)
+        zeros[1, ::2] = rng.standard_normal((1, w, dim)).astype(np.float32)
         zeros[1, 1::2] = -zeros[1, ::2][: zeros[1, 1::2].shape[0]]
         yield "signed zeros", zeros
         yield "near the maximum", (signs * rng.uniform(0.5, 1.0, shape) * big).astype(np.float32)
@@ -419,9 +423,6 @@ class TestMeanStep:
         for kind, stack in self.stacks(rng, h, w):
             expected = np.stack([pool_in_order(frame, out_h, out_w) for frame in stack])
             assert np.isfinite(expected).all(), kind
-            # a negative mean that rounds to -0.0 in float32 is +0.0 in the
-            # pooled grid (``_mean_to_float32``); pool_in_order keeps its sign
-            expected += 0.0
             got = pool_batch(stack, out_h, out_w, every, pooling=pooling)
             assert got.tobytes() == expected.tobytes(), kind
             assert pool_batch(stack, out_h, out_w, every, pooling=dividing).tobytes() == got.tobytes()
@@ -430,6 +431,84 @@ class TestMeanStep:
                 assert (np.abs(got) < np.finfo(np.float32).smallest_normal).all()
             if kind == "signed zeros":
                 assert not np.signbit(got[got == 0]).any()  # every zero mean is +0.0
+
+
+class TestBlockKernel:
+    """``pool_batch`` casts each chunk into one phase-major float64 block and
+    sums every bin in place there; the bits must be ``pool_in_order``'s at
+    every grid and chunk size and on every kind of value a mean can take,
+    and the block is all the working memory a chunk holds."""
+
+    GRIDS = [
+        ((12, 12), (8, 8)),
+        ((16, 16), (8, 8)),
+        ((12, 12), (4, 4)),  # 9 cells a bin: the dividing path
+        ((12, 12), (12, 8)),  # a same-size axis
+        ((7, 5), (3, 2)),  # coprime sizes: one period, bins overlap
+        ((5, 7), (3, 2)),
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g[0]}->{g[1]}")
+    @pytest.mark.parametrize("chunk,by", [(1, "cap"), (3, "cap"), (8, "cap"), (1, "bytes"), (3, "bytes")])
+    def test_has_the_reference_bits_at_every_chunk(self, rng, monkeypatch, grid, chunk, by):
+        # 11 frames: at 3 and 8 frames a chunk, the last chunk is short
+        (h, w), (out_h, out_w) = grid
+        if by == "cap":
+            monkeypatch.setattr(numerics, "POOL_CHUNK_FRAMES", chunk)
+        else:
+            monkeypatch.setattr(numerics, "WORK_BYTES", chunk * h * w * 4 * 8)
+        pooling = numerics.Pooling(h, w, 4, out_h, out_w)
+        assert pooling.step == chunk
+        index = np.concatenate([rng.permutation(11), [3, 3]])
+        for kind, stack in TestMeanStep.stacks(rng, h, w, n=11):
+            expected = np.stack([pool_in_order(frame, out_h, out_w) for frame in stack])
+            assert pool_batch(stack, out_h, out_w, np.arange(11), pooling=pooling).tobytes() \
+                == expected.tobytes(), kind
+            assert pool_batch(stack, out_h, out_w, index).tobytes() == expected[index].tobytes(), kind
+
+    @pytest.mark.parametrize("grid", [GRIDS[0], GRIDS[4]], ids=lambda g: f"{g[0]}->{g[1]}")
+    def test_has_the_reference_bits_at_the_paper_width(self, rng, monkeypatch, grid):
+        # dim 1,152, one frame a chunk
+        (h, w), (out_h, out_w) = grid
+        monkeypatch.setattr(numerics, "WORK_BYTES", h * w * 1152 * 8)
+        assert numerics.Pooling(h, w, 1152, out_h, out_w).step == 1
+        for kind, stack in TestMeanStep.stacks(rng, h, w, n=3, dim=1152):
+            expected = np.stack([pool_in_order(frame, out_h, out_w) for frame in stack])
+            assert pool_batch(stack, out_h, out_w, np.arange(3)).tobytes() == expected.tobytes(), kind
+
+    @pytest.mark.parametrize("dim", [32, 64, 1152])
+    def test_peak_is_one_chunk_block(self, rng, dim):
+        # One over-budget k = 8 window, 12x12 -> 8x8, into a given output:
+        # 8 frames a chunk at dims 32 and 64, one at 1,152. The 16 KiB are
+        # the bin edges and counts and small objects.
+        stack = rng.standard_normal((16, 12, 12, dim), dtype=np.float32)
+        out = np.empty((8, 8, 8, dim), dtype=np.float32)
+        block = numerics.per_chunk(12 * 12 * dim * 8, POOL_CHUNK_FRAMES) * 12 * 12 * dim * 8
+        pool_batch(stack, 8, 8, np.arange(4, 12), out=out)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            pool_batch(stack, 8, 8, np.arange(4, 12), out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block + 16 * 1024, (peak, block)
+        assert out.tobytes() == pool_batch(stack[4:12], 8, 8, np.arange(8)).tobytes()
+
+    @pytest.mark.parametrize("layout", ["strided", "transposed"])
+    def test_a_non_contiguous_out_raises(self, rng, layout):
+        stack = rng.standard_normal((3, 12, 12, 4), dtype=np.float32)
+        out = {"strided": np.zeros((3, 8, 8, 8), dtype=np.float32)[..., ::2],
+               "transposed": np.zeros((4, 8, 8, 3), dtype=np.float32).T}[layout]
+        with pytest.raises(ValueError, match="out must be C-contiguous"):
+            pool_batch(stack, 8, 8, np.arange(3), out=out)
+        assert not out.any()
+
+    def test_a_larger_grid_is_refused(self, rng):
+        # In-place sums need bin starts that strictly increase, as they do
+        # when no side grows; compress refuses a larger grid before this.
+        stack = rng.standard_normal((1, 4, 6, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="cannot pool a 4x6 grid to 5x3"):
+            pool_batch(stack, 5, 3, np.arange(1))
 
 
 class TestFrameSummary:

@@ -881,8 +881,8 @@ class TestPipelineInvariants:
 
 OUTPUT_FIELDS = ("frame_indices", "grid_rows", "grid_cols", "levels", "vectors")
 # What a call may leave traced: objects the interpreter keeps on its free
-# lists (about 2 KiB here). One pooling chunk's buffers are 0.45 MiB at
-# dim 32.
+# lists (about 2 KiB here). One pooling chunk's float64 block is 0.28 MiB
+# at dim 32.
 LEFT_SLACK = 16 << 10
 
 
@@ -913,15 +913,16 @@ class TestPeakAboveTheOutput:
     @pytest.mark.parametrize("l_max,path", [(2048, "over budget"), (8192, "mixed table")])
     def test_at_the_paper_width(self, wide_clip, l_max, path):
         # Over budget, one k = 8 window of pooled frames (2.25 MiB) is held
-        # beside one frame's pooling buffers (2 MiB) while it is pooled, and
-        # beside two frames in float64 (1.13 MiB) while it is planned. In the
-        # table, the pooled frames are pooled into the output. Pooling 8
-        # frames at a time, and 512 tokens, held 21 and 29 MiB here.
+        # beside one frame's float64 pooling block (1.27 MiB) while it is
+        # pooled, and beside two frames in float64 (1.13 MiB) while it is
+        # planned. In the table, the pooled frames are pooled into the
+        # output. Pooling 8 frames at a time, and 512 tokens, held 21 and 29
+        # MiB here.
         seq, query = wide_clip
         above, stats = self.peak_above_the_output(seq, query, CompressionConfig(l_max=l_max))
         assert stats.frames_after_temporal == 71
         assert (0 < stats.n_full_res < 71) == (path == "mixed table")
-        assert above <= 5 * 2**20, above / 2**20
+        assert above <= 4 * 2**20, above / 2**20
 
     def test_a_mixed_table_at_dim_64(self, rng):
         # 124 frames, stage 1 off: at 8k two stay full and 122 are pooled,
@@ -940,11 +941,9 @@ class TestOverBudgetWorkingMemory:
     chunk's buffers and a fixed allowance, and nothing outlives the call."""
 
     # dim 32, 12x12 grids pooled to 8x8, k = 8: one window of pooled float32,
-    # and one chunk of 8 frames' gathered float32 cells and float64 row and
-    # bin sums, as pool_batch sizes it
+    # and one chunk of 8 frames' cells in pool_batch's float64 block
     WINDOW = 8 * 8 * 8 * 32 * 4
-    CHUNK = 8 * (12 * 12 * 32 * 4 + 8 * 12 * 32 * 8 + 8 * 8 * 32 * 8)
-    # numpy's buffers for pooling's float32 -> float64 adds (up to 192 KiB),
+    CHUNK = 8 * 12 * 12 * 32 * 8
     # the plan's byte a pooled token (69 KB on the infeasible clip), the
     # store's rows beyond the output's and small objects
     ALLOWANCE = 384 << 10
