@@ -70,8 +70,9 @@ def apply_position_encoding(seq: CompressedTokenSequence, cfg: FramePositionConf
     """Add the frame's timestep encoding to every one of its tokens, in place.
 
     The offsets are added straight into ``seq.vectors`` a chunk of rows at a
-    time (``numerics.per_chunk``), so no array the size of the sequence is
-    built. Returns None; with the encoding disabled ``seq`` is left unchanged.
+    time (``numerics.per_chunk``): of the token width, only one offset per
+    timestep and one chunk's offsets are built. Returns None; with the
+    encoding disabled ``seq`` is left unchanged.
     """
     cfg.validate(seq.dim)
     if not cfg.enabled:

@@ -1,18 +1,17 @@
 """Adaptive average pooling of token grids, for stage 2 and the over-budget path.
 
-Both kernels sum each bin separably (rows, then columns) in float64 over the float32
-input's exact float64 values, divide in float64 (or multiply by a power-of-two count's
-exact reciprocal, which gives the same bits), cast to float32 and only then add 0.0, so
-repeated runs produce identical bytes. ``pool_batch`` pools the frames its required
-index picks in one phase-major float64 block a chunk, in place, into a fresh array or
-the caller's ``out``; what it works out for a shape first is a ``Pooling``, which the
-over-budget path makes once per ``compress`` and hands to every k-window's call.
-``pool_tokens`` pools single tokens. Both add a bin's values in the same order, so a
-token pooled alone has the bits it has in its pooled frame. A chunk's working buffers
-(``pool_batch``'s block; ``pool_tokens``' float32 cells and float64 sums) hold at most
-``WORK_BYTES``, or one item where one item needs more, so pooling's working memory is
-the same at any token width and any count. ``compress`` checks the pooled grid. Pooled
-to its own size, a grid follows the same rule and comes back as it was, -0.0 as +0.0.
+Both kernels follow one scheme. A chunk is cast by assignment into one reused float64
+block, which holds the float32 input's exact values, and each bin is summed there in
+place: down each column of the bin, then across the columns. The sum is divided by its
+cell count (a power-of-two count's exact reciprocal gives the same bits), cast to
+float32 and only then given 0.0: that turns a -0.0 mean into +0.0, as a sum started
+from +0.0 never ends at -0.0, and leaves every other value alone. ``pool_batch`` pools
+the frames an index picks; the over-budget path works out its ``Pooling`` once per
+``compress``. ``pool_tokens`` pools single tokens, with the bits they have in their
+pooled frames. A chunk's working arrays hold at most ``WORK_BYTES``, or one item where
+one item needs more, so working memory is the same at any token width and any count.
+``compress`` checks the pooled grid; pooled to its own size, a grid comes back as it
+was, -0.0 as +0.0.
 """
 
 from __future__ import annotations
@@ -67,30 +66,6 @@ def _pool_edges(size: int, out: int) -> tuple[np.ndarray, np.ndarray]:
     return start, end
 
 
-def _add_in_order(terms, out: np.ndarray):
-    """``out`` = terms[0] + terms[1] + ..., added left to right in float64."""
-    if len(terms) == 1:
-        out[...] = terms[0]
-        return
-    np.add(terms[0], terms[1], out=out, dtype=np.float64)
-    for term in terms[2:]:
-        np.add(out, term, out=out)
-
-
-def _mean_to_float32(sums: np.ndarray, counts, out: np.ndarray):
-    """Divide float64 bin sums by their cell counts in place and round them
-    into float32 ``out``.
-
-    Adding 0.0 after the cast (where a tiny negative quotient becomes -0.0)
-    turns a -0.0 mean into +0.0 and leaves every other value alone, so the
-    result is that of sums started from +0.0: those never end at -0.0, and
-    otherwise only the sign of a zero can depend on the start.
-    """
-    sums /= counts
-    out[...] = sums
-    out += 0.0
-
-
 class Pooling:
     """What ``pool_batch`` works out before it pools (h, w) grids of width
     ``dim`` to (out_h, out_w), no larger on either side. An axis of size s in
@@ -126,18 +101,15 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None,
 
     Frames are pooled independently, a chunk at a time: as many as fit in
     ``WORK_BYTES`` in float64, at most ``POOL_CHUNK_FRAMES`` (8), at least
-    one. Each frame is cast by one assignment into the chunk's float64
-    block, laid out phase-major as (h/gr, w/gc, frames, gr, gc, dim) for the
-    periods (gr, gc); a bad index raises IndexError. Each cell phase is one
-    contiguous block, so each add is one in-place call on whole blocks: a
-    row bin's rows into its first row, then a column bin's cells of that row
-    into its first cell. Bin starts strictly increase, so no cell is written
-    before its last read. The sum is divided by its cell count, or
-    multiplied by the ``reciprocal``, cast into ``out`` and given its 0.0
-    (see ``_mean_to_float32``). A float64 sum of float32 values is exact
-    whenever the bin's nonzero values lie within a factor of about 2**20 of
-    each other, and every mean stays inside the [min, max] of its cells.
-    Pooling a batch is bitwise-identical to pooling each frame alone.
+    one. The chunk's block is laid out phase-major as (h/gr, w/gc, frames,
+    gr, gc, dim) for the periods (gr, gc), so each add is one in-place call
+    on whole contiguous blocks: a row bin's rows into its first row, then a
+    column bin's cells of that row into its first cell. Bin starts strictly
+    increase, so no cell is written before its last read. A bad index raises
+    IndexError. A float64 sum of float32 values is exact whenever the bin's
+    nonzero values lie within a factor of about 2**20 of each other, and
+    every mean stays inside the [min, max] of its cells. Pooling a batch is
+    bitwise-identical to pooling each frame alone.
     """
     _, h, w, dim = stack.shape
     n = len(index)
@@ -174,51 +146,52 @@ def pool_batch(stack: np.ndarray, out_h: int, out_w: int, index, out=None,
     return out
 
 
-def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, frames, rows, cols) -> np.ndarray:
-    """Token i is ``pool_batch(stack, out_h, out_w, frames)[i, rows[i], cols[i]]``,
-    bit for bit; all n come as an (n, dim) float32 array, without pooling whole frames.
+def pool_tokens(stack: np.ndarray, out_h: int, out_w: int, index, rows, out, dst):
+    """For each j in ``dst``, write row ``rows[j]`` of the pooled token table
+    ``pool_batch(stack, out_h, out_w, index).reshape(-1, dim)``, bit for bit,
+    into row j of ``out``, an (m, dim) float32 array.
 
-    Each token's bin cells are gathered at once and added as ``pool_batch``
-    adds them: down each column of the bin, then across the column sums.
-    Bins of one grid can differ in size by a cell; a token's cells beyond
-    its bin are set to zero, which changes at most the sign of a zero sum,
-    and that sign is settled as in ``pool_batch``. Tokens are pooled a chunk
-    at a time, as many as ``WORK_BYTES`` of working buffers hold, at most
-    ``POOL_CHUNK_TOKENS`` (512) and at least one. A same-size grid takes the
-    general path, as in ``pool_batch``.
+    Tokens are pooled a chunk at a time: as many as ``WORK_BYTES`` holds, at
+    most ``POOL_CHUNK_TOKENS`` (512), at least one. A chunk's bin cells are
+    gathered at once into a float64 block laid out as (bin_h, bin_w, tokens,
+    dim). Bins of one grid can differ in size by a cell; a token's cells
+    beyond its bin are zero, which changes at most the sign of a zero sum.
     """
     _, h, w, dim = stack.shape
-    frames, rows, cols = (np.asarray(a, dtype=np.int64) for a in (frames, rows, cols))
-    r0, r1 = _pool_edges(h, out_h)
-    c0, c1 = _pool_edges(w, out_w)
+    n = len(dst)
+    (r0, r1), (c0, c1) = _pool_edges(h, out_h), _pool_edges(w, out_w)
     bin_h, bin_w = int((r1 - r0).max()), int((c1 - c0).max())
-    uneven = (r1 - r0).min() < bin_h or (c1 - c0).min() < bin_w
-    cell_r = np.repeat(np.arange(bin_h), bin_w)[:, None]
-    cell_c = np.tile(np.arange(bin_w), bin_h)[:, None]
-    n = frames.shape[0]
-    out = np.empty((n, dim), dtype=np.float32)
-    # a token's float32 cells and their int64 rows, columns and flags; its
-    # float64 column sums and bin sum
-    step = per_chunk(bin_h * bin_w * (dim * 4 + 17) + (bin_w + 1) * dim * 8, POOL_CHUNK_TOKENS)
-    # One pair of float64 buffers serves every chunk, and each chunk's cells
-    # are let go before the next chunk's are gathered.
-    m = min(n, step)
-    columns_buf, sums_buf = np.empty((bin_w, m, dim)), np.empty((m, dim))
+    # Cell i of row bin p is input row at_r[i, p] (clipped), and beyond the
+    # bin where beyond_r[i, p]; likewise for column bins.
+    cell_r, cell_c = np.divmod(np.arange(bin_h * bin_w)[:, None], bin_w)
+    at_r, at_c = r0 + cell_r, c0 + cell_c
+    beyond_r, beyond_c = at_r >= r1, at_c >= c1
+    uneven = beyond_r.any() or beyond_c.any()
+    at_r, at_c = np.minimum(at_r, h - 1), np.minimum(at_c, w - 1)
+    # a token's cells in float32 and float64, their int64 rows and columns,
+    # the frame the gather broadcasts to each and a flag; its int64 frame,
+    # bin row and column and input frame, and its float64 count
+    step = per_chunk(bin_h * bin_w * (dim * 12 + 25) + 40, POOL_CHUNK_TOKENS)
+    # One float64 buffer serves every chunk; a short chunk takes its head.
+    cells = np.empty(bin_h * bin_w * min(n, step) * dim)
     for lo in range(0, n, step):
-        p, q = rows[lo : lo + step], cols[lo : lo + step]
-        r = r0[p] + cell_r  # (cells per bin, tokens)
-        c = c0[q] + cell_c
+        at = dst[lo : lo + step]
+        f, p = np.divmod(rows[at], out_h * out_w)
+        p, q = np.divmod(p, out_w)
+        vals = stack[index[f], at_r.take(p, axis=1), at_c.take(q, axis=1)]
+        block = cells[: vals.size].reshape(bin_h, bin_w, p.shape[0], dim)
+        block[...] = vals.reshape(block.shape)
         if uneven:
-            outside = (r >= r1[p]) | (c >= c1[q])
-            np.minimum(r, h - 1, out=r)
-            np.minimum(c, w - 1, out=c)
-        vals = stack[frames[lo : lo + step], r, c]
-        if uneven:
-            vals[outside] = 0.0
-        columns, sums = columns_buf[:, : p.shape[0]], sums_buf[: p.shape[0]]
-        for j in range(bin_w):
-            _add_in_order([vals[i * bin_w + j] for i in range(bin_h)], columns[j])
-        del vals
-        _add_in_order(columns, sums)
-        _mean_to_float32(sums, ((r1[p] - r0[p]) * (c1[q] - c0[q]))[:, None], out[lo : lo + step])
-    return out
+            outside = beyond_r.take(p, axis=1) | beyond_c.take(q, axis=1)
+            np.copyto(block, 0.0, where=outside.reshape(*block.shape[:3], 1))
+        for i in range(1, bin_h):
+            np.add(block[0], block[i], out=block[0])
+        for j in range(1, bin_w):
+            np.add(block[0, 0], block[0, j], out=block[0, 0])
+        if uneven:  # a spent cell takes the counts: a broadcast divisor gets numpy's buffers
+            block[-1, -1] = ((r1 - r0)[p] * (c1 - c0)[q])[:, None]
+        block[0, 0] /= block[-1, -1] if uneven else bin_h * bin_w
+        vals[0] = block[0, 0]  # the gathered cells are spent: the first one's room takes the means
+        vals[0] += 0.0
+        out[at] = vals[0]
+        del vals  # let go before the next chunk is gathered

@@ -21,9 +21,10 @@ output array: full, pooled and mixed tables take one path. When every frame
 is pooled and the table would still be over budget, the pipeline pools and
 plans one k-window at a time, with pooling set up once (see ``pipeline``),
 and hands over the kept rows and a budget-sized store of pooled tokens; only
-those rows are emitted, into the store. Rows move and are pooled again in
-chunks sized by ``numerics.per_chunk``, so on either path no other array of
-the token width grows with the budget or the kept frames.
+those rows are emitted, into the store. Rows move in chunks sized by
+``numerics.per_chunk``, and ``pool_tokens`` pools the rest again in its own
+chunks straight into their rows, so on either path no other array of the
+token width grows with the budget or the kept frames.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ def select_and_pool(
     output is the ascending table ``rows``, written into the over-budget
     ``store`` (stored rows, vectors). The store holds every anchor and the
     first survivors, so a token is stored at or after its output row, and
-    ``_move_down`` moves it there; the others are pooled again by
-    ``pool_tokens``, with ``pool_batch``'s bits, a chunk at a time straight
-    into their rows. No output array shares memory with the input.
+    ``_move_down`` moves it there; the others are pooled again by one
+    ``pool_tokens`` call, with ``pool_batch``'s bits, a chunk at a time
+    straight into their rows. No output array shares memory with the input.
     """
     frames = seq.frames
     kept = np.asarray(kept, dtype=np.int64)
@@ -198,12 +199,7 @@ def select_and_pool(
         moved = np.flatnonzero(found & (at != np.arange(n)))
         again = np.flatnonzero(~found)
         _move_down(vectors, moved, at[moved])  # at[i] >= i: see above
-        step = per_chunk(dim * 4 + 16, numerics.POOL_CHUNK_TOKENS)
-        for lo in range(0, again.shape[0], step):
-            dst = again[lo : lo + step]
-            vectors[dst] = pool_tokens(
-                frames, h_l, w_l, kept[frame[dst]], local[dst] // w_l, local[dst] % w_l
-            )
+        pool_tokens(frames, h_l, w_l, kept, rows, vectors, again)
         vectors = vectors[:n]
         frame_indices = kept[frame]
         width = w_l

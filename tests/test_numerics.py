@@ -306,6 +306,31 @@ def wide_range_stacks(draw, max_frames=4):
     return stack, out_h, out_w, rng
 
 
+def token_args(out_h, out_w, frames, rows, cols):
+    """``pool_tokens``' index, table rows and destination rows for token i,
+    ``pool_batch(stack, out_h, out_w, frames)[i, rows[i], cols[i]]``, into
+    row i."""
+    m = len(frames)
+    return frames, (np.arange(m) * out_h + rows) * out_w + cols, np.arange(m)
+
+
+def pooled_tokens(stack, out_h, out_w, frames, rows, cols) -> np.ndarray:
+    """Those tokens, from one ``pool_tokens`` call, in a fresh (n, dim) array."""
+    index, table_rows, dst = token_args(out_h, out_w, frames, rows, cols)
+    out = np.empty((len(frames), stack.shape[3]), dtype=np.float32)
+    pool_tokens(stack, out_h, out_w, index, table_rows, out, dst)
+    return out
+
+
+def every_token(stack, out_h, out_w, index) -> np.ndarray:
+    """``pool_tokens`` of every token of the frames ``index``, in one call,
+    laid out as ``pool_batch``'s output."""
+    n = len(index) * out_h * out_w
+    out = np.empty((n, stack.shape[3]), dtype=np.float32)
+    pool_tokens(stack, out_h, out_w, index, np.arange(n), out, np.arange(n))
+    return out.reshape(len(index), out_h, out_w, stack.shape[3])
+
+
 class TestPoolTokens:
     @settings(max_examples=300, deadline=None)
     @given(wide_range_stacks())
@@ -333,7 +358,7 @@ class TestPoolTokens:
         stack, out_h, out_w, rng = case
         frames = rng.integers(0, stack.shape[0], m)
         rows, cols = rng.integers(0, out_h, m), rng.integers(0, out_w, m)
-        got = pool_tokens(stack, out_h, out_w, frames, rows, cols)
+        got = pooled_tokens(stack, out_h, out_w, frames, rows, cols)
         assert got.shape == (m, stack.shape[3]) and got.dtype == np.float32
         pooled = pool_batch(stack, out_h, out_w, np.arange(stack.shape[0]))
         assert got.tobytes() == pooled[frames, rows, cols].tobytes()
@@ -344,31 +369,60 @@ class TestPoolTokens:
         m = 2 * POOL_CHUNK_TOKENS + 7
         frames = np.sort(rng.integers(0, 40, m))
         rows, cols = rng.integers(0, out[0], m), rng.integers(0, out[1], m)
-        got = pool_tokens(stack, *out, frames, rows, cols)
+        got = pooled_tokens(stack, *out, frames, rows, cols)
         assert np.array_equal(got, pool_batch(stack, *out, np.arange(40))[frames, rows, cols])
 
-    @pytest.mark.parametrize("dim,work_bytes", [(64, WORK_BYTES), (1152, WORK_BYTES), (3, 1)])
-    def test_working_set_is_bounded_in_bytes(self, rng, monkeypatch, dim, work_bytes):
-        # 12x12 -> 8x8 bins are 2x2 cells. A token's working bytes are its 4
-        # float32 cells with their int64 row and column and a flag, and its
-        # 2 float64 column sums and bin sum: 399 tokens a chunk at dim 64,
-        # 22 at dim 1,152, one where one token is over the working bytes.
-        # The chunk's float32 means go into the output. The slack covers
-        # numpy's cast buffers (192 KiB) and small objects.
+    @pytest.mark.parametrize("grid,low,dim,work_bytes", [
+        ((12, 12), (8, 8), 64, WORK_BYTES), ((12, 12), (8, 8), 1152, WORK_BYTES),
+        ((12, 12), (8, 8), 3, 1), ((5, 7), (3, 2), 64, WORK_BYTES),
+    ], ids=["64-1048576", "1152-1048576", "3-1", "padded-64-1048576"])
+    def test_working_set_is_bounded_in_bytes(self, rng, monkeypatch, grid, low, dim, work_bytes):
+        # 12x12 -> 8x8 bins are 2x2 cells; 5x7 -> 3x2 bins take 3x4, their
+        # smaller ones padded. A token's working bytes are its cells in
+        # float32 (the gather) and float64 (the block), with their int64
+        # rows, columns and frame and a flag, its int64 frame, bin row and
+        # column and input frame, and its float64 count: at 12x12 -> 8x8,
+        # 326 tokens a chunk at dim 64, 18 at dim 1,152, one where one token
+        # is over the working bytes. The chunk's means go into its gathered
+        # cells. The 16 KiB are the bin tables and small objects: every add,
+        # division and cast runs in place on contiguous blocks, so numpy
+        # allocates no iterator buffer (64 KiB or more a call where an
+        # operand is cast or broadcast).
         monkeypatch.setattr(numerics, "WORK_BYTES", work_bytes)
-        stack = rng.standard_normal((6, 12, 12, dim), dtype=np.float32)
+        stack = rng.standard_normal((6, *grid, dim), dtype=np.float32)
         m = 1500
-        frames, rows, cols = rng.integers(0, 6, m), rng.integers(0, 8, m), rng.integers(0, 8, m)
-        token = 4 * (dim * 4 + 17) + 3 * dim * 8
+        frames, rows, cols = rng.integers(0, 6, m), rng.integers(0, low[0], m), rng.integers(0, low[1], m)
+        cells = 4 if grid == (12, 12) else 12
+        token = cells * (dim * 12 + 25) + 40
         chunk = max(1, min(POOL_CHUNK_TOKENS, work_bytes // token))
+        index, table_rows, dst = token_args(*low, frames, rows, cols)
+        out = np.empty((m, dim), dtype=np.float32)
         tracemalloc.start()
         try:
-            out = pool_tokens(stack, 8, 8, frames, rows, cols)
+            pool_tokens(stack, *low, index, table_rows, out, dst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= chunk * token + 256 * 1024
-        assert np.array_equal(out, pool_batch(stack, 8, 8, np.arange(6))[frames, rows, cols])
+        assert peak <= chunk * token + 16 * 1024, (peak, chunk * token)
+        assert np.array_equal(out, pool_batch(stack, *low, np.arange(6))[frames, rows, cols])
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_out_has_the_bits_and_nothing_else_is_written(self, rng, monkeypatch, order):
+        # Three chunks of tokens, each written straight into its rows of a
+        # larger array, which starts as NaN; the pooled table is that of
+        # frames taken out of order and repeated.
+        monkeypatch.setattr(numerics, "POOL_CHUNK_TOKENS", 7)
+        stack = rng.standard_normal((5, 5, 7, 3), dtype=np.float32)
+        index = np.array([3, 0, 3, 4])
+        table = pool_batch(stack, 3, 2, index).reshape(-1, 3)
+        rows = rng.integers(0, table.shape[0], 40)  # only those at dst are read
+        dst = np.sort(rng.choice(40, 19, replace=False))
+        if order == "shuffled":
+            rng.shuffle(dst)
+        whole = np.full((40, 3), np.nan, dtype=np.float32)
+        pool_tokens(stack, 3, 2, index, rows, whole, dst)
+        assert whole[dst].tobytes() == table[rows[dst]].tobytes()
+        assert np.isnan(np.delete(whole, dst, axis=0)).all()
 
     def test_upsampling_rejected(self, rng):
         # A grid with fewer tokens that does not fit inside the input is
@@ -383,7 +437,8 @@ class TestMeanStep:
     """Where every bin holds the same power-of-two count, ``pool_batch``
     multiplies its bin sums by the count's reciprocal instead of dividing
     them; the bits must be ``pool_in_order``'s, and the dividing path's,
-    on every kind of value a mean can take."""
+    on every kind of value a mean can take. ``pool_tokens``, which always
+    divides, must have them for every token too."""
 
     GRIDS = [  # (h, w), (out_h, out_w), the reciprocal, or None where it divides
         ((12, 12), (8, 8), 0.25),
@@ -426,6 +481,7 @@ class TestMeanStep:
             got = pool_batch(stack, out_h, out_w, every, pooling=pooling)
             assert got.tobytes() == expected.tobytes(), kind
             assert pool_batch(stack, out_h, out_w, every, pooling=dividing).tobytes() == got.tobytes()
+            assert every_token(stack, out_h, out_w, every).tobytes() == got.tobytes(), kind
             if kind == "subnormal":
                 assert (got != 0).any()
                 assert (np.abs(got) < np.finfo(np.float32).smallest_normal).all()
@@ -437,7 +493,9 @@ class TestBlockKernel:
     """``pool_batch`` casts each chunk into one phase-major float64 block and
     sums every bin in place there; the bits must be ``pool_in_order``'s at
     every grid and chunk size and on every kind of value a mean can take,
-    and the block is all the working memory a chunk holds."""
+    and the block is all the working memory a chunk holds. ``pool_tokens``
+    sums its tokens' bins in a block of its own and must have the same
+    bits for every token of every frame."""
 
     GRIDS = [
         ((12, 12), (8, 8)),
@@ -453,8 +511,9 @@ class TestBlockKernel:
     def test_has_the_reference_bits_at_every_chunk(self, rng, monkeypatch, grid, chunk, by):
         # 11 frames: at 3 and 8 frames a chunk, the last chunk is short
         (h, w), (out_h, out_w) = grid
-        if by == "cap":
+        if by == "cap":  # and tokens a chunk of pool_tokens
             monkeypatch.setattr(numerics, "POOL_CHUNK_FRAMES", chunk)
+            monkeypatch.setattr(numerics, "POOL_CHUNK_TOKENS", chunk)
         else:
             monkeypatch.setattr(numerics, "WORK_BYTES", chunk * h * w * 4 * 8)
         pooling = numerics.Pooling(h, w, 4, out_h, out_w)
@@ -465,16 +524,18 @@ class TestBlockKernel:
             assert pool_batch(stack, out_h, out_w, np.arange(11), pooling=pooling).tobytes() \
                 == expected.tobytes(), kind
             assert pool_batch(stack, out_h, out_w, index).tobytes() == expected[index].tobytes(), kind
+            assert every_token(stack, out_h, out_w, index).tobytes() == expected[index].tobytes(), kind
 
-    @pytest.mark.parametrize("grid", [GRIDS[0], GRIDS[4]], ids=lambda g: f"{g[0]}->{g[1]}")
+    @pytest.mark.parametrize("grid", [GRIDS[0], *GRIDS[3:]], ids=lambda g: f"{g[0]}->{g[1]}")
     def test_has_the_reference_bits_at_the_paper_width(self, rng, monkeypatch, grid):
-        # dim 1,152, one frame a chunk
+        # dim 1,152, one frame a chunk, and a few tokens a chunk of pool_tokens
         (h, w), (out_h, out_w) = grid
         monkeypatch.setattr(numerics, "WORK_BYTES", h * w * 1152 * 8)
         assert numerics.Pooling(h, w, 1152, out_h, out_w).step == 1
         for kind, stack in TestMeanStep.stacks(rng, h, w, n=3, dim=1152):
             expected = np.stack([pool_in_order(frame, out_h, out_w) for frame in stack])
             assert pool_batch(stack, out_h, out_w, np.arange(3)).tobytes() == expected.tobytes(), kind
+            assert every_token(stack, out_h, out_w, np.arange(3)).tobytes() == expected.tobytes(), kind
 
     @pytest.mark.parametrize("dim", [32, 64, 1152])
     def test_peak_is_one_chunk_block(self, rng, dim):

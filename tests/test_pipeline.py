@@ -1106,9 +1106,10 @@ class TestOverBudgetPath:
         # similarity group, a row a move, re-pooling or encoding step, a
         # record a write. With "few" the working bytes are four windows' of
         # pooled float32, so a frame is pooled alone, a window's similarities
-        # are taken whole, rows are moved, re-pooled and encoded 3 at a time,
-        # and the bytes hold 31 to 46 records a write. Only ``numerics`` is
-        # patched: every pass reads its caps there when it runs.
+        # are taken whole, rows are moved and encoded 3 at a time and pooled
+        # again one or two at a time, and the bytes hold 31 to 46 records a
+        # write. Only ``numerics`` is patched: every pass reads its caps
+        # there when it runs.
         window = 3 * pooled[0] * pooled[1] * 6 * 4  # pooled float32 bytes of a k = 3 window
         work, rows = {"one": (1, None), "few": (2 * 2 * window, 3)}[chunks]
         monkeypatch.setattr(numerics, "WORK_BYTES", work)
