@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import per_chunk
-from .temporal import _unit_rows_in_place, cosines
+from .temporal import _frame_means, _unit_rows_in_place, cosines
 
 __all__ = [
     "AnchorStrategy",
@@ -64,17 +64,17 @@ def window_anchor(window: np.ndarray, strategy: AnchorStrategy) -> int:
     ``first`` is frame 0 and ``middle`` frame n // 2. ``high_change`` is the
     frame, after the first, whose mean token has the least cosine to its
     predecessor's, the earliest on ties; a one-frame window anchors on its
-    frame. The mean tokens are taken in float64 with the bits of
-    ``ndarray.mean`` and brought to unit norm in place. A zero mean token has
-    cosine 1 to its neighbours (``temporal.cosines``).
+    frame. The float64 mean tokens come from ``temporal._frame_means``, the
+    routine stage 1 takes its means with, and are brought to unit norm in
+    place. A zero mean token has cosine 1 to its neighbours
+    (``temporal.cosines``).
     """
-    n, h, w, dim = window.shape
+    n = window.shape[0]
     if strategy is AnchorStrategy.FIRST or n == 1:
         return 0
     if strategy is AnchorStrategy.MIDDLE:
         return n // 2
-    means = np.add.reduce(window, axis=(1, 2), dtype=np.float64)
-    means /= h * w
+    means = _frame_means(window)
     zero = _unit_rows_in_place(means)
     change = cosines(np.einsum("id,id->i", means[1:], means[:-1]), zero[1:], zero[:-1])
     return 1 + int(change.argmin())

@@ -15,6 +15,7 @@ the number of workers or on the order in which the scenes finish.
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -25,7 +26,7 @@ from .errors import BudgetInfeasibleError, InvalidConfigError, integer, numbers,
 from .pipeline import CompressionConfig, compress
 from .query_select import QueryEmbedding
 from .spatial import AnchorStrategy
-from .temporal import FrameFeatureSequence, usable_cpus
+from .temporal import FrameFeatureSequence
 from .tokens import LEVEL_CODE, CompressionStats
 
 __all__ = [
@@ -215,8 +216,11 @@ def _normalized_walk(rng: np.random.Generator, steps: int, dim: int, step_scale:
 
 
 def _worker_count(n_scenes: int) -> int:
-    """Threads for generating n_scenes: one per usable CPU, at most one per scene."""
-    return max(1, min(usable_cpus(), n_scenes))
+    """Threads for generating n_scenes: one per CPU this process may run on (its
+    affinity mask where the platform has one, else the machine's count), at
+    most one per scene."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, n_scenes))
 
 
 def _scene_into(

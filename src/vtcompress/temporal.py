@@ -7,21 +7,18 @@ survivor set can never be empty.
 
 The input is read once: ``FrameFeatureSequence`` takes every frame's float64
 mean token in the pass that checks the tokens are finite, and stage 1 works
-from those means. That pass is split by contiguous frame ranges over the
-usable CPUs, one thread each, when every thread gets at least
-``MEANS_VALUES_PER_WORKER`` values; a smaller input is reduced on the calling
-thread. A frame's mean does not depend on the split, so the bytes do not
-either. Nothing else is kept beside the means: stage 1 derives the unit-norm
-mean tokens it scores from them, whole windows at a time in blocks of at most
-``numerics.WORK_BYTES``, so its working memory does not grow with the video.
-Survivors are handed on as indices into the input.
+from those means. That pass runs on the calling thread, a chunk of frames at
+a time: each chunk is cast into one reused float64 block of at most
+``numerics.WORK_BYTES`` (or one frame) and summed there over the grid
+positions. Nothing else is kept beside the means: stage 1 derives the
+unit-norm mean tokens it scores from them, whole windows at a time in blocks
+of at most ``numerics.WORK_BYTES``, so its working memory does not grow with
+the video. Survivors are handed on as indices into the input.
 """
 
 from __future__ import annotations
 
 import copy
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,50 +27,28 @@ from .numerics import per_chunk
 
 __all__ = ["FrameFeatureSequence"]
 
-# The fewest float32 values a thread of the means pass is given. Below about
-# this many, starting the thread costs more than its share of the pass saves.
-MEANS_VALUES_PER_WORKER = 1 << 20
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _means_workers(n_values: int) -> int:
-    """Threads for a means pass over n_values values: one per usable CPU,
-    but none with fewer than MEANS_VALUES_PER_WORKER values."""
-    return max(1, min(usable_cpus(), n_values // MEANS_VALUES_PER_WORKER))
-
-
-def _sum_frames_into(out: np.ndarray, frames: np.ndarray):
-    """Write each frame's float64 token sum into its row of ``out``."""
-    # np.errstate does not reach worker threads, so each sets its own:
-    # +inf and -inf in one frame sum to NaN, which the caller rejects.
-    with np.errstate(invalid="ignore"):
-        np.add.reduce(frames, axis=(1, 2), dtype=np.float64, out=out)
-
 
 def _frame_means(frames: np.ndarray) -> np.ndarray:
-    """Each frame's float64 mean token, shape (frames, dim), with the bits of
-    ``frames.mean(axis=(1, 2), dtype=np.float64)``: the same per-frame sums,
-    divided in place by the token count as ``ndarray.mean`` does."""
-    n = frames.shape[0]
-    sums = np.empty((n, frames.shape[3]), dtype=np.float64)
-    workers = min(_means_workers(frames.size), n)
-    if workers == 1:
-        _sum_frames_into(sums, frames)
-    else:
-        bounds = [n * i // workers for i in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(_sum_frames_into, sums[a:b], frames[a:b])
-                    for a, b in zip(bounds, bounds[1:])]
-            for done in jobs:
-                done.result()
-    sums /= frames.shape[1] * frames.shape[2]
+    """Each frame's float64 mean token of a (frames, h, w, dim) stack, shape
+    (frames, dim), with the bits of ``frames.mean(axis=(1, 2), dtype=np.float64)``.
+
+    A chunk of frames, as many as ``numerics.WORK_BYTES`` holds in float64 and
+    at least one, is cast into one reused block laid out (h, w, frames, dim),
+    whatever the input's strides, and summed over the positions in row-major
+    order, one float64 add at a time, as ``ndarray.mean`` sums them. The sums
+    are then divided in place by the token count. +inf and -inf in one frame
+    sum to NaN without a warning; the caller rejects it."""
+    n, h, w, dim = frames.shape
+    step = per_chunk(h * w * dim * 8, n)
+    buffer = np.empty(h * w * step * dim)
+    sums = np.empty((n, dim))
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        block = buffer[: h * w * k * dim].reshape(h, w, k, dim)
+        block.transpose(2, 0, 1, 3)[...] = frames[lo : lo + k]
+        with np.errstate(invalid="ignore"):
+            np.add.reduce(block.reshape(h * w, k, dim), axis=0, out=sums[lo : lo + k])
+    sums /= h * w
     return sums
 
 
@@ -97,14 +72,14 @@ class FrameFeatureSequence:
     """A video as a read-only (frames, height, width, dim) float32 token array.
 
     The video is sampled at one frame per second, so a frame's timestep is
-    its index. Construction is the one pass over the tokens, split by frame
-    over the usable CPUs when the input is large enough (see the module
-    docstring): it stores each frame's float64 mean token in ``means`` and
-    rejects the input when a mean is not finite. A float64 sum of finite
-    float32 values cannot overflow, so a frame's mean is finite exactly when
-    all of its tokens are. A zero mean is valid: the frame repeats every
-    other (``cosines``). ``frames`` is a read-only view, so the stored means
-    always describe it. It may view a read-only mapping of a feature file
+    its index. Construction is the one pass over the tokens, a block of
+    frames at a time on the calling thread (``_frame_means``): it stores
+    each frame's float64 mean token in ``means`` and rejects the input when
+    a mean is not finite. A float64 sum of finite float32 values cannot
+    overflow, so a frame's mean is finite exactly when all of its tokens
+    are. A zero mean is valid: the frame repeats every other (``cosines``).
+    ``frames`` is a read-only view, so the stored means always describe it.
+    It may view a read-only mapping of a feature file
     (``formats.read_features``) rather than memory of its own.
     """
 

@@ -16,7 +16,6 @@ from vtcompress import (
     compress,
     gen_video,
     numerics,
-    temporal,
 )
 from vtcompress.formats import (
     read_compressed,
@@ -146,10 +145,10 @@ class TestFeatureFiles:
         with pytest.raises(FileFormatError):
             read_features(path)
 
-    def test_infinities_in_the_last_worker_range(self, rng, tmp_path, monkeypatch):
-        # +inf and -inf in one frame of the last worker's range sum to NaN
+    def test_infinities_in_the_last_block(self, rng, tmp_path, monkeypatch):
+        # +inf and -inf in one frame of the short last means block sum to NaN
         # there; the read still fails as a format error, with no warning
-        monkeypatch.setattr(temporal, "_means_workers", lambda n_values: 3)
+        monkeypatch.setattr(numerics, "WORK_BYTES", 4 * (2 * 2 * 2) * 8)  # blocks of 4, 4 and 1 frames
         seq = random_sequence(rng, 9, 2, 2, 2)
         path = tmp_path / "video.lvuf"
         write_features(path, seq)

@@ -14,10 +14,10 @@ from vtcompress import (
     InvalidConfigError,
     compress,
     numerics,
-    temporal,
 )
 from vtcompress.temporal import reduce_frames
 
+from . import test_numerics
 from .conftest import (
     frame_summaries,
     partition_windows,
@@ -339,19 +339,19 @@ class TestFrameFeatureSequence:
             FrameFeatureSequence(frames)
 
     @pytest.mark.parametrize(
-        "bad, workers",
-        [pytest.param(bad, 1, id=name) for name, bad in NON_FINITE.items()]
-        + [pytest.param(bad, 3, id=f"{name}-split") for name, bad in NON_FINITE.items()],
+        "bad, per_block",
+        [pytest.param(bad, 6, id=name) for name, bad in NON_FINITE.items()]
+        + [pytest.param(bad, 4, id=f"{name}-blocks") for name, bad in NON_FINITE.items()],
     )
-    def test_fused_check_rejects_each_non_finite_value(self, bad, workers, monkeypatch):
+    def test_fused_check_rejects_each_non_finite_value(self, bad, per_block, monkeypatch):
         # +inf and -inf in one frame would sum to NaN, which is still rejected;
-        # split, frame 4 is in the last worker's range, and that worker must
-        # not turn the invalid sum into a RuntimeWarning
-        monkeypatch.setattr(temporal, "_means_workers", lambda n_values: workers)
+        # in blocks of 4, frame 4 is in the short last block, whose sum must
+        # not turn into a RuntimeWarning either
+        monkeypatch.setattr(numerics, "WORK_BYTES", per_block * 3 * 3 * 4 * 8)
         frames = np.ones((6, 3, 3, 4), dtype=np.float32)
         frames[4, 0, 1, 2] = bad[0]
         frames[4, 2, 2, 2] = bad[-1]
-        assert 6 * (workers - 1) // workers <= 4
+        assert (6 - 1) // per_block * per_block <= 4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
@@ -396,40 +396,96 @@ def random_stack(seed, n, h, w, dim) -> np.ndarray:
     return frames
 
 
-class TestSplitMeans:
-    """The means pass split over worker threads by frame range."""
+def laid_out(frames: np.ndarray, layout: str) -> np.ndarray:
+    """A view of ``frames``, or of a Fortran-ordered copy, in the given layout."""
+    if layout == "fortran":
+        return np.asfortranarray(frames)
+    if layout == "reversed":
+        return frames[::-1, :, ::-1, ::-1]
+    if layout == "strided":  # every other frame of a Fortran-ordered stack, mirrored
+        return np.asfortranarray(frames)[::2, :, ::-1]
+    return frames
+
+
+LAYOUTS = ["c", "fortran", "reversed", "strided"]
+
+
+def frames_a_block(monkeypatch, frames: int, h: int, w: int, dim: int):
+    """Set ``numerics.WORK_BYTES`` so that a means block holds ``frames`` frames."""
+    monkeypatch.setattr(numerics, "WORK_BYTES", frames * h * w * dim * 8)
+
+
+class TestFrameMeans:
+    """The means pass: a chunk of frames at a time in one float64 block, on
+    the calling thread."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        workers=st.integers(1, 5),
+        per_block=st.integers(1, 8),
+        whole=st.booleans(),
         n=st.integers(1, 300),
         h=st.integers(1, 14),
         w=st.integers(1, 14),
         dim=st.integers(1, 100),
+        layout=st.sampled_from(LAYOUTS),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_split_gives_the_bytes_of_one_mean(self, workers, n, h, w, dim, seed):
-        frames = random_stack(seed, n, h, w, dim)
+    def test_blocks_give_the_bytes_of_one_mean(self, per_block, whole, n, h, w, dim, layout, seed):
+        # one frame, a few frames or all of them a block; n need not be a
+        # multiple, so the last block is often short
+        frames = laid_out(random_stack(seed, n, h, w, dim), layout)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(temporal, "_means_workers", lambda n_values: workers)
+            frames_a_block(mp, frames.shape[0] if whole else per_block, h, w, dim)
             seq = FrameFeatureSequence(frames)
         assert seq.means.tobytes() == frames.mean(axis=(1, 2), dtype=np.float64).tobytes()
 
-    def test_no_thread_outlives_the_call(self, monkeypatch):
-        callers = []
-        sum_into = temporal._sum_frames_into
+    @pytest.mark.parametrize("dim", [1, 64, 1152])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("per_block", [1, 2, None])  # None: the default WORK_BYTES
+    def test_edge_values_give_the_bytes_of_one_mean(self, rng, monkeypatch, dim, layout, per_block):
+        # subnormal, signed-zero and near-float32-maximum stacks, as pooling's
+        # mean step is checked on
+        if per_block is not None:
+            frames_a_block(monkeypatch, per_block, 12, 12, dim)
+        for kind, stack in test_numerics.TestMeanStep.stacks(rng, 12, 12, n=5, dim=dim):
+            frames = laid_out(stack, layout)
+            seq = FrameFeatureSequence(frames)
+            expected = frames.mean(axis=(1, 2), dtype=np.float64)
+            assert np.isfinite(expected).all(), kind
+            assert seq.means.tobytes() == expected.tobytes(), kind
 
-        def recorded(out, frames):
-            callers.append(threading.get_ident())
-            sum_into(out, frames)
+    def test_no_thread_is_started(self, rng, monkeypatch):
+        def refused(thread):
+            raise AssertionError("the means pass started a thread")
 
-        monkeypatch.setattr(temporal, "_means_workers", lambda n_values: 3)
-        monkeypatch.setattr(temporal, "_sum_frames_into", recorded)
-        before = threading.active_count()
-        FrameFeatureSequence(random_stack(7, 10, 2, 2, 3))
-        assert threading.active_count() == before
-        assert len(callers) == 3 and threading.get_ident() not in callers
+        # more than 2 * 2**20 values, which a split by values per worker
+        # would share between two CPUs
+        frame = rng.standard_normal((1, 16, 16, 160), dtype=np.float32)
+        frames = np.broadcast_to(frame, (64, 16, 16, 160))
+        assert frames.size > 2 << 20
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        seq = FrameFeatureSequence(frames)
+        assert seq.means.tobytes() == frames.mean(axis=(1, 2), dtype=np.float64).tobytes()
 
-    def test_small_inputs_stay_on_the_calling_thread(self):
-        n_values = temporal.MEANS_VALUES_PER_WORKER * 2 - 1
-        assert temporal._means_workers(n_values) == 1
+    @pytest.mark.parametrize("shape, work_bytes", [
+        ((3600, 12, 12, 64), None),  # 14 frames a block
+        ((40, 12, 12, 1152), None),  # a frame is more than WORK_BYTES: one a block
+        ((300, 6, 6, 16), 5 * 6 * 6 * 16 * 8),  # 5 frames a block, the last one short
+    ])
+    def test_working_memory_is_the_means_and_one_block(self, rng, monkeypatch, shape, work_bytes):
+        n, h, w, dim = shape
+        if work_bytes is not None:
+            monkeypatch.setattr(numerics, "WORK_BYTES", work_bytes)
+        if n * h * w * dim > 1 << 22:  # every frame the same, not up to 130 MB of them
+            frames = np.broadcast_to(rng.standard_normal((1, h, w, dim), dtype=np.float32), shape)
+        else:
+            frames = rng.standard_normal(shape, dtype=np.float32)
+        block = numerics.per_chunk(h * w * dim * 8, n) * h * w * dim * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            seq = FrameFeatureSequence(frames)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= seq.means.nbytes + block + (16 << 10), (peak, seq.means.nbytes, block)
